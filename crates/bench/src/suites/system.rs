@@ -1,5 +1,5 @@
 //! Benchmark of the full MEEK SoC simulation rate — the cost of
-//! regenerating the paper's figures.
+//! regenerating the paper's figures — and of building one SoC.
 
 use criterion::{Criterion, Throughput};
 use meek_core::Sim;
@@ -23,6 +23,12 @@ fn bench_system(c: &mut Criterion) {
                 .report
                 .cycles
         })
+    });
+    // Construction alone, on a short run: the fixed cost every difftest
+    // case and classified fault pays before its first cycle.
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("build_4core", |b| {
+        b.iter(|| Sim::builder(&wl, 1_000).little_cores(4).build_unobserved().expect("valid"))
     });
     g.finish();
 }

@@ -234,6 +234,12 @@ impl BigCore {
         self.stats.committed = committed;
     }
 
+    /// Bytes of cache tag state this core's hierarchy has materialised
+    /// ([`MemHierarchy::state_bytes`]).
+    pub fn cache_state_bytes(&self) -> u64 {
+        self.hier.state_bytes()
+    }
+
     /// Memory-hierarchy statistics (read-only view).
     pub fn hierarchy_stats(
         &self,

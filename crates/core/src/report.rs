@@ -76,6 +76,10 @@ pub struct RunReport {
     pub pending_faults: usize,
     /// RCPs taken.
     pub rcps: u64,
+    /// Bytes of cache tag state materialised over the big core and every
+    /// little core: a deterministic measure of the cache state a run
+    /// touched.
+    pub cache_state_bytes: u64,
     /// Recovery-subsystem metrics (all-zero in detect-only runs):
     /// rollbacks, recovery latency, re-executed instructions, and the
     /// checkpoint/undo-log storage high-water mark.

@@ -1590,6 +1590,17 @@ mod tests {
     }
 
     #[test]
+    fn cache_state_bytes_follow_what_the_run_touched() {
+        // Dense tag arrays for this SoC would be 5 922 816 B (370 176
+        // lines of 16 B over the big core and 4 little cores), all of it
+        // written before the first cycle.
+        let wl = small_workload();
+        let sim = Sim::builder(&wl, 1_000).little_cores(4).build_unobserved().expect("valid");
+        let bytes = sim.run().report.cache_state_bytes;
+        assert!(bytes > 0 && bytes < 512 * 1024, "cache_state_bytes = {bytes}");
+    }
+
+    #[test]
     #[should_panic(expected = "observers attached")]
     fn unobserved_build_with_observers_panics() {
         let wl = small_workload();

@@ -586,6 +586,8 @@ impl MeekSystem {
             masked_faults: self.injector.masked.clone(),
             pending_faults: self.injector.unresolved(),
             rcps: self.deu.rcps,
+            cache_state_bytes: self.big.cache_state_bytes()
+                + self.littles.iter().map(LittleCore::cache_state_bytes).sum::<u64>(),
             recovery: *self.recover.report(),
         }
     }

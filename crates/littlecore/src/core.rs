@@ -222,6 +222,12 @@ impl LittleCore {
         self.stats
     }
 
+    /// Bytes of cache tag state this core's hierarchy has materialised
+    /// ([`MemHierarchy::state_bytes`]).
+    pub fn cache_state_bytes(&self) -> u64 {
+        self.hier.state_bytes()
+    }
+
     /// The segment currently assigned, if any.
     pub fn assignment(&self) -> Option<u32> {
         self.assignment

@@ -146,6 +146,13 @@ impl MemHierarchy {
         self.l1d.stats()
     }
 
+    /// Bytes of tag state the four cache levels hold: each level's per-set
+    /// slot index plus the sets it has materialised. It follows the access
+    /// stream only, so it is a machine-independent work counter.
+    pub fn state_bytes(&self) -> u64 {
+        [&self.l1i, &self.l1d, &self.l2, &self.llc].iter().map(|c| c.state_bytes()).sum()
+    }
+
     /// Total DRAM requests issued.
     pub fn dram_requests(&self) -> u64 {
         self.dram.requests

@@ -5,6 +5,12 @@
 //! LRU replacement and MSHR-limited miss handling, a bandwidth-limited
 //! DRAM, and the multi-level [`MemHierarchy`] of the paper's Table II.
 //!
+//! Tag state is materialised per set on first fill, so a cold hierarchy
+//! costs a small per-set index rather than its full capacity, and
+//! [`MemHierarchy::state_bytes`] counts what a run has touched. Each
+//! little core models the SoC L2/LLC with its own tag copy, so the
+//! shared levels are built once per core, not shared between them.
+//!
 //! It also provides the [`parity`] helpers modelling the paper's LSQ
 //! protection (footnote 2: cache parity bits are copied into the LSQ and
 //! double-checked when data is forwarded to the F2 fabric).

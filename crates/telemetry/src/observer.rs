@@ -29,6 +29,7 @@
 //! | `littlecore_busy_cycles{core=N}` | counter | per-checker busy cycles (final report) |
 //! | `littlecore_replayed_insts{core=N}` | counter | per-checker replayed instructions |
 //! | `runs` / `cycles_total` / `app_cycles_total` / `committed_total` | counter | per-run report totals |
+//! | `cache_state_bytes_total` | counter | cache tag-state bytes the runs materialised |
 //! | `ipc_milli` | hist | committed×1000 / app-cycles per run |
 
 use crate::registry::Registry;
@@ -152,6 +153,7 @@ impl Observer for MetricsObserver {
             st.reg.inc("cycles_total", report.cycles);
             st.reg.inc("app_cycles_total", report.app_cycles);
             st.reg.inc("committed_total", report.committed);
+            st.reg.inc("cache_state_bytes_total", report.cache_state_bytes);
             st.reg.observe("ipc_milli", report.committed * 1000 / report.app_cycles.max(1));
             for (i, lc) in report.littles.iter().enumerate() {
                 st.reg.inc(format!("littlecore_busy_cycles{{core={i}}}"), lc.busy_cycles);
