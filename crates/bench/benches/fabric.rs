@@ -3,8 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use meek_fabric::{
-    AxiConfig, AxiInterconnect, DestMask, F2Config, Fabric, Packet, PacketKind, PacketSink,
-    Payload, F2,
+    DcBufferConfig, DestMask, Fabric, FabricKind, Packet, PacketKind, PacketSink, Payload,
 };
 
 struct NullSink;
@@ -34,7 +33,8 @@ fn packets(n: u64) -> Vec<Packet> {
         .collect()
 }
 
-fn drive<F: Fabric>(mut fabric: F, pkts: &[Packet]) -> u64 {
+fn drive(kind: FabricKind, pkts: &[Packet]) -> u64 {
+    let mut fabric = Fabric::new(kind, 4, DcBufferConfig::default());
     let mut sinks = [NullSink, NullSink, NullSink, NullSink];
     let mut now = 0u64;
     let mut it = pkts.iter().cloned();
@@ -63,12 +63,8 @@ fn bench_fabrics(c: &mut Criterion) {
     let pkts = packets(2_000);
     let mut g = c.benchmark_group("fabric");
     g.throughput(Throughput::Elements(pkts.len() as u64));
-    g.bench_function("f2_route_2k_packets", |b| {
-        b.iter(|| drive(F2::new(F2Config::default()), &pkts))
-    });
-    g.bench_function("axi_route_2k_packets", |b| {
-        b.iter(|| drive(AxiInterconnect::new(AxiConfig::default()), &pkts))
-    });
+    g.bench_function("f2_route_2k_packets", |b| b.iter(|| drive(FabricKind::F2, &pkts)));
+    g.bench_function("axi_route_2k_packets", |b| b.iter(|| drive(FabricKind::Axi, &pkts)));
     g.finish();
 }
 

@@ -11,7 +11,7 @@
 
 use meek_bench::{banner, executor, sim_insts, write_csv};
 use meek_core::{run_vanilla, FabricKind, MeekConfig, RunReport, Sim};
-use meek_fabric::{AxiConfig, AxiInterconnect, DcBufferConfig, F2Config, Fabric, F2};
+use meek_fabric::DcBufferConfig;
 use meek_workloads::{parsec3, Workload};
 
 /// One point of the sweep grid.
@@ -27,12 +27,9 @@ fn simulate(point: Point, wl: &Workload, insts: u64) -> RunReport {
     let builder = match point {
         Point::Fabric(_, kind) => Sim::builder(wl, insts).fabric(kind),
         Point::DcDepth(depth) => {
-            // Depth applies to both channels.
-            let fabric = Box::new(F2::new(F2Config {
-                dc: DcBufferConfig { runtime_depth: depth, status_depth: depth * 2 },
-                ..F2Config::default()
-            }));
-            Sim::builder(wl, insts).custom_fabric(fabric)
+            // The status channel is twice as deep, as in the default.
+            let dc_buffer = DcBufferConfig { runtime_depth: depth, status_depth: depth * 2 };
+            Sim::builder(wl, insts).config(MeekConfig { dc_buffer, ..MeekConfig::default() })
         }
     };
     builder.build_unobserved().expect("ablation grid points are valid").run().report
@@ -81,17 +78,12 @@ fn main() {
     // Selective broadcast value: count the transactions a unicast-only
     // fabric needs for the same traffic (status data goes to two cores).
     println!("\nSelective broadcast (measured on raw fabrics, same packet mix):");
-    let f2 = F2::new(F2Config::default());
-    let axi = AxiInterconnect::new(AxiConfig::default());
-    println!(
-        "  F2 payload: {} words/packet; AXI payload: {} words/packet",
-        f2.payload_words(),
-        axi.payload_words()
-    );
+    let (f2, axi) = (FabricKind::F2.payload_words(), FabricKind::Axi.payload_words());
+    println!("  F2 payload: {f2} words/packet; AXI payload: {axi} words/packet");
     println!(
         "  a 65-word checkpoint costs {} F2 chunks vs {} AXI beats x2 destinations",
-        65u32.div_ceil(f2.payload_words()),
-        65u32.div_ceil(axi.payload_words())
+        65u32.div_ceil(f2),
+        65u32.div_ceil(axi)
     );
 
     // DC-Buffer depth sweep (F2): smaller buffers push burst pressure

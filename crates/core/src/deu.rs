@@ -190,12 +190,7 @@ impl DeuState {
     /// Streams queued checkpoint chunks into the DC-Buffers. Called once
     /// per big-core cycle; pushes as many chunks as the status FIFOs
     /// accept this cycle.
-    pub fn pump_transfers(
-        &mut self,
-        fabric: &mut dyn Fabric,
-        injector: &mut FaultInjector,
-        now: u64,
-    ) {
+    pub fn pump_transfers(&mut self, fabric: &mut Fabric, injector: &mut FaultInjector, now: u64) {
         while let Some(t) = self.transfers.front_mut() {
             let is_last = t.next_chunk + 1 == t.total;
             let payload = if is_last {
@@ -269,7 +264,7 @@ pub struct DeuHook<'a> {
     /// DEU state.
     pub deu: &'a mut DeuState,
     /// The forwarding fabric (F2 or AXI).
-    pub fabric: &'a mut dyn Fabric,
+    pub fabric: &'a mut Fabric,
     /// The little cores (for LSL admission queries and assignment).
     pub littles: &'a mut [LittleCore],
     /// Segment-to-checker scheduling.
@@ -467,7 +462,7 @@ impl CommitHook for DeuHook<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meek_fabric::{F2Config, F2};
+    use meek_fabric::{DcBufferConfig, FabricKind};
     use meek_isa::inst::{AluImmOp, Inst};
     use meek_isa::{ExecClass, Reg};
     use meek_littlecore::LittleCoreConfig;
@@ -492,7 +487,7 @@ mod tests {
 
     struct Rig {
         deu: DeuState,
-        fabric: F2,
+        fabric: Fabric,
         littles: Vec<LittleCore>,
         seg_mgr: SegmentManager,
         injector: FaultInjector,
@@ -503,7 +498,7 @@ mod tests {
         fn new(n_little: usize, budget: u64, timeout: u64) -> Rig {
             let mut rig = Rig {
                 deu: DeuState::new(4, 4, budget, timeout, RegCheckpoint::zeroed(0x1000)),
-                fabric: F2::new(F2Config::default()),
+                fabric: Fabric::new(FabricKind::F2, 4, DcBufferConfig::default()),
                 littles: (0..n_little)
                     .map(|i| LittleCore::new(i, LittleCoreConfig::optimized(), 17))
                     .collect(),

@@ -9,9 +9,9 @@
 //! threaded into `run_to_completion`) and introspected runs through
 //! preformatted debug strings. [`SimBuilder`] replaces all of that:
 //!
-//! * every knob (workload, little-core count, fabric kind or a custom
-//!   fabric, recovery policy, fault plan, instruction budget) is set on
-//!   one builder, and degenerate combinations are rejected with a typed
+//! * every knob (workload, little-core count, fabric kind, recovery
+//!   policy, fault plan, instruction budget) is set on one builder,
+//!   and degenerate combinations are rejected with a typed
 //!   [`BuildError`] instead of a mid-run panic;
 //! * the simulation liveness bound is derived internally from the
 //!   instruction budget ([`cycle_cap`]) — widened automatically for
@@ -63,7 +63,6 @@ use crate::fault::{DetectionRecord, FaultInjector, FaultSite, FaultSpec};
 use crate::report::RunReport;
 use crate::system::{cycle_cap, FabricKind, MeekConfig, MeekSystem};
 use meek_bigcore::BigCoreConfig;
-use meek_fabric::Fabric;
 use meek_isa::{ArchState, SparseMemory};
 use meek_littlecore::LittleCoreConfig;
 use meek_recover::RecoveryPolicy;
@@ -678,9 +677,6 @@ pub enum BuildError {
     /// Recovery was enabled with `rollback_depth == 0`: a rollback
     /// with no checkpoint to reach is unexecutable.
     RecoveryWithoutCheckpoints,
-    /// Both a [`FabricKind`] and a custom fabric instance were set —
-    /// the builder cannot honour both.
-    ConflictingFabric,
     /// Both [`SimBuilder::faults`] and [`SimBuilder::injector`] were
     /// set — one fault source per run.
     ConflictingFaultSources,
@@ -733,9 +729,6 @@ impl fmt::Display for BuildError {
             }
             BuildError::RecoveryWithoutCheckpoints => {
                 write!(f, "recovery enabled with rollback_depth 0: no checkpoint to roll back to")
-            }
-            BuildError::ConflictingFabric => {
-                write!(f, "both a fabric kind and a custom fabric were configured")
             }
             BuildError::ConflictingFaultSources => {
                 write!(f, "both a fault list and a pre-built injector were configured")
@@ -794,8 +787,6 @@ pub struct SimBuilder<'a> {
     insts: u64,
     cfg: MeekConfig,
     record_budget_set: bool,
-    fabric_kind_set: bool,
-    custom_fabric: Option<Box<dyn Fabric + Send>>,
     faults: Option<Vec<FaultSpec>>,
     injector: Option<FaultInjector>,
     headroom: u64,
@@ -812,8 +803,6 @@ impl<'a> SimBuilder<'a> {
             insts,
             cfg: MeekConfig::default(),
             record_budget_set: false,
-            fabric_kind_set: false,
-            custom_fabric: None,
             faults: None,
             injector: None,
             headroom: 1,
@@ -852,18 +841,9 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
-    /// Interconnect choice (the Fig. 9 ablation axis). Conflicts with
-    /// [`SimBuilder::custom_fabric`].
+    /// Interconnect choice (the Fig. 9 ablation axis).
     pub fn fabric(mut self, kind: FabricKind) -> Self {
         self.cfg.fabric = kind;
-        self.fabric_kind_set = true;
-        self
-    }
-
-    /// A caller-built interconnect instance (parameter sweeps beyond
-    /// the built-in kinds). Conflicts with [`SimBuilder::fabric`].
-    pub fn custom_fabric(mut self, fabric: Box<dyn Fabric + Send>) -> Self {
-        self.custom_fabric = Some(fabric);
         self
     }
 
@@ -992,9 +972,6 @@ impl<'a> SimBuilder<'a> {
                 });
             }
         }
-        if self.fabric_kind_set && self.custom_fabric.is_some() {
-            return Err(BuildError::ConflictingFabric);
-        }
         if self.faults.is_some() && self.injector.is_some() {
             return Err(BuildError::ConflictingFaultSources);
         }
@@ -1011,11 +988,7 @@ impl<'a> SimBuilder<'a> {
                 });
             }
         }
-        let fabric = match self.custom_fabric {
-            Some(f) => f,
-            None => MeekSystem::default_fabric(&self.cfg),
-        };
-        let mut sys = MeekSystem::with_fabric(self.cfg, self.workload, self.insts, fabric);
+        let mut sys = MeekSystem::new(self.cfg, self.workload, self.insts);
         if let Some(faults) = self.faults {
             sys.set_faults(faults);
         } else if let Some(injector) = self.injector {
@@ -1225,7 +1198,6 @@ impl RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meek_fabric::{F2Config, F2};
     use meek_workloads::parsec3;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -1258,23 +1230,6 @@ mod tests {
         // Depth 0 is fine while recovery is off (the knob is inert).
         let policy = RecoveryPolicy { rollback_depth: 0, ..RecoveryPolicy::default() };
         assert!(Sim::builder(&wl, 1_000).recovery(policy).build().is_ok());
-    }
-
-    #[test]
-    fn conflicting_fabric_settings_are_a_typed_error() {
-        let wl = small_workload();
-        let err = Sim::builder(&wl, 1_000)
-            .fabric(FabricKind::Axi)
-            .custom_fabric(Box::new(F2::new(F2Config::default())))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, BuildError::ConflictingFabric);
-        // Each alone is fine.
-        assert!(Sim::builder(&wl, 1_000).fabric(FabricKind::Axi).build().is_ok());
-        assert!(Sim::builder(&wl, 1_000)
-            .custom_fabric(Box::new(F2::new(F2Config::default())))
-            .build()
-            .is_ok());
     }
 
     #[test]
@@ -1538,13 +1493,9 @@ mod tests {
     }
 
     #[test]
-    fn custom_fabric_runs_and_headroom_scales_the_cap() {
+    fn headroom_scales_the_cap() {
         let wl = small_workload();
-        let sim = Sim::builder(&wl, 5_000)
-            .custom_fabric(Box::new(F2::new(F2Config::default())))
-            .cycle_headroom(3)
-            .build()
-            .expect("valid");
+        let sim = Sim::builder(&wl, 5_000).cycle_headroom(3).build().expect("valid");
         assert_eq!(sim.max_cycles(), 3 * cycle_cap(5_000));
         let outcome = sim.run();
         assert_eq!(outcome.report.failed_segments, 0);

@@ -8,46 +8,13 @@ use crate::report::{RunReport, StallBreakdown};
 use crate::segments::SegmentManager;
 use crate::sim::SimEvent;
 use meek_bigcore::{BigCore, BigCoreConfig, NullHook};
-use meek_fabric::{
-    AxiConfig, AxiInterconnect, DestMask, F2Config, Fabric, Packet, PacketKind, PacketSink,
-    SinkBank, F2,
-};
+use meek_fabric::{DcBufferConfig, DestMask, Fabric, Packet, PacketKind, PacketSink, SinkBank};
 use meek_isa::{ArchState, SparseMemory};
 use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig};
 use meek_recover::{RecoveryManager, RecoveryPolicy};
 use meek_workloads::{Workload, WorkloadRun};
 
-/// Which interconnect forwards extracted data (the Fig. 9 ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FabricKind {
-    /// The paper's bespoke fabric (§III-B).
-    F2,
-    /// The full-featured AXI-Interconnect baseline.
-    Axi,
-}
-
-impl FabricKind {
-    /// Every built-in kind, in stable sweep order.
-    pub const ALL: [FabricKind; 2] = [FabricKind::F2, FabricKind::Axi];
-
-    /// Stable lower-case name (CLI values, coverage-feature keys,
-    /// corpus persistence, serve wire format).
-    pub fn name(self) -> &'static str {
-        match self {
-            FabricKind::F2 => "f2",
-            FabricKind::Axi => "axi",
-        }
-    }
-
-    /// Inverse of [`FabricKind::name`].
-    pub fn from_name(name: &str) -> Option<FabricKind> {
-        match name {
-            "f2" => Some(FabricKind::F2),
-            "axi" => Some(FabricKind::Axi),
-            _ => None,
-        }
-    }
-}
+pub use meek_fabric::FabricKind;
 
 /// Configuration of a complete MEEK system.
 #[derive(Debug, Clone)]
@@ -60,6 +27,8 @@ pub struct MeekConfig {
     pub big: BigCoreConfig,
     /// Interconnect choice.
     pub fabric: FabricKind,
+    /// Per-lane DC-Buffer capacity (the depth ablation's axis).
+    pub dc_buffer: DcBufferConfig,
     /// Run-time records per segment before an RCP is forced ("targeted
     /// LSL full"). Defaults to the LSL run-time capacity.
     pub seg_record_budget: u64,
@@ -79,6 +48,7 @@ impl Default for MeekConfig {
             little,
             big: BigCoreConfig::sonic_boom(),
             fabric: FabricKind::F2,
+            dc_buffer: DcBufferConfig::default(),
             seg_record_budget: little.lsl.runtime_capacity as u64,
             seg_timeout: 5_000,
             recovery: RecoveryPolicy::default(),
@@ -119,11 +89,15 @@ impl SinkBank for LittleSinks<'_> {
 }
 
 /// The full system under simulation.
+///
+/// Every field is a plain value, so a clone is an independent system
+/// that continues from the same cycle.
+#[derive(Clone)]
 pub struct MeekSystem {
     cfg: MeekConfig,
     big: BigCore,
     littles: Vec<LittleCore>,
-    fabric: Box<dyn Fabric + Send>,
+    fabric: Fabric,
     deu: DeuState,
     seg_mgr: SegmentManager,
     injector: FaultInjector,
@@ -145,35 +119,17 @@ pub struct MeekSystem {
 }
 
 impl MeekSystem {
-    /// The built-in interconnect instance for `cfg.fabric`.
-    pub(crate) fn default_fabric(cfg: &MeekConfig) -> Box<dyn Fabric + Send> {
-        match cfg.fabric {
-            FabricKind::F2 => {
-                Box::new(F2::new(F2Config { lanes: cfg.big.width as usize, ..F2Config::default() }))
-            }
-            FabricKind::Axi => Box::new(AxiInterconnect::new(AxiConfig {
-                lanes: cfg.big.width as usize,
-                ..AxiConfig::default()
-            })),
-        }
-    }
-
     /// Builds a system around `workload`, capped at `max_insts` dynamic
-    /// instructions, on a caller-provided interconnect. Performs the
-    /// OS-side setup: `b.hook` of the little cores, `l.mode(CHECK)`,
-    /// seeding of checkpoint 0 (the program's initial state) on segment
-    /// 1's checker, and `b.check(ENABLE)`. Only reachable through
+    /// instructions, on the fabric `cfg` names. Performs the OS-side
+    /// setup: `b.hook` of the little cores, `l.mode(CHECK)`, seeding of
+    /// checkpoint 0 (the program's initial state) on segment 1's
+    /// checker, and `b.check(ENABLE)`. Only reachable through
     /// `sim::SimBuilder`, the sole construction path.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.n_little` is zero.
-    pub(crate) fn with_fabric(
-        cfg: MeekConfig,
-        workload: &Workload,
-        max_insts: u64,
-        fabric: Box<dyn Fabric + Send>,
-    ) -> MeekSystem {
+    pub(crate) fn new(cfg: MeekConfig, workload: &Workload, max_insts: u64) -> MeekSystem {
         assert!(cfg.n_little > 0, "MEEK needs at least one little core");
         let mut run = workload.run(max_insts);
         if cfg.recovery.enabled {
@@ -185,9 +141,11 @@ impl MeekSystem {
         // start checkpoint; pin it so even a first-segment detection
         // has a rollback target.
         recover.pin_checkpoint(1, 0, initial_cp, run.state().csr_snapshot());
+        let lanes = cfg.big.width as usize;
+        let fabric = Fabric::new(cfg.fabric, lanes, cfg.dc_buffer);
         let mut deu = DeuState::new(
-            cfg.big.width as usize,
-            fabric.payload_words(),
+            lanes,
+            cfg.fabric.payload_words(),
             cfg.seg_record_budget,
             cfg.seg_timeout,
             initial_cp,
@@ -411,7 +369,7 @@ impl MeekSystem {
             self.recover.note_storage(self.run.undo_bytes());
         }
         // DEU background streaming of checkpoint chunks.
-        self.deu.pump_transfers(self.fabric.as_mut(), &mut self.injector, now);
+        self.deu.pump_transfers(&mut self.fabric, &mut self.injector, now);
         // Fabric moves packets toward the LSLs.
         self.fabric.tick(now, &mut LittleSinks(&mut self.littles));
         // Big clock domain.
@@ -422,8 +380,7 @@ impl MeekSystem {
             let MeekSystem { big, littles, fabric, deu, seg_mgr, injector, recover, run, .. } =
                 self;
             let mut oracle = || run.next_retired();
-            let mut hook =
-                DeuHook { deu, fabric: fabric.as_mut(), littles, seg_mgr, injector, recover };
+            let mut hook = DeuHook { deu, fabric, littles, seg_mgr, injector, recover };
             big.tick(now, &mut oracle, &mut hook);
         } else {
             self.finalize(now);
@@ -496,8 +453,7 @@ impl MeekSystem {
             return;
         }
         let MeekSystem { littles, fabric, deu, seg_mgr, injector, recover, .. } = self;
-        let mut hook =
-            DeuHook { deu, fabric: fabric.as_mut(), littles, seg_mgr, injector, recover };
+        let mut hook = DeuHook { deu, fabric, littles, seg_mgr, injector, recover };
         if hook.finalize_segment(now) {
             self.deu.finalized = true;
         }
@@ -657,6 +613,57 @@ mod tests {
         assert_send::<MeekSystem>();
         assert_send::<MeekConfig>();
         assert_send::<crate::report::RunReport>();
+    }
+
+    /// Clones `sys` where it stands, then runs the original and the clone
+    /// to completion, the original first: a clone sharing any state with
+    /// its source would finish differently. Returns the common report.
+    fn finish_with_clone(mut sys: MeekSystem, insts: u64) -> RunReport {
+        let mut fork = sys.clone();
+        let a = sys.run_to_completion(cycle_cap(insts));
+        let b = fork.run_to_completion(cycle_cap(insts));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(sys.final_state(), fork.final_state());
+        assert!(sys.final_memory().content_eq(fork.final_memory()));
+        a
+    }
+
+    #[test]
+    fn a_clone_between_injection_and_detection_finishes_identically() {
+        let wl = small_workload();
+        let mut sys = MeekSystem::new(MeekConfig::default(), &wl, 12_000);
+        sys.set_faults(vec![FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 }]);
+        sys.enable_event_capture();
+        loop {
+            assert!(!sys.is_complete(), "the fault never fired");
+            sys.tick();
+            if sys.take_events().iter().any(|e| matches!(e, SimEvent::FaultInjected { .. })) {
+                break;
+            }
+        }
+        assert_eq!(sys.detection_count(), 0, "cloned before the detection");
+        assert!(sys.fabric_depth() > 0, "the corrupted record is still in a DC-Buffer");
+        let report = finish_with_clone(sys, 12_000);
+        assert_eq!(report.detections.len(), 1);
+    }
+
+    #[test]
+    fn a_clone_mid_rollback_episode_finishes_identically() {
+        let wl = small_workload();
+        let cfg = MeekConfig {
+            fabric: FabricKind::Axi,
+            recovery: RecoveryPolicy::enabled(),
+            ..MeekConfig::default()
+        };
+        let mut sys = MeekSystem::new(cfg, &wl, 12_000);
+        sys.set_faults(vec![FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 }]);
+        while !sys.recover.in_flight() {
+            assert!(!sys.is_complete(), "the fault never started a rollback episode");
+            sys.tick();
+        }
+        let report = finish_with_clone(sys, 12_000);
+        assert_eq!(report.recovery.rollbacks, 1);
+        assert_eq!(report.recovery.recovered, 1);
     }
 
     #[test]

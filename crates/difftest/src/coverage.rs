@@ -22,7 +22,6 @@
 //! prevent.
 
 use crate::cosim::GoldenRun;
-use crate::fuzz::FuzzProgram;
 use meek_core::{CorruptedField, FaultSite, FaultSpec, MaskRecord, Sim};
 use meek_fabric::{DestMask, Packet, PacketSink, Payload};
 use meek_isa::state::RegCheckpoint;
@@ -95,20 +94,10 @@ pub fn fault_plan(seed: u64, n: usize, executed: u64) -> Vec<FaultSpec> {
         .collect()
 }
 
-/// Injects `spec` into a full-system run of `prog` and classifies the
-/// outcome against the golden reference.
-pub fn classify(
-    prog: &FuzzProgram,
-    golden: &GoldenRun,
-    spec: FaultSpec,
-    n_little: usize,
-) -> FaultOutcome {
-    classify_in(golden, &prog.workload(), spec, n_little)
-}
-
-/// [`classify`] against an already-built [`Workload`], so a fault plan
-/// of N specs shares one image build and pre-decode pass instead of
-/// repeating both per fault.
+/// Injects `spec` into a full-system run of the program built as `wl`
+/// and classifies the outcome against the golden reference. Taking the
+/// built [`Workload`] lets a fault plan of N specs share one image build
+/// and pre-decode pass instead of repeating both per fault.
 pub fn classify_in(
     golden: &GoldenRun,
     wl: &Workload,
@@ -145,26 +134,8 @@ pub fn classify_in(
 }
 
 /// Classifies an already-completed run's report against the golden
-/// reference — shared by detect-only [`classify`] and the recovery
+/// reference — shared by detect-only [`classify_in`] and the recovery
 /// oracle, which needs the report *and* the drained system.
-pub fn classify_with(
-    prog: &FuzzProgram,
-    golden: &GoldenRun,
-    spec: FaultSpec,
-    report: &meek_core::RunReport,
-) -> FaultOutcome {
-    if let Some(d) = report.detections.first() {
-        return FaultOutcome::Detected { latency_ns: d.latency_ns };
-    }
-    if report.masked_faults.is_empty() && report.pending_faults > 0 {
-        return FaultOutcome::Pending;
-    }
-    // Only the masked branch (the replay-twin prover) needs the image
-    // and pre-decode table, so the workload is built lazily here.
-    classify_with_in(golden, &prog.workload(), spec, report)
-}
-
-/// [`classify_with`] against an already-built [`Workload`].
 pub fn classify_with_in(
     golden: &GoldenRun,
     wl: &Workload,
@@ -384,8 +355,9 @@ mod tests {
         for seed in 0..8u64 {
             let prog = fuzz_program(seed, &FuzzConfig::default());
             let golden = golden_run(&prog).expect("clean");
+            let wl = prog.workload();
             for spec in fault_plan(seed, 3, golden.trace.len() as u64) {
-                match classify(&prog, &golden, spec, 4) {
+                match classify_in(&golden, &wl, spec, 4) {
                     FaultOutcome::Detected { latency_ns } => {
                         assert!(latency_ns > 0.0);
                         detected += 1;

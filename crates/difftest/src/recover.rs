@@ -17,8 +17,7 @@
 //!   loudly here.
 
 use crate::cosim::GoldenRun;
-use crate::coverage::{classify_with, classify_with_in, FaultOutcome};
-use crate::fuzz::FuzzProgram;
+use crate::coverage::{classify_with_in, FaultOutcome};
 use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, RunOutcome, Sim};
 use meek_workloads::Workload;
 use std::fmt;
@@ -73,33 +72,14 @@ impl fmt::Display for RecoveryVerdict {
     }
 }
 
-/// Injects `spec` into a recovery-enabled system run (F2 fabric) and
-/// returns the coverage classification plus the recovery verdict.
-pub fn verify_recovery(
-    prog: &FuzzProgram,
-    golden: &GoldenRun,
-    spec: FaultSpec,
-    n_little: usize,
-) -> (FaultOutcome, RecoveryVerdict) {
-    verify_recovery_on(prog, golden, spec, n_little, FabricKind::F2)
-}
-
-/// [`verify_recovery`] with an explicit interconnect — the recovery ×
-/// fabric-ablation axis: rollback correctness must hold whether the
-/// corrupted data travelled the bespoke F2 or the AXI baseline.
-pub fn verify_recovery_on(
-    prog: &FuzzProgram,
-    golden: &GoldenRun,
-    spec: FaultSpec,
-    n_little: usize,
-    fabric: FabricKind,
-) -> (FaultOutcome, RecoveryVerdict) {
-    verify_recovery_in(golden, &prog.workload(), spec, n_little, fabric)
-}
-
-/// [`verify_recovery_on`] against an already-built [`Workload`], so a
-/// fault plan of N specs shares one image build and pre-decode pass
-/// instead of repeating both per fault.
+/// Injects `spec` into a recovery-enabled system run of the program
+/// built as `wl` on interconnect `fabric`, and returns the coverage
+/// classification plus the recovery verdict. The fabric is the
+/// recovery × fabric-ablation axis: rollback correctness must hold
+/// whether the corrupted data travelled the bespoke F2 or the AXI
+/// baseline. Taking the built [`Workload`] lets a fault plan of N specs
+/// share one image build and pre-decode pass instead of repeating both
+/// per fault.
 pub fn verify_recovery_in(
     golden: &GoldenRun,
     wl: &Workload,
@@ -139,19 +119,9 @@ pub fn verify_recovery_in(
 
 /// Classifies an already-completed recovery-enabled [`RunOutcome`]
 /// against the golden reference — the post-run half of
-/// [`verify_recovery_on`], exposed so harnesses that attach their own
+/// [`verify_recovery_in`], exposed so harnesses that attach their own
 /// observers to the run (the coverage-guided fuzzer) reuse the exact
 /// oracle instead of re-implementing its invariants.
-pub fn verify_recovery_outcome(
-    prog: &FuzzProgram,
-    golden: &GoldenRun,
-    spec: FaultSpec,
-    run: &RunOutcome,
-) -> (FaultOutcome, RecoveryVerdict) {
-    finish_recovery_verdict(golden, classify_with(prog, golden, spec, &run.report), run)
-}
-
-/// [`verify_recovery_outcome`] against an already-built [`Workload`].
 pub fn verify_recovery_outcome_in(
     golden: &GoldenRun,
     wl: &Workload,
@@ -242,10 +212,11 @@ mod tests {
             final_mem: prog.image(),
         };
         let spec = FaultSpec { arm_at_commit: 0, site: FaultSite::MemData, bit: 1 };
-        let (outcome, verdict) = verify_recovery(&prog, &golden, spec, 4);
+        let wl = prog.workload();
+        let (outcome, verdict) = verify_recovery_in(&golden, &wl, spec, 4, FabricKind::F2);
         assert_eq!(outcome, FaultOutcome::Pending);
         assert_eq!(verdict, RecoveryVerdict::NothingToRecover);
-        assert_eq!(crate::coverage::classify(&prog, &golden, spec, 4), FaultOutcome::Pending);
+        assert_eq!(crate::coverage::classify_in(&golden, &wl, spec, 4), FaultOutcome::Pending);
     }
 
     #[test]
@@ -254,8 +225,9 @@ mod tests {
         for seed in 0..6u64 {
             let prog = fuzz_program(seed, &FuzzConfig::default());
             let golden = golden_run(&prog).expect("clean");
+            let wl = prog.workload();
             for spec in fault_plan(seed, 5, golden.trace.len() as u64) {
-                let (outcome, verdict) = verify_recovery(&prog, &golden, spec, 4);
+                let (outcome, verdict) = verify_recovery_in(&golden, &wl, spec, 4, FabricKind::F2);
                 assert!(
                     !verdict.is_failure(),
                     "seed {seed}, {spec:?}: {verdict} (coverage {outcome})"

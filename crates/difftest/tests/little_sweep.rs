@@ -6,7 +6,7 @@
 
 use meek_campaign::Executor;
 use meek_difftest::{
-    classify, cosim, fault_plan, fuzz_program, golden_run, CosimConfig, FuzzConfig,
+    classify_in, cosim, fault_plan, fuzz_program, golden_run, CosimConfig, FuzzConfig,
 };
 
 /// The (little-core count, program seed) sweep grid.
@@ -28,8 +28,9 @@ fn run_cell(n_little: usize, seed: u64) -> String {
     );
     if v.divergence.is_none() {
         let golden = golden_run(&prog).expect("clean cosim implies clean golden");
+        let wl = prog.workload();
         for spec in fault_plan(seed, 2, v.executed) {
-            let outcome = classify(&prog, &golden, spec, n_little);
+            let outcome = classify_in(&golden, &wl, spec, n_little);
             out.push_str(&format!(" | {spec:?} -> {outcome}"));
         }
     }

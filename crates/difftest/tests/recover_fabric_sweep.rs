@@ -8,7 +8,7 @@
 
 use meek_core::FabricKind;
 use meek_difftest::{
-    fault_plan, fuzz_program, golden_run, verify_recovery_on, FuzzConfig, RecoveryVerdict,
+    fault_plan, fuzz_program, golden_run, verify_recovery_in, FuzzConfig, RecoveryVerdict,
 };
 
 #[test]
@@ -18,8 +18,9 @@ fn every_fabric_kind_recovers_to_the_golden_final_state() {
         for seed in 0..3u64 {
             let prog = fuzz_program(seed, &FuzzConfig::default());
             let golden = golden_run(&prog).expect("clean fuzzed program");
+            let wl = prog.workload();
             for spec in fault_plan(seed, 3, golden.trace.len() as u64) {
-                let (outcome, verdict) = verify_recovery_on(&prog, &golden, spec, 4, fabric);
+                let (outcome, verdict) = verify_recovery_in(&golden, &wl, spec, 4, fabric);
                 assert!(
                     !verdict.is_failure(),
                     "{fabric:?}, seed {seed}, {spec:?}: {verdict} (coverage {outcome})"
@@ -48,9 +49,10 @@ fn fabric_choice_does_not_change_fault_verdicts() {
     // must agree across fabrics for an identical fault plan.
     let prog = fuzz_program(7, &FuzzConfig::default());
     let golden = golden_run(&prog).expect("clean fuzzed program");
+    let wl = prog.workload();
     for spec in fault_plan(7, 4, golden.trace.len() as u64) {
-        let (f2, vf2) = verify_recovery_on(&prog, &golden, spec, 4, FabricKind::F2);
-        let (axi, vaxi) = verify_recovery_on(&prog, &golden, spec, 4, FabricKind::Axi);
+        let (f2, vf2) = verify_recovery_in(&golden, &wl, spec, 4, FabricKind::F2);
+        let (axi, vaxi) = verify_recovery_in(&golden, &wl, spec, 4, FabricKind::Axi);
         assert!(!vf2.is_failure() && !vaxi.is_failure(), "{spec:?}: {vf2} / {vaxi}");
         assert_eq!(
             std::mem::discriminant(&f2),

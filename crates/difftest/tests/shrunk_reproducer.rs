@@ -14,7 +14,7 @@
 //! raw architectural semantics.
 
 use meek_core::{FaultSite, FaultSpec};
-use meek_difftest::{classify, cosim, golden_run, CosimConfig, FaultOutcome, FuzzProgram};
+use meek_difftest::{classify_in, cosim, golden_run, CosimConfig, FaultOutcome, FuzzProgram};
 
 const WORDS: &[u32] = &[
     0x00000013, // addi zero, zero, 0
@@ -71,7 +71,7 @@ fn shrunk_case_c3f5ed68_cosims_clean() {
 fn shrunk_case_c3f5ed68_masked_csr_transit_proves_benign() {
     let prog = FuzzProgram::from_words(WORDS);
     let golden = golden_run(&prog).expect("shrunk program is trap-free");
-    let outcome = classify(&prog, &golden, SPEC, 4);
+    let outcome = classify_in(&golden, &prog.workload(), SPEC, 4);
     assert_eq!(
         outcome,
         FaultOutcome::MaskedProvenBenign,

@@ -8,95 +8,17 @@
 //! twice. The paper measures this design costing 16.7% geomean slowdown
 //! on PARSEC versus F2's <5%.
 
-use crate::dc_buffer::{DcBuffer, DcBufferConfig};
-use crate::packet::{Packet, PacketKind};
-use crate::{Fabric, FabricStats, SinkBank};
+use crate::{Fabric, FabricKind, SinkBank};
 
-/// AXI interconnect configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AxiConfig {
-    /// Number of commit paths / DC-Buffers.
-    pub lanes: usize,
-    /// Big-core cycles per bus beat (2 = one beat per little-core cycle).
-    pub cycles_per_beat: u64,
-    /// Bus traversal latency in big-core cycles.
-    pub bus_latency: u64,
-    /// Per-lane DC-Buffer capacity.
-    pub dc: DcBufferConfig,
-}
-
-impl Default for AxiConfig {
-    fn default() -> Self {
-        AxiConfig { lanes: 4, cycles_per_beat: 2, bus_latency: 8, dc: DcBufferConfig::default() }
-    }
-}
-
-/// The AXI-Interconnect baseline.
-#[derive(Debug, Clone)]
-pub struct AxiInterconnect {
-    cfg: AxiConfig,
-    buffers: Vec<DcBuffer>,
-    stats: FabricStats,
-}
-
-impl AxiInterconnect {
-    /// Creates an empty interconnect.
+impl Fabric {
+    /// One AXI cycle: on a beat boundary, the oldest eligible head moves
+    /// to one destination that can accept it.
     ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` or `cycles_per_beat` is zero.
-    pub fn new(cfg: AxiConfig) -> AxiInterconnect {
-        assert!(cfg.lanes > 0, "AXI needs at least one lane");
-        assert!(cfg.cycles_per_beat > 0, "AXI needs a nonzero beat");
-        AxiInterconnect {
-            cfg,
-            buffers: (0..cfg.lanes).map(|_| DcBuffer::new(cfg.dc)).collect(),
-            stats: FabricStats::default(),
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AxiConfig {
-        &self.cfg
-    }
-
-    /// Lowest-seq eligible head, excluding kinds flagged in `skip`
-    /// (indexed by `PacketKind as usize`) — the bus serialises the DEU's
-    /// commit lanes through one master port, so packets move in
-    /// extraction order.
-    fn lowest_head(&self, now: u64, skip: [bool; 2]) -> Option<(usize, PacketKind)> {
-        let mut best: Option<(u64, usize, PacketKind)> = None;
-        for (lane, buf) in self.buffers.iter().enumerate() {
-            for kind in [PacketKind::Runtime, PacketKind::Status] {
-                if skip[kind as usize] {
-                    continue;
-                }
-                if let Some(p) = buf.head(kind) {
-                    if p.created_at + self.cfg.bus_latency <= now
-                        && best.is_none_or(|(s, _, _)| p.seq < s)
-                    {
-                        best = Some((p.seq, lane, kind));
-                    }
-                }
-            }
-        }
-        best.map(|(_, lane, kind)| (lane, kind))
-    }
-}
-
-impl Fabric for AxiInterconnect {
-    fn try_push(&mut self, lane: usize, pkt: Packet) -> Result<(), Packet> {
-        assert!(lane < self.cfg.lanes, "lane {lane} out of range");
-        let r = self.buffers[lane].try_push(pkt);
-        if r.is_ok() {
-            self.stats.pushed += 1;
-        }
-        r
-    }
-
-    fn tick(&mut self, now: u64, sinks: &mut dyn SinkBank) {
-        // One beat per `cycles_per_beat` big-core cycles.
-        if !now.is_multiple_of(self.cfg.cycles_per_beat) {
+    /// Kept out of line for the reason given on `tick_f2`.
+    #[inline(never)]
+    pub(crate) fn tick_axi(&mut self, now: u64, sinks: &mut dyn SinkBank) {
+        // One beat per `AXI_CYCLES_PER_BEAT` big-core cycles.
+        if !now.is_multiple_of(FabricKind::AXI_CYCLES_PER_BEAT) {
             return;
         }
         let mut skip = [false; 2];
@@ -136,35 +58,21 @@ impl Fabric for AxiInterconnect {
             self.stats.blocked_cycles += 1;
         }
     }
-
-    fn is_empty(&self) -> bool {
-        self.buffers.iter().all(DcBuffer::is_empty)
-    }
-
-    fn depth(&self) -> usize {
-        self.buffers.iter().map(DcBuffer::len).sum()
-    }
-
-    fn flush(&mut self) {
-        for buf in &mut self.buffers {
-            self.stats.squashed += buf.clear() as u64;
-        }
-    }
-
-    fn payload_words(&self) -> u32 {
-        2 // 128-bit bus
-    }
-
-    fn stats(&self) -> FabricStats {
-        self.stats
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{DestMask, Payload};
-    use crate::PacketSink;
+    use crate::packet::{DestMask, Packet, PacketKind, Payload};
+    use crate::{DcBufferConfig, PacketSink};
+
+    /// Packets created at cycle 0 become eligible at the AXI latency, so
+    /// the clocks start there (a beat boundary: the latency is even).
+    const L: u64 = FabricKind::Axi.latency();
+
+    fn axi() -> Fabric {
+        Fabric::new(FabricKind::Axi, 4, DcBufferConfig::default())
+    }
 
     #[derive(Debug, Default)]
     struct Sink {
@@ -200,7 +108,7 @@ mod tests {
         }
     }
 
-    fn run(axi: &mut AxiInterconnect, sinks: &mut [Sink], from: u64, to: u64) {
+    fn run(axi: &mut Fabric, sinks: &mut [Sink], from: u64, to: u64) {
         for now in from..to {
             let mut refs: Vec<&mut dyn PacketSink> =
                 sinks.iter_mut().map(|s| s as &mut dyn PacketSink).collect();
@@ -210,28 +118,28 @@ mod tests {
 
     #[test]
     fn one_packet_per_two_cycles() {
-        let mut axi = AxiInterconnect::new(AxiConfig { bus_latency: 0, ..AxiConfig::default() });
+        let mut axi = axi();
         for i in 0..4 {
             axi.try_push(0, mem_pkt(i, DestMask::single(0))).unwrap();
         }
         let mut sinks = vec![Sink { cap: usize::MAX, ..Sink::default() }];
-        run(&mut axi, &mut sinks, 0, 4);
+        run(&mut axi, &mut sinks, L, L + 4);
         assert_eq!(sinks[0].got.len(), 2, "one beat per 2 big cycles");
-        run(&mut axi, &mut sinks, 4, 8);
+        run(&mut axi, &mut sinks, L + 4, L + 8);
         assert_eq!(sinks[0].got.len(), 4);
     }
 
     #[test]
     fn multicast_requires_two_beats() {
-        let mut axi = AxiInterconnect::new(AxiConfig { bus_latency: 0, ..AxiConfig::default() });
+        let mut axi = axi();
         axi.try_push(0, status_pkt(0, DestMask::single(0).with(1))).unwrap();
         let mut sinks = vec![
             Sink { cap: usize::MAX, ..Sink::default() },
             Sink { cap: usize::MAX, ..Sink::default() },
         ];
-        run(&mut axi, &mut sinks, 0, 2);
+        run(&mut axi, &mut sinks, L, L + 2);
         assert_eq!(sinks[0].got.len() + sinks[1].got.len(), 1, "first beat");
-        run(&mut axi, &mut sinks, 2, 4);
+        run(&mut axi, &mut sinks, L + 2, L + 4);
         assert_eq!(sinks[0].got.len(), 1);
         assert_eq!(sinks[1].got.len(), 1);
         assert_eq!(axi.stats().transactions, 2, "no multicast on AXI");
@@ -240,34 +148,34 @@ mod tests {
 
     #[test]
     fn round_robin_serves_all_lanes() {
-        let mut axi = AxiInterconnect::new(AxiConfig { bus_latency: 0, ..AxiConfig::default() });
+        let mut axi = axi();
         for lane in 0..4 {
             axi.try_push(lane, mem_pkt(lane as u64, DestMask::single(0))).unwrap();
         }
         let mut sinks = vec![Sink { cap: usize::MAX, ..Sink::default() }];
-        run(&mut axi, &mut sinks, 0, 8);
+        run(&mut axi, &mut sinks, L, L + 8);
         assert_eq!(sinks[0].got.len(), 4);
         assert!(axi.is_empty());
     }
 
     #[test]
     fn blocked_when_sink_full() {
-        let mut axi = AxiInterconnect::new(AxiConfig { bus_latency: 0, ..AxiConfig::default() });
+        let mut axi = axi();
         axi.try_push(0, mem_pkt(0, DestMask::single(0))).unwrap();
         let mut sinks = vec![Sink { cap: 0, ..Sink::default() }];
-        run(&mut axi, &mut sinks, 0, 6);
+        run(&mut axi, &mut sinks, L, L + 6);
         assert_eq!(axi.stats().delivered, 0);
         assert!(axi.stats().blocked_cycles >= 3);
     }
 
     #[test]
     fn bus_latency_gates_first_beat() {
-        let mut axi = AxiInterconnect::new(AxiConfig { bus_latency: 8, ..AxiConfig::default() });
+        let mut axi = axi();
         axi.try_push(0, mem_pkt(0, DestMask::single(0))).unwrap();
         let mut sinks = vec![Sink { cap: usize::MAX, ..Sink::default() }];
-        run(&mut axi, &mut sinks, 0, 8);
+        run(&mut axi, &mut sinks, 0, L);
         assert!(sinks[0].got.is_empty());
-        run(&mut axi, &mut sinks, 8, 10);
+        run(&mut axi, &mut sinks, L, L + 2);
         assert_eq!(sinks[0].got.len(), 1);
     }
 }

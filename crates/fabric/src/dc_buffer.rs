@@ -34,14 +34,12 @@ pub struct DcBuffer {
     cfg: DcBufferConfig,
     runtime: VecDeque<Packet>,
     status: VecDeque<Packet>,
-    /// Peak occupancy seen on either channel (for ablation reporting).
-    pub peak_occupancy: usize,
 }
 
 impl DcBuffer {
     /// Creates an empty buffer.
     pub fn new(cfg: DcBufferConfig) -> DcBuffer {
-        DcBuffer { cfg, runtime: VecDeque::new(), status: VecDeque::new(), peak_occupancy: 0 }
+        DcBuffer { cfg, runtime: VecDeque::new(), status: VecDeque::new() }
     }
 
     /// Attempts to enqueue; returns the packet back when the target
@@ -59,16 +57,7 @@ impl DcBuffer {
             return Err(pkt);
         }
         q.push_back(pkt);
-        self.peak_occupancy = self.peak_occupancy.max(self.runtime.len().max(self.status.len()));
         Ok(())
-    }
-
-    /// Whether a packet of `kind` would be accepted right now.
-    pub fn can_push(&self, kind: PacketKind) -> bool {
-        match kind {
-            PacketKind::Runtime => self.runtime.len() < self.cfg.runtime_depth,
-            PacketKind::Status => self.status.len() < self.cfg.status_depth,
-        }
     }
 
     /// Peeks the head packet of a channel.
@@ -146,9 +135,8 @@ mod tests {
         b.try_push(mem_pkt(0)).unwrap();
         // Runtime full, but status still accepts — the dual-channel point.
         assert!(b.try_push(mem_pkt(1)).is_err());
-        assert!(b.can_push(PacketKind::Status));
         b.try_push(status_pkt(2)).unwrap();
-        assert!(!b.can_push(PacketKind::Status));
+        assert!(b.try_push(status_pkt(3)).is_err());
         assert_eq!(b.len(), 2);
     }
 
@@ -171,16 +159,5 @@ mod tests {
         let p = mem_pkt(8);
         let back = b.try_push(p.clone()).unwrap_err();
         assert_eq!(back, p);
-    }
-
-    #[test]
-    fn peak_occupancy_tracked() {
-        let mut b = DcBuffer::new(DcBufferConfig { runtime_depth: 8, status_depth: 8 });
-        for i in 0..5 {
-            b.try_push(mem_pkt(i)).unwrap();
-        }
-        assert_eq!(b.peak_occupancy, 5);
-        b.pop(PacketKind::Runtime);
-        assert_eq!(b.peak_occupancy, 5);
     }
 }

@@ -13,23 +13,25 @@
 //! streamed out. Downstream, one of two interconnects routes packets to
 //! the little cores' Load-Store Logs:
 //!
-//! * [`F2`] — the paper's bespoke fabric: 256-bit datapath, two packets
-//!   per big-core cycle, half-duplex multicast (status data needed by two
-//!   little cores is sent once), FSM-preserved ordering;
-//! * [`AxiInterconnect`] — the baseline of Fig. 9: a 128-bit shared bus
+//! * [`FabricKind::F2`] — the paper's bespoke fabric: 256-bit datapath,
+//!   two packets per big-core cycle, half-duplex multicast (status data
+//!   needed by two little cores is sent once), FSM-preserved ordering;
+//! * [`FabricKind::Axi`] — the baseline of Fig. 9: a 128-bit shared bus
 //!   arbitrating one packet per little-core cycle, unicast only.
 //!
-//! Both implement [`Fabric`], so the system crate can swap them to
-//! regenerate the paper's backpressure decomposition.
+//! Both are one type, [`Fabric`]: the DC-Buffers, admission, flushing,
+//! statistics and the oldest-eligible-head search are shared, and
+//! [`Fabric::tick`] runs the arbitration of its kind ([`noc`] or
+//! [`axi`]). The system crate switches kinds to regenerate the paper's
+//! backpressure decomposition. The set of interconnects is closed, so a
+//! fabric is a plain value: cloning a system clones its fabric.
 
 pub mod axi;
 pub mod dc_buffer;
 pub mod noc;
 pub mod packet;
 
-pub use axi::{AxiConfig, AxiInterconnect};
 pub use dc_buffer::{DcBuffer, DcBufferConfig};
-pub use noc::{F2Config, F2};
 pub use packet::{DestMask, Packet, PacketKind, Payload};
 
 /// Statistics common to both interconnects, feeding Fig. 9.
@@ -106,9 +108,92 @@ impl<'a> SinkBank for Vec<&'a mut (dyn PacketSink + 'a)> {
     }
 }
 
-/// A packet interconnect between the big core's DC-Buffers and the little
-/// cores' LSLs.
-pub trait Fabric {
+/// Which interconnect forwards extracted data (the Fig. 9 ablation),
+/// with the per-kind constants of each design.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum FabricKind {
+    /// The paper's bespoke fabric (§III-B).
+    F2,
+    /// The full-featured AXI-Interconnect baseline.
+    Axi,
+}
+
+impl FabricKind {
+    /// Every built-in kind, in stable sweep order.
+    pub const ALL: [FabricKind; 2] = [FabricKind::F2, FabricKind::Axi];
+
+    /// Packets F2 moves per big-core cycle (paper: 2).
+    pub(crate) const F2_PACKETS_PER_CYCLE: u32 = 2;
+
+    /// Big-core cycles per AXI bus beat: one beat per little-core cycle,
+    /// the little domain running at half the big core's frequency.
+    pub(crate) const AXI_CYCLES_PER_BEAT: u64 = 2;
+
+    /// Stable lower-case name (CLI values, coverage-feature keys,
+    /// corpus persistence, serve wire format).
+    pub fn name(self) -> &'static str {
+        match self {
+            FabricKind::F2 => "f2",
+            FabricKind::Axi => "axi",
+        }
+    }
+
+    /// Inverse of [`FabricKind::name`].
+    pub fn from_name(name: &str) -> Option<FabricKind> {
+        match name {
+            "f2" => Some(FabricKind::F2),
+            "axi" => Some(FabricKind::Axi),
+            _ => None,
+        }
+    }
+
+    /// Number of 64-bit payload words one packet carries — determines how
+    /// many packets a 65-word register checkpoint needs (wider F2 packets
+    /// mean fewer transactions than 128-bit AXI beats).
+    pub const fn payload_words(self) -> u32 {
+        match self {
+            FabricKind::F2 => 4,  // 256-bit datapath
+            FabricKind::Axi => 2, // 128-bit bus
+        }
+    }
+
+    /// Traversal latency in big-core cycles: grid hops plus clock-domain
+    /// crossing on F2, the bus on AXI. A packet is eligible to move once
+    /// it is this many cycles old.
+    pub(crate) const fn latency(self) -> u64 {
+        match self {
+            FabricKind::F2 => 4,
+            FabricKind::Axi => 8,
+        }
+    }
+}
+
+/// The packet interconnect between the big core's DC-Buffers and the
+/// little cores' LSLs: one DC-Buffer per commit path, drained by the
+/// arbitration of its [`FabricKind`].
+#[derive(Debug, Clone)]
+pub struct Fabric {
+    kind: FabricKind,
+    buffers: Vec<DcBuffer>,
+    stats: FabricStats,
+}
+
+impl Fabric {
+    /// Creates an empty fabric of `kind` with `lanes` commit paths, each
+    /// with a DC-Buffer of capacity `dc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero.
+    pub fn new(kind: FabricKind, lanes: usize, dc: DcBufferConfig) -> Fabric {
+        assert!(lanes > 0, "a fabric needs at least one lane");
+        Fabric {
+            kind,
+            buffers: (0..lanes).map(|_| DcBuffer::new(dc)).collect(),
+            stats: FabricStats::default(),
+        }
+    }
+
     /// Attempts to enqueue a packet on commit path `lane`. Returns the
     /// packet back if the corresponding FIFO is full — the commit stage
     /// must then stall (data-collection backpressure).
@@ -117,32 +202,79 @@ pub trait Fabric {
     ///
     /// Returns `Err(pkt)` when the lane's FIFO for the packet's kind is
     /// full.
-    fn try_push(&mut self, lane: usize, pkt: Packet) -> Result<(), Packet>;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not a commit path of this fabric.
+    pub fn try_push(&mut self, lane: usize, pkt: Packet) -> Result<(), Packet> {
+        assert!(lane < self.buffers.len(), "lane {lane} out of range");
+        let r = self.buffers[lane].try_push(pkt);
+        if r.is_ok() {
+            self.stats.pushed += 1;
+        }
+        r
+    }
 
     /// Advances one big-core cycle, moving packets toward the sinks.
-    fn tick(&mut self, now: u64, sinks: &mut dyn SinkBank);
+    pub fn tick(&mut self, now: u64, sinks: &mut dyn SinkBank) {
+        match self.kind {
+            FabricKind::F2 => self.tick_f2(now, sinks),
+            FabricKind::Axi => self.tick_axi(now, sinks),
+        }
+    }
 
     /// Whether all internal buffers are empty (used at drain/quiesce).
-    fn is_empty(&self) -> bool;
+    pub fn is_empty(&self) -> bool {
+        self.buffers.iter().all(DcBuffer::is_empty)
+    }
 
     /// Packets currently queued across every internal buffer — the
     /// instantaneous forwarding backlog, sampled per cycle by
     /// time-series observers (ROB occupancy vs fabric depth figures).
-    fn depth(&self) -> usize;
+    pub fn depth(&self) -> usize {
+        self.buffers.iter().map(DcBuffer::len).sum()
+    }
 
     /// Drops every queued packet — the fabric half of a recovery
     /// rollback: in-flight run-time records and checkpoint chunks of
     /// squashed segments must not reach any LSL after the roll-back
     /// point. Counts the drops in [`FabricStats::squashed`].
-    fn flush(&mut self);
-
-    /// Number of 64-bit payload words one packet carries — determines how
-    /// many packets a 65-word register checkpoint needs (wider F2 packets
-    /// mean fewer transactions than 128-bit AXI beats).
-    fn payload_words(&self) -> u32;
+    pub fn flush(&mut self) {
+        for buf in &mut self.buffers {
+            self.stats.squashed += buf.clear() as u64;
+        }
+    }
 
     /// Accumulated statistics.
-    fn stats(&self) -> FabricStats;
+    pub fn stats(&self) -> FabricStats {
+        self.stats
+    }
+
+    /// Finds the (lane, kind) whose head packet has the lowest seq among
+    /// heads that have crossed the fabric's latency, excluding kinds
+    /// flagged in `skip` (indexed by `PacketKind as usize`). Once the
+    /// oldest packet of a kind is blocked, no younger packet of that kind
+    /// may overtake it — F2's ordering FSMs (§III-B), and on AXI the one
+    /// master port the commit lanes are serialised through. Per-lane
+    /// FIFOs plus this rule give a per-kind total order at every
+    /// destination.
+    fn lowest_head(&self, now: u64, skip: [bool; 2]) -> Option<(usize, PacketKind)> {
+        let latency = self.kind.latency();
+        let mut best: Option<(u64, usize, PacketKind)> = None;
+        for (lane, buf) in self.buffers.iter().enumerate() {
+            for kind in [PacketKind::Runtime, PacketKind::Status] {
+                if skip[kind as usize] {
+                    continue;
+                }
+                if let Some(p) = buf.head(kind) {
+                    if p.created_at + latency <= now && best.is_none_or(|(s, _, _)| p.seq < s) {
+                        best = Some((p.seq, lane, kind));
+                    }
+                }
+            }
+        }
+        best.map(|(_, lane, kind)| (lane, kind))
+    }
 }
 
 #[cfg(test)]

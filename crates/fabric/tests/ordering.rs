@@ -3,8 +3,7 @@
 //! the correctness contract replay depends on.
 
 use meek_fabric::{
-    AxiConfig, AxiInterconnect, DestMask, F2Config, Fabric, Packet, PacketKind, PacketSink,
-    Payload, F2,
+    DcBufferConfig, DestMask, Fabric, FabricKind, Packet, PacketKind, PacketSink, Payload,
 };
 use proptest::prelude::*;
 
@@ -62,11 +61,11 @@ fn plan_strategy() -> impl Strategy<Value = Vec<PacketPlan>> {
     )
 }
 
-fn run_fabric(
-    mut fabric: Box<dyn Fabric>,
-    plans: &[PacketPlan],
-    tight_sinks: bool,
-) -> Vec<RecordingSink> {
+fn fabric(kind: FabricKind) -> Fabric {
+    Fabric::new(kind, 4, DcBufferConfig::default())
+}
+
+fn run_fabric(mut fabric: Fabric, plans: &[PacketPlan], tight_sinks: bool) -> Vec<RecordingSink> {
     let cap = if tight_sinks { 3 } else { usize::MAX };
     let mut sinks: Vec<RecordingSink> = (0..4)
         .map(|_| RecordingSink { runtime_cap: cap, status_cap: cap, ..RecordingSink::default() })
@@ -159,17 +158,13 @@ proptest! {
 
     #[test]
     fn f2_delivers_exactly_once_in_order(plans in plan_strategy(), tight in any::<bool>()) {
-        let sinks = run_fabric(Box::new(F2::new(F2Config { hop_latency: 1, ..F2Config::default() })), &plans, tight);
+        let sinks = run_fabric(fabric(FabricKind::F2), &plans, tight);
         check_delivery(&plans, &sinks);
     }
 
     #[test]
     fn axi_delivers_exactly_once_in_order(plans in plan_strategy(), tight in any::<bool>()) {
-        let sinks = run_fabric(
-            Box::new(AxiInterconnect::new(AxiConfig { bus_latency: 1, ..AxiConfig::default() })),
-            &plans,
-            tight,
-        );
+        let sinks = run_fabric(fabric(FabricKind::Axi), &plans, tight);
         check_delivery(&plans, &sinks);
     }
 
@@ -178,7 +173,7 @@ proptest! {
         let plans: Vec<PacketPlan> = (0..n)
             .map(|i| PacketPlan { kind_status: true, dests: vec![0, 1], lane: i % 4 })
             .collect();
-        let mut fabric = F2::new(F2Config { hop_latency: 0, ..F2Config::default() });
+        let mut fabric = fabric(FabricKind::F2);
         let sinks = {
             let mut sinks: Vec<RecordingSink> = (0..4)
                 .map(|_| RecordingSink { runtime_cap: usize::MAX, status_cap: usize::MAX, ..RecordingSink::default() })

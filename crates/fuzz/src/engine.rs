@@ -30,8 +30,8 @@ use crate::report::FuzzReport;
 use meek_campaign::Executor;
 use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, Sim};
 use meek_difftest::{
-    classify_with, cosim, emit_test, fault_plan, fuzz_program, golden_run_bounded, minimize,
-    shrink_insts, verify_recovery_outcome, CosimConfig, FaultOutcome, FuzzConfig, FuzzProgram,
+    classify_with_in, cosim, emit_test, fault_plan, fuzz_program, golden_run_bounded, minimize,
+    shrink_insts, verify_recovery_outcome_in, CosimConfig, FaultOutcome, FuzzConfig, FuzzProgram,
     GoldenRun,
 };
 use meek_isa::{encode, Inst};
@@ -392,13 +392,13 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
             }
         };
         let oc = if s.recover {
-            let (oc, rv) = verify_recovery_outcome(&prog, &golden, spec, &run);
+            let (oc, rv) = verify_recovery_outcome_in(&golden, &wl, spec, &run);
             if rv.is_failure() {
                 escapes.push(format!("{spec:?}: {rv}"));
             }
             oc
         } else {
-            classify_with(&prog, &golden, spec, &run.report)
+            classify_with_in(&golden, &wl, spec, &run.report)
         };
         map.note(format!("outcome:{}:{}", outcome_name(&oc), spec.site.name()));
         // The verdict × fabric bucket: the same fault plan can resolve
