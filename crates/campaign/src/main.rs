@@ -14,7 +14,7 @@ use meek_campaign::{
     resolve_suite, run_campaign, AggregateSink, CampaignSpec, CsvSink, Executor, JsonlSink,
     MetricsSink, RecordSink, SampleSink, TraceSink,
 };
-use meek_core::MeekConfig;
+use meek_core::{validate_config, MeekConfig};
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::PathBuf;
@@ -164,9 +164,11 @@ impl Args {
         if args.faults == 0 {
             return Err("--faults must be positive".into());
         }
-        if args.shard_faults == 0 || args.insts_per_fault == 0 || args.little == 0 {
-            return Err("--shard-faults, --insts-per-fault and --little must be positive".into());
+        if args.shard_faults == 0 || args.insts_per_fault == 0 {
+            return Err("--shard-faults and --insts-per-fault must be positive".into());
         }
+        validate_config(&MeekConfig::with_little_cores(args.little))
+            .map_err(|e| format!("--little: {e}"))?;
         if !matches!(args.format.as_str(), "csv" | "jsonl" | "both") {
             return Err(format!("--format must be csv, jsonl or both, got `{}`", args.format));
         }

@@ -172,10 +172,10 @@ pub struct DetectionRecord {
 /// The paper's random fault distribution (§V-B): sites drawn uniformly
 /// from {memory address, memory data, checkpoint register}, a random
 /// bit, arm points spread evenly over `arm_span` committed
-/// instructions. The single source of the distribution — the serial
-/// [`FaultInjector::random_campaign`] and the sharded campaign engine
-/// both sample from here, so the figures and campaign records measure
-/// the same thing.
+/// instructions. The single source of the distribution — serial runs
+/// (`SimBuilder::faults`) and the sharded campaign engine both sample
+/// from here, so the figures and campaign records measure the same
+/// thing.
 pub fn random_fault_specs(n: usize, arm_span: u64, rng: &mut SmallRng) -> Vec<FaultSpec> {
     let mut faults = Vec::with_capacity(n);
     for i in 0..n {
@@ -296,12 +296,6 @@ impl FaultInjector {
         }
     }
 
-    /// Generates `n` random faults spread uniformly over `commit_span`
-    /// instructions, mirroring the paper's 5 000–10 000 random faults.
-    pub fn random_campaign(n: usize, commit_span: u64, rng: &mut SmallRng) -> FaultInjector {
-        FaultInjector::new(random_fault_specs(n, commit_span, rng))
-    }
-
     /// Whether a fault is currently in flight (awaiting detection).
     pub fn busy(&self) -> bool {
         self.in_flight.is_some()
@@ -336,14 +330,6 @@ impl FaultInjector {
             + self.armed.is_some() as usize
             + self.in_flight.is_some() as usize
             + self.tentative.len()
-    }
-
-    /// Latest arm point across the queued faults (`None` when empty) —
-    /// what `SimBuilder` validates against the instruction budget.
-    pub fn latest_arm(&self) -> Option<u64> {
-        // The queue is kept reverse-sorted so `pop()` yields earliest
-        // first; the latest arm is therefore at the front.
-        self.queue.first().map(|f| f.arm_at_commit)
     }
 
     /// Drains the `(site, segment, cycle)` log of corruptions that
@@ -966,7 +952,7 @@ mod tests {
     #[test]
     fn random_campaign_is_ordered_and_sized() {
         let mut rng = SmallRng::seed_from_u64(1);
-        let mut inj = FaultInjector::random_campaign(100, 1_000_000, &mut rng);
+        let mut inj = FaultInjector::new(random_fault_specs(100, 1_000_000, &mut rng));
         let mut last = 0;
         let mut n = 0;
         while let Some(f) = inj.queue.pop() {

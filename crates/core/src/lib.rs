@@ -26,29 +26,35 @@
 //! # Quickstart
 //!
 //! Every simulation is constructed through the typed, validating
-//! [`sim::SimBuilder`] and run with [`sim::Sim::run`], which yields a
-//! structured [`sim::RunOutcome`] (report + final state + per-segment
-//! timeline). Instrumentation attaches as [`sim::Observer`]s with
-//! typed hooks instead of polled debug strings:
+//! [`sim::SimBuilder`] and run with [`sim::Sim::try_run`], the one loop
+//! that ticks a system. It yields a structured [`sim::RunOutcome`]
+//! (report + final state + per-segment timeline), or
+//! [`sim::RunError::Livelock`] if the system fails to drain within its
+//! derived cycle bound. [`sim::Sim::run`] panics with that error's text
+//! instead, for callers to whom a livelock is a simulator bug.
+//! Instrumentation attaches as [`sim::Observer`]s with typed hooks
+//! instead of polled debug strings:
 //!
 //! ```
-//! use meek_core::sim::{EventCounter, Sim};
+//! use meek_core::sim::{Sim, TraceLog};
 //! use meek_workloads::{parsec3, Workload};
 //!
 //! let profile = &parsec3()[0]; // blackscholes
 //! let wl = Workload::build(profile, 1);
-//! let counter = EventCounter::new();
+//! let trace = TraceLog::new(0);
 //! let outcome = Sim::builder(&wl, 20_000)
 //!     .little_cores(4)
-//!     .observe(counter.clone())
+//!     .observe(trace.clone())
 //!     .build()
 //!     .expect("a valid configuration")
-//!     .run();
+//!     .try_run()
+//!     .expect("the system drains");
 //! assert_eq!(outcome.report.failed_segments, 0, "clean run must verify");
 //! assert!(outcome.report.verified_segments > 0);
-//! // The timeline and event counts expose what the run actually did.
+//! // The timeline and the event trace expose what the run actually did.
 //! assert_eq!(outcome.timeline.len() as u64, outcome.report.verified_segments);
-//! assert_eq!(counter.counts().passes, outcome.report.verified_segments);
+//! let closed = trace.snapshot().into_iter().filter(|e| e.name() == "segment_closed").count();
+//! assert_eq!(closed as u64, outcome.report.verified_segments);
 //! ```
 //!
 //! Faults, recovery policies and fabric choices compose on the same
@@ -71,8 +77,8 @@ pub use meek_recover::{RecoveryPolicy, RecoveryReport};
 pub use report::{RunReport, StallBreakdown};
 pub use segments::SegmentManager;
 pub use sim::{
-    validate_config, BuildError, EventCounter, EventCounts, JsonlEventSink, NoObserver, Observer,
-    ObserverSet, RunOutcome, SampleRow, SamplingObserver, SegmentSpan, SharedBuf, Sim, SimBuilder,
-    SimEvent, TickSample, TraceLog,
+    validate_config, BuildError, JsonlEventSink, NoObserver, Observer, ObserverSet, RunError,
+    RunOutcome, SampleRow, SamplingObserver, SegmentSpan, SharedBuf, Sim, SimBuilder, SimEvent,
+    TickSample, TraceLog,
 };
 pub use system::{cycle_cap, run_vanilla, FabricKind, MeekConfig, MeekSystem};

@@ -18,9 +18,14 @@
 //!   recovery-enabled runs, whose rollbacks legitimately re-execute
 //!   work — with [`SimBuilder::cycle_headroom`] for stress scenarios
 //!   beyond even that;
-//! * [`Sim::run`] yields a structured [`RunOutcome`] — the familiar
-//!   [`RunReport`] plus the final architectural state and a
-//!   per-segment [`SegmentSpan`] timeline;
+//! * [`Sim::try_run`] is the one loop that ticks a system. It yields a
+//!   structured [`RunOutcome`] — the familiar [`RunReport`] plus the
+//!   final architectural state and a per-segment [`SegmentSpan`]
+//!   timeline — or [`RunError::Livelock`] when the system fails to
+//!   drain within the bound. [`Sim::run`] is `try_run` for callers to
+//!   whom a livelock is a simulator bug: it panics with the error's
+//!   text. Oracles call `try_run` and turn a livelock into a verdict;
+//!   any other panic is a bug and propagates;
 //! * instead of polling strings, callers attach [`Observer`]s with
 //!   typed hooks (`segment_opened`/`segment_closed`, `verdict`,
 //!   `fault_injected`/`fault_detected`, `rollback_started`/
@@ -30,21 +35,23 @@
 //! # Quickstart
 //!
 //! ```
-//! use meek_core::sim::{EventCounter, Sim};
+//! use meek_core::sim::{Sim, TraceLog};
 //! use meek_core::{FaultSite, FaultSpec};
 //! use meek_workloads::{parsec3, Workload};
 //!
 //! let wl = Workload::build(&parsec3()[0], 1);
-//! let counter = EventCounter::new();
+//! let trace = TraceLog::new(0);
 //! let outcome = Sim::builder(&wl, 12_000)
 //!     .little_cores(4)
 //!     .faults(vec![FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 }])
-//!     .observe(counter.clone())
+//!     .observe(trace.clone())
 //!     .build()
 //!     .expect("valid configuration")
-//!     .run();
+//!     .try_run()
+//!     .expect("the system drains");
 //! assert_eq!(outcome.report.detections.len(), 1);
-//! assert_eq!(counter.counts().faults_detected, 1);
+//! let detected = trace.snapshot().into_iter().filter(|e| e.name() == "fault_detected").count();
+//! assert_eq!(detected, 1);
 //! assert!(outcome.timeline.iter().any(|span| span.pass == Some(false)));
 //! ```
 //!
@@ -59,10 +66,10 @@
 //! assert_eq!(err, BuildError::NoLittleCores);
 //! ```
 
-use crate::fault::{DetectionRecord, FaultInjector, FaultSite, FaultSpec};
+use crate::fault::{DetectionRecord, FaultSite, FaultSpec};
 use crate::report::RunReport;
 use crate::system::{cycle_cap, FabricKind, MeekConfig, MeekSystem};
-use meek_bigcore::BigCoreConfig;
+use meek_fabric::DestMask;
 use meek_isa::{ArchState, SparseMemory};
 use meek_littlecore::LittleCoreConfig;
 use meek_recover::RecoveryPolicy;
@@ -246,7 +253,7 @@ pub trait Observer: Send {
     fn sample(&mut self, _cycle: u64, _sample: TickSample) {}
     /// The run drained; final report available. Flush buffers here.
     fn finished(&mut self, _report: &RunReport) {}
-    /// Whether this observer does anything at all. [`Sim::run`] skips
+    /// Whether this observer does anything at all. [`Sim::try_run`] skips
     /// the whole per-cycle hook path when this returns `false`; the
     /// zero-sized [`NoObserver`] pins it to `false` so unobserved runs
     /// compile the hooks away entirely.
@@ -254,7 +261,7 @@ pub trait Observer: Send {
         true
     }
     /// Whether this observer wants a [`TickSample`] for `cycle`.
-    /// [`Sim::run`] builds the (ROB + fabric occupancy) sample only on
+    /// [`Sim::try_run`] builds the (ROB + fabric occupancy) sample only on
     /// cycles where some attached observer answers `true`, so stride-N
     /// samplers no longer force per-cycle sample construction. The
     /// conservative default is every cycle.
@@ -415,76 +422,6 @@ impl Observer for TraceLog {
 
     fn wants_sample_at(&self, _cycle: u64) -> bool {
         false // event-stream only: never consumes TickSamples
-    }
-}
-
-/// Per-kind event totals (plus elapsed cycles) for one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventCounts {
-    /// Segment open events (first opens and rollback re-opens).
-    pub segments_opened: u64,
-    /// Verdicts delivered.
-    pub verdicts: u64,
-    /// Verdicts that passed.
-    pub passes: u64,
-    /// Verdicts that failed (detections at segment granularity).
-    pub fails: u64,
-    /// Corruptions that fired.
-    pub faults_injected: u64,
-    /// Detections reported.
-    pub faults_detected: u64,
-    /// Rollbacks executed.
-    pub rollbacks_started: u64,
-    /// Failure episodes closed clean.
-    pub rollbacks_completed: u64,
-    /// Big-core cycles observed.
-    pub ticks: u64,
-}
-
-/// Counts events by kind — a cheap cloneable handle like [`TraceLog`].
-#[derive(Clone, Debug, Default)]
-pub struct EventCounter {
-    inner: Arc<Mutex<EventCounts>>,
-}
-
-impl EventCounter {
-    /// A zeroed counter.
-    pub fn new() -> EventCounter {
-        EventCounter::default()
-    }
-
-    /// The counts accumulated so far.
-    pub fn counts(&self) -> EventCounts {
-        *self.inner.lock().expect("event counter lock")
-    }
-}
-
-impl Observer for EventCounter {
-    fn event(&mut self, ev: &SimEvent) {
-        let mut c = self.inner.lock().expect("event counter lock");
-        match ev {
-            SimEvent::SegmentOpened { .. } => c.segments_opened += 1,
-            SimEvent::SegmentClosed { pass, .. } => {
-                c.verdicts += 1;
-                if *pass {
-                    c.passes += 1;
-                } else {
-                    c.fails += 1;
-                }
-            }
-            SimEvent::FaultInjected { .. } => c.faults_injected += 1,
-            SimEvent::FaultDetected { .. } => c.faults_detected += 1,
-            SimEvent::RollbackStarted { .. } => c.rollbacks_started += 1,
-            SimEvent::RollbackCompleted { .. } => c.rollbacks_completed += 1,
-        }
-    }
-
-    fn tick(&mut self, _cycle: u64) {
-        self.inner.lock().expect("event counter lock").ticks += 1;
-    }
-
-    fn wants_sample_at(&self, _cycle: u64) -> bool {
-        false // counts events and ticks: never consumes TickSamples
     }
 }
 
@@ -674,12 +611,15 @@ pub enum BuildError {
     NoLittleCores,
     /// A run of zero dynamic instructions has no segments to verify.
     ZeroInstructionBudget,
+    /// More little cores than a fabric destination mask can address
+    /// ([`DestMask::MAX_CORES`], one bit per core).
+    TooManyLittleCores {
+        /// The requested little-core count.
+        requested: usize,
+    },
     /// Recovery was enabled with `rollback_depth == 0`: a rollback
     /// with no checkpoint to reach is unexecutable.
     RecoveryWithoutCheckpoints,
-    /// Both [`SimBuilder::faults`] and [`SimBuilder::injector`] were
-    /// set — one fault source per run.
-    ConflictingFaultSources,
     /// A fault arms at or past the instruction budget: it could never
     /// fire, and would be misreported as pending.
     FaultBeyondBudget {
@@ -727,11 +667,13 @@ impl fmt::Display for BuildError {
             BuildError::ZeroInstructionBudget => {
                 write!(f, "instruction budget must be positive")
             }
+            BuildError::TooManyLittleCores { requested } => write!(
+                f,
+                "{requested} little cores requested, but MEEK addresses at most {}",
+                DestMask::MAX_CORES
+            ),
             BuildError::RecoveryWithoutCheckpoints => {
                 write!(f, "recovery enabled with rollback_depth 0: no checkpoint to roll back to")
-            }
-            BuildError::ConflictingFaultSources => {
-                write!(f, "both a fault list and a pre-built injector were configured")
             }
             BuildError::FaultBeyondBudget { arm_at_commit, budget } => write!(
                 f,
@@ -766,12 +708,16 @@ impl std::error::Error for BuildError {}
 ///
 /// # Errors
 ///
-/// Returns [`BuildError::NoLittleCores`] or
+/// Returns [`BuildError::NoLittleCores`],
+/// [`BuildError::TooManyLittleCores`] or
 /// [`BuildError::RecoveryWithoutCheckpoints`] for the corresponding
 /// degenerate configurations.
 pub fn validate_config(cfg: &MeekConfig) -> Result<(), BuildError> {
     if cfg.n_little == 0 {
         return Err(BuildError::NoLittleCores);
+    }
+    if cfg.n_little > DestMask::MAX_CORES {
+        return Err(BuildError::TooManyLittleCores { requested: cfg.n_little });
     }
     if cfg.recovery.enabled && cfg.recovery.rollback_depth == 0 {
         return Err(BuildError::RecoveryWithoutCheckpoints);
@@ -786,9 +732,7 @@ pub struct SimBuilder<'a> {
     workload: &'a Workload,
     insts: u64,
     cfg: MeekConfig,
-    record_budget_set: bool,
-    faults: Option<Vec<FaultSpec>>,
-    injector: Option<FaultInjector>,
+    faults: Vec<FaultSpec>,
     headroom: u64,
     observers: Vec<Box<dyn Observer>>,
 }
@@ -802,9 +746,7 @@ impl<'a> SimBuilder<'a> {
             workload,
             insts,
             cfg: MeekConfig::default(),
-            record_budget_set: false,
-            faults: None,
-            injector: None,
+            faults: Vec::new(),
             headroom: 1,
             observers: Vec::new(),
         }
@@ -815,7 +757,6 @@ impl<'a> SimBuilder<'a> {
     /// setters called afterwards still apply on top.
     pub fn config(mut self, cfg: MeekConfig) -> Self {
         self.cfg = cfg;
-        self.record_budget_set = true; // the config's budget is explicit
         self
     }
 
@@ -825,32 +766,17 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
-    /// Little-core microarchitecture. Unless overridden, the segment
-    /// record budget follows the configured LSL run-time capacity.
+    /// Little-core microarchitecture. Its LSL run-time capacity is the
+    /// segment record budget: an RCP is forced when the targeted LSL
+    /// is full.
     pub fn little_config(mut self, little: LittleCoreConfig) -> Self {
-        if !self.record_budget_set {
-            self.cfg.seg_record_budget = little.lsl.runtime_capacity as u64;
-        }
         self.cfg.little = little;
-        self
-    }
-
-    /// Big-core microarchitecture.
-    pub fn big_config(mut self, big: BigCoreConfig) -> Self {
-        self.cfg.big = big;
         self
     }
 
     /// Interconnect choice (the Fig. 9 ablation axis).
     pub fn fabric(mut self, kind: FabricKind) -> Self {
         self.cfg.fabric = kind;
-        self
-    }
-
-    /// Run-time records per segment before an RCP is forced.
-    pub fn segment_record_budget(mut self, budget: u64) -> Self {
-        self.cfg.seg_record_budget = budget;
-        self.record_budget_set = true;
         self
     }
 
@@ -866,16 +792,9 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
-    /// Fault-injection plan. Conflicts with [`SimBuilder::injector`].
+    /// Fault-injection plan (e.g. [`crate::random_fault_specs`]).
     pub fn faults(mut self, faults: Vec<FaultSpec>) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
-    /// A pre-built injector (e.g. [`FaultInjector::random_campaign`]).
-    /// Conflicts with [`SimBuilder::faults`].
-    pub fn injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
+        self.faults = faults;
         self
     }
 
@@ -951,7 +870,7 @@ impl<'a> SimBuilder<'a> {
         }
         validate_config(&self.cfg)?;
         // Image-shape validation: degenerate loaded images used to run
-        // straight into the cycle-cap liveness panic; reject them with
+        // straight into the cycle-cap livelock; reject them with
         // typed errors instead.
         let entry = self.workload.entry();
         if !entry.is_multiple_of(4) {
@@ -972,15 +891,7 @@ impl<'a> SimBuilder<'a> {
                 });
             }
         }
-        if self.faults.is_some() && self.injector.is_some() {
-            return Err(BuildError::ConflictingFaultSources);
-        }
-        let latest_arm = match (&self.faults, &self.injector) {
-            (Some(faults), _) => faults.iter().map(|f| f.arm_at_commit).max(),
-            (None, Some(inj)) => inj.latest_arm(),
-            (None, None) => None,
-        };
-        if let Some(arm) = latest_arm {
+        if let Some(arm) = self.faults.iter().map(|f| f.arm_at_commit).max() {
             if arm >= self.insts {
                 return Err(BuildError::FaultBeyondBudget {
                     arm_at_commit: arm,
@@ -988,13 +899,7 @@ impl<'a> SimBuilder<'a> {
                 });
             }
         }
-        let mut sys = MeekSystem::new(self.cfg, self.workload, self.insts);
-        if let Some(faults) = self.faults {
-            sys.set_faults(faults);
-        } else if let Some(injector) = self.injector {
-            sys.set_injector(injector);
-        }
-        sys.enable_event_capture();
+        let sys = MeekSystem::new(self.cfg, self.workload, self.insts, self.faults);
         // Each failure episode may re-execute committed work once per
         // retry, and golden escalation adds one more pass.
         let recovery = &sys.config().recovery;
@@ -1009,7 +914,10 @@ impl<'a> SimBuilder<'a> {
 /// observers at the construction boundary only), and
 /// [`SimBuilder::build_unobserved`] yields `Sim<NoObserver>` whose
 /// per-cycle hook path is statically dead. Obtain one from
-/// [`Sim::builder`]; consume it with [`Sim::run`].
+/// [`Sim::builder`]; consume it with [`Sim::try_run`] or [`Sim::run`].
+/// An unobserved `Sim` clones into an independent run that continues
+/// from the same cycle.
+#[derive(Clone)]
 pub struct Sim<O: Observer = NoObserver> {
     sys: MeekSystem,
     max_cycles: u64,
@@ -1035,19 +943,27 @@ impl Sim<NoObserver> {
 }
 
 impl<O: Observer> Sim<O> {
-    /// The derived liveness bound (cycles) this run will panic at.
+    /// The derived liveness bound: cycles the run may take before
+    /// [`Sim::try_run`] gives up with [`RunError::Livelock`].
     pub fn max_cycles(&self) -> u64 {
         self.max_cycles
     }
 
     /// The underlying system (advanced introspection between manual
-    /// ticks; most callers only need [`Sim::run`]).
+    /// ticks; most callers only need [`Sim::try_run`]).
     pub fn system(&self) -> &MeekSystem {
         &self.sys
     }
 
-    /// Stops [`Sim::run`] as soon as the first fault detection is
-    /// recorded instead of draining the system.
+    /// Mutable access for tests that tick the system by hand before
+    /// handing the rest of the run to [`Sim::try_run`].
+    #[cfg(test)]
+    pub(crate) fn system_mut(&mut self) -> &mut MeekSystem {
+        &mut self.sys
+    }
+
+    /// Stops the run as soon as the first fault detection is recorded
+    /// instead of draining the system.
     ///
     /// This is a fast path for detect-only oracles that consume nothing
     /// but the first [`DetectionRecord`]: the
@@ -1065,25 +981,28 @@ impl<O: Observer> Sim<O> {
     }
 
     /// Runs the simulation to drain, driving every attached
-    /// [`Observer`], and returns the structured outcome.
+    /// [`Observer`], and returns the structured outcome. This is the
+    /// one loop that ticks a [`MeekSystem`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the system fails to drain within the derived cycle
-    /// bound — a liveness bug, not a measurement artefact.
-    pub fn run(mut self) -> RunOutcome {
+    /// Returns [`RunError::Livelock`] if the system fails to drain
+    /// within [`Sim::max_cycles`]. Observers then get no
+    /// [`Observer::finished`] call.
+    pub fn try_run(mut self) -> Result<RunOutcome, RunError> {
         let start = self.sys.now();
         let mut timeline: BTreeMap<u32, SegmentSpan> = BTreeMap::new();
         while !self.sys.is_complete() {
             if self.halt_on_first_detection && self.sys.detection_count() > 0 {
                 break;
             }
-            assert!(
-                self.sys.now() - start < self.max_cycles,
-                "system failed to drain within {} cycles: {}",
-                self.max_cycles,
-                self.sys.liveness_context(),
-            );
+            if self.sys.now() - start >= self.max_cycles {
+                return Err(RunError::Livelock {
+                    cycle: self.sys.now(),
+                    max_cycles: self.max_cycles,
+                    context: self.sys.liveness_context(),
+                });
+            }
             self.sys.tick();
             let cycle = self.sys.now() - 1;
             for ev in self.sys.take_events() {
@@ -1112,9 +1031,48 @@ impl<O: Observer> Sim<O> {
         }
         let report = self.sys.report();
         self.observer.finished(&report);
-        RunOutcome { report, timeline: timeline.into_values().collect(), sys: self.sys }
+        Ok(RunOutcome { report, timeline: timeline.into_values().collect(), sys: self.sys })
+    }
+
+    /// [`Sim::try_run`] for callers to whom a livelock is a simulator
+    /// bug (figures, examples, tests and the campaign engine).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`RunError`]'s text if the system fails to drain
+    /// within the derived cycle bound.
+    pub fn run(self) -> RunOutcome {
+        self.try_run().unwrap_or_else(|e| panic!("{e}"))
     }
 }
+
+/// Why a [`Sim::try_run`] produced no [`RunOutcome`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The system did not drain within the derived liveness bound: a
+    /// deadlock or livelock in the modelled pipeline.
+    Livelock {
+        /// Big-core cycle at which the bound was reached.
+        cycle: u64,
+        /// The bound, in cycles from the start of the run.
+        max_cycles: u64,
+        /// The drain predicate's inputs and a per-little-core snapshot
+        /// (assignment, idle flag, LSL occupancies, replay progress).
+        context: String,
+    },
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Livelock { max_cycles, context, .. } => {
+                write!(f, "system failed to drain within {max_cycles} cycles: {context}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// One segment's life in the run timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1164,7 +1122,7 @@ fn apply_to_timeline(timeline: &mut BTreeMap<u32, SegmentSpan>, ev: &SimEvent) {
     }
 }
 
-/// The structured result of one [`Sim::run`]: the familiar report plus
+/// The structured result of one [`Sim::try_run`]: the familiar report plus
 /// final architectural state and the per-segment timeline.
 pub struct RunOutcome {
     /// The run report (cycles, stalls, detections, recovery metrics).
@@ -1199,8 +1157,6 @@ impl RunOutcome {
 mod tests {
     use super::*;
     use meek_workloads::parsec3;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn small_workload() -> Workload {
         Workload::build(&parsec3()[0], 11)
@@ -1212,6 +1168,16 @@ mod tests {
         let err = Sim::builder(&wl, 1_000).little_cores(0).build().unwrap_err();
         assert_eq!(err, BuildError::NoLittleCores);
         assert!(err.to_string().contains("little core"));
+    }
+
+    #[test]
+    fn more_little_cores_than_a_destination_mask_addresses_is_a_typed_error() {
+        let wl = small_workload();
+        let err = Sim::builder(&wl, 1_000).little_cores(17).build().unwrap_err();
+        assert_eq!(err, BuildError::TooManyLittleCores { requested: 17 });
+        assert_eq!(err.to_string(), "17 little cores requested, but MEEK addresses at most 16");
+        assert_eq!(validate_config(&MeekConfig::with_little_cores(17)), Err(err));
+        assert!(Sim::builder(&wl, 1_000).little_cores(16).build().is_ok());
     }
 
     #[test]
@@ -1238,25 +1204,8 @@ mod tests {
         let spec = FaultSpec { arm_at_commit: 1_000, site: FaultSite::MemAddr, bit: 1 };
         let err = Sim::builder(&wl, 1_000).faults(vec![spec]).build().unwrap_err();
         assert_eq!(err, BuildError::FaultBeyondBudget { arm_at_commit: 1_000, budget: 1_000 });
-        // The same guard applies to pre-built injectors.
-        let inj = FaultInjector::new(vec![spec]);
-        let err = Sim::builder(&wl, 1_000).injector(inj).build().unwrap_err();
-        assert!(matches!(err, BuildError::FaultBeyondBudget { .. }));
         // One instruction of slack makes it valid.
         assert!(Sim::builder(&wl, 1_001).faults(vec![spec]).build().is_ok());
-    }
-
-    #[test]
-    fn conflicting_fault_sources_are_a_typed_error() {
-        let wl = small_workload();
-        let spec = FaultSpec { arm_at_commit: 10, site: FaultSite::MemData, bit: 1 };
-        let mut rng = SmallRng::seed_from_u64(1);
-        let err = Sim::builder(&wl, 1_000)
-            .faults(vec![spec])
-            .injector(FaultInjector::random_campaign(3, 500, &mut rng))
-            .build()
-            .unwrap_err();
-        assert_eq!(err, BuildError::ConflictingFaultSources);
     }
 
     /// A tiny hand-built loaded image: one `addi` at `entry`, used by the
@@ -1335,25 +1284,23 @@ mod tests {
     #[test]
     fn observers_see_the_fault_lifecycle() {
         let wl = small_workload();
-        let counter = EventCounter::new();
         let trace = TraceLog::new(0);
         let outcome = Sim::builder(&wl, 12_000)
             .faults(vec![FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 }])
-            .observe(counter.clone())
             .observe(trace.clone())
             .build()
             .expect("valid")
             .run();
         assert_eq!(outcome.report.detections.len(), 1);
-        let c = counter.counts();
-        assert_eq!(c.faults_injected, 1);
-        assert_eq!(c.faults_detected, 1);
-        assert_eq!(c.fails, 1);
-        assert_eq!(c.verdicts, c.passes + c.fails);
-        assert_eq!(c.segments_opened, c.verdicts, "every opened segment concluded");
-        assert_eq!(c.ticks, outcome.report.cycles);
-        // The trace carries the same story in order.
         let events = trace.snapshot();
+        let count = |name: &str| events.iter().filter(|e| e.name() == name).count();
+        assert_eq!(count("fault_injected"), 1);
+        assert_eq!(count("fault_detected"), 1);
+        let fails =
+            events.iter().filter(|e| matches!(e, SimEvent::SegmentClosed { pass: false, .. }));
+        assert_eq!(fails.count(), 1);
+        assert_eq!(count("segment_opened"), count("segment_closed"), "every segment concluded");
+        // The story is told in order.
         let injected = events
             .iter()
             .position(|e| matches!(e, SimEvent::FaultInjected { .. }))
@@ -1397,18 +1344,19 @@ mod tests {
     #[test]
     fn recovery_run_emits_rollback_events_and_reopens() {
         let wl = small_workload();
-        let counter = EventCounter::new();
+        let trace = TraceLog::new(0);
         let outcome = Sim::builder(&wl, 12_000)
             .recovery(RecoveryPolicy::enabled())
             .faults(vec![FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 }])
-            .observe(counter.clone())
+            .observe(trace.clone())
             .build()
             .expect("valid")
             .run();
         assert_eq!(outcome.report.recovery.rollbacks, 1);
-        let c = counter.counts();
-        assert_eq!(c.rollbacks_started, 1);
-        assert_eq!(c.rollbacks_completed, 1);
+        let events = trace.snapshot();
+        let count = |name: &str| events.iter().filter(|e| e.name() == name).count();
+        assert_eq!(count("rollback_started"), 1);
+        assert_eq!(count("rollback_completed"), 1);
         assert!(
             outcome.timeline.iter().any(|s| s.reopens > 0),
             "a rollback must re-open its target segment"
@@ -1503,6 +1451,23 @@ mod tests {
     }
 
     #[test]
+    fn a_run_past_its_bound_is_a_typed_livelock() {
+        let wl = small_workload();
+        let mut sim = Sim::builder(&wl, 5_000).build_unobserved().expect("valid");
+        sim.max_cycles = 100;
+        let Err(err) = sim.clone().try_run() else { panic!("drained within 100 cycles") };
+        let RunError::Livelock { cycle, max_cycles, ref context } = err;
+        assert_eq!((cycle, max_cycles), (100, 100));
+        assert!(context.starts_with("committed "), "liveness context: {context}");
+        assert!(err.to_string().starts_with("system failed to drain within 100 cycles: "));
+        // `run` panics with the same text.
+        let Err(payload) = std::thread::spawn(move || sim.run()).join() else {
+            panic!("run returned past its bound")
+        };
+        assert_eq!(payload.downcast_ref::<String>(), Some(&err.to_string()));
+    }
+
+    #[test]
     fn recovery_widens_the_derived_cap_automatically() {
         let wl = small_workload();
         let policy = RecoveryPolicy::enabled(); // max_retries 3
@@ -1523,7 +1488,6 @@ mod tests {
         assert_send::<RunOutcome>();
         assert_send::<SimEvent>();
         assert_send::<TraceLog>();
-        assert_send::<EventCounter>();
         assert_send::<JsonlEventSink<SharedBuf>>();
     }
 
@@ -1555,7 +1519,7 @@ mod tests {
     #[should_panic(expected = "observers attached")]
     fn unobserved_build_with_observers_panics() {
         let wl = small_workload();
-        let _ = Sim::builder(&wl, 1_000).observe(EventCounter::new()).build_unobserved();
+        let _ = Sim::builder(&wl, 1_000).observe(TraceLog::new(1)).build_unobserved();
     }
 
     /// An observer that declines sampling and treats any delivered

@@ -29,9 +29,6 @@ pub struct MeekConfig {
     pub fabric: FabricKind,
     /// Per-lane DC-Buffer capacity (the depth ablation's axis).
     pub dc_buffer: DcBufferConfig,
-    /// Run-time records per segment before an RCP is forced ("targeted
-    /// LSL full"). Defaults to the LSL run-time capacity.
-    pub seg_record_budget: u64,
     /// Instruction timeout per segment (Table II: 5 000).
     pub seg_timeout: u64,
     /// Recovery policy: disabled by default (the paper's detect-only
@@ -42,14 +39,12 @@ pub struct MeekConfig {
 
 impl Default for MeekConfig {
     fn default() -> Self {
-        let little = LittleCoreConfig::optimized();
         MeekConfig {
             n_little: 4,
-            little,
+            little: LittleCoreConfig::optimized(),
             big: BigCoreConfig::sonic_boom(),
             fabric: FabricKind::F2,
             dc_buffer: DcBufferConfig::default(),
-            seg_record_budget: little.lsl.runtime_capacity as u64,
             seg_timeout: 5_000,
             recovery: RecoveryPolicy::default(),
         }
@@ -108,11 +103,9 @@ pub struct MeekSystem {
     app_done_cycle: Option<u64>,
     verified_segments: u64,
     failed_segments: u64,
-    /// Structured events accumulated since the last drain (empty unless
-    /// capture is enabled — the `sim::Sim` runner enables it and drains
-    /// every cycle into its observers).
+    /// Structured events accumulated since the last drain (the
+    /// `sim::Sim` runner drains them every cycle into its observers).
     events: Vec<SimEvent>,
-    record_events: bool,
     /// Detections already surfaced as events (watermark into
     /// `injector.detections`).
     detections_seen: usize,
@@ -120,7 +113,8 @@ pub struct MeekSystem {
 
 impl MeekSystem {
     /// Builds a system around `workload`, capped at `max_insts` dynamic
-    /// instructions, on the fabric `cfg` names. Performs the OS-side
+    /// instructions, on the fabric `cfg` names, with `faults` as its
+    /// fault-injection plan. Performs the OS-side
     /// setup: `b.hook` of the little cores, `l.mode(CHECK)`, seeding of
     /// checkpoint 0 (the program's initial state) on segment 1's
     /// checker, and `b.check(ENABLE)`. Only reachable through
@@ -129,7 +123,12 @@ impl MeekSystem {
     /// # Panics
     ///
     /// Panics if `cfg.n_little` is zero.
-    pub(crate) fn new(cfg: MeekConfig, workload: &Workload, max_insts: u64) -> MeekSystem {
+    pub(crate) fn new(
+        cfg: MeekConfig,
+        workload: &Workload,
+        max_insts: u64,
+        faults: Vec<FaultSpec>,
+    ) -> MeekSystem {
         assert!(cfg.n_little > 0, "MEEK needs at least one little core");
         let mut run = workload.run(max_insts);
         if cfg.recovery.enabled {
@@ -143,10 +142,12 @@ impl MeekSystem {
         recover.pin_checkpoint(1, 0, initial_cp, run.state().csr_snapshot());
         let lanes = cfg.big.width as usize;
         let fabric = Fabric::new(cfg.fabric, lanes, cfg.dc_buffer);
+        // The record budget is the LSL run-time capacity: an RCP is
+        // forced when the targeted LSL is full.
         let mut deu = DeuState::new(
             lanes,
             cfg.fabric.payload_words(),
-            cfg.seg_record_budget,
+            cfg.little.lsl.runtime_capacity as u64,
             cfg.seg_timeout,
             initial_cp,
         );
@@ -194,7 +195,7 @@ impl MeekSystem {
             fabric,
             deu,
             seg_mgr,
-            injector: FaultInjector::new(Vec::new()),
+            injector: FaultInjector::new(faults),
             recover,
             run,
             image: workload.image().clone(),
@@ -203,16 +204,8 @@ impl MeekSystem {
             verified_segments: 0,
             failed_segments: 0,
             events: Vec::new(),
-            record_events: false,
             detections_seen: 0,
         }
-    }
-
-    /// Turns on structured event recording ([`crate::sim::SimEvent`]).
-    /// The `sim::Sim` runner enables this and drains
-    /// [`MeekSystem::take_events`] every cycle.
-    pub(crate) fn enable_event_capture(&mut self) {
-        self.record_events = true;
     }
 
     /// Drains the events recorded since the last call.
@@ -221,14 +214,15 @@ impl MeekSystem {
     }
 
     /// Settles end-of-run fault and recovery verdicts once the system
-    /// has drained (the tail of `run_to_completion`, shared with the
-    /// `sim::Sim` runner).
+    /// has drained: no further segment verdicts can arrive, so the
+    /// in-flight fault is masked if every delivered candidate verdict
+    /// was clean, and the report separates masked from pending faults.
     pub(crate) fn resolve_drain(&mut self) {
         self.injector.resolve_at_drain();
         self.recover.resolve_at_drain();
     }
 
-    /// Liveness context for the cycle-cap panic message: the drain
+    /// Liveness context of a [`crate::sim::RunError::Livelock`]: the drain
     /// predicate's inputs plus a per-little-core snapshot (assignment,
     /// idle flag, LSL occupancies, replay progress) — enough to see
     /// which core or queue wedged. A hung run emits no further events,
@@ -265,16 +259,6 @@ impl MeekSystem {
             self.recover.in_flight(),
             littles.join(", ")
         )
-    }
-
-    /// Installs a fault-injection campaign (replaces any previous one).
-    pub fn set_faults(&mut self, faults: Vec<FaultSpec>) {
-        self.injector = FaultInjector::new(faults);
-    }
-
-    /// Installs a pre-built injector (e.g. a random campaign).
-    pub fn set_injector(&mut self, injector: FaultInjector) {
-        self.injector = injector;
     }
 
     /// Current big-core cycle.
@@ -318,9 +302,7 @@ impl MeekSystem {
                     lc.tick_check(tl, &self.image)
                 {
                     self.seg_mgr.finish(seg, pass);
-                    if self.record_events {
-                        self.events.push(SimEvent::SegmentClosed { seg, pass, cycle: now });
-                    }
+                    self.events.push(SimEvent::SegmentClosed { seg, pass, cycle: now });
                     if pass {
                         self.verified_segments += 1;
                     } else {
@@ -333,9 +315,7 @@ impl MeekSystem {
                             self.run.release_undo_through(through);
                         }
                         if out.episode_closed {
-                            if self.record_events {
-                                self.events.push(SimEvent::RollbackCompleted { seg, cycle: now });
-                            }
+                            self.events.push(SimEvent::RollbackCompleted { seg, cycle: now });
                             // Golden escalation (if any) ends with the
                             // episode; annotate the detections this
                             // recovery closed with their latency.
@@ -392,19 +372,12 @@ impl MeekSystem {
 
     /// Drains the sub-component event logs (segment opens, fired
     /// corruptions, new detections) into the system's event stream,
-    /// stamped with this cycle. The logs are drained even with capture
-    /// off so they cannot grow unbounded.
+    /// stamped with this cycle.
     fn collect_component_events(&mut self, now: u64) {
-        let opened = self.seg_mgr.take_opened();
-        let injected = self.injector.take_injections();
-        if !self.record_events {
-            self.detections_seen = self.injector.detections.len();
-            return;
-        }
-        for (seg, checker) in opened {
+        for (seg, checker) in self.seg_mgr.take_opened() {
             self.events.push(SimEvent::SegmentOpened { seg, checker, cycle: now });
         }
-        for (site, seg, cycle) in injected {
+        for (site, seg, cycle) in self.injector.take_injections() {
             self.events.push(SimEvent::FaultInjected { site, seg, cycle });
         }
         while self.detections_seen < self.injector.detections.len() {
@@ -422,9 +395,7 @@ impl MeekSystem {
     fn execute_rollback(&mut self, now: u64) {
         let committed = self.big.stats().committed;
         let (target, golden) = self.recover.take_rollback(committed);
-        if self.record_events {
-            self.events.push(SimEvent::RollbackStarted { seg: target.seg, golden, cycle: now });
-        }
+        self.events.push(SimEvent::RollbackStarted { seg: target.seg, golden, cycle: now });
         self.run.rollback(target.commit_index, &target.cp, target.csrs.clone());
         self.big.rollback(now + self.cfg.recovery.restore_cycles, target.commit_index);
         self.fabric.flush();
@@ -471,29 +442,6 @@ impl MeekSystem {
             && !self.recover.in_flight()
     }
 
-    /// Runs until [`MeekSystem::is_complete`] or `max_cycles`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the system fails to complete within `max_cycles` — a
-    /// liveness bug, not a measurement artefact.
-    pub fn run_to_completion(&mut self, max_cycles: u64) -> RunReport {
-        let start = self.now;
-        while !self.is_complete() {
-            assert!(
-                self.now - start < max_cycles,
-                "system failed to drain within {max_cycles} cycles ({})",
-                self.liveness_context(),
-            );
-            self.tick();
-        }
-        // No further segment verdicts can arrive: settle the in-flight
-        // fault (masked if every delivered candidate verdict was clean)
-        // so the report separates masked from genuinely pending faults.
-        self.resolve_drain();
-        self.report()
-    }
-
     /// Final architectural state of the application (the functional
     /// oracle's registers, PC and CSRs). After a recovered run this
     /// must equal a fault-free golden execution — the invariant
@@ -506,11 +454,6 @@ impl MeekSystem {
     /// [`MeekSystem::final_state`]).
     pub fn final_memory(&self) -> &SparseMemory {
         self.run.memory()
-    }
-
-    /// Faults still queued in the injector (not yet armed).
-    pub fn injector_remaining(&self) -> usize {
-        self.injector.remaining()
     }
 
     /// Fault detections recorded so far (cheap; polled per cycle by the
@@ -571,8 +514,7 @@ impl DeuHook<'_> {
 
 /// Simulation liveness bound for a run of `max_insts` dynamic
 /// instructions: generous enough that only a genuine deadlock trips
-/// it. Both the experiment harnesses and the campaign engine cap
-/// [`MeekSystem::run_to_completion`] with this.
+/// it. [`crate::sim::SimBuilder`] derives every run's bound from this.
 pub fn cycle_cap(max_insts: u64) -> u64 {
     (max_insts * 400).max(20_000_000)
 }
@@ -615,25 +557,27 @@ mod tests {
         assert_send::<crate::report::RunReport>();
     }
 
-    /// Clones `sys` where it stands, then runs the original and the clone
+    /// Clones `sim` where it stands, then runs the original and the clone
     /// to completion, the original first: a clone sharing any state with
     /// its source would finish differently. Returns the common report.
-    fn finish_with_clone(mut sys: MeekSystem, insts: u64) -> RunReport {
-        let mut fork = sys.clone();
-        let a = sys.run_to_completion(cycle_cap(insts));
-        let b = fork.run_to_completion(cycle_cap(insts));
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        assert_eq!(sys.final_state(), fork.final_state());
-        assert!(sys.final_memory().content_eq(fork.final_memory()));
-        a
+    fn finish_with_clone(sim: Sim) -> RunReport {
+        let fork = sim.clone();
+        let a = sim.try_run().expect("the source drains");
+        let b = fork.try_run().expect("the clone drains");
+        assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
+        assert_eq!(a.final_state(), b.final_state());
+        assert!(a.final_memory().content_eq(b.final_memory()));
+        a.report
     }
+
+    const FAULT: FaultSpec = FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 };
 
     #[test]
     fn a_clone_between_injection_and_detection_finishes_identically() {
         let wl = small_workload();
-        let mut sys = MeekSystem::new(MeekConfig::default(), &wl, 12_000);
-        sys.set_faults(vec![FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 }]);
-        sys.enable_event_capture();
+        let mut sim =
+            Sim::builder(&wl, 12_000).faults(vec![FAULT]).build_unobserved().expect("valid");
+        let sys = sim.system_mut();
         loop {
             assert!(!sys.is_complete(), "the fault never fired");
             sys.tick();
@@ -643,25 +587,25 @@ mod tests {
         }
         assert_eq!(sys.detection_count(), 0, "cloned before the detection");
         assert!(sys.fabric_depth() > 0, "the corrupted record is still in a DC-Buffer");
-        let report = finish_with_clone(sys, 12_000);
+        let report = finish_with_clone(sim);
         assert_eq!(report.detections.len(), 1);
     }
 
     #[test]
     fn a_clone_mid_rollback_episode_finishes_identically() {
         let wl = small_workload();
-        let cfg = MeekConfig {
-            fabric: FabricKind::Axi,
-            recovery: RecoveryPolicy::enabled(),
-            ..MeekConfig::default()
-        };
-        let mut sys = MeekSystem::new(cfg, &wl, 12_000);
-        sys.set_faults(vec![FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 }]);
+        let mut sim = Sim::builder(&wl, 12_000)
+            .fabric(FabricKind::Axi)
+            .recovery(RecoveryPolicy::enabled())
+            .faults(vec![FAULT])
+            .build_unobserved()
+            .expect("valid");
+        let sys = sim.system_mut();
         while !sys.recover.in_flight() {
             assert!(!sys.is_complete(), "the fault never started a rollback episode");
             sys.tick();
         }
-        let report = finish_with_clone(sys, 12_000);
+        let report = finish_with_clone(sim);
         assert_eq!(report.recovery.rollbacks, 1);
         assert_eq!(report.recovery.recovered, 1);
     }

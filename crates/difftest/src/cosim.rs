@@ -21,7 +21,7 @@
 //! detection architecture), pinpointed for shrinking.
 
 use crate::fuzz::FuzzProgram;
-use meek_core::Sim;
+use meek_core::{RunError, Sim};
 use meek_fabric::{DestMask, Packet, PacketSink, Payload};
 use meek_isa::disasm::{disasm_window, disasm_word};
 use meek_isa::state::RegCheckpoint;
@@ -30,7 +30,6 @@ use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig, MismatchKind};
 use meek_telemetry::prof;
 use meek_workloads::Workload;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Status chunks one checkpoint occupies at the F2 fabric's chunking
 /// (65 words / 4 per packet). Shared with the coverage prover's replay
@@ -92,7 +91,8 @@ pub enum Divergence {
         replayed: u64,
     },
     /// The full-system run disagreed with the golden run (commit count,
-    /// segment verdicts, or an outright liveness panic).
+    /// segment verdicts), or did not drain (a [`RunError::Livelock`],
+    /// reported as `liveness panic: …`).
     System {
         /// What went wrong.
         detail: String,
@@ -244,42 +244,53 @@ pub fn run_full(
 /// plus the golden run for downstream fault oracles, `None` when the
 /// golden way itself trapped.
 pub fn run_workload(wl: &Workload, cfg: &CosimConfig) -> (CosimVerdict, Option<GoldenRun>) {
-    let mut verdict = CosimVerdict { executed: 0, segments: 0, system_cycles: 0, divergence: None };
-    let golden_result = {
+    let golden = {
         let _span = prof::span("golden_run");
         golden_run_in(wl, GOLDEN_CAP)
     };
-    let golden = match golden_result {
-        Ok(g) => g,
+    match golden {
+        Ok(g) => (check(wl, &g, cfg), Some(g)),
         Err(d) => {
-            verdict.divergence = Some(d);
-            return (verdict, None);
+            let verdict =
+                CosimVerdict { executed: 0, segments: 0, system_cycles: 0, divergence: Some(d) };
+            (verdict, None)
         }
+    }
+}
+
+/// Ways 2 and 3 against a golden run of `wl` the caller already has —
+/// the coverage-guided fuzzer's entry, whose bounded pre-screen is that
+/// golden run.
+pub fn check(wl: &Workload, golden: &GoldenRun, cfg: &CosimConfig) -> CosimVerdict {
+    let mut verdict = CosimVerdict {
+        executed: golden.trace.len() as u64,
+        segments: 0,
+        system_cycles: 0,
+        divergence: None,
     };
-    verdict.executed = golden.trace.len() as u64;
     if golden.trace.is_empty() {
-        return (verdict, Some(golden));
+        return verdict;
     }
     let replay = {
         let _span = prof::span("lockstep_replay");
-        replay_lockstep(wl, &golden, cfg)
+        replay_lockstep(wl, golden, cfg)
     };
     match replay {
         Ok(segments) => verdict.segments = segments,
         Err(d) => {
             verdict.divergence = Some(d);
-            return (verdict, Some(golden));
+            return verdict;
         }
     }
     let system = {
         let _span = prof::span("system_check");
-        system_check(wl, &golden, cfg)
+        system_check(wl, golden, cfg)
     };
     match system {
         Ok(cycles) => verdict.system_cycles = cycles,
         Err(d) => verdict.divergence = Some(d),
     }
-    (verdict, Some(golden))
+    verdict
 }
 
 /// Way 2: feeds the golden run's forwarded data to a real littlecore,
@@ -420,23 +431,15 @@ pub(crate) fn apply_writeback(shadow: &mut ArchState, r: &Retired) {
 /// verify clean on the checker cluster.
 fn system_check(wl: &Workload, golden: &GoldenRun, cfg: &CosimConfig) -> Result<u64, Divergence> {
     let n = golden.trace.len() as u64;
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        Sim::builder(wl, n)
-            .little_cores(cfg.n_little)
-            .build_unobserved()
-            .expect("cosim configuration is valid")
-            .run()
-            .report
-    }));
-    let report = match outcome {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic".to_string());
-            return Err(Divergence::System { detail: format!("liveness panic: {msg}") });
+    let run = Sim::builder(wl, n)
+        .little_cores(cfg.n_little)
+        .build_unobserved()
+        .expect("cosim configuration is valid")
+        .try_run();
+    let report = match run {
+        Ok(outcome) => outcome.report,
+        Err(e @ RunError::Livelock { .. }) => {
+            return Err(Divergence::System { detail: format!("liveness panic: {e}") });
         }
     };
     if report.committed != n {

@@ -16,13 +16,14 @@
 //!
 //! Anything else — a masked fault whose replay twin *does* mismatch
 //! (the checker should have caught it), a corruption anchor that cannot
-//! be reconciled with the golden trace, a liveness panic — is an
-//! **escape**, and escapes fail loudly: they are exactly the
-//! silent-data-corruption events the MEEK architecture exists to
-//! prevent.
+//! be reconciled with the golden trace, a run that never drains
+//! ([`RunError::Livelock`]) — is an **escape**, and escapes fail
+//! loudly: they are exactly the silent-data-corruption events the MEEK
+//! architecture exists to prevent. A panic is not a verdict: it is a
+//! simulator bug, and propagates.
 
 use crate::cosim::GoldenRun;
-use meek_core::{CorruptedField, FaultSite, FaultSpec, MaskRecord, Sim};
+use meek_core::{CorruptedField, FaultSite, FaultSpec, MaskRecord, RunError, Sim};
 use meek_fabric::{DestMask, Packet, PacketSink, Payload};
 use meek_isa::state::RegCheckpoint;
 use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig};
@@ -30,7 +31,6 @@ use meek_workloads::Workload;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Classification of one injected fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,27 +110,21 @@ pub fn classify_in(
         // can never fire, which is exactly the pending verdict.
         return FaultOutcome::Pending;
     }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        // Detect-only classification consumes nothing but the first
-        // detection record, so the run may halt the moment it lands.
-        Sim::builder(wl, n)
-            .little_cores(n_little)
-            .faults(vec![spec])
-            .build_unobserved()
-            .expect("coverage configuration is valid")
-            .halt_on_first_detection()
-            .run()
-            .report
-    }));
-    let report = match outcome {
-        Ok(r) => r,
-        Err(_) => {
-            return FaultOutcome::Escaped {
-                reason: format!("system failed to drain with fault {spec:?}"),
-            }
+    // Detect-only classification consumes nothing but the first
+    // detection record, so the run may halt the moment it lands.
+    let run = Sim::builder(wl, n)
+        .little_cores(n_little)
+        .faults(vec![spec])
+        .build_unobserved()
+        .expect("coverage configuration is valid")
+        .halt_on_first_detection()
+        .try_run();
+    match run {
+        Ok(outcome) => classify_with_in(golden, wl, spec, &outcome.report),
+        Err(RunError::Livelock { .. }) => {
+            FaultOutcome::Escaped { reason: format!("system failed to drain with fault {spec:?}") }
         }
-    };
-    classify_with_in(golden, wl, spec, &report)
+    }
 }
 
 /// Classifies an already-completed run's report against the golden

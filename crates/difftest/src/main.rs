@@ -16,7 +16,7 @@
 //! output is byte-identical at any `--threads`.
 
 use meek_campaign::Executor;
-use meek_core::FabricKind;
+use meek_core::{validate_config, FabricKind, MeekConfig};
 use meek_difftest::{
     classify_in, cosim, emit_test, fault_plan, fuzz_program, minimize, verify_recovery_in,
     CosimConfig, DifftestStats, Divergence, FaultOutcome, FuzzConfig, RecoveryVerdict,
@@ -158,9 +158,11 @@ impl Args {
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        if args.cases == 0 || args.seg_len == 0 || args.static_len == 0 || args.little == 0 {
-            return Err("--cases, --seg-len, --static-len and --little must be positive".into());
+        if args.cases == 0 || args.seg_len == 0 || args.static_len == 0 {
+            return Err("--cases, --seg-len and --static-len must be positive".into());
         }
+        validate_config(&MeekConfig::with_little_cores(args.little))
+            .map_err(|e| format!("--little: {e}"))?;
         Ok(args)
     }
 }

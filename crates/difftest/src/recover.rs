@@ -18,10 +18,9 @@
 
 use crate::cosim::GoldenRun;
 use crate::coverage::{classify_with_in, FaultOutcome};
-use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, RunOutcome, Sim};
+use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, RunError, RunOutcome, Sim};
 use meek_workloads::Workload;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Recovery-side verdict for one injected fault (paired with the
 /// coverage [`FaultOutcome`]).
@@ -93,28 +92,23 @@ pub fn verify_recovery_in(
         // need recovery — same verdicts the detect-only oracle gives.
         return (FaultOutcome::Pending, RecoveryVerdict::NothingToRecover);
     }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        Sim::builder(wl, n)
-            .little_cores(n_little)
-            .fabric(fabric)
-            .recovery(RecoveryPolicy::enabled())
-            .faults(vec![spec])
-            .build_unobserved()
-            .expect("recovery oracle configuration is valid")
-            .run()
-    }));
-    let run = match outcome {
-        Ok(r) => r,
-        Err(_) => {
-            return (
-                FaultOutcome::Escaped {
-                    reason: format!("recovery-enabled system failed to drain with fault {spec:?}"),
-                },
-                RecoveryVerdict::Unrecovered { reason: "liveness panic".into() },
-            )
-        }
-    };
-    verify_recovery_outcome_in(golden, wl, spec, &run)
+    let run = Sim::builder(wl, n)
+        .little_cores(n_little)
+        .fabric(fabric)
+        .recovery(RecoveryPolicy::enabled())
+        .faults(vec![spec])
+        .build_unobserved()
+        .expect("recovery oracle configuration is valid")
+        .try_run();
+    match run {
+        Ok(outcome) => verify_recovery_outcome_in(golden, wl, spec, &outcome),
+        Err(RunError::Livelock { .. }) => (
+            FaultOutcome::Escaped {
+                reason: format!("recovery-enabled system failed to drain with fault {spec:?}"),
+            },
+            RecoveryVerdict::Unrecovered { reason: "liveness panic".into() },
+        ),
+    }
 }
 
 /// Classifies an already-completed recovery-enabled [`RunOutcome`]

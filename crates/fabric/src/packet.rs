@@ -17,30 +17,37 @@ pub enum PacketKind {
 pub struct DestMask(pub u16);
 
 impl DestMask {
+    /// Little cores a mask can address: one bit each.
+    pub const MAX_CORES: usize = u16::BITS as usize;
+
     /// A mask targeting a single little core.
     ///
     /// # Panics
     ///
-    /// Panics if `core >= 16`.
+    /// Panics if `core >= DestMask::MAX_CORES`.
     pub fn single(core: usize) -> DestMask {
-        assert!(core < 16, "destination core {core} out of range");
+        assert!(core < Self::MAX_CORES, "destination core {core} out of range");
         DestMask(1 << core)
     }
 
     /// Union of two masks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core >= DestMask::MAX_CORES`.
     pub fn with(self, core: usize) -> DestMask {
-        assert!(core < 16, "destination core {core} out of range");
+        assert!(core < Self::MAX_CORES, "destination core {core} out of range");
         DestMask(self.0 | (1 << core))
     }
 
     /// Whether `core` is targeted.
     pub fn contains(self, core: usize) -> bool {
-        core < 16 && self.0 & (1 << core) != 0
+        core < Self::MAX_CORES && self.0 & (1 << core) != 0
     }
 
     /// Removes `core` from the mask.
     pub fn remove(&mut self, core: usize) {
-        if core < 16 {
+        if core < Self::MAX_CORES {
             self.0 &= !(1 << core);
         }
     }
@@ -57,7 +64,7 @@ impl DestMask {
 
     /// Iterates over destination core indices.
     pub fn iter(self) -> impl Iterator<Item = usize> {
-        (0..16).filter(move |&i| self.contains(i))
+        (0..Self::MAX_CORES).filter(move |&i| self.contains(i))
     }
 }
 

@@ -93,8 +93,8 @@ impl CoverageMap {
     /// Clears the per-run scratch (open segments, occupancy/rollback
     /// watermarks) without touching the collected features. The
     /// [`Observer::finished`] hook does this after a completed run;
-    /// call it explicitly after an *aborted* run (liveness panic), or
-    /// the next run observed by the same handle inherits stale state.
+    /// call it explicitly after an *aborted* run (a `RunError::Livelock`),
+    /// or the next run observed by the same handle inherits stale state.
     pub fn reset_scratch(&self) {
         let mut st = self.inner.lock().expect("coverage map lock");
         st.open.clear();

@@ -28,18 +28,17 @@ use crate::dict::Dictionary;
 use crate::mutate::{self, decodable, writes_anchor};
 use crate::report::FuzzReport;
 use meek_campaign::Executor;
-use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, Sim};
+use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, RunError, Sim};
 use meek_difftest::{
-    classify_with_in, cosim, emit_test, fault_plan, fuzz_program, golden_run_bounded, minimize,
-    shrink_insts, verify_recovery_outcome_in, CosimConfig, FaultOutcome, FuzzConfig, FuzzProgram,
-    GoldenRun,
+    classify_with_in, cosim, emit_test, fault_plan, fuzz_program, golden_run_bounded,
+    golden_run_in, minimize, shrink_insts, verify_recovery_outcome_in, CosimConfig, FaultOutcome,
+    FuzzConfig, FuzzProgram, GoldenRun,
 };
 use meek_isa::{encode, Inst};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Dynamic-instruction ceiling per candidate: splice can nest loops, so
 /// mutated programs legitimately grow — past this they are rejected to
@@ -285,10 +284,13 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
             return CaseEval::rejected();
         }
     }
+    // One build of the image and pre-decode table serves the golden
+    // pre-screen, the co-simulation and every fault run.
+    let wl = prog.workload();
     // Bounded golden pre-screen. Mutated programs that trap or run away
     // are rejected (relinking manufactures both); a *fresh* program
     // doing either is a seed-fuzzer bug and counts as a divergence.
-    let golden: GoldenRun = match golden_run_bounded(&prog, EVAL_CAP) {
+    let golden: GoldenRun = match golden_run_in(&wl, EVAL_CAP) {
         Ok(g) if (g.trace.len() as u64) < EVAL_CAP && !g.trace.is_empty() => g,
         Ok(_) if cand.kind == CandidateKind::Mutated => return CaseEval::rejected(),
         Ok(_) => {
@@ -332,8 +334,10 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
     golden_features(&golden, &map);
 
     // Three-way co-simulation: any divergence on a valid program is a
-    // real finding.
-    let verdict = cosim::run(&prog, &cfg);
+    // real finding. An accepted candidate retires fewer than EVAL_CAP
+    // instructions, under cosim::GOLDEN_CAP, so the pre-screen is the
+    // very golden run the co-simulation would repeat.
+    let verdict = cosim::check(&wl, &golden, &cfg);
     map.note(format!("segments:{}", bucket(verdict.segments as u64)));
     if let Some(d) = verdict.divergence {
         map.note(format!("divergence:{}", d.kind_name()));
@@ -365,22 +369,18 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
     // with the coverage observer attached to the very run the oracle
     // judges.
     let mut escapes = Vec::new();
-    let wl = prog.workload();
     for &spec in &plan {
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut b = Sim::builder(&wl, executed)
-                .little_cores(s.n_little)
-                .fabric(cand.fabric)
-                .faults(vec![spec])
-                .observe(map.clone());
-            if s.recover {
-                b = b.recovery(RecoveryPolicy::enabled());
-            }
-            b.build().expect("fuzz oracle configuration is valid").run()
-        }));
-        let run = match run {
+        let mut b = Sim::builder(&wl, executed)
+            .little_cores(s.n_little)
+            .fabric(cand.fabric)
+            .faults(vec![spec])
+            .observe(map.clone());
+        if s.recover {
+            b = b.recovery(RecoveryPolicy::enabled());
+        }
+        let run = match b.build().expect("fuzz oracle configuration is valid").try_run() {
             Ok(r) => r,
-            Err(_) => {
+            Err(RunError::Livelock { .. }) => {
                 // The aborted run never fired Observer::finished, so
                 // clear the map's per-run scratch before the next
                 // fault's run reuses the handle.

@@ -12,6 +12,7 @@
 //! on any divergence or coverage escape, and under `--compare-random`
 //! also when guided search fails to beat the random baseline.
 
+use meek_core::{validate_config, MeekConfig};
 use meek_fuzz::{run_fuzz, Corpus, FuzzSettings};
 use std::fs;
 use std::io::Write;
@@ -110,9 +111,11 @@ impl Args {
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        if s.iters == 0 || s.static_len == 0 || s.n_little == 0 || s.batch == 0 {
-            return Err("--iters, --static-len, --little and --batch must be positive".into());
+        if s.iters == 0 || s.static_len == 0 || s.batch == 0 {
+            return Err("--iters, --static-len and --batch must be positive".into());
         }
+        validate_config(&MeekConfig::with_little_cores(s.n_little))
+            .map_err(|e| format!("--little: {e}"))?;
         if args.compare_random && !s.guided {
             return Err("--compare-random already runs the random baseline; drop --random".into());
         }

@@ -138,9 +138,11 @@ impl DifftestJob {
         if !matches!(self.suite.as_str(), "fuzz" | "progs") {
             return Err(format!("unknown difftest suite `{}` (want fuzz or progs)", self.suite));
         }
-        if self.cases == 0 || self.seg_len == 0 || self.static_len == 0 || self.little == 0 {
-            return Err("cases, seg_len, static_len and little must be positive".into());
+        if self.cases == 0 || self.seg_len == 0 || self.static_len == 0 {
+            return Err("cases, seg_len and static_len must be positive".into());
         }
+        validate_config(&MeekConfig::with_little_cores(self.little))
+            .map_err(|e| format!("little: {e}"))?;
         if self.batch == 0 {
             return Err("batch must be positive".into());
         }
@@ -238,9 +240,11 @@ impl FuzzJob {
         if self.iters == 0 || self.chunk == 0 {
             return Err("iters and chunk must be positive".into());
         }
-        if self.static_len == 0 || self.little == 0 {
-            return Err("static_len and little must be positive".into());
+        if self.static_len == 0 {
+            return Err("static_len must be positive".into());
         }
+        validate_config(&MeekConfig::with_little_cores(self.little))
+            .map_err(|e| format!("little: {e}"))?;
         Ok(())
     }
 }
@@ -749,6 +753,20 @@ mod tests {
         assert!(progs.validate().is_ok());
         let zero_chunk = JobSpec::Fuzz(FuzzJob { chunk: 0, ..FuzzJob::default() });
         assert!(zero_chunk.validate().is_err());
+    }
+
+    #[test]
+    fn little_core_counts_a_destination_mask_cannot_address_are_rejected_at_admission() {
+        let msg = "17 little cores requested, but MEEK addresses at most 16";
+        let v = Json::parse(r#"{"kind":"difftest","little":17}"#).unwrap();
+        let difftest = JobSpec::from_json(&v).unwrap();
+        assert_eq!(difftest.validate().unwrap_err(), format!("little: {msg}"));
+        let fuzz = JobSpec::Fuzz(FuzzJob { little: 17, ..FuzzJob::default() });
+        assert_eq!(fuzz.validate().unwrap_err(), format!("little: {msg}"));
+        let campaign = JobSpec::Campaign(CampaignJob { little: 17, ..CampaignJob::default() });
+        assert_eq!(campaign.validate().unwrap_err(), msg);
+        let sixteen = JobSpec::Difftest(DifftestJob { little: 16, ..DifftestJob::default() });
+        assert!(sixteen.validate().is_ok());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! cargo run --release --example fault_injection [benchmark] [n_faults]
 //! ```
 
-use meek_core::fault::FaultInjector;
-use meek_core::Sim;
+use meek_core::{random_fault_specs, Sim};
 use meek_workloads::{parsec3, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -27,7 +26,7 @@ fn main() {
     let workload = Workload::build(&profile, 7);
     let mut rng = SmallRng::seed_from_u64(0xDEAD);
     let report = Sim::builder(&workload, insts)
-        .injector(FaultInjector::random_campaign(n_faults, insts, &mut rng))
+        .faults(random_fault_specs(n_faults, insts, &mut rng))
         .cycle_headroom(2)
         .build()
         .expect("a valid campaign configuration")

@@ -8,7 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use meek_core::{run_vanilla, EventCounter, FaultSite, FaultSpec, MeekConfig, Sim};
+use meek_core::{run_vanilla, FaultSite, FaultSpec, MeekConfig, Sim, TraceLog};
 use meek_workloads::{parsec3, Workload};
 
 fn main() {
@@ -51,10 +51,10 @@ fn main() {
 
     // 4. Inject a single bit flip into the forwarded data and watch the
     //    checkers catch it — through an observer this time.
-    let counter = EventCounter::new();
+    let trace = TraceLog::new(0);
     let report = Sim::builder(&workload, insts)
         .faults(vec![FaultSpec { arm_at_commit: 10_000, site: FaultSite::MemAddr, bit: 13 }])
-        .observe(counter.clone())
+        .observe(trace.clone())
         .build()
         .expect("a valid configuration")
         .run()
@@ -65,11 +65,14 @@ fn main() {
          detected in segment {} after {:.0} ns (paper: avg < 1 us)",
         d.seg, d.latency_ns
     );
-    let counts = counter.counts();
+    let events = trace.snapshot();
+    let count = |name: &str| events.iter().filter(|e| e.name() == name).count();
     println!(
         "observer saw {} segment verdicts, {} injection(s), {} detection(s)",
-        counts.verdicts, counts.faults_injected, counts.faults_detected
+        count("segment_closed"),
+        count("fault_injected"),
+        count("fault_detected")
     );
     assert_eq!(report.missed_faults, 0);
-    assert_eq!(counts.faults_detected, 1);
+    assert_eq!(count("fault_detected"), 1);
 }

@@ -1,8 +1,7 @@
 //! Detection soundness: injected faults in forwarded data must be caught
 //! by the checkers, within FTTI-compatible latency.
 
-use meek_core::fault::FaultInjector;
-use meek_core::{FaultSite, FaultSpec, Sim};
+use meek_core::{random_fault_specs, FaultSite, FaultSpec, Sim};
 use meek_workloads::{parsec3, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -63,7 +62,7 @@ fn campaign_has_high_coverage_and_sane_latencies() {
     let wl = Workload::build(p, 0xCA4);
     let mut rng = SmallRng::seed_from_u64(0xCA4);
     let r = Sim::builder(&wl, insts)
-        .injector(FaultInjector::random_campaign(40, insts, &mut rng))
+        .faults(random_fault_specs(40, insts, &mut rng))
         .cycle_headroom(6)
         .build()
         .expect("valid")
