@@ -255,11 +255,9 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// Creates an injector with a queue of faults (sorted by arm time).
-    pub fn new(mut faults: Vec<FaultSpec>) -> FaultInjector {
-        faults.sort_by_key(|f| f.arm_at_commit);
-        faults.reverse(); // pop() yields earliest first
-        FaultInjector {
-            queue: faults,
+    pub fn new(faults: Vec<FaultSpec>) -> FaultInjector {
+        let mut inj = FaultInjector {
+            queue: Vec::new(),
             armed: None,
             in_flight: None,
             tentative: Vec::new(),
@@ -268,7 +266,25 @@ impl FaultInjector {
             suppressed: false,
             injection_log: Vec::new(),
             seg_end: BTreeMap::new(),
-        }
+        };
+        inj.enqueue(faults);
+        inj
+    }
+
+    /// Adds `faults` to the queue, kept sorted so `pop` yields the
+    /// earliest arm point.
+    pub(crate) fn enqueue(&mut self, faults: Vec<FaultSpec>) {
+        self.queue.extend(faults);
+        self.queue.sort_by_key(|f| f.arm_at_commit);
+        self.queue.reverse();
+    }
+
+    /// Whether no fault was ever queued: nothing waits to arm, nothing
+    /// fired and nothing resolved. Such an injector's only state that
+    /// depends on the run is the segment boundaries, which a faulty run
+    /// records identically until its first fault arms.
+    pub(crate) fn is_fault_free(&self) -> bool {
+        self.unresolved() == 0 && self.detections.is_empty() && self.masked.is_empty()
     }
 
     /// Records that segment `seg`'s closing boundary fell at commit
@@ -464,9 +480,7 @@ impl FaultInjector {
             }
         }
         if !requeue.is_empty() {
-            self.queue.extend(requeue);
-            self.queue.sort_by_key(|f| f.arm_at_commit);
-            self.queue.reverse(); // pop() yields earliest first
+            self.enqueue(requeue);
         }
         // Boundaries of squashed segments are stale: re-execution will
         // re-record them as the segments re-commit.

@@ -26,8 +26,9 @@
 //! # Quickstart
 //!
 //! Every simulation is constructed through the typed, validating
-//! [`sim::SimBuilder`] and run with [`sim::Sim::try_run`], the one loop
-//! that ticks a system. It yields a structured [`sim::RunOutcome`]
+//! [`sim::SimBuilder`] and run with [`sim::Sim::try_run`], which drains
+//! it through [`sim::Sim::run_to_commit`], the one loop that ticks a
+//! system. It yields a structured [`sim::RunOutcome`]
 //! (report + final state + per-segment timeline), or
 //! [`sim::RunError::Livelock`] if the system fails to drain within its
 //! derived cycle bound. [`sim::Sim::run`] panics with that error's text

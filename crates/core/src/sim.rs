@@ -17,8 +17,12 @@
 //!   instruction budget ([`cycle_cap`]) — widened automatically for
 //!   recovery-enabled runs, whose rollbacks legitimately re-execute
 //!   work — with [`SimBuilder::cycle_headroom`] for stress scenarios
-//!   beyond even that;
-//! * [`Sim::try_run`] is the one loop that ticks a system. It yields a
+//!   beyond even that. The bound counts cycles from cycle 0, so a clone
+//!   of a run part-way through keeps the bound of its source;
+//! * [`Sim::run_to_commit`] is the one loop that ticks a system: it
+//!   advances a run in place until a commit count is reached, so a
+//!   caller can pause a run, clone it and carry on. [`Sim::try_run`] is
+//!   `run_to_commit` with no commit target plus the finish: it yields a
 //!   structured [`RunOutcome`] — the familiar [`RunReport`] plus the
 //!   final architectural state and a per-segment [`SegmentSpan`]
 //!   timeline — or [`RunError::Livelock`] when the system fails to
@@ -26,6 +30,12 @@
 //!   whom a livelock is a simulator bug: it panics with the error's
 //!   text. Oracles call `try_run` and turn a livelock into a verdict;
 //!   any other panic is a bug and propagates;
+//! * [`Sim::fork`] turns a paused fault-free run into the faulty run a
+//!   builder with the same faults would have reached by that cycle, as
+//!   long as every fault arms past the commit count the run stands at
+//!   ([`BuildError::FaultBeforeFork`] otherwise). Fault classification
+//!   forks each fault from a snapshot of the clean run instead of
+//!   re-simulating the fault-free prefix;
 //! * instead of polling strings, callers attach [`Observer`]s with
 //!   typed hooks (`segment_opened`/`segment_closed`, `verdict`,
 //!   `fault_injected`/`fault_detected`, `rollback_started`/
@@ -628,6 +638,15 @@ pub enum BuildError {
         /// The run's dynamic instruction budget.
         budget: u64,
     },
+    /// [`Sim::fork`] was given a fault that arms at or before the
+    /// commit count the forked run has already reached: a run built
+    /// with the fault would have armed it in the shared prefix.
+    FaultBeforeFork {
+        /// The offending arm point.
+        arm_at_commit: u64,
+        /// Instructions the forked run had committed.
+        committed: u64,
+    },
     /// The workload's entry PC is not 4-aligned. RV64 (without the C
     /// extension) fetches 4-byte-aligned words; a misaligned entry can
     /// only come from a mis-assembled or mis-declared image.
@@ -678,6 +697,11 @@ impl fmt::Display for BuildError {
             BuildError::FaultBeyondBudget { arm_at_commit, budget } => write!(
                 f,
                 "fault arms at commit {arm_at_commit}, at or past the {budget}-instruction budget"
+            ),
+            BuildError::FaultBeforeFork { arm_at_commit, committed } => write!(
+                f,
+                "fault arms at commit {arm_at_commit}, at or before the fork point's \
+                 {committed} commits"
             ),
             BuildError::MisalignedEntry { entry } => {
                 write!(f, "entry PC {entry:#x} is not 4-aligned")
@@ -830,13 +854,7 @@ impl<'a> SimBuilder<'a> {
     /// Returns a typed [`BuildError`] for every degenerate
     /// combination; see the enum's variants.
     pub fn build(self) -> Result<Sim<ObserverSet>, BuildError> {
-        let (sys, max_cycles, observers) = self.assemble()?;
-        Ok(Sim {
-            sys,
-            max_cycles,
-            observer: ObserverSet::new(observers),
-            halt_on_first_detection: false,
-        })
+        self.assemble(ObserverSet::new)
     }
 
     /// Like [`SimBuilder::build`], but monomorphizes the run against
@@ -857,14 +875,18 @@ impl<'a> SimBuilder<'a> {
     /// [`SimBuilder::observe`] and then discarding silently would be a
     /// caller bug.
     pub fn build_unobserved(self) -> Result<Sim<NoObserver>, BuildError> {
-        let (sys, max_cycles, observers) = self.assemble()?;
-        assert!(observers.is_empty(), "observers attached to an unobserved build");
-        Ok(Sim { sys, max_cycles, observer: NoObserver, halt_on_first_detection: false })
+        self.assemble(|observers| {
+            assert!(observers.is_empty(), "observers attached to an unobserved build");
+            NoObserver
+        })
     }
 
-    /// The shared validation + assembly behind both build flavours.
-    #[allow(clippy::type_complexity)]
-    fn assemble(self) -> Result<(MeekSystem, u64, Vec<Box<dyn Observer>>), BuildError> {
+    /// The shared validation + assembly behind both build flavours;
+    /// `observer` turns the attached observers into the run's `O`.
+    fn assemble<O: Observer>(
+        self,
+        observer: impl FnOnce(Vec<Box<dyn Observer>>) -> O,
+    ) -> Result<Sim<O>, BuildError> {
         if self.insts == 0 {
             return Err(BuildError::ZeroInstructionBudget);
         }
@@ -891,21 +913,32 @@ impl<'a> SimBuilder<'a> {
                 });
             }
         }
-        if let Some(arm) = self.faults.iter().map(|f| f.arm_at_commit).max() {
-            if arm >= self.insts {
-                return Err(BuildError::FaultBeyondBudget {
-                    arm_at_commit: arm,
-                    budget: self.insts,
-                });
-            }
-        }
+        check_budget(&self.faults, self.insts)?;
         let sys = MeekSystem::new(self.cfg, self.workload, self.insts, self.faults);
         // Each failure episode may re-execute committed work once per
         // retry, and golden escalation adds one more pass.
         let recovery = &sys.config().recovery;
         let derived = if recovery.enabled { 2 + recovery.max_retries as u64 } else { 1 };
         let max_cycles = cycle_cap(self.insts).saturating_mul(self.headroom.max(derived));
-        Ok((sys, max_cycles, self.observers))
+        Ok(Sim {
+            sys,
+            budget: self.insts,
+            max_cycles,
+            observer: observer(self.observers),
+            halt_on_first_detection: false,
+            timeline: BTreeMap::new(),
+        })
+    }
+}
+
+/// Rejects a fault that arms at or past the `budget`-instruction run:
+/// it could never fire.
+fn check_budget(faults: &[FaultSpec], budget: u64) -> Result<(), BuildError> {
+    match faults.iter().map(|f| f.arm_at_commit).max() {
+        Some(arm_at_commit) if arm_at_commit >= budget => {
+            Err(BuildError::FaultBeyondBudget { arm_at_commit, budget })
+        }
+        _ => Ok(()),
     }
 }
 
@@ -914,15 +947,20 @@ impl<'a> SimBuilder<'a> {
 /// observers at the construction boundary only), and
 /// [`SimBuilder::build_unobserved`] yields `Sim<NoObserver>` whose
 /// per-cycle hook path is statically dead. Obtain one from
-/// [`Sim::builder`]; consume it with [`Sim::try_run`] or [`Sim::run`].
-/// An unobserved `Sim` clones into an independent run that continues
-/// from the same cycle.
+/// [`Sim::builder`]; advance it with [`Sim::run_to_commit`] and consume
+/// it with [`Sim::try_run`] or [`Sim::run`]. An unobserved `Sim` clones
+/// into an independent run that continues from the same cycle, and a
+/// fault-free one [`Sim::fork`]s into a faulty run.
 #[derive(Clone)]
 pub struct Sim<O: Observer = NoObserver> {
     sys: MeekSystem,
+    /// The dynamic instruction budget the run was built with.
+    budget: u64,
     max_cycles: u64,
     observer: O,
     halt_on_first_detection: bool,
+    /// Per-segment spans so far, keyed by segment.
+    timeline: BTreeMap<u32, SegmentSpan>,
 }
 
 impl<O: Observer> fmt::Debug for Sim<O> {
@@ -940,11 +978,46 @@ impl Sim<NoObserver> {
     pub fn builder(workload: &Workload, insts: u64) -> SimBuilder<'_> {
         SimBuilder::new(workload, insts)
     }
+
+    /// Clones this fault-free run where it stands and queues `faults` on
+    /// the clone. The clone then finishes exactly as a run built with
+    /// `faults` does: before its first fault arms, a run's fault
+    /// injector holds nothing but its queue, so a fault-free run that
+    /// has committed fewer instructions than every arm point *is* the
+    /// faulty run at this cycle. Fault classification forks each fault
+    /// from a snapshot of the clean run instead of re-simulating the
+    /// shared prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`BuildError::FaultBeforeFork`] if a fault arms at or before
+    /// [`MeekSystem::committed`], and [`BuildError::FaultBeyondBudget`]
+    /// if one arms at or past the budget, as [`SimBuilder::build`]
+    /// rejects it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this run was built with faults.
+    pub fn fork(&self, faults: Vec<FaultSpec>) -> Result<Sim, BuildError> {
+        check_budget(&faults, self.budget)?;
+        let committed = self.sys.committed();
+        match faults.iter().map(|f| f.arm_at_commit).min() {
+            Some(arm_at_commit) if arm_at_commit <= committed => {
+                Err(BuildError::FaultBeforeFork { arm_at_commit, committed })
+            }
+            _ => {
+                let mut fork = self.clone();
+                fork.sys.queue_faults(faults);
+                Ok(fork)
+            }
+        }
+    }
 }
 
 impl<O: Observer> Sim<O> {
-    /// The derived liveness bound: cycles the run may take before
-    /// [`Sim::try_run`] gives up with [`RunError::Livelock`].
+    /// The derived liveness bound: cycles, counted from cycle 0, the
+    /// run may take before [`Sim::try_run`] gives up with
+    /// [`RunError::Livelock`].
     pub fn max_cycles(&self) -> u64 {
         self.max_cycles
     }
@@ -980,23 +1053,22 @@ impl<O: Observer> Sim<O> {
         self
     }
 
-    /// Runs the simulation to drain, driving every attached
-    /// [`Observer`], and returns the structured outcome. This is the
-    /// one loop that ticks a [`MeekSystem`].
+    /// Ticks the run, driving every attached [`Observer`], until at
+    /// least `commits` instructions have committed, the system drains,
+    /// or (after [`Sim::halt_on_first_detection`]) a fault is detected.
+    /// This is the one loop that ticks a [`MeekSystem`]; stopping it and
+    /// calling it again ticks exactly the cycles one call would.
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Livelock`] if the system fails to drain
-    /// within [`Sim::max_cycles`]. Observers then get no
-    /// [`Observer::finished`] call.
-    pub fn try_run(mut self) -> Result<RunOutcome, RunError> {
-        let start = self.sys.now();
-        let mut timeline: BTreeMap<u32, SegmentSpan> = BTreeMap::new();
-        while !self.sys.is_complete() {
+    /// Returns [`RunError::Livelock`] once the run reaches cycle
+    /// [`Sim::max_cycles`] without draining.
+    pub fn run_to_commit(&mut self, commits: u64) -> Result<(), RunError> {
+        while !self.sys.is_complete() && self.sys.committed() < commits {
             if self.halt_on_first_detection && self.sys.detection_count() > 0 {
                 break;
             }
-            if self.sys.now() - start >= self.max_cycles {
+            if self.sys.now() >= self.max_cycles {
                 return Err(RunError::Livelock {
                     cycle: self.sys.now(),
                     max_cycles: self.max_cycles,
@@ -1006,7 +1078,7 @@ impl<O: Observer> Sim<O> {
             self.sys.tick();
             let cycle = self.sys.now() - 1;
             for ev in self.sys.take_events() {
-                apply_to_timeline(&mut timeline, &ev);
+                apply_to_timeline(&mut self.timeline, &ev);
                 self.observer.event(&ev);
             }
             if self.observer.is_enabled() {
@@ -1023,6 +1095,19 @@ impl<O: Observer> Sim<O> {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Runs the simulation to drain ([`Sim::run_to_commit`] with no
+    /// commit target) and returns the structured outcome.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RunError::Livelock`] if the system fails to drain
+    /// within [`Sim::max_cycles`]. Observers then get no
+    /// [`Observer::finished`] call.
+    pub fn try_run(mut self) -> Result<RunOutcome, RunError> {
+        self.run_to_commit(u64::MAX)?;
         if !(self.halt_on_first_detection && self.sys.detection_count() > 0) {
             // Settling end-of-run verdicts only makes sense on a drained
             // system; a halted-on-detection run already has the one
@@ -1031,7 +1116,7 @@ impl<O: Observer> Sim<O> {
         }
         let report = self.sys.report();
         self.observer.finished(&report);
-        Ok(RunOutcome { report, timeline: timeline.into_values().collect(), sys: self.sys })
+        Ok(RunOutcome { report, timeline: self.timeline.into_values().collect(), sys: self.sys })
     }
 
     /// [`Sim::try_run`] for callers to whom a livelock is a simulator
@@ -1054,7 +1139,8 @@ pub enum RunError {
     Livelock {
         /// Big-core cycle at which the bound was reached.
         cycle: u64,
-        /// The bound, in cycles from the start of the run.
+        /// The bound, in cycles from cycle 0: a clone or fork of a run
+        /// keeps the bound of the run it came from.
         max_cycles: u64,
         /// The drain predicate's inputs and a per-little-core snapshot
         /// (assignment, idle flag, LSL occupancies, replay progress).
@@ -1465,6 +1551,99 @@ mod tests {
             panic!("run returned past its bound")
         };
         assert_eq!(payload.downcast_ref::<String>(), Some(&err.to_string()));
+    }
+
+    #[test]
+    fn a_clone_keeps_its_sources_liveness_bound() {
+        let wl = small_workload();
+        let mut sim = Sim::builder(&wl, 5_000).build_unobserved().expect("valid");
+        sim.max_cycles = 100;
+        for _ in 0..40 {
+            sim.system_mut().tick();
+        }
+        let clone = sim.clone();
+        for run in [sim, clone] {
+            let Err(RunError::Livelock { cycle, max_cycles, .. }) = run.try_run() else {
+                panic!("drained within 100 cycles")
+            };
+            assert_eq!((cycle, max_cycles), (100, 100));
+        }
+    }
+
+    const FORK_FAULT: FaultSpec =
+        FaultSpec { arm_at_commit: 4_000, site: FaultSite::MemAddr, bit: 9 };
+
+    #[test]
+    fn fork_rejects_arms_it_cannot_reach_with_typed_errors() {
+        let wl = small_workload();
+        let mut clean = Sim::builder(&wl, 12_000).build_unobserved().expect("valid");
+        clean.run_to_commit(3_000).expect("no livelock");
+        let committed = clean.system().committed();
+        assert!((3_000..4_000).contains(&committed), "paused at {committed} commits");
+        let at = |arm_at_commit| FaultSpec { arm_at_commit, ..FORK_FAULT };
+        let err = clean.fork(vec![at(committed + 1), at(committed)]).unwrap_err();
+        assert_eq!(err, BuildError::FaultBeforeFork { arm_at_commit: committed, committed });
+        assert!(err.to_string().contains("at or before the fork point"), "{err}");
+        assert_eq!(
+            clean.fork(vec![at(0)]).unwrap_err(),
+            BuildError::FaultBeforeFork { arm_at_commit: 0, committed }
+        );
+        assert_eq!(
+            clean.fork(vec![at(12_000)]).unwrap_err(),
+            BuildError::FaultBeyondBudget { arm_at_commit: 12_000, budget: 12_000 }
+        );
+        assert!(clean.fork(vec![at(committed + 1), at(11_999)]).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "only a fault-free run forks")]
+    fn forking_a_faulty_run_panics() {
+        let wl = small_workload();
+        let faulty = Sim::builder(&wl, 12_000).faults(vec![FORK_FAULT]).build_unobserved();
+        let _ = faulty.expect("valid").fork(vec![FaultSpec { arm_at_commit: 5_000, ..FORK_FAULT }]);
+    }
+
+    /// Pauses a clean run on `fabric` at 3 600 commits, forks it with a
+    /// cache-data flip that masks and an address flip that is detected,
+    /// and checks that the fork finishes exactly like a run built with
+    /// both faults: report, final state, memory and timeline.
+    fn assert_fork_finishes_like_a_build(fabric: FabricKind) {
+        let plan = vec![
+            FaultSpec { arm_at_commit: 3_700, site: FaultSite::CacheData, bit: 5 },
+            FaultSpec { arm_at_commit: 8_000, site: FaultSite::MemAddr, bit: 9 },
+        ];
+        let wl = small_workload();
+        let builder = || Sim::builder(&wl, 12_000).fabric(fabric);
+        let mut clean = builder().build_unobserved().expect("valid");
+        clean.run_to_commit(3_600).expect("no livelock");
+        let committed = clean.system().committed();
+        let fork = clean.fork(plan.clone()).expect("the faults arm past the fork point");
+        let forked = fork.try_run().expect("the fork drains");
+        let built = builder().faults(plan).build_unobserved().expect("valid");
+        let built = built.try_run().expect("the build drains");
+        assert_eq!(format!("{:?}", forked.report), format!("{:?}", built.report));
+        assert_eq!(forked.final_state(), built.final_state());
+        assert!(forked.final_memory().content_eq(built.final_memory()));
+        assert_eq!(forked.timeline, built.timeline);
+        let report = &forked.report;
+        assert_eq!((report.detections.len(), report.masked_faults.len()), (1, 1), "{fabric:?}");
+        // The masked fault's detection surface opens at a segment
+        // boundary the clean run recorded before the fork, so the fork
+        // must carry the boundaries along with the rest of the run.
+        assert!(report.masked_faults[0].surface_start <= committed, "{fabric:?}: {report:?}");
+        // The fork shares nothing with its source, which still runs clean.
+        let clean = clean.try_run().expect("the source drains");
+        assert!(clean.report.detections.is_empty() && clean.report.failed_segments == 0);
+    }
+
+    #[test]
+    fn a_mid_run_fork_of_a_clean_f2_run_finishes_like_a_build() {
+        assert_fork_finishes_like_a_build(FabricKind::F2);
+    }
+
+    #[test]
+    fn a_mid_run_fork_of_a_clean_axi_run_finishes_like_a_build() {
+        assert_fork_finishes_like_a_build(FabricKind::Axi);
     }
 
     #[test]

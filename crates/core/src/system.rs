@@ -266,6 +266,32 @@ impl MeekSystem {
         self.now
     }
 
+    /// Instructions the big core has committed so far.
+    pub fn committed(&self) -> u64 {
+        self.big.stats().committed
+    }
+
+    /// Bytes of cache tag state materialised so far across the big core
+    /// and every little core ([`RunReport::cache_state_bytes`] at this
+    /// cycle).
+    pub fn cache_state_bytes(&self) -> u64 {
+        self.big.cache_state_bytes()
+            + self.littles.iter().map(LittleCore::cache_state_bytes).sum::<u64>()
+    }
+
+    /// Queues `faults` on a system that has run fault-free so far — the
+    /// second half of [`crate::sim::Sim::fork`]. Every arm point must lie
+    /// past [`MeekSystem::committed`]: the injector then starts exactly
+    /// where a run built with `faults` would stand at this cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the system was built with faults.
+    pub(crate) fn queue_faults(&mut self, faults: Vec<FaultSpec>) {
+        assert!(self.injector.is_fault_free(), "only a fault-free run forks");
+        self.injector.enqueue(faults);
+    }
+
     /// Instructions currently occupying the big core's re-order buffer.
     pub fn rob_occupancy(&self) -> usize {
         self.big.rob_occupancy()
@@ -485,8 +511,7 @@ impl MeekSystem {
             masked_faults: self.injector.masked.clone(),
             pending_faults: self.injector.unresolved(),
             rcps: self.deu.rcps,
-            cache_state_bytes: self.big.cache_state_bytes()
-                + self.littles.iter().map(LittleCore::cache_state_bytes).sum::<u64>(),
+            cache_state_bytes: self.cache_state_bytes(),
             recovery: *self.recover.report(),
         }
     }

@@ -20,6 +20,7 @@
 //! [`Divergence`] — a bug in one of the models (or a real escape in the
 //! detection architecture), pinpointed for shrinking.
 
+use crate::coverage::arm_span;
 use crate::fuzz::FuzzProgram;
 use meek_core::{RunError, Sim};
 use meek_fabric::{DestMask, Packet, PacketSink, Payload};
@@ -39,6 +40,13 @@ pub(crate) const CHUNKS_PER_CP: usize = 17;
 /// Dynamic-instruction ceiling for a golden run; fuzzed programs are
 /// orders of magnitude shorter, so hitting this means non-termination.
 pub const GOLDEN_CAP: u64 = 500_000;
+
+/// Cache tag state ([`meek_core::MeekSystem::cache_state_bytes`]) the
+/// clean-run snapshots of one case may hold in total. A snapshot of a
+/// fuzzed program or a single kernel holds about 200 KB, so two fit; one
+/// of the fused kernel set holds 3.4 MB, so it keeps none, and the cases
+/// whose runs are longest do not hold extra copies of the SoC.
+const SNAPSHOT_BYTES: u64 = 1 << 20;
 
 /// Configuration of one co-simulation.
 #[derive(Debug, Clone, Copy)]
@@ -147,6 +155,10 @@ pub struct GoldenRun {
     /// Memory after the last instruction (code + data), for the
     /// recovery oracle's golden-equal final-state check.
     pub final_mem: meek_isa::SparseMemory,
+    /// Paused copies of the co-simulation's clean full-system run, in
+    /// commit order, that detect-only classification forks fault runs
+    /// from ([`run_workload`] takes them; empty otherwise).
+    pub(crate) snapshots: Vec<Sim>,
 }
 
 /// Runs the golden interpreter to program exit (or [`GOLDEN_CAP`]).
@@ -187,7 +199,13 @@ pub fn golden_run_in(wl: &Workload, cap: u64) -> Result<GoldenRun, Divergence> {
             }
         }
     }
-    Ok(GoldenRun { trace, final_cp: st.checkpoint(), final_state: st, final_mem: mem })
+    Ok(GoldenRun {
+        trace,
+        final_cp: st.checkpoint(),
+        final_state: st,
+        final_mem: mem,
+        snapshots: Vec::new(),
+    })
 }
 
 /// Renders the golden-trace window ending at dynamic index `at` — the
@@ -242,14 +260,20 @@ pub fn run_full(
 /// the real-program suite uses (loaded images carry initial register
 /// and CSR state that a [`FuzzProgram`] never has). Returns the verdict
 /// plus the golden run for downstream fault oracles, `None` when the
-/// golden way itself trapped.
+/// golden way itself trapped. The golden run carries snapshots of the
+/// clean full-system run for [`crate::classify_in`] to fork from.
 pub fn run_workload(wl: &Workload, cfg: &CosimConfig) -> (CosimVerdict, Option<GoldenRun>) {
     let golden = {
         let _span = prof::span("golden_run");
         golden_run_in(wl, GOLDEN_CAP)
     };
     match golden {
-        Ok(g) => (check(wl, &g, cfg), Some(g)),
+        Ok(mut g) => {
+            let mut snapshots = Vec::new();
+            let verdict = check_ways(wl, &g, cfg, Some(&mut snapshots));
+            g.snapshots = snapshots;
+            (verdict, Some(g))
+        }
         Err(d) => {
             let verdict =
                 CosimVerdict { executed: 0, segments: 0, system_cycles: 0, divergence: Some(d) };
@@ -260,8 +284,20 @@ pub fn run_workload(wl: &Workload, cfg: &CosimConfig) -> (CosimVerdict, Option<G
 
 /// Ways 2 and 3 against a golden run of `wl` the caller already has —
 /// the coverage-guided fuzzer's entry, whose bounded pre-screen is that
-/// golden run.
+/// golden run. It takes no snapshots: the fuzzer's fault runs carry a
+/// coverage observer that must see every cycle, so they do not fork.
 pub fn check(wl: &Workload, golden: &GoldenRun, cfg: &CosimConfig) -> CosimVerdict {
+    check_ways(wl, golden, cfg, None)
+}
+
+/// [`check`], pushing the snapshots [`system_check`] takes into
+/// `snapshots` when given.
+fn check_ways(
+    wl: &Workload,
+    golden: &GoldenRun,
+    cfg: &CosimConfig,
+    snapshots: Option<&mut Vec<Sim>>,
+) -> CosimVerdict {
     let mut verdict = CosimVerdict {
         executed: golden.trace.len() as u64,
         segments: 0,
@@ -284,7 +320,7 @@ pub fn check(wl: &Workload, golden: &GoldenRun, cfg: &CosimConfig) -> CosimVerdi
     }
     let system = {
         let _span = prof::span("system_check");
-        system_check(wl, golden, cfg)
+        system_check(wl, golden, cfg, snapshots)
     };
     match system {
         Ok(cycles) => verdict.system_cycles = cycles,
@@ -429,19 +465,37 @@ pub(crate) fn apply_writeback(shadow: &mut ArchState, r: &Retired) {
 /// Way 3: the full MEEK SoC runs the program; the big core's commit
 /// stream must match the golden count and every forwarded segment must
 /// verify clean on the checker cluster.
-fn system_check(wl: &Workload, golden: &GoldenRun, cfg: &CosimConfig) -> Result<u64, Divergence> {
+///
+/// With `snapshots`, the run pauses at a third and at two thirds of the
+/// [`arm_span`] that fault plans draw arm points from, and a clone of it
+/// is kept at each pause while the kept clones hold at most
+/// [`SNAPSHOT_BYTES`] of cache state. A pause ticks no cycle the run
+/// would not, so the verdict is the same with or without them.
+fn system_check(
+    wl: &Workload,
+    golden: &GoldenRun,
+    cfg: &CosimConfig,
+    snapshots: Option<&mut Vec<Sim>>,
+) -> Result<u64, Divergence> {
     let n = golden.trace.len() as u64;
-    let run = Sim::builder(wl, n)
+    let mut sim = Sim::builder(wl, n)
         .little_cores(cfg.n_little)
         .build_unobserved()
-        .expect("cosim configuration is valid")
-        .try_run();
-    let report = match run {
-        Ok(outcome) => outcome.report,
-        Err(e @ RunError::Livelock { .. }) => {
-            return Err(Divergence::System { detail: format!("liveness panic: {e}") });
+        .expect("cosim configuration is valid");
+    let livelock = |e: RunError| Divergence::System { detail: format!("liveness panic: {e}") };
+    if let Some(snapshots) = snapshots {
+        let mut bytes = 0;
+        for third in 1..=2 {
+            sim.run_to_commit(arm_span(n) * third / 3).map_err(livelock)?;
+            bytes += sim.system().cache_state_bytes();
+            if bytes > SNAPSHOT_BYTES {
+                break;
+            }
+            let _span = prof::span("snapshot");
+            snapshots.push(sim.clone());
         }
-    };
+    }
+    let report = sim.try_run().map_err(livelock)?.report;
     if report.committed != n {
         return Err(Divergence::System {
             detail: format!(
@@ -527,6 +581,30 @@ mod tests {
             }
             d => panic!("unexpected divergence {d}"),
         }
+    }
+
+    #[test]
+    fn snapshots_fit_their_cache_state_budget() {
+        // A fuzzed program keeps a snapshot at each third of its arm span.
+        let wl = fuzz_program(0, &FuzzConfig::default()).workload();
+        let cfg = CosimConfig::default();
+        let (verdict, golden) = run_workload(&wl, &cfg);
+        let golden = golden.expect("golden run");
+        let commits: Vec<u64> = golden.snapshots.iter().map(|s| s.system().committed()).collect();
+        let span = arm_span(verdict.executed);
+        assert!(
+            matches!(commits[..], [a, b] if a >= span / 3 && b >= span * 2 / 3 && a < b),
+            "snapshots at {commits:?} for an arm span of {span}"
+        );
+        let bytes: u64 = golden.snapshots.iter().map(|s| s.system().cache_state_bytes()).sum();
+        assert!(bytes <= SNAPSHOT_BYTES, "{bytes} bytes of cache state kept");
+        // Pausing for them does not change the clean run.
+        assert_eq!(format!("{verdict:?}"), format!("{:?}", check(&wl, &golden, &cfg)));
+        // One snapshot of the fused kernel set is over the budget alone.
+        let fused = meek_progs::WorkloadSet::all().fuse();
+        let (verdict, golden) = run_workload(&fused, &cfg);
+        assert!(verdict.divergence.is_none(), "{}", verdict.divergence.unwrap());
+        assert!(golden.expect("golden run").snapshots.is_empty());
     }
 
     #[test]

@@ -27,6 +27,7 @@ use meek_core::{CorruptedField, FaultSite, FaultSpec, MaskRecord, RunError, Sim}
 use meek_fabric::{DestMask, Packet, PacketSink, Payload};
 use meek_isa::state::RegCheckpoint;
 use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig};
+use meek_telemetry::prof;
 use meek_workloads::Workload;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -73,13 +74,19 @@ impl fmt::Display for FaultOutcome {
     }
 }
 
+/// The arm points a fault plan draws from for a program that retires
+/// `executed` instructions: `0..arm_span(executed)`, the front 60 % of
+/// the run, so verdicts can land before drain.
+pub fn arm_span(executed: u64) -> u64 {
+    (executed * 6 / 10).max(1)
+}
+
 /// A per-case fault plan: `n` faults cycling through all five sites —
 /// the three fabric sites of §V-B plus the LSQ parity window and cache
-/// data bits — arm points spread over the front 60 % of the run so
-/// verdicts can land before drain.
+/// data bits — arm points spread over [`arm_span`].
 pub fn fault_plan(seed: u64, n: usize, executed: u64) -> Vec<FaultSpec> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA_017);
-    let span = (executed * 6 / 10).max(1);
+    let span = arm_span(executed);
     (0..n)
         .map(|i| {
             let site = match i % 5 {
@@ -98,6 +105,13 @@ pub fn fault_plan(seed: u64, n: usize, executed: u64) -> Vec<FaultSpec> {
 /// and classifies the outcome against the golden reference. Taking the
 /// built [`Workload`] lets a fault plan of N specs share one image build
 /// and pre-decode pass instead of repeating both per fault.
+///
+/// The run forks from the latest of the golden run's clean-run
+/// snapshots ([`crate::cosim::run_workload`] takes them) that precedes
+/// the arm point on `n_little` checkers, so the fault-free prefix is
+/// not simulated again; without one it is built from scratch. Under
+/// `debug_assertions` a forked run is checked against the from-scratch
+/// build.
 pub fn classify_in(
     golden: &GoldenRun,
     wl: &Workload,
@@ -110,21 +124,47 @@ pub fn classify_in(
         // can never fire, which is exactly the pending verdict.
         return FaultOutcome::Pending;
     }
+    let scratch = || {
+        Sim::builder(wl, n)
+            .little_cores(n_little)
+            .faults(vec![spec])
+            .build_unobserved()
+            .expect("coverage configuration is valid")
+    };
     // Detect-only classification consumes nothing but the first
     // detection record, so the run may halt the moment it lands.
-    let run = Sim::builder(wl, n)
-        .little_cores(n_little)
-        .faults(vec![spec])
-        .build_unobserved()
-        .expect("coverage configuration is valid")
-        .halt_on_first_detection()
-        .try_run();
-    match run {
-        Ok(outcome) => classify_with_in(golden, wl, spec, &outcome.report),
+    let halted = |sim: Sim| sim.halt_on_first_detection().try_run().map(|outcome| outcome.report);
+    let report = match fork_point(golden, spec, n_little) {
+        Some(snapshot) => {
+            let fork = {
+                let _span = prof::span("fork");
+                snapshot.fork(vec![spec]).expect("coverage configuration is valid")
+            };
+            let report = halted(fork);
+            debug_assert_eq!(
+                format!("{report:?}"),
+                format!("{:?}", halted(scratch())),
+                "the fork of {spec:?} finished unlike its from-scratch build"
+            );
+            report
+        }
+        None => halted(scratch()),
+    };
+    match report {
+        Ok(report) => classify_with_in(golden, wl, spec, &report),
         Err(RunError::Livelock { .. }) => {
             FaultOutcome::Escaped { reason: format!("system failed to drain with fault {spec:?}") }
         }
     }
+}
+
+/// The latest of `golden`'s clean-run snapshots that `spec`'s run can
+/// fork from: one on `n_little` checkers that has committed fewer
+/// instructions than the arm point.
+fn fork_point(golden: &GoldenRun, spec: FaultSpec, n_little: usize) -> Option<&Sim> {
+    golden.snapshots.iter().rev().find(|s| {
+        s.system().committed() < spec.arm_at_commit && s.system().config().n_little == n_little
+    })
 }
 
 /// Classifies an already-completed run's report against the golden
@@ -338,8 +378,65 @@ fn replay_twin(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosim::golden_run;
+    use crate::cosim::{golden_run, run_full, CosimConfig};
     use crate::fuzz::{fuzz_program, FuzzConfig};
+
+    /// `golden` without its clean-run snapshots: every fault classified
+    /// against it builds its run from scratch.
+    fn without_snapshots(golden: &GoldenRun) -> GoldenRun {
+        GoldenRun { snapshots: Vec::new(), ..golden.clone() }
+    }
+
+    #[test]
+    fn forked_runs_classify_like_from_scratch_builds() {
+        let mut forks = 0;
+        for seed in 0..40u64 {
+            let prog = fuzz_program(seed, &FuzzConfig::default());
+            let (verdict, shared) = run_full(&prog, &CosimConfig::default());
+            assert!(verdict.divergence.is_none(), "seed {seed}: {}", verdict.divergence.unwrap());
+            let (golden, wl) = shared.expect("a clean co-simulation carries its golden run");
+            let scratch = without_snapshots(&golden);
+            let plan = fault_plan(seed, 3, verdict.executed);
+            // Besides the plan: an arm at 0, and arms at and just past
+            // each snapshot's commit count, where the choice of snapshot
+            // changes.
+            let edges = golden.snapshots.iter().map(|s| s.system().committed());
+            let arms = std::iter::once(0).chain(edges.flat_map(|c| [c, c + 1]));
+            let specs = plan.iter().copied().chain(
+                arms.zip(plan.iter().cycle())
+                    .map(|(arm_at_commit, f)| FaultSpec { arm_at_commit, ..*f }),
+            );
+            for spec in specs {
+                forks += u32::from(fork_point(&golden, spec, 4).is_some());
+                assert_eq!(
+                    classify_in(&golden, &wl, spec, 4),
+                    classify_in(&scratch, &wl, spec, 4),
+                    "seed {seed}, {spec:?}"
+                );
+            }
+        }
+        // Each case forks at least the two arms just past its snapshots.
+        assert!(forks >= 80, "only {forks} runs forked");
+    }
+
+    #[test]
+    fn another_checker_count_builds_from_scratch() {
+        let prog = fuzz_program(3, &FuzzConfig::default());
+        let (_, shared) = run_full(&prog, &CosimConfig::default());
+        let (golden, wl) = shared.expect("a clean co-simulation carries its golden run");
+        let last = golden.snapshots.last().expect("a fuzz case keeps snapshots");
+        let spec = FaultSpec {
+            arm_at_commit: last.system().committed() + 1,
+            site: FaultSite::MemData,
+            bit: 3,
+        };
+        assert!(fork_point(&golden, spec, 4).is_some(), "the snapshots ran on 4 checkers");
+        assert!(fork_point(&golden, spec, 2).is_none());
+        assert_eq!(
+            classify_in(&golden, &wl, spec, 2),
+            classify_in(&without_snapshots(&golden), &wl, spec, 2)
+        );
+    }
 
     #[test]
     fn injected_faults_never_escape() {

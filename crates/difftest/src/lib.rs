@@ -54,7 +54,7 @@ pub use cosim::{
     golden_run, golden_run_bounded, golden_run_in, run_workload, CosimConfig, CosimVerdict,
     Divergence, GoldenRun,
 };
-pub use coverage::{classify_in, classify_with_in, fault_plan, FaultOutcome};
+pub use coverage::{arm_span, classify_in, classify_with_in, fault_plan, FaultOutcome};
 pub use fuzz::{fuzz_program, FuzzConfig, FuzzProgram};
 pub use recover::{verify_recovery_in, verify_recovery_outcome_in, RecoveryVerdict};
 pub use shrink::{emit_test, minimize, remove_range_relinked, shrink_insts};

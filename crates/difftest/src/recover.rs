@@ -204,6 +204,7 @@ mod tests {
             final_cp: st.checkpoint(),
             final_state: st,
             final_mem: prog.image(),
+            snapshots: Vec::new(),
         };
         let spec = FaultSpec { arm_at_commit: 0, site: FaultSite::MemData, bit: 1 };
         let wl = prog.workload();

@@ -30,7 +30,7 @@ use crate::report::FuzzReport;
 use meek_campaign::Executor;
 use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, RunError, Sim};
 use meek_difftest::{
-    classify_with_in, cosim, emit_test, fault_plan, fuzz_program, golden_run_bounded,
+    arm_span, classify_with_in, cosim, emit_test, fault_plan, fuzz_program, golden_run_bounded,
     golden_run_in, minimize, shrink_insts, verify_recovery_outcome_in, CosimConfig, FaultOutcome,
     FuzzConfig, FuzzProgram, GoldenRun,
 };
@@ -311,7 +311,7 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
         }
     };
     let executed = golden.trace.len() as u64;
-    let span = (executed * 6 / 10).max(1);
+    let span = arm_span(executed);
 
     // The fault plan: inherited from the parent (arms re-fitted to this
     // program's span, one spec re-drawn — the plan-mutation operator)
