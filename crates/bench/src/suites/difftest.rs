@@ -4,9 +4,7 @@
 //! buys.
 
 use criterion::{black_box, Criterion, Throughput};
-use meek_difftest::{
-    classify_in, cosim, fault_plan, fuzz_program, golden_run, CosimConfig, FuzzConfig,
-};
+use meek_difftest::{cosim, fuzz_program, golden_run_in, Case, CosimConfig, FuzzConfig};
 
 fn bench_fuzz(c: &mut Criterion) {
     let mut g = c.benchmark_group("difftest");
@@ -21,27 +19,29 @@ fn bench_fuzz(c: &mut Criterion) {
     g.finish();
 }
 
+/// The golden run of `prog`, image build included.
+fn golden_len(prog: &meek_difftest::FuzzProgram) -> u64 {
+    golden_run_in(&prog.workload(), cosim::GOLDEN_CAP).expect("clean").trace.len() as u64
+}
+
 fn bench_golden(c: &mut Criterion) {
     let prog = fuzz_program(1, &FuzzConfig::default());
-    let n = golden_run(&prog).expect("clean").trace.len() as u64;
     let mut g = c.benchmark_group("difftest");
-    g.throughput(Throughput::Elements(n));
-    g.bench_function("golden_run", |b| {
-        b.iter(|| golden_run(black_box(&prog)).expect("clean").trace.len())
-    });
+    g.throughput(Throughput::Elements(golden_len(&prog)));
+    g.bench_function("golden_run", |b| b.iter(|| golden_len(black_box(&prog))));
     g.finish();
 }
 
 fn bench_cosim(c: &mut Criterion) {
     let prog = fuzz_program(2, &FuzzConfig::default());
-    let n = golden_run(&prog).expect("clean").trace.len() as u64;
     let mut g = c.benchmark_group("difftest");
-    g.throughput(Throughput::Elements(n));
+    g.throughput(Throughput::Elements(golden_len(&prog)));
     g.bench_function("three_way_cosim", |b| {
         b.iter(|| {
-            let v = cosim::run(black_box(&prog), &CosimConfig::default());
-            assert!(v.divergence.is_none());
-            v.executed
+            let wl = black_box(&prog).workload();
+            let case = Case::new(&wl, &CosimConfig::default());
+            assert!(case.verdict().divergence.is_none());
+            case.verdict().executed
         })
     });
     g.finish();
@@ -56,13 +56,12 @@ fn bench_case_rate(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("difftest_cases_per_sec", |b| {
         b.iter(|| {
-            let prog = fuzz_program(black_box(7), &FuzzConfig::default());
-            let (v, shared) = cosim::run_full(&prog, &CosimConfig::default());
-            assert!(v.divergence.is_none());
-            let (golden, wl) = shared.expect("clean cosim carries its golden run");
+            let wl = fuzz_program(black_box(7), &FuzzConfig::default()).workload();
+            let case = Case::new(&wl, &CosimConfig::default());
+            assert!(case.verdict().divergence.is_none());
             let mut classified = 0usize;
-            for spec in fault_plan(7, 3, v.executed) {
-                assert!(!classify_in(&golden, &wl, spec, 4).is_escape());
+            for spec in case.plan(7) {
+                assert!(!case.classify(spec).is_escape());
                 classified += 1;
             }
             classified

@@ -4,7 +4,7 @@
 //! the numbers that bound how many iterations a fuzzing budget buys.
 
 use criterion::{black_box, Criterion, Throughput};
-use meek_difftest::{fuzz_program, golden_run, FuzzConfig};
+use meek_difftest::{cosim, fuzz_program, golden_run_in, FuzzConfig};
 use meek_fuzz::{
     golden_features, mutate, run_fuzz, Corpus, CoverageMap, Dictionary, FuzzSettings, MutationOp,
 };
@@ -30,8 +30,8 @@ fn bench_mutation(c: &mut Criterion) {
 }
 
 fn bench_coverage(c: &mut Criterion) {
-    let prog = fuzz_program(3, &FuzzConfig::default());
-    let golden = golden_run(&prog).expect("clean");
+    let wl = fuzz_program(3, &FuzzConfig::default()).workload();
+    let golden = golden_run_in(&wl, cosim::GOLDEN_CAP).expect("clean");
     let mut g = c.benchmark_group("fuzz");
     g.throughput(Throughput::Elements(golden.trace.len() as u64));
     g.bench_function("golden_features", |b| {

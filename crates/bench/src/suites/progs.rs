@@ -5,7 +5,7 @@
 //! progs` and `meek-campaign --suite progs` pay.
 
 use criterion::{black_box, Criterion, Throughput};
-use meek_difftest::{classify_in, cosim, fault_plan, CosimConfig};
+use meek_difftest::{Case, CosimConfig};
 use meek_progs::{assemble, kernel, run_golden, suite, KERNELS, KERNEL_INST_CAP};
 
 fn bench_assemble(c: &mut Criterion) {
@@ -48,12 +48,11 @@ fn bench_case_rate(c: &mut Criterion) {
     g.bench_function("progs_cases_per_sec", |b| {
         b.iter(|| {
             let wl = meek_progs::rotation_workload(black_box(0));
-            let (v, golden) = cosim::run_workload(&wl, &cfg);
-            assert!(v.divergence.is_none());
-            let golden = golden.expect("clean cosim carries its golden run");
+            let case = Case::new(&wl, &cfg);
+            assert!(case.verdict().divergence.is_none());
             let mut classified = 0usize;
-            for spec in fault_plan(7, 3, v.executed) {
-                assert!(!classify_in(&golden, &wl, spec, 4).is_escape());
+            for spec in case.plan(7) {
+                assert!(!case.classify(spec).is_escape());
                 classified += 1;
             }
             classified

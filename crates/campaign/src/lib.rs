@@ -47,11 +47,13 @@
 
 pub mod engine;
 pub mod executor;
+pub mod seed;
 pub mod sink;
 pub mod spec;
 
 pub use engine::{run_campaign, run_shard, CampaignSummary, ShardResult};
 pub use executor::Executor;
+pub use seed::{fnv1a, parse_seed, splitmix};
 pub use sink::{
     site_name, AggregateSink, CampaignRecord, CsvSink, JsonlSink, LatencyStats, MetricsSink,
     RecordSink, SampleSink, ShardSummary, TraceSink,

@@ -9,6 +9,7 @@
 //! identical records whether shards run on one thread or sixteen, and
 //! a re-run with the same spec reproduces a prior campaign exactly.
 
+use crate::seed::{fnv1a, splitmix};
 use meek_core::fault::{random_fault_specs, FaultSpec};
 use meek_core::MeekConfig;
 use meek_progs::Kernel;
@@ -266,23 +267,6 @@ pub fn resolve_suite(suite: &str) -> Result<Vec<CampaignWorkload>, String> {
             Ok(picked)
         }
     }
-}
-
-/// FNV-1a, for mixing benchmark names into seed derivations.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// SplitMix64 finaliser: decorrelates structured seed inputs.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -22,6 +22,7 @@
 
 use crate::coverage::arm_span;
 use crate::fuzz::FuzzProgram;
+use crate::Case;
 use meek_core::{RunError, Sim};
 use meek_fabric::{DestMask, Packet, PacketSink, Payload};
 use meek_isa::disasm::{disasm_window, disasm_word};
@@ -33,9 +34,12 @@ use meek_workloads::Workload;
 use std::fmt;
 
 /// Status chunks one checkpoint occupies at the F2 fabric's chunking
-/// (65 words / 4 per packet). Shared with the coverage prover's replay
-/// twin so both littlecore drivers stay on the fabric's real geometry.
-pub(crate) const CHUNKS_PER_CP: usize = 17;
+/// (65 words / 4 per packet), so the golden-trace checker stays on the
+/// fabric's real geometry.
+const CHUNKS_PER_CP: usize = 17;
+
+/// Dynamic instructions of context in divergence trace windows.
+const WINDOW: usize = 8;
 
 /// Dynamic-instruction ceiling for a golden run; fuzzed programs are
 /// orders of magnitude shorter, so hitting this means non-termination.
@@ -48,20 +52,23 @@ pub const GOLDEN_CAP: u64 = 500_000;
 /// whose runs are longest do not hold extra copies of the SoC.
 const SNAPSHOT_BYTES: u64 = 1 << 20;
 
-/// Configuration of one co-simulation.
+/// Configuration of one [`Case`]: its co-simulation and its faults.
 #[derive(Debug, Clone, Copy)]
 pub struct CosimConfig {
     /// Instructions per replay segment in the lock-step littlecore way.
     pub seg_len: u64,
-    /// Checker cores in the full-system way.
+    /// Checker cores in the full-system way and in every fault run.
     pub n_little: usize,
-    /// Dynamic instructions of context in divergence trace windows.
-    pub window: usize,
+    /// Faults in the case's plan ([`Case::plan`]).
+    pub faults: usize,
+    /// Whether the case's faults go through the recovery oracle
+    /// ([`Case::recover`]) rather than detect-only classification.
+    pub recover: bool,
 }
 
 impl Default for CosimConfig {
     fn default() -> Self {
-        CosimConfig { seg_len: 192, n_little: 4, window: 8 }
+        CosimConfig { seg_len: 192, n_little: 4, faults: 3, recover: false }
     }
 }
 
@@ -157,30 +164,18 @@ pub struct GoldenRun {
     pub final_mem: meek_isa::SparseMemory,
     /// Paused copies of the co-simulation's clean full-system run, in
     /// commit order, that detect-only classification forks fault runs
-    /// from ([`run_workload`] takes them; empty otherwise).
+    /// from (only a [`Case`] that will classify takes them).
     pub(crate) snapshots: Vec<Sim>,
 }
 
-/// Runs the golden interpreter to program exit (or [`GOLDEN_CAP`]).
+/// Runs the golden interpreter over the built program `wl` to program
+/// exit or `cap` instructions. A [`Case`] caps it at [`GOLDEN_CAP`]; the
+/// shrinker and the fuzz engine pre-screen candidates at a lower cap, so
+/// a relink-manufactured infinite loop costs only `cap` steps to discard.
 ///
 /// # Errors
 ///
 /// Returns [`Divergence::GoldenTrap`] if the program traps.
-pub fn golden_run(prog: &FuzzProgram) -> Result<GoldenRun, Divergence> {
-    golden_run_bounded(prog, GOLDEN_CAP)
-}
-
-/// [`golden_run`] with a caller-chosen instruction ceiling — the shrink
-/// pre-screen rejects runaway candidates at a much lower bound than the
-/// fuzzer-facing cap, so a relink-manufactured infinite loop costs only
-/// `cap` interpreter steps to discard.
-pub fn golden_run_bounded(prog: &FuzzProgram, cap: u64) -> Result<GoldenRun, Divergence> {
-    golden_run_in(&prog.workload(), cap)
-}
-
-/// [`golden_run_bounded`] against an already-built [`Workload`], so the
-/// per-case image build and pre-decode pass happen exactly once across
-/// all three co-simulation ways and every fault oracle that follows.
 pub fn golden_run_in(wl: &Workload, cap: u64) -> Result<GoldenRun, Divergence> {
     let mut mem = wl.image().clone();
     let pd = wl.predecoded();
@@ -234,16 +229,10 @@ pub struct CosimVerdict {
     pub divergence: Option<Divergence>,
 }
 
-/// Runs all three ways and lock-steps them.
-pub fn run(prog: &FuzzProgram, cfg: &CosimConfig) -> CosimVerdict {
-    run_full(prog, cfg).0
-}
-
-/// [`run`], but also hands back the shared per-case artifacts — the
-/// golden run and the built [`Workload`] (image + pre-decode table) —
-/// so fault oracles downstream reuse them instead of rebuilding both
-/// for every injected fault. `None` when the golden run itself trapped
-/// (there is nothing to reuse).
+/// [`Case::new`] of `prog`'s image, returning the verdict and the golden
+/// run with the built image. Kept for the benchmark harness until it
+/// moves to [`Case`].
+#[doc(hidden)]
 pub fn run_full(
     prog: &FuzzProgram,
     cfg: &CosimConfig,
@@ -252,47 +241,20 @@ pub fn run_full(
         let _span = prof::span("image_build");
         prog.workload()
     };
-    let (verdict, golden) = run_workload(&wl, cfg);
+    let (verdict, golden) = Case::cosimulate(&wl, cfg);
     (verdict, golden.map(|g| (g, wl)))
 }
 
-/// Three-way co-simulation of an already-built [`Workload`] — the entry
-/// the real-program suite uses (loaded images carry initial register
-/// and CSR state that a [`FuzzProgram`] never has). Returns the verdict
-/// plus the golden run for downstream fault oracles, `None` when the
-/// golden way itself trapped. The golden run carries snapshots of the
-/// clean full-system run for [`crate::classify_in`] to fork from.
+/// [`Case::new`], returning the verdict and the golden run. Kept for the
+/// benchmark harness until it moves to [`Case`].
+#[doc(hidden)]
 pub fn run_workload(wl: &Workload, cfg: &CosimConfig) -> (CosimVerdict, Option<GoldenRun>) {
-    let golden = {
-        let _span = prof::span("golden_run");
-        golden_run_in(wl, GOLDEN_CAP)
-    };
-    match golden {
-        Ok(mut g) => {
-            let mut snapshots = Vec::new();
-            let verdict = check_ways(wl, &g, cfg, Some(&mut snapshots));
-            g.snapshots = snapshots;
-            (verdict, Some(g))
-        }
-        Err(d) => {
-            let verdict =
-                CosimVerdict { executed: 0, segments: 0, system_cycles: 0, divergence: Some(d) };
-            (verdict, None)
-        }
-    }
+    Case::cosimulate(wl, cfg)
 }
 
-/// Ways 2 and 3 against a golden run of `wl` the caller already has —
-/// the coverage-guided fuzzer's entry, whose bounded pre-screen is that
-/// golden run. It takes no snapshots: the fuzzer's fault runs carry a
-/// coverage observer that must see every cycle, so they do not fork.
-pub fn check(wl: &Workload, golden: &GoldenRun, cfg: &CosimConfig) -> CosimVerdict {
-    check_ways(wl, golden, cfg, None)
-}
-
-/// [`check`], pushing the snapshots [`system_check`] takes into
-/// `snapshots` when given.
-fn check_ways(
+/// Ways 2 and 3 against a golden run of `wl`, pushing the snapshots
+/// [`system_check`] takes into `snapshots` when given.
+pub(crate) fn check_ways(
     wl: &Workload,
     golden: &GoldenRun,
     cfg: &CosimConfig,
@@ -336,19 +298,11 @@ fn replay_lockstep(
     golden: &GoldenRun,
     cfg: &CosimConfig,
 ) -> Result<u32, Divergence> {
-    let image = wl.image();
-    let mut core = LittleCore::new(0, LittleCoreConfig::optimized(), CHUNKS_PER_CP);
-    core.install_predecode(wl.predecoded().clone());
-    core.seed_initial_checkpoint(wl.initial_state().checkpoint());
-    let initial_csrs = wl.initial_state().csr_snapshot();
-    if !initial_csrs.is_empty() {
-        core.install_initial_csrs(std::sync::Arc::new(initial_csrs));
-    }
+    let mut checker = Checker::new(wl, wl.initial_state().checkpoint());
     let n = golden.trace.len();
     let seg_len = cfg.seg_len.max(1) as usize;
     let n_segs = n.div_ceil(seg_len);
     let mut now = 0u64;
-    let mut seq = 0u64;
     // Replaying the segment's end state requires the checkpoint *after*
     // its last instruction; track it by replaying the writebacks the
     // golden trace already carries.
@@ -357,73 +311,23 @@ fn replay_lockstep(
         let seg = (seg_idx + 1) as u32;
         let start = seg_idx * seg_len;
         let end = (start + seg_len).min(n);
-        core.assign(seg);
-        for r in &golden.trace[start..end] {
-            if let Some(m) = r.mem {
-                core.lsl.deliver(
-                    Packet {
-                        seq,
-                        dest: DestMask::single(0),
-                        payload: Payload::Mem {
-                            seg,
-                            addr: m.addr,
-                            size: m.size,
-                            data: m.data,
-                            is_store: m.is_store,
-                        },
-                        created_at: now,
-                    },
-                    now,
-                );
-                seq += 1;
-            }
-            if let Some((addr, data)) = r.csr_read {
-                core.lsl.deliver(
-                    Packet {
-                        seq,
-                        dest: DestMask::single(0),
-                        payload: Payload::Csr { seg, addr, data },
-                        created_at: now,
-                    },
-                    now,
-                );
-                seq += 1;
-            }
-        }
         // ERCP: the golden architectural state after the segment's last
         // instruction, reconstructed from the trace's writeback records
         // (the same commit-order view the DEU shadows).
         for r in &golden.trace[start..end] {
             apply_writeback(&mut shadow, r);
         }
-        let ercp = shadow.checkpoint();
-        core.lsl.deliver(
-            Packet {
-                seq,
-                dest: DestMask::single(0),
-                payload: Payload::RcpEnd {
-                    seg,
-                    inst_count: (end - start) as u64,
-                    cp: Box::new(ercp),
-                },
-                created_at: now,
-            },
-            now,
-        );
-        seq += 1;
-        let replayed_before = core.stats().replayed_insts;
-        let deadline = now + 400 * (end - start) as u64 + 50_000;
-        // All forwarded data for the segment is already in the LSL, so
-        // the batched fast path consumes the whole record window in one
-        // call; a missing verdict means the replay starved (or spun past
-        // the deadline) — it can never catch up, because nothing more
-        // will be delivered.
-        let (resumed_at, ev) = core.check_burst(now, image, deadline);
+        let replayed_before = checker.core.stats().replayed_insts;
+        // A missing verdict means the replay starved (or spun past the
+        // deadline) — it can never catch up, because nothing more will
+        // be delivered.
+        let (resumed_at, ev) =
+            checker.check(seg, &golden.trace[start..end], None, shadow.checkpoint(), now);
         now = resumed_at + 1;
+        let in_seg = checker.core.stats().replayed_insts - replayed_before;
         match ev {
             Some(CheckerEvent::SegmentVerified { seg: vseg, pass, mismatch }) => {
                 if !pass {
-                    let in_seg = core.stats().replayed_insts - replayed_before;
                     // The failing comparison is the last replayed
                     // instruction (LSL mismatches) or the segment end
                     // (ERCP register mismatches).
@@ -432,19 +336,77 @@ fn replay_lockstep(
                         seg: vseg,
                         kind: mismatch.expect("failed segment carries a mismatch"),
                         at_index: at,
-                        window: trace_window(golden, at as usize, cfg.window),
+                        window: trace_window(golden, at as usize, WINDOW),
                     });
                 }
             }
-            _ => {
-                return Err(Divergence::ReplayStuck {
-                    seg,
-                    replayed: core.stats().replayed_insts - replayed_before,
-                });
-            }
+            _ => return Err(Divergence::ReplayStuck { seg, replayed: in_seg }),
         }
     }
     Ok(n_segs as u32)
+}
+
+/// A littlecore checker fed golden-trace windows, the way the fabric
+/// delivers a segment's forwarded data — the lock-step way above, and
+/// the coverage prover's replay twin.
+pub(crate) struct Checker<'w> {
+    pub(crate) core: LittleCore,
+    wl: &'w Workload,
+    seq: u64,
+}
+
+impl<'w> Checker<'w> {
+    /// A checker for `wl` whose first segment starts from `srcp`.
+    pub(crate) fn new(wl: &'w Workload, srcp: RegCheckpoint) -> Checker<'w> {
+        let mut core = LittleCore::new(0, LittleCoreConfig::optimized(), CHUNKS_PER_CP);
+        core.install_predecode(wl.predecoded().clone());
+        core.seed_initial_checkpoint(srcp);
+        let initial_csrs = wl.initial_state().csr_snapshot();
+        if !initial_csrs.is_empty() {
+            core.install_initial_csrs(std::sync::Arc::new(initial_csrs));
+        }
+        Checker { core, wl, seq: 0 }
+    }
+
+    /// Assigns segment `seg`, delivers every memory and CSR record of
+    /// `window` at cycle `now` — the memory record at window index
+    /// `corrupt.0` with the corrupted `(addr, data)` instead — then the
+    /// end checkpoint `ercp`, and replays the segment. With the whole
+    /// record window already in the LSL, the batched fast path consumes
+    /// it in one call. Returns the cycle the core resumes at and its
+    /// verdict, `None` if it starved or overran its deadline.
+    pub(crate) fn check(
+        &mut self,
+        seg: u32,
+        window: &[Retired],
+        corrupt: Option<(usize, u64, u64)>,
+        ercp: RegCheckpoint,
+        now: u64,
+    ) -> (u64, Option<CheckerEvent>) {
+        self.core.assign(seg);
+        let mut send = |payload| {
+            let packet =
+                Packet { seq: self.seq, dest: DestMask::single(0), payload, created_at: now };
+            self.core.lsl.deliver(packet, now);
+            self.seq += 1;
+        };
+        for (i, r) in window.iter().enumerate() {
+            if let Some(m) = r.mem {
+                let (addr, data) = match corrupt {
+                    Some((at, addr, data)) if at == i => (addr, data),
+                    _ => (m.addr, m.data),
+                };
+                let is_store = m.is_store;
+                send(Payload::Mem { seg, addr, size: m.size, data, is_store });
+            }
+            if let Some((addr, data)) = r.csr_read {
+                send(Payload::Csr { seg, addr, data });
+            }
+        }
+        let inst_count = window.len() as u64;
+        send(Payload::RcpEnd { seg, inst_count, cp: Box::new(ercp) });
+        self.core.check_burst(now, self.wl.image(), now + 400 * inst_count + 50_000)
+    }
 }
 
 /// Applies a retired instruction's writeback to a commit-order shadow
@@ -541,9 +503,14 @@ mod tests {
     #[test]
     fn clean_programs_cosim_clean() {
         for seed in 0..6 {
-            let prog = fuzz_program(seed, &FuzzConfig::default());
-            let v = run(&prog, &CosimConfig::default());
-            assert!(v.divergence.is_none(), "seed {seed} diverged: {}", v.divergence.unwrap());
+            let wl = fuzz_program(seed, &FuzzConfig::default()).workload();
+            let case = Case::new(&wl, &CosimConfig::default());
+            let v = case.verdict();
+            assert!(
+                v.divergence.is_none(),
+                "seed {seed} diverged: {}",
+                v.divergence.clone().unwrap()
+            );
             assert!(v.executed > 0);
             assert!(v.segments >= 1);
             assert!(v.system_cycles > 0);
@@ -554,8 +521,8 @@ mod tests {
     fn corrupted_golden_data_is_caught_by_replay() {
         // Sanity that the lock-step way actually *can* fail: corrupt one
         // forwarded store's data by corrupting the trace copy.
-        let prog = fuzz_program(3, &FuzzConfig::default());
-        let mut golden = golden_run(&prog).expect("clean");
+        let wl = fuzz_program(3, &FuzzConfig::default()).workload();
+        let mut golden = golden_run_in(&wl, GOLDEN_CAP).expect("clean");
         let victim = golden
             .trace
             .iter()
@@ -564,7 +531,7 @@ mod tests {
         if let Some(m) = &mut golden.trace[victim].mem {
             m.data ^= 1 << 5;
         }
-        let d = replay_lockstep(&prog.workload(), &golden, &CosimConfig::default())
+        let d = replay_lockstep(&wl, &golden, &CosimConfig::default())
             .expect_err("corruption must be detected");
         match d {
             Divergence::Replay { kind, window, .. } => {
@@ -588,32 +555,49 @@ mod tests {
         // A fuzzed program keeps a snapshot at each third of its arm span.
         let wl = fuzz_program(0, &FuzzConfig::default()).workload();
         let cfg = CosimConfig::default();
-        let (verdict, golden) = run_workload(&wl, &cfg);
-        let golden = golden.expect("golden run");
+        let case = Case::new(&wl, &cfg);
+        let golden = case.golden().expect("golden run");
         let commits: Vec<u64> = golden.snapshots.iter().map(|s| s.system().committed()).collect();
-        let span = arm_span(verdict.executed);
+        let span = arm_span(case.verdict().executed);
         assert!(
             matches!(commits[..], [a, b] if a >= span / 3 && b >= span * 2 / 3 && a < b),
             "snapshots at {commits:?} for an arm span of {span}"
         );
         let bytes: u64 = golden.snapshots.iter().map(|s| s.system().cache_state_bytes()).sum();
         assert!(bytes <= SNAPSHOT_BYTES, "{bytes} bytes of cache state kept");
-        // Pausing for them does not change the clean run.
-        assert_eq!(format!("{verdict:?}"), format!("{:?}", check(&wl, &golden, &cfg)));
+        // The kept wrapper takes the same snapshots.
+        let (_, kept) = run_workload(&wl, &cfg);
+        let kept: Vec<u64> =
+            kept.expect("golden run").snapshots.iter().map(|s| s.system().committed()).collect();
+        assert_eq!(kept, commits);
+        // Pausing for them does not change the clean run, and a case that
+        // will not classify (recovery, or no faults) keeps none.
+        let unpaused = Case::with_golden(&wl, golden.clone(), &cfg);
+        assert_eq!(format!("{:?}", case.verdict()), format!("{:?}", unpaused.verdict()));
+        for cfg in [CosimConfig { recover: true, ..cfg }, CosimConfig { faults: 0, ..cfg }] {
+            let case = Case::new(&wl, &cfg);
+            assert_eq!(format!("{:?}", case.verdict()), format!("{:?}", unpaused.verdict()));
+            assert!(case.golden().expect("golden run").snapshots.is_empty(), "{cfg:?}");
+        }
         // One snapshot of the fused kernel set is over the budget alone.
         let fused = meek_progs::WorkloadSet::all().fuse();
-        let (verdict, golden) = run_workload(&fused, &cfg);
-        assert!(verdict.divergence.is_none(), "{}", verdict.divergence.unwrap());
-        assert!(golden.expect("golden run").snapshots.is_empty());
+        let case = Case::new(&fused, &cfg);
+        assert!(
+            case.verdict().divergence.is_none(),
+            "{}",
+            case.verdict().divergence.clone().unwrap()
+        );
+        assert!(case.golden().expect("golden run").snapshots.is_empty());
     }
 
     #[test]
     fn seg_len_does_not_change_the_verdict() {
-        let prog = fuzz_program(11, &FuzzConfig::default());
+        let wl = fuzz_program(11, &FuzzConfig::default()).workload();
         for seg_len in [7, 64, 1000] {
-            let cfg = CosimConfig { seg_len, ..CosimConfig::default() };
-            let v = run(&prog, &cfg);
-            assert!(v.divergence.is_none(), "seg_len {seg_len}: {}", v.divergence.unwrap());
+            let cfg = CosimConfig { seg_len, faults: 0, ..CosimConfig::default() };
+            let case = Case::new(&wl, &cfg);
+            let d = &case.verdict().divergence;
+            assert!(d.is_none(), "seg_len {seg_len}: {}", d.clone().unwrap());
         }
     }
 }

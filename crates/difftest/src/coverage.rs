@@ -22,11 +22,10 @@
 //! architecture exists to prevent. A panic is not a verdict: it is a
 //! simulator bug, and propagates.
 
-use crate::cosim::GoldenRun;
-use meek_core::{CorruptedField, FaultSite, FaultSpec, MaskRecord, RunError, Sim};
-use meek_fabric::{DestMask, Packet, PacketSink, Payload};
+use crate::cosim::{Checker, GoldenRun};
+use meek_core::{CorruptedField, FaultSite, FaultSpec, MaskRecord, RunError, RunReport, Sim};
 use meek_isa::state::RegCheckpoint;
-use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig};
+use meek_littlecore::CheckerEvent;
 use meek_telemetry::prof;
 use meek_workloads::Workload;
 use rand::rngs::SmallRng;
@@ -101,18 +100,29 @@ pub fn fault_plan(seed: u64, n: usize, executed: u64) -> Vec<FaultSpec> {
         .collect()
 }
 
-/// Injects `spec` into a full-system run of the program built as `wl`
-/// and classifies the outcome against the golden reference. Taking the
-/// built [`Workload`] lets a fault plan of N specs share one image build
-/// and pre-decode pass instead of repeating both per fault.
+/// [`crate::Case::classify`] against a golden run and built program the
+/// caller holds. Kept for the benchmark harness until it moves to
+/// [`crate::Case`].
+#[doc(hidden)]
+pub fn classify_in(
+    golden: &GoldenRun,
+    wl: &Workload,
+    spec: FaultSpec,
+    n_little: usize,
+) -> FaultOutcome {
+    classify(golden, wl, spec, n_little)
+}
+
+/// Injects `spec` into a detect-only full-system run of the program
+/// built as `wl` on `n_little` checkers and classifies the outcome
+/// against the golden reference.
 ///
 /// The run forks from the latest of the golden run's clean-run
-/// snapshots ([`crate::cosim::run_workload`] takes them) that precedes
-/// the arm point on `n_little` checkers, so the fault-free prefix is
-/// not simulated again; without one it is built from scratch. Under
-/// `debug_assertions` a forked run is checked against the from-scratch
-/// build.
-pub fn classify_in(
+/// snapshots that precedes the arm point on `n_little` checkers, so the
+/// fault-free prefix is not simulated again; without one it is built
+/// from scratch. Under `debug_assertions` a forked run is checked
+/// against the from-scratch build.
+pub(crate) fn classify(
     golden: &GoldenRun,
     wl: &Workload,
     spec: FaultSpec,
@@ -151,7 +161,7 @@ pub fn classify_in(
         None => halted(scratch()),
     };
     match report {
-        Ok(report) => classify_with_in(golden, wl, spec, &report),
+        Ok(report) => judge(golden, wl, spec, &report),
         Err(RunError::Livelock { .. }) => {
             FaultOutcome::Escaped { reason: format!("system failed to drain with fault {spec:?}") }
         }
@@ -167,14 +177,14 @@ fn fork_point(golden: &GoldenRun, spec: FaultSpec, n_little: usize) -> Option<&S
     })
 }
 
-/// Classifies an already-completed run's report against the golden
-/// reference — shared by detect-only [`classify_in`] and the recovery
-/// oracle, which needs the report *and* the drained system.
-pub fn classify_with_in(
+/// Classifies a completed run's report against the golden reference —
+/// shared by detect-only [`classify`], the recovery oracle and
+/// [`crate::Case::judge`].
+pub(crate) fn judge(
     golden: &GoldenRun,
     wl: &Workload,
     spec: FaultSpec,
-    report: &meek_core::RunReport,
+    report: &RunReport,
 ) -> FaultOutcome {
     if let Some(d) = report.detections.first() {
         return FaultOutcome::Detected { latency_ns: d.latency_ns };
@@ -252,7 +262,7 @@ fn prove_benign(golden: &GoldenRun, wl: &Workload, mask: &MaskRecord) -> FaultOu
                 }
             };
             let srcp = state_at(golden, wl, start);
-            replay_twin(golden, wl, start, end, srcp, Some((idx, caddr, cdata)), mask)
+            replay_twin(golden, wl, start, end, srcp, Some((idx - start, caddr, cdata)), mask)
         }
         CorruptedField::Register { index, clean_cp } => {
             // The corrupted checkpoint was cut at the surface's opening
@@ -286,7 +296,7 @@ fn state_at(golden: &GoldenRun, wl: &Workload, k: usize) -> RegCheckpoint {
 
 /// Replays `golden.trace[start..end]` on a littlecore as one segment:
 /// SRCP = `srcp` (possibly corrupted), run-time records from the golden
-/// trace — with the record anchored at `corrupt`'s absolute trace index
+/// trace — with the memory record at `corrupt`'s index into the surface
 /// replaced by the corrupted `(addr, data)` — and the fault-free golden
 /// registers at `end` as the ERCP.
 fn replay_twin(
@@ -298,68 +308,8 @@ fn replay_twin(
     corrupt: Option<(usize, u64, u64)>,
     mask: &MaskRecord,
 ) -> FaultOutcome {
-    let image = wl.image();
-    let mut core = LittleCore::new(0, LittleCoreConfig::optimized(), crate::cosim::CHUNKS_PER_CP);
-    core.install_predecode(wl.predecoded().clone());
-    let initial_csrs = wl.initial_state().csr_snapshot();
-    if !initial_csrs.is_empty() {
-        core.install_initial_csrs(std::sync::Arc::new(initial_csrs));
-    }
-    core.seed_initial_checkpoint(srcp);
-    core.assign(1);
-    let mut seq = 0u64;
-    for (i, r) in golden.trace[start..end].iter().enumerate() {
-        let abs = start + i;
-        if let Some(m) = r.mem {
-            let (addr, data) = match corrupt {
-                Some((idx, caddr, cdata)) if idx == abs => (caddr, cdata),
-                _ => (m.addr, m.data),
-            };
-            core.lsl.deliver(
-                Packet {
-                    seq,
-                    dest: DestMask::single(0),
-                    payload: Payload::Mem {
-                        seg: 1,
-                        addr,
-                        size: m.size,
-                        data,
-                        is_store: m.is_store,
-                    },
-                    created_at: 0,
-                },
-                0,
-            );
-            seq += 1;
-        }
-        if let Some((addr, data)) = r.csr_read {
-            core.lsl.deliver(
-                Packet {
-                    seq,
-                    dest: DestMask::single(0),
-                    payload: Payload::Csr { seg: 1, addr, data },
-                    created_at: 0,
-                },
-                0,
-            );
-            seq += 1;
-        }
-    }
-    let len = (end - start) as u64;
     let ercp = if end == golden.trace.len() { golden.final_cp } else { state_at(golden, wl, end) };
-    core.lsl.deliver(
-        Packet {
-            seq,
-            dest: DestMask::single(0),
-            payload: Payload::RcpEnd { seg: 1, inst_count: len, cp: Box::new(ercp) },
-            created_at: 0,
-        },
-        0,
-    );
-    let deadline = 400 * len + 50_000;
-    // The whole (possibly corrupted) log is pre-delivered, so the twin
-    // replays the surface segment as one batched record window.
-    let (_, ev) = core.check_burst(0, image, deadline);
+    let (_, ev) = Checker::new(wl, srcp).check(1, &golden.trace[start..end], corrupt, ercp, 0);
     match ev {
         Some(CheckerEvent::SegmentVerified { pass: true, .. }) => FaultOutcome::MaskedProvenBenign,
         Some(CheckerEvent::SegmentVerified { mismatch, .. }) => FaultOutcome::Escaped {
@@ -378,8 +328,9 @@ fn replay_twin(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosim::{golden_run, run_full, CosimConfig};
+    use crate::cosim::{golden_run_in, CosimConfig, GOLDEN_CAP};
     use crate::fuzz::{fuzz_program, FuzzConfig};
+    use crate::Case;
 
     /// `golden` without its clean-run snapshots: every fault classified
     /// against it builds its run from scratch.
@@ -391,12 +342,13 @@ mod tests {
     fn forked_runs_classify_like_from_scratch_builds() {
         let mut forks = 0;
         for seed in 0..40u64 {
-            let prog = fuzz_program(seed, &FuzzConfig::default());
-            let (verdict, shared) = run_full(&prog, &CosimConfig::default());
-            assert!(verdict.divergence.is_none(), "seed {seed}: {}", verdict.divergence.unwrap());
-            let (golden, wl) = shared.expect("a clean co-simulation carries its golden run");
-            let scratch = without_snapshots(&golden);
-            let plan = fault_plan(seed, 3, verdict.executed);
+            let wl = fuzz_program(seed, &FuzzConfig::default()).workload();
+            let case = Case::new(&wl, &CosimConfig::default());
+            let d = &case.verdict().divergence;
+            assert!(d.is_none(), "seed {seed}: {}", d.clone().unwrap());
+            let golden = case.golden().expect("a clean co-simulation carries its golden run");
+            let scratch = without_snapshots(golden);
+            let plan = case.plan(seed);
             // Besides the plan: an arm at 0, and arms at and just past
             // each snapshot's commit count, where the choice of snapshot
             // changes.
@@ -407,9 +359,11 @@ mod tests {
                     .map(|(arm_at_commit, f)| FaultSpec { arm_at_commit, ..*f }),
             );
             for spec in specs {
-                forks += u32::from(fork_point(&golden, spec, 4).is_some());
+                forks += u32::from(fork_point(golden, spec, 4).is_some());
+                // The kept wrapper, on a golden run without snapshots,
+                // judges like the case's forked run.
                 assert_eq!(
-                    classify_in(&golden, &wl, spec, 4),
+                    case.classify(spec),
                     classify_in(&scratch, &wl, spec, 4),
                     "seed {seed}, {spec:?}"
                 );
@@ -421,20 +375,20 @@ mod tests {
 
     #[test]
     fn another_checker_count_builds_from_scratch() {
-        let prog = fuzz_program(3, &FuzzConfig::default());
-        let (_, shared) = run_full(&prog, &CosimConfig::default());
-        let (golden, wl) = shared.expect("a clean co-simulation carries its golden run");
+        let wl = fuzz_program(3, &FuzzConfig::default()).workload();
+        let case = Case::new(&wl, &CosimConfig::default());
+        let golden = case.golden().expect("a clean co-simulation carries its golden run");
         let last = golden.snapshots.last().expect("a fuzz case keeps snapshots");
         let spec = FaultSpec {
             arm_at_commit: last.system().committed() + 1,
             site: FaultSite::MemData,
             bit: 3,
         };
-        assert!(fork_point(&golden, spec, 4).is_some(), "the snapshots ran on 4 checkers");
-        assert!(fork_point(&golden, spec, 2).is_none());
+        assert!(fork_point(golden, spec, 4).is_some(), "the snapshots ran on 4 checkers");
+        assert!(fork_point(golden, spec, 2).is_none());
         assert_eq!(
-            classify_in(&golden, &wl, spec, 2),
-            classify_in(&without_snapshots(&golden), &wl, spec, 2)
+            classify(golden, &wl, spec, 2),
+            classify(&without_snapshots(golden), &wl, spec, 2)
         );
     }
 
@@ -444,11 +398,12 @@ mod tests {
         let mut masked = 0;
         let mut pending = 0;
         for seed in 0..8u64 {
-            let prog = fuzz_program(seed, &FuzzConfig::default());
-            let golden = golden_run(&prog).expect("clean");
-            let wl = prog.workload();
-            for spec in fault_plan(seed, 3, golden.trace.len() as u64) {
-                match classify_in(&golden, &wl, spec, 4) {
+            let wl = fuzz_program(seed, &FuzzConfig::default()).workload();
+            let case = Case::new(&wl, &CosimConfig::default());
+            let d = &case.verdict().divergence;
+            assert!(d.is_none(), "seed {seed}: {}", d.clone().unwrap());
+            for spec in case.plan(seed) {
+                match case.classify(spec) {
                     FaultOutcome::Detected { latency_ns } => {
                         assert!(latency_ns > 0.0);
                         detected += 1;
@@ -469,8 +424,8 @@ mod tests {
         // Hand a fabricated mask record for a *store data* corruption —
         // something the LSL comparison catches immediately — and check
         // the prover convicts rather than excuses it.
-        let prog = fuzz_program(5, &FuzzConfig::default());
-        let golden = golden_run(&prog).expect("clean");
+        let wl = fuzz_program(5, &FuzzConfig::default()).workload();
+        let golden = golden_run_in(&wl, GOLDEN_CAP).expect("clean");
         let idx = golden
             .trace
             .iter()
@@ -486,7 +441,7 @@ mod tests {
             surface_start: 0,
             surface_end: None,
         };
-        let outcome = prove_benign(&golden, &prog.workload(), &mask);
+        let outcome = prove_benign(&golden, &wl, &mask);
         assert!(outcome.is_escape(), "a live store corruption must convict, got {outcome}");
     }
 

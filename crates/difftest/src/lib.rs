@@ -26,23 +26,27 @@
 //!   that each detected fault end with a final architectural state
 //!   (registers, CSRs, memory) equal to the golden interpreter's.
 //!
-//! The `meek-difftest` CLI fans cases out over the `meek-campaign`
-//! executor; its report is byte-identical for a given seed at any
-//! `--threads`.
+//! Every caller drives the oracles through one [`Case`]. [`run_case`] is
+//! the grid cell the `meek-difftest` CLI and serve difftest jobs share;
+//! the CLI fans cases out over the `meek-campaign` executor, and its
+//! report is byte-identical for a given seed at any `--threads`.
 //!
 //! # Example
 //!
 //! ```
-//! use meek_difftest::{cosim, fuzz_program, CosimConfig, FuzzConfig};
+//! use meek_difftest::{fuzz_program, Case, CosimConfig, FuzzConfig};
 //!
-//! let prog = fuzz_program(7, &FuzzConfig { static_len: 60 });
-//! let verdict = cosim::run(&prog, &CosimConfig::default());
-//! assert!(verdict.divergence.is_none(), "{}", verdict.divergence.unwrap());
-//! assert!(verdict.executed > 0);
+//! let wl = fuzz_program(7, &FuzzConfig { static_len: 60 }).workload();
+//! let case = Case::new(&wl, &CosimConfig::default());
+//! assert!(case.verdict().divergence.is_none());
+//! for spec in case.plan(7) {
+//!     assert!(!case.classify(spec).is_escape());
+//! }
 //! ```
 //!
 //! [`FaultSpec`]: meek_core::FaultSpec
 
+mod case;
 pub mod cosim;
 pub mod coverage;
 pub mod fuzz;
@@ -50,12 +54,14 @@ pub mod recover;
 pub mod shrink;
 pub mod stats;
 
-pub use cosim::{
-    golden_run, golden_run_bounded, golden_run_in, run_workload, CosimConfig, CosimVerdict,
-    Divergence, GoldenRun,
-};
-pub use coverage::{arm_span, classify_in, classify_with_in, fault_plan, FaultOutcome};
+pub use case::{case_seed, run_case, Case, CaseReport, Suite};
+pub use cosim::{golden_run_in, CosimConfig, CosimVerdict, Divergence, GoldenRun};
+#[doc(hidden)]
+pub use coverage::classify_in;
+pub use coverage::{arm_span, fault_plan, FaultOutcome};
 pub use fuzz::{fuzz_program, FuzzConfig, FuzzProgram};
-pub use recover::{verify_recovery_in, verify_recovery_outcome_in, RecoveryVerdict};
+#[doc(hidden)]
+pub use recover::verify_recovery_in;
+pub use recover::RecoveryVerdict;
 pub use shrink::{emit_test, minimize, remove_range_relinked, shrink_insts};
 pub use stats::DifftestStats;

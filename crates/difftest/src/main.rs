@@ -15,11 +15,11 @@
 //! campaign executor and results are re-sequenced into case order, so
 //! output is byte-identical at any `--threads`.
 
-use meek_campaign::Executor;
-use meek_core::{validate_config, FabricKind, MeekConfig};
+use meek_campaign::{parse_seed, Executor};
+use meek_core::{validate_config, MeekConfig};
 use meek_difftest::{
-    classify_in, cosim, emit_test, fault_plan, fuzz_program, minimize, verify_recovery_in,
-    CosimConfig, DifftestStats, Divergence, FaultOutcome, FuzzConfig, RecoveryVerdict,
+    case_seed, emit_test, fuzz_program, minimize, run_case, CaseReport, CosimConfig, DifftestStats,
+    Divergence, FaultOutcome, FuzzConfig, RecoveryVerdict, Suite,
 };
 use meek_telemetry::prof;
 use std::io::Write;
@@ -77,34 +77,12 @@ struct Args {
     cases: u64,
     seed: u64,
     threads: usize,
-    faults: usize,
-    seg_len: u64,
-    static_len: usize,
-    little: usize,
-    suite: bool,
-    recover: bool,
+    cfg: CosimConfig,
+    suite: Suite,
     stats: bool,
     prof: Option<String>,
     shrink: bool,
     emit_path: Option<String>,
-}
-
-/// Parses a seed: decimal, `0x`-prefixed hex, or — for anything else —
-/// an FNV-1a hash of the string, so mnemonic seeds like `0xMEEK` work.
-fn parse_seed(s: &str) -> u64 {
-    if let Ok(v) = s.parse::<u64>() {
-        return v;
-    }
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        if let Ok(v) = u64::from_str_radix(hex, 16) {
-            return v;
-        }
-    }
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
@@ -117,17 +95,16 @@ impl Args {
             cases: 100,
             seed: 0,
             threads: 0,
-            faults: 3,
-            seg_len: 192,
-            static_len: 220,
-            little: 4,
-            suite: false,
-            recover: false,
+            cfg: CosimConfig::default(),
+            suite: Suite::Progs,
             stats: false,
             prof: None,
             shrink: false,
             emit_path: None,
         };
+        let mut progs = false;
+        let mut fuzz = FuzzConfig::default();
+        let cfg = &mut args.cfg;
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             let mut value =
@@ -136,20 +113,20 @@ impl Args {
                 "--cases" => args.cases = parse_num(&value("--cases")?, "--cases")?,
                 "--seed" => args.seed = parse_seed(&value("--seed")?),
                 "--threads" => args.threads = parse_num(&value("--threads")?, "--threads")?,
-                "--faults" => args.faults = parse_num(&value("--faults")?, "--faults")?,
-                "--seg-len" => args.seg_len = parse_num(&value("--seg-len")?, "--seg-len")?,
+                "--faults" => cfg.faults = parse_num(&value("--faults")?, "--faults")?,
+                "--seg-len" => cfg.seg_len = parse_num(&value("--seg-len")?, "--seg-len")?,
                 "--static-len" => {
-                    args.static_len = parse_num(&value("--static-len")?, "--static-len")?
+                    fuzz.static_len = parse_num(&value("--static-len")?, "--static-len")?
                 }
-                "--little" => args.little = parse_num(&value("--little")?, "--little")?,
+                "--little" => cfg.n_little = parse_num(&value("--little")?, "--little")?,
                 "--suite" => {
                     let name = value("--suite")?;
                     if name != "progs" {
                         return Err(format!("unknown suite `{name}` (try `progs`)"));
                     }
-                    args.suite = true;
+                    progs = true;
                 }
-                "--recover" => args.recover = true,
+                "--recover" => cfg.recover = true,
                 "--stats" => args.stats = true,
                 "--prof" => args.prof = Some(value("--prof")?),
                 "--shrink" => args.shrink = true,
@@ -158,80 +135,15 @@ impl Args {
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
-        if args.cases == 0 || args.seg_len == 0 || args.static_len == 0 {
+        if args.cases == 0 || args.cfg.seg_len == 0 || fuzz.static_len == 0 {
             return Err("--cases, --seg-len and --static-len must be positive".into());
         }
-        validate_config(&MeekConfig::with_little_cores(args.little))
+        validate_config(&MeekConfig::with_little_cores(args.cfg.n_little))
             .map_err(|e| format!("--little: {e}"))?;
-        Ok(args)
-    }
-}
-
-/// SplitMix64 finaliser, for deriving per-case seeds.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-struct CaseResult {
-    case_seed: u64,
-    executed: u64,
-    segments: u32,
-    system_cycles: u64,
-    divergence: Option<Divergence>,
-    outcomes: Vec<(meek_core::FaultSpec, FaultOutcome, Option<RecoveryVerdict>)>,
-}
-
-/// The `--suite progs` rotation: the committed benchmark kernels in
-/// canonical order, then the fused all-kernel multi-workload set —
-/// the canonical rotation `meek-serve` difftest jobs share.
-fn suite_workload(case: u64) -> meek_workloads::Workload {
-    meek_progs::rotation_workload(case)
-}
-
-fn run_case(case_seed: u64, case: u64, args: &Args) -> CaseResult {
-    let cfg =
-        CosimConfig { seg_len: args.seg_len, n_little: args.little, ..CosimConfig::default() };
-    let (verdict, shared) = if args.suite {
-        let wl = {
-            let _span = prof::span("image_build");
-            suite_workload(case)
-        };
-        let (verdict, golden) = cosim::run_workload(&wl, &cfg);
-        (verdict, golden.map(|g| (g, wl)))
-    } else {
-        let prog = fuzz_program(case_seed, &FuzzConfig { static_len: args.static_len });
-        cosim::run_full(&prog, &cfg)
-    };
-    let mut outcomes = Vec::new();
-    if verdict.divergence.is_none() && args.faults > 0 && verdict.executed > 0 {
-        // Only a program whose clean run agrees three ways is a valid
-        // substrate for coverage classification. The co-simulation
-        // already produced the golden run and the built workload; every
-        // injected fault reuses both.
-        let (golden, wl) = shared.expect("clean cosim carries its golden run");
-        for spec in fault_plan(case_seed, args.faults, verdict.executed) {
-            if args.recover {
-                let _span = prof::span("recovery");
-                let (outcome, recovery) =
-                    verify_recovery_in(&golden, &wl, spec, args.little, FabricKind::F2);
-                outcomes.push((spec, outcome, Some(recovery)));
-            } else {
-                let _span = prof::span("classify");
-                let outcome = classify_in(&golden, &wl, spec, args.little);
-                outcomes.push((spec, outcome, None));
-            }
+        if !progs {
+            args.suite = Suite::Fuzz(fuzz);
         }
-    }
-    CaseResult {
-        case_seed,
-        executed: verdict.executed,
-        segments: verdict.segments,
-        system_cycles: verdict.system_cycles,
-        divergence: verdict.divergence,
-        outcomes,
+        Ok(args)
     }
 }
 
@@ -239,7 +151,24 @@ fn run_case(case_seed: u64, case: u64, args: &Args) -> CaseResult {
 /// stream the co-simulation would run, one report per program.
 fn cmd_analyze(args: &Args) -> ExitCode {
     let mut unclean = 0u64;
-    if args.suite {
+    if let Suite::Fuzz(fuzz) = args.suite {
+        for case in 0..args.cases {
+            let case_seed = case_seed(args.seed, case);
+            let prog = fuzz_program(case_seed, &fuzz);
+            let mut spec = meek_difftest::FuzzProgram::spec();
+            spec.name = format!("case {case} (seed {case_seed:#x})");
+            let report = meek_analyze::analyze_words(&prog.words, &spec);
+            print!("{report}");
+            // A *fresh* fuzzed program must be spotless: violations and
+            // trap forecasts alike are seed-fuzzer bugs.
+            unclean += u64::from(!report.clean());
+        }
+        println!(
+            "analyzed {} fuzzed program(s): {}",
+            args.cases,
+            if unclean == 0 { "all clean".to_string() } else { format!("{unclean} unclean") },
+        );
+    } else {
         for k in &meek_progs::KERNELS {
             let prog = meek_progs::suite::program(k);
             let report = meek_progs::analyze_program(&prog);
@@ -253,23 +182,6 @@ fn cmd_analyze(args: &Args) -> ExitCode {
         println!(
             "analyzed {} kernel(s) + fused set: {}",
             meek_progs::KERNELS.len(),
-            if unclean == 0 { "all clean".to_string() } else { format!("{unclean} unclean") },
-        );
-    } else {
-        for case in 0..args.cases {
-            let case_seed = splitmix(args.seed ^ case.wrapping_mul(0x9E37_79B9));
-            let prog = fuzz_program(case_seed, &FuzzConfig { static_len: args.static_len });
-            let mut spec = meek_difftest::FuzzProgram::spec();
-            spec.name = format!("case {case} (seed {case_seed:#x})");
-            let report = meek_analyze::analyze_words(&prog.words, &spec);
-            print!("{report}");
-            // A *fresh* fuzzed program must be spotless: violations and
-            // trap forecasts alike are seed-fuzzer bugs.
-            unclean += u64::from(!report.clean());
-        }
-        println!(
-            "analyzed {} fuzzed program(s): {}",
-            args.cases,
             if unclean == 0 { "all clean".to_string() } else { format!("{unclean} unclean") },
         );
     }
@@ -301,23 +213,23 @@ fn main() -> ExitCode {
         return cmd_analyze(&args);
     }
     let executor = Executor::new(args.threads);
-    if args.suite {
-        println!(
+    let cfg = &args.cfg;
+    match args.suite {
+        Suite::Progs => println!(
             "meek-difftest: {} case(s) over the `progs` suite ({} kernel(s) + fused set), \
              seed {:#x}, {} fault(s)/case, seg-len {}, {} little core(s)",
             args.cases,
             meek_progs::KERNELS.len(),
             args.seed,
-            args.faults,
-            args.seg_len,
-            args.little
-        );
-    } else {
-        println!(
+            cfg.faults,
+            cfg.seg_len,
+            cfg.n_little
+        ),
+        Suite::Fuzz(fuzz) => println!(
             "meek-difftest: {} case(s), seed {:#x}, {} fault(s)/case, seg-len {}, \
              static-len {}, {} little core(s)",
-            args.cases, args.seed, args.faults, args.seg_len, args.static_len, args.little
-        );
+            args.cases, args.seed, cfg.faults, cfg.seg_len, fuzz.static_len, cfg.n_little
+        ),
     }
     if args.prof.is_some() {
         prof::enable();
@@ -335,16 +247,16 @@ fn main() -> ExitCode {
     let mut stats = args.stats.then(DifftestStats::new);
     executor.map_ordered(
         &case_ids,
-        |_idx, &case| run_case(splitmix(args.seed ^ case.wrapping_mul(0x9E37_79B9)), case, &args),
-        |idx, r: CaseResult| {
-            executed += r.executed;
-            segments += r.segments as u64;
-            cycles += r.system_cycles;
-            if let Some(d) = r.divergence {
+        |_idx, &case| run_case(args.seed, case, &args.suite, cfg),
+        |idx, r: CaseReport| {
+            executed += r.verdict.executed;
+            segments += r.verdict.segments as u64;
+            cycles += r.verdict.system_cycles;
+            if let Some(d) = r.verdict.divergence {
                 println!("case {idx} (seed {:#x}): DIVERGENCE\n{d}", r.case_seed);
                 failures.push((r.case_seed, d));
             }
-            for (spec, outcome, recovery) in r.outcomes {
+            for (spec, outcome, recovery) in r.faults {
                 total_faults += 1;
                 if let Some(st) = stats.as_mut() {
                     st.record(&spec, &outcome);
@@ -413,7 +325,7 @@ fn main() -> ExitCode {
         assert_eq!(st.latency_count(), detected, "one latency observation per detection");
         print!("{}", st.render_table());
     }
-    if args.recover && total_faults > 0 {
+    if cfg.recover && total_faults > 0 {
         println!(
             "recovery: {recovered} detection(s) recovered to golden-equal final state \
              ({rollbacks} rollback(s), worst episode {worst_recovery_cycles} cycle(s)), \
@@ -443,18 +355,16 @@ fn main() -> ExitCode {
         }
     }
 
-    if args.shrink && args.suite {
-        eprintln!("[shrink] --suite cases are committed programs; nothing to shrink");
-    } else if args.shrink {
-        if let Some((case_seed, _)) = failures.first() {
-            let cfg = CosimConfig {
-                seg_len: args.seg_len,
-                n_little: args.little,
-                ..CosimConfig::default()
-            };
+    match (args.shrink, args.suite, failures.first()) {
+        (false, ..) => {}
+        (true, Suite::Progs, _) => {
+            eprintln!("[shrink] --suite cases are committed programs; nothing to shrink")
+        }
+        (true, Suite::Fuzz(_), None) => eprintln!("[shrink] nothing to shrink: no divergence"),
+        (true, Suite::Fuzz(fuzz), Some((case_seed, _))) => {
             eprintln!("[shrink] minimising case seed {case_seed:#x}...");
-            let prog = fuzz_program(*case_seed, &FuzzConfig { static_len: args.static_len });
-            let min = minimize(&prog, &cfg);
+            let prog = fuzz_program(*case_seed, &fuzz);
+            let min = minimize(&prog, cfg);
             let test = emit_test(
                 &format!("shrunk_case_{case_seed:x}"),
                 &min,
@@ -472,13 +382,11 @@ fn main() -> ExitCode {
                     Err(e) => eprintln!("[shrink] cannot write {path}: {e}"),
                 }
             }
-        } else {
-            eprintln!("[shrink] nothing to shrink: no divergence");
         }
     }
 
     if failures.is_empty() && escapes.is_empty() && unrecovered == 0 {
-        if args.recover {
+        if cfg.recover {
             println!("OK: zero divergences, zero escapes, zero unrecovered detections");
         } else {
             println!("OK: zero divergences, zero escapes");

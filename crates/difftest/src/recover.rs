@@ -17,7 +17,7 @@
 //!   loudly here.
 
 use crate::cosim::GoldenRun;
-use crate::coverage::{classify_with_in, FaultOutcome};
+use crate::coverage::{self, FaultOutcome};
 use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, RunError, RunOutcome, Sim};
 use meek_workloads::Workload;
 use std::fmt;
@@ -71,15 +71,24 @@ impl fmt::Display for RecoveryVerdict {
     }
 }
 
+/// [`crate::Case::recover`] against a golden run and built program the
+/// caller holds. Kept for the benchmark harness until it moves to
+/// [`crate::Case`].
+#[doc(hidden)]
+pub fn verify_recovery_in(
+    golden: &GoldenRun,
+    wl: &Workload,
+    spec: FaultSpec,
+    n_little: usize,
+    fabric: FabricKind,
+) -> (FaultOutcome, RecoveryVerdict) {
+    verify(golden, wl, spec, n_little, fabric)
+}
+
 /// Injects `spec` into a recovery-enabled system run of the program
 /// built as `wl` on interconnect `fabric`, and returns the coverage
-/// classification plus the recovery verdict. The fabric is the
-/// recovery × fabric-ablation axis: rollback correctness must hold
-/// whether the corrupted data travelled the bespoke F2 or the AXI
-/// baseline. Taking the built [`Workload`] lets a fault plan of N specs
-/// share one image build and pre-decode pass instead of repeating both
-/// per fault.
-pub fn verify_recovery_in(
+/// classification plus the recovery verdict.
+pub(crate) fn verify(
     golden: &GoldenRun,
     wl: &Workload,
     spec: FaultSpec,
@@ -101,7 +110,7 @@ pub fn verify_recovery_in(
         .expect("recovery oracle configuration is valid")
         .try_run();
     match run {
-        Ok(outcome) => verify_recovery_outcome_in(golden, wl, spec, &outcome),
+        Ok(outcome) => judge(golden, coverage::judge(golden, wl, spec, &outcome.report), &outcome),
         Err(RunError::Livelock { .. }) => (
             FaultOutcome::Escaped {
                 reason: format!("recovery-enabled system failed to drain with fault {spec:?}"),
@@ -111,24 +120,11 @@ pub fn verify_recovery_in(
     }
 }
 
-/// Classifies an already-completed recovery-enabled [`RunOutcome`]
-/// against the golden reference — the post-run half of
-/// [`verify_recovery_in`], exposed so harnesses that attach their own
-/// observers to the run (the coverage-guided fuzzer) reuse the exact
-/// oracle instead of re-implementing its invariants.
-pub fn verify_recovery_outcome_in(
-    golden: &GoldenRun,
-    wl: &Workload,
-    spec: FaultSpec,
-    run: &RunOutcome,
-) -> (FaultOutcome, RecoveryVerdict) {
-    finish_recovery_verdict(golden, classify_with_in(golden, wl, spec, &run.report), run)
-}
-
-/// The recovery invariants proper, applied after coverage
-/// classification: golden-equal commit count, final state, and memory,
-/// plus a completed rollback for every non-parity detection.
-fn finish_recovery_verdict(
+/// The recovery invariants proper, applied to a completed
+/// recovery-enabled run after its coverage classification: golden-equal
+/// commit count, final state, and memory, plus a completed rollback for
+/// every non-parity detection.
+pub(crate) fn judge(
     golden: &GoldenRun,
     coverage: FaultOutcome,
     run: &RunOutcome,
@@ -188,9 +184,9 @@ fn finish_recovery_verdict(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cosim::golden_run;
-    use crate::coverage::fault_plan;
+    use crate::cosim::{run_workload, CosimConfig};
     use crate::fuzz::{fuzz_program, FuzzConfig};
+    use crate::Case;
 
     #[test]
     fn empty_golden_trace_reports_pending_not_panic() {
@@ -208,21 +204,25 @@ mod tests {
         };
         let spec = FaultSpec { arm_at_commit: 0, site: FaultSite::MemData, bit: 1 };
         let wl = prog.workload();
-        let (outcome, verdict) = verify_recovery_in(&golden, &wl, spec, 4, FabricKind::F2);
+        let case = Case::with_golden(&wl, golden, &CosimConfig::default());
+        assert!(case.plan(0).is_empty(), "a case that retires nothing plans no fault");
+        let (outcome, verdict) = case.recover(spec);
         assert_eq!(outcome, FaultOutcome::Pending);
         assert_eq!(verdict, RecoveryVerdict::NothingToRecover);
-        assert_eq!(crate::coverage::classify_in(&golden, &wl, spec, 4), FaultOutcome::Pending);
+        assert_eq!(case.classify(spec), FaultOutcome::Pending);
     }
 
     #[test]
     fn detected_faults_recover_to_golden_state() {
+        let cfg = CosimConfig { faults: 5, recover: true, ..CosimConfig::default() };
         let mut recovered = 0u64;
         for seed in 0..6u64 {
-            let prog = fuzz_program(seed, &FuzzConfig::default());
-            let golden = golden_run(&prog).expect("clean");
-            let wl = prog.workload();
-            for spec in fault_plan(seed, 5, golden.trace.len() as u64) {
-                let (outcome, verdict) = verify_recovery_in(&golden, &wl, spec, 4, FabricKind::F2);
+            let wl = fuzz_program(seed, &FuzzConfig::default()).workload();
+            let case = Case::new(&wl, &cfg);
+            let d = &case.verdict().divergence;
+            assert!(d.is_none(), "seed {seed}: {}", d.clone().unwrap());
+            for spec in case.plan(seed) {
+                let (outcome, verdict) = case.recover(spec);
                 assert!(
                     !verdict.is_failure(),
                     "seed {seed}, {spec:?}: {verdict} (coverage {outcome})"
@@ -234,5 +234,29 @@ mod tests {
             }
         }
         assert!(recovered > 0, "the plan must trigger at least one real recovery");
+    }
+
+    #[test]
+    fn the_kept_wrapper_verifies_like_the_case() {
+        // The benchmark harness co-simulates through `run_workload` and
+        // verifies through `verify_recovery_in`; both must judge every
+        // fault exactly as the case the CLI runs.
+        let fuzzed = (0..3).map(|seed| fuzz_program(seed, &FuzzConfig::default()).workload());
+        let kernels = meek_progs::KERNELS[..2].iter().map(meek_progs::suite::workload);
+        let cfg = CosimConfig { recover: true, ..CosimConfig::default() };
+        let mut recovered = 0;
+        for (seed, wl) in (0u64..).zip(fuzzed.chain(kernels)) {
+            let case = Case::new(&wl, &cfg);
+            let (_, golden) = run_workload(&wl, &CosimConfig::default());
+            let golden = golden.expect("clean golden run");
+            let plan = case.plan(seed);
+            assert!(!plan.is_empty(), "`{}` plans faults", wl.name);
+            for spec in plan {
+                let verdicts = case.recover(spec);
+                assert_eq!(verdicts, verify_recovery_in(&golden, &wl, spec, 4, FabricKind::F2));
+                recovered += u32::from(matches!(verdicts.1, RecoveryVerdict::Recovered { .. }));
+            }
+        }
+        assert!(recovered > 0, "the plans must trigger at least one real recovery");
     }
 }

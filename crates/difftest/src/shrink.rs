@@ -12,8 +12,9 @@
 //! `shrink::vec` for residual removals and `shrink::elements` for NOP
 //! canonicalisation of the survivors.
 
-use crate::cosim::{self, CosimConfig, Divergence};
+use crate::cosim::{golden_run_in, CosimConfig, Divergence};
 use crate::fuzz::FuzzProgram;
+use crate::Case;
 use meek_isa::disasm::disasm_word;
 use meek_isa::inst::{AluImmOp, Inst};
 use meek_isa::Reg;
@@ -147,7 +148,9 @@ fn same_kind(a: &Divergence, b: &Divergence) -> bool {
 /// one that still diverges with the same kind. Returns the program
 /// unchanged if it does not actually diverge.
 pub fn minimize(prog: &FuzzProgram, cfg: &CosimConfig) -> FuzzProgram {
-    let Some(original) = cosim::run(prog, cfg).divergence else {
+    // Candidates are only co-simulated, never faulted.
+    let cfg = CosimConfig { faults: 0, ..*cfg };
+    let Some(original) = Case::new(&prog.workload(), &cfg).verdict().divergence.clone() else {
         return prog.clone();
     };
     // A candidate that traps the golden interpreter broke its own
@@ -156,14 +159,14 @@ pub fn minimize(prog: &FuzzProgram, cfg: &CosimConfig) -> FuzzProgram {
     // bounded golden run before paying for the full three-way.
     const RUNAWAY: u64 = 200_000;
     let fails = |cand: &[Inst]| {
-        let p = FuzzProgram::from_insts(cand);
-        match cosim::golden_run_bounded(&p, RUNAWAY) {
+        let wl = FuzzProgram::from_insts(cand).workload();
+        match golden_run_in(&wl, RUNAWAY) {
             Err(d) => return same_kind(&original, &d),
             Ok(g) if g.trace.len() as u64 >= RUNAWAY => return false,
             Ok(_) => {}
         }
-        match cosim::run(&p, cfg).divergence {
-            Some(d) => same_kind(&original, &d),
+        match &Case::new(&wl, &cfg).verdict().divergence {
+            Some(d) => same_kind(&original, d),
             None => false,
         }
     };
@@ -185,13 +188,11 @@ pub fn emit_test(name: &str, prog: &FuzzProgram, provenance: &str) -> String {
          \x20   let words: &[u32] = &[\n\
          {words}\
          \x20   ];\n\
-         \x20   let prog = meek_difftest::FuzzProgram::from_words(words);\n\
-         \x20   let verdict = meek_difftest::cosim::run(&prog, &meek_difftest::CosimConfig::default());\n\
-         \x20   assert!(\n\
-         \x20       verdict.divergence.is_none(),\n\
-         \x20       \"three-way divergence reappeared: {{}}\",\n\
-         \x20       verdict.divergence.unwrap()\n\
-         \x20   );\n\
+         \x20   let wl = meek_difftest::FuzzProgram::from_words(words).workload();\n\
+         \x20   let case = meek_difftest::Case::new(&wl, &meek_difftest::CosimConfig::default());\n\
+         \x20   if let Some(d) = &case.verdict().divergence {{\n\
+         \x20       panic!(\"three-way divergence reappeared: {{d}}\");\n\
+         \x20   }}\n\
          }}\n"
     )
 }
@@ -297,8 +298,8 @@ mod tests {
         ]);
         prog.extend(vec![nop; 6]);
         let fails = |cand: &[Inst]| {
-            let p = FuzzProgram::from_insts(cand);
-            match crate::golden_run(&p) {
+            let wl = FuzzProgram::from_insts(cand).workload();
+            match golden_run_in(&wl, crate::cosim::GOLDEN_CAP) {
                 Ok(g) => g.trace.iter().any(|r| r.branch.is_some_and(|b| b.is_indirect)),
                 Err(_) => false,
             }
@@ -318,8 +319,8 @@ mod tests {
         let prog = fuzz_program(21, &FuzzConfig { static_len: 120 });
         let insts = prog.insts();
         let fails = |cand: &[Inst]| {
-            let p = FuzzProgram::from_insts(cand);
-            match crate::golden_run(&p) {
+            let wl = FuzzProgram::from_insts(cand).workload();
+            match golden_run_in(&wl, crate::cosim::GOLDEN_CAP) {
                 Ok(g) => g.trace.iter().any(|r| r.is_kernel_trap),
                 Err(_) => false,
             }

@@ -5,9 +5,7 @@
 //! the same determinism contract the `meek-difftest` CLI ships with.
 
 use meek_campaign::Executor;
-use meek_difftest::{
-    classify_in, cosim, fault_plan, fuzz_program, golden_run, CosimConfig, FuzzConfig,
-};
+use meek_difftest::{fuzz_program, Case, CosimConfig, FuzzConfig};
 
 /// The (little-core count, program seed) sweep grid.
 fn grid() -> Vec<(usize, u64)> {
@@ -17,22 +15,18 @@ fn grid() -> Vec<(usize, u64)> {
 /// One case's full report, rendered to a stable string so runs can be
 /// compared byte-for-byte.
 fn run_cell(n_little: usize, seed: u64) -> String {
-    let cfg = CosimConfig { n_little, ..CosimConfig::default() };
-    let prog = fuzz_program(seed, &FuzzConfig { static_len: 120 });
-    let v = cosim::run(&prog, &cfg);
+    let cfg = CosimConfig { n_little, faults: 2, ..CosimConfig::default() };
+    let wl = fuzz_program(seed, &FuzzConfig { static_len: 120 }).workload();
+    let case = Case::new(&wl, &cfg);
+    let v = case.verdict();
     let mut out = format!(
         "n={n_little} seed={seed} executed={} segments={} divergence={:?}",
         v.executed,
         v.segments,
         v.divergence.as_ref().map(|d| d.to_string())
     );
-    if v.divergence.is_none() {
-        let golden = golden_run(&prog).expect("clean cosim implies clean golden");
-        let wl = prog.workload();
-        for spec in fault_plan(seed, 2, v.executed) {
-            let outcome = classify_in(&golden, &wl, spec, n_little);
-            out.push_str(&format!(" | {spec:?} -> {outcome}"));
-        }
+    for spec in case.plan(seed) {
+        out.push_str(&format!(" | {spec:?} -> {}", case.classify(spec)));
     }
     out
 }

@@ -5,20 +5,13 @@
 //! golden-equal final state. This is the permanent, debug-sized
 //! counterpart of the release CLI's `--suite progs` run.
 
-use meek_core::FabricKind;
-use meek_difftest::{
-    classify_in, cosim, fault_plan, verify_recovery_in, CosimConfig, FaultOutcome, GoldenRun,
-    RecoveryVerdict,
-};
+use meek_difftest::{Case, CosimConfig, FaultOutcome};
 use meek_progs::{suite, WorkloadSet, KERNELS};
 use meek_workloads::Workload;
 
 /// The barrage seed is fixed so the plan (and thus the oracle verdicts)
 /// never drift between runs or machines.
 const BARRAGE_SEED: u64 = 0xD1FF_7E57;
-
-/// Matches the cap `cosim::run_workload` itself uses for the golden way.
-const GOLDEN_CAP: u64 = 500_000;
 
 /// Every suite workload, plus the fused set as a ninth entry — the same
 /// rotation `meek-difftest --suite progs` drives.
@@ -30,15 +23,14 @@ fn suite_workloads() -> Vec<(String, Workload)> {
     wls
 }
 
-fn cosim_clean(name: &str, wl: &Workload) -> GoldenRun {
-    let (verdict, golden) = cosim::run_workload(wl, &CosimConfig::default());
-    assert!(
-        verdict.divergence.is_none(),
-        "{name}: three-way co-simulation diverged: {}",
-        verdict.divergence.unwrap()
-    );
+fn cosim_clean<'w>(name: &str, wl: &'w Workload, cfg: &CosimConfig) -> Case<'w> {
+    let case = Case::new(wl, cfg);
+    let verdict = case.verdict();
+    if let Some(d) = &verdict.divergence {
+        panic!("{name}: three-way co-simulation diverged: {d}");
+    }
     assert!(verdict.executed > 0, "{name}: retired nothing");
-    golden.expect("clean co-simulation always yields the golden run")
+    case
 }
 
 /// Every kernel and the fused set co-simulate cleanly across the
@@ -46,7 +38,7 @@ fn cosim_clean(name: &str, wl: &Workload) -> GoldenRun {
 #[test]
 fn every_kernel_cosims_clean_three_ways() {
     for (name, wl) in suite_workloads() {
-        cosim_clean(&name, &wl);
+        cosim_clean(&name, &wl, &CosimConfig { faults: 0, ..CosimConfig::default() });
     }
 }
 
@@ -59,25 +51,22 @@ fn every_kernel_cosims_clean_three_ways() {
 /// in release builds.
 #[test]
 fn fault_barrage_has_zero_escapes_and_recovers() {
+    let cfg = CosimConfig { faults: 2, ..CosimConfig::default() };
     for (wi, (name, wl)) in suite_workloads().into_iter().enumerate() {
-        let golden = cosim::golden_run_in(&wl, GOLDEN_CAP)
-            .unwrap_or_else(|d| panic!("{name}: golden run diverged: {d}"));
+        let case = cosim_clean(&name, &wl, &cfg);
         let seed = BARRAGE_SEED ^ (wi as u64).wrapping_mul(0x9E37_79B9);
-        for spec in fault_plan(seed, 2, golden.trace.len() as u64) {
-            let outcome = classify_in(&golden, &wl, spec, 4);
+        for spec in case.plan(seed) {
+            let outcome = case.classify(spec);
             assert!(
                 !matches!(outcome, FaultOutcome::Escaped { .. }),
                 "{name}: fault {spec:?} ESCAPED: {outcome}"
             );
-            let (r_outcome, verdict) = verify_recovery_in(&golden, &wl, spec, 4, FabricKind::F2);
+            let (r_outcome, verdict) = case.recover(spec);
             assert!(
                 !matches!(r_outcome, FaultOutcome::Escaped { .. }),
                 "{name}: fault {spec:?} escaped under recovery: {r_outcome}"
             );
-            assert!(
-                !matches!(verdict, RecoveryVerdict::Unrecovered { .. }),
-                "{name}: fault {spec:?} UNRECOVERED: {verdict:?}"
-            );
+            assert!(!verdict.is_failure(), "{name}: fault {spec:?}: {verdict}");
         }
     }
 }

@@ -14,7 +14,7 @@
 //! raw architectural semantics.
 
 use meek_core::{FaultSite, FaultSpec};
-use meek_difftest::{classify_in, cosim, golden_run, CosimConfig, FaultOutcome, FuzzProgram};
+use meek_difftest::{Case, CosimConfig, FaultOutcome, FuzzProgram};
 
 const WORDS: &[u32] = &[
     0x00000013, // addi zero, zero, 0
@@ -58,20 +58,19 @@ const SPEC: FaultSpec = FaultSpec { arm_at_commit: 23, site: FaultSite::MemData,
 
 #[test]
 fn shrunk_case_c3f5ed68_cosims_clean() {
-    let prog = FuzzProgram::from_words(WORDS);
-    let verdict = cosim::run(&prog, &CosimConfig::default());
-    assert!(
-        verdict.divergence.is_none(),
-        "three-way divergence reappeared: {}",
-        verdict.divergence.unwrap()
-    );
+    let wl = FuzzProgram::from_words(WORDS).workload();
+    let case = Case::new(&wl, &CosimConfig::default());
+    if let Some(d) = &case.verdict().divergence {
+        panic!("three-way divergence reappeared: {d}");
+    }
 }
 
 #[test]
 fn shrunk_case_c3f5ed68_masked_csr_transit_proves_benign() {
-    let prog = FuzzProgram::from_words(WORDS);
-    let golden = golden_run(&prog).expect("shrunk program is trap-free");
-    let outcome = classify_in(&golden, &prog.workload(), SPEC, 4);
+    let wl = FuzzProgram::from_words(WORDS).workload();
+    let case = Case::new(&wl, &CosimConfig::default());
+    assert!(case.verdict().divergence.is_none(), "shrunk program co-simulates clean");
+    let outcome = case.classify(SPEC);
     assert_eq!(
         outcome,
         FaultOutcome::MaskedProvenBenign,

@@ -6,45 +6,42 @@
 //! library level where a failure names the diverging case directly.
 
 use meek_campaign::Executor;
-use meek_core::FabricKind;
-use meek_difftest::{
-    classify_in, cosim, fault_plan, fuzz_program, verify_recovery_in, CosimConfig, FuzzConfig,
-};
+use meek_difftest::{run_case, CosimConfig, FuzzConfig, Suite};
 use std::fmt::Write as _;
 
 const CASES: u64 = 10;
-const FAULTS: usize = 2;
+const RUN_SEED: u64 = 0x5EED;
+const SUITE: Suite = Suite::Fuzz(FuzzConfig { static_len: 120 });
+
+fn cfg(recover: bool) -> CosimConfig {
+    CosimConfig { faults: 2, recover, ..CosimConfig::default() }
+}
 
 /// Runs the miniature campaign on `threads` workers and renders every
 /// per-case result (co-sim verdict + fault outcomes) to one string.
 fn campaign(threads: usize, recover: bool) -> String {
     let executor = Executor::new(threads);
     let case_ids: Vec<u64> = (0..CASES).collect();
-    let cfg = CosimConfig::default();
+    let cfg = cfg(recover);
     let mut out = String::new();
     executor.map_ordered(
         &case_ids,
         |_idx, &case| {
-            let prog = fuzz_program(case ^ 0x5EED, &FuzzConfig { static_len: 120 });
-            let (verdict, shared) = cosim::run_full(&prog, &cfg);
+            let r = run_case(RUN_SEED, case, &SUITE, &cfg);
+            let v = &r.verdict;
             let mut line = format!(
                 "case {case}: executed {} segments {} cycles {} divergence {:?}\n",
-                verdict.executed,
-                verdict.segments,
-                verdict.system_cycles,
-                verdict.divergence.as_ref().map(|d| d.to_string()),
+                v.executed,
+                v.segments,
+                v.system_cycles,
+                v.divergence.as_ref().map(|d| d.to_string()),
             );
-            if verdict.divergence.is_none() && verdict.executed > 0 {
-                let (golden, wl) = shared.expect("clean cosim carries its golden run");
-                for spec in fault_plan(case, FAULTS, verdict.executed) {
-                    if recover {
-                        let (o, r) = verify_recovery_in(&golden, &wl, spec, 4, FabricKind::F2);
-                        let _ = writeln!(line, "  {spec:?} -> {o} / {r}");
-                    } else {
-                        let o = classify_in(&golden, &wl, spec, 4);
-                        let _ = writeln!(line, "  {spec:?} -> {o}");
-                    }
+            for (spec, o, recovery) in &r.faults {
+                match recovery {
+                    Some(r) => writeln!(line, "  {spec:?} -> {o} / {r}"),
+                    None => writeln!(line, "  {spec:?} -> {o}"),
                 }
+                .expect("writing to a String");
             }
             line
         },
@@ -79,26 +76,15 @@ fn stats_table_is_thread_count_invariant_and_reconciles() {
     let run = |threads: usize| {
         let executor = Executor::new(threads);
         let case_ids: Vec<u64> = (0..CASES).collect();
-        let cfg = CosimConfig::default();
+        let cfg = cfg(false);
         let mut stats = meek_difftest::DifftestStats::new();
         let mut detected = 0u64;
         let mut total = 0u64;
         executor.map_ordered(
             &case_ids,
-            |_idx, &case| {
-                let prog = fuzz_program(case ^ 0x5EED, &FuzzConfig { static_len: 120 });
-                let (verdict, shared) = cosim::run_full(&prog, &cfg);
-                let mut outcomes = Vec::new();
-                if verdict.divergence.is_none() && verdict.executed > 0 {
-                    let (golden, wl) = shared.expect("clean cosim carries its golden run");
-                    for spec in fault_plan(case, FAULTS, verdict.executed) {
-                        outcomes.push((spec, classify_in(&golden, &wl, spec, 4)));
-                    }
-                }
-                outcomes
-            },
+            |_idx, &case| run_case(RUN_SEED, case, &SUITE, &cfg).faults,
             |_idx, outcomes| {
-                for (spec, outcome) in outcomes {
+                for (spec, outcome, _) in outcomes {
                     total += 1;
                     if matches!(outcome, meek_difftest::FaultOutcome::Detected { .. }) {
                         detected += 1;

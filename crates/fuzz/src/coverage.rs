@@ -25,13 +25,9 @@ use meek_isa::inst::Inst;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a, the stable 64-bit feature id of a feature name.
+/// The stable 64-bit feature id of a feature name: its FNV-1a hash.
 pub fn feature_id(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    meek_campaign::fnv1a(name)
 }
 
 /// Integer log2 bucket: 0 for 0, otherwise the value's bit length.
@@ -355,7 +351,7 @@ impl FeatureSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meek_difftest::{fuzz_program, golden_run, FuzzConfig};
+    use meek_difftest::{cosim, fuzz_program, golden_run_in, FuzzConfig};
 
     #[test]
     fn feature_ids_are_stable_and_named() {
@@ -371,8 +367,8 @@ mod tests {
     fn golden_features_cover_the_behaviour_vocabulary() {
         let map = CoverageMap::new();
         for seed in 0..6 {
-            let prog = fuzz_program(seed, &FuzzConfig::default());
-            golden_features(&golden_run(&prog).expect("clean"), &map);
+            let wl = fuzz_program(seed, &FuzzConfig::default()).workload();
+            golden_features(&golden_run_in(&wl, cosim::GOLDEN_CAP).expect("clean"), &map);
         }
         let feats = map.take_features();
         assert!(map.is_empty(), "take_features drains");

@@ -27,12 +27,11 @@ use crate::coverage::{bucket, golden_features, CoverageMap, FeatureSet};
 use crate::dict::Dictionary;
 use crate::mutate::{self, decodable, writes_anchor};
 use crate::report::FuzzReport;
-use meek_campaign::Executor;
+use meek_campaign::{splitmix, Executor};
 use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, RunError, Sim};
 use meek_difftest::{
-    arm_span, classify_with_in, cosim, emit_test, fault_plan, fuzz_program, golden_run_bounded,
-    golden_run_in, minimize, shrink_insts, verify_recovery_outcome_in, CosimConfig, FaultOutcome,
-    FuzzConfig, FuzzProgram, GoldenRun,
+    arm_span, emit_test, fault_plan, fuzz_program, golden_run_in, minimize, shrink_insts, Case,
+    CosimConfig, FaultOutcome, FuzzConfig, FuzzProgram, GoldenRun,
 };
 use meek_isa::{encode, Inst};
 use rand::rngs::SmallRng;
@@ -92,14 +91,6 @@ impl Default for FuzzSettings {
             batch: 32,
         }
     }
-}
-
-/// SplitMix64 finaliser, for deriving per-candidate seeds.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,7 +269,7 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
     if cand.kind == CandidateKind::Mutated {
         if let Some(forecast) = meek_analyze::static_reject(&cand.words, &FuzzProgram::spec()) {
             debug_assert!(
-                golden_run_bounded(&prog, EVAL_CAP).is_err(),
+                golden_run_in(&prog.workload(), EVAL_CAP).is_err(),
                 "static pre-screen claimed a trap the golden run does not raise: {forecast}"
             );
             return CaseEval::rejected();
@@ -337,9 +328,10 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
     // real finding. An accepted candidate retires fewer than EVAL_CAP
     // instructions, under cosim::GOLDEN_CAP, so the pre-screen is the
     // very golden run the co-simulation would repeat.
-    let verdict = cosim::check(&wl, &golden, &cfg);
+    let case = Case::with_golden(&wl, golden, &cfg);
+    let verdict = case.verdict();
     map.note(format!("segments:{}", bucket(verdict.segments as u64)));
-    if let Some(d) = verdict.divergence {
+    if let Some(d) = &verdict.divergence {
         map.note(format!("divergence:{}", d.kind_name()));
         let reproducer = s.minimize.then(|| {
             let min = minimize(&prog, &cfg);
@@ -391,15 +383,10 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
                 continue;
             }
         };
-        let oc = if s.recover {
-            let (oc, rv) = verify_recovery_outcome_in(&golden, &wl, spec, &run);
-            if rv.is_failure() {
-                escapes.push(format!("{spec:?}: {rv}"));
-            }
-            oc
-        } else {
-            classify_with_in(&golden, &wl, spec, &run.report)
-        };
+        let (oc, rv) = case.judge(spec, &run);
+        if let Some(rv) = rv.filter(|rv| rv.is_failure()) {
+            escapes.push(format!("{spec:?}: {rv}"));
+        }
         map.note(format!("outcome:{}:{}", outcome_name(&oc), spec.site.name()));
         // The verdict × fabric bucket: the same fault plan can resolve
         // differently under a different interconnect (latency shifts
@@ -428,7 +415,7 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
 /// nothing golden-derived is at stake.
 fn minimize_entry(words: &[u32], fresh_ids: &[u64]) -> Vec<u32> {
     let prog = FuzzProgram::from_words(words);
-    let Ok(g) = golden_run_bounded(&prog, EVAL_CAP) else { return words.to_vec() };
+    let Ok(g) = golden_run_in(&prog.workload(), EVAL_CAP) else { return words.to_vec() };
     let map = CoverageMap::new();
     golden_features(&g, &map);
     let golden_ids: BTreeSet<u64> = map.take_features().into_iter().map(|(id, _)| id).collect();
@@ -446,8 +433,7 @@ fn minimize_entry(words: &[u32], fresh_ids: &[u64]) -> Vec<u32> {
         {
             return false;
         }
-        let p = FuzzProgram::from_insts(cand);
-        match golden_run_bounded(&p, EVAL_CAP) {
+        match golden_run_in(&FuzzProgram::from_insts(cand).workload(), EVAL_CAP) {
             Ok(g) if (g.trace.len() as u64) < EVAL_CAP && !g.trace.is_empty() => {
                 let m = CoverageMap::new();
                 golden_features(&g, &m);

@@ -12,6 +12,7 @@
 //! on any divergence or coverage escape, and under `--compare-random`
 //! also when guided search fails to beat the random baseline.
 
+use meek_campaign::parse_seed;
 use meek_core::{validate_config, MeekConfig};
 use meek_fuzz::{run_fuzz, Corpus, FuzzSettings};
 use std::fs;
@@ -58,22 +59,6 @@ struct Args {
     settings: FuzzSettings,
     corpus_dir: Option<PathBuf>,
     compare_random: bool,
-}
-
-/// Parses a seed: decimal, `0x`-prefixed hex, or — for anything else —
-/// an FNV-1a hash of the string ([`meek_fuzz::feature_id`], the same
-/// hash difftest's seed parsing uses), so mnemonic seeds like `0xMEEK`
-/// work.
-fn parse_seed(s: &str) -> u64 {
-    if let Ok(v) = s.parse::<u64>() {
-        return v;
-    }
-    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        if let Ok(v) = u64::from_str_radix(hex, 16) {
-            return v;
-        }
-    }
-    meek_fuzz::feature_id(s)
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {

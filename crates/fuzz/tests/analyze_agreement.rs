@@ -11,7 +11,7 @@
 //! * the committed benchmark kernels and the fused multi-workload set
 //!   are accepted under the strict loader contract.
 
-use meek_difftest::{fuzz_program, golden_run_bounded, FuzzConfig, FuzzProgram};
+use meek_difftest::{fuzz_program, golden_run_in, FuzzConfig, FuzzProgram};
 use meek_fuzz::{mutate, Dictionary, MutationOp};
 use meek_isa::Inst;
 use proptest::prelude::*;
@@ -36,9 +36,8 @@ fn decoded(words: &[u32]) -> Vec<Inst> {
 fn check_agreement(words: &[u32], what: &str) {
     let report = meek_analyze::analyze_words(words, &FuzzProgram::spec());
     assert!(report.violations.is_empty(), "{what}: unexpected violations:\n{report}");
-    let prog = FuzzProgram::from_words(words);
     const CAP: u64 = 120_000;
-    let golden = golden_run_bounded(&prog, CAP);
+    let golden = golden_run_in(&FuzzProgram::from_words(words).workload(), CAP);
     if let Some(forecast) = report.guaranteed_trap {
         let err = golden.as_ref().err();
         assert!(err.is_some(), "{what}: forecast `{forecast}` but the golden run was clean");
