@@ -1,59 +1,12 @@
-//! Criterion micro-benchmarks for the two core timing models: how many
-//! simulated instructions per second each model sustains.
+//! `cargo bench` harness for the cores suite; the bodies live in
+//! [`meek_bench::suites::cores`] so `meek-bench-export` can run them
+//! in-process for the committed perf baseline.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use meek_bigcore::{BigCore, BigCoreConfig, NullHook, Tage, TageConfig};
-use meek_workloads::{parsec3, Workload};
-
-fn bench_bigcore(c: &mut Criterion) {
-    let wl = Workload::build(&parsec3()[0], 1);
-    const N: u64 = 20_000;
-    let mut g = c.benchmark_group("cores");
-    g.throughput(Throughput::Elements(N));
-    g.bench_function("bigcore_sim_20k_insts", |b| {
-        b.iter(|| {
-            let mut big = BigCore::new(BigCoreConfig::sonic_boom());
-            big.prewarm_icache(wl.entry(), 4 * wl.static_len as u64);
-            let mut run = wl.run(N);
-            let mut hook = NullHook;
-            let mut now = 0u64;
-            while !big.is_drained() {
-                let mut o = || run.next_retired();
-                big.tick(now, &mut o, &mut hook);
-                now += 1;
-            }
-            now
-        })
-    });
-    g.finish();
-}
-
-fn bench_tage(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cores");
-    const N: u64 = 100_000;
-    g.throughput(Throughput::Elements(N));
-    g.bench_function("tage_predict_update", |b| {
-        b.iter(|| {
-            let mut t = Tage::new(TageConfig::default());
-            let mut x = 0x1234_5678u64;
-            for i in 0..N {
-                let pc = 0x1000 + (i % 257) * 4;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let taken = x & 3 != 0;
-                let p = t.predict(pc);
-                t.update(pc, taken, p);
-            }
-            t.mispredicts
-        })
-    });
-    g.finish();
-}
+use criterion::{criterion_group, criterion_main, Criterion};
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_bigcore, bench_tage
+    targets = meek_bench::suites::cores::all
 }
 criterion_main!(benches);

@@ -1,8 +1,9 @@
 //! `meek-bench-export` — the committed perf baseline, as a tool.
 //!
 //! Runs the [`meek_bench::suites::BASELINE_SUITES`] in-process through
-//! the criterion shim, normalises every median against a fixed
-//! calibration workload timed on the same machine, and either emits
+//! the criterion shim, normalises each suite's medians against a fixed
+//! calibration workload timed on the same machine right before that
+//! suite, and either emits
 //! `BENCH_baseline.json` (`emit`) or compares against a committed one
 //! (`check`), failing on regressions beyond the tolerance.
 //!
@@ -65,23 +66,23 @@ fn calibrate(samples: usize) -> u64 {
     median_ns(&mut times)
 }
 
-/// One calibrated measurement pass over every baseline suite:
-/// `(id, median_ns, median_ns / calib_ns)` rows in execution order.
+/// One measurement pass over every baseline suite: `(id, median_ns,
+/// median_ns / calib_ns)` rows in execution order. Each suite is
+/// normalised by a calibration timed right before it, so a change in
+/// the machine's load between suites moves both sides of its ratios.
 fn measure_once(sample_size: usize) -> Vec<(String, u64, f64)> {
-    let calib_ns = calibrate(sample_size.max(3));
-    eprintln!("[calib] {calib_ns} ns");
-    let mut c = Criterion::default().sample_size(sample_size);
+    let mut rows = Vec::new();
     for (name, suite) in BASELINE_SUITES {
-        eprintln!("[suite] {name}");
+        let calib_ns = calibrate(sample_size.max(3));
+        eprintln!("[suite] {name} (calib {calib_ns} ns)");
+        let mut c = Criterion::default().sample_size(sample_size);
         suite(&mut c);
-    }
-    c.results()
-        .into_iter()
-        .map(|r| {
+        rows.extend(c.results().into_iter().map(|r| {
             let ns = r.median.as_nanos() as u64;
             (r.id, ns, ns as f64 / calib_ns as f64)
-        })
-        .collect()
+        }));
+    }
+    rows
 }
 
 /// Folds another measurement pass into `best`, keeping each bench's

@@ -9,6 +9,7 @@
 
 pub mod analyze;
 pub mod campaign;
+pub mod cores;
 pub mod difftest;
 pub mod fuzz;
 pub mod progs;
@@ -20,8 +21,9 @@ pub mod telemetry;
 pub type SuiteFn = fn(&mut criterion::Criterion);
 
 /// The suites the committed perf baseline covers, by stable name.
-pub const BASELINE_SUITES: [(&str, SuiteFn); 8] = [
+pub const BASELINE_SUITES: [(&str, SuiteFn); 9] = [
     ("system", system::all),
+    ("cores", cores::all),
     ("telemetry", telemetry::all),
     ("recover", recover::all),
     ("difftest", difftest::all),

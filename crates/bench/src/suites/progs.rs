@@ -39,16 +39,16 @@ fn bench_golden(c: &mut Criterion) {
 
 fn bench_case_rate(c: &mut Criterion) {
     // One representative suite case measured end-to-end exactly as the
-    // CLIs run it — build the rotation workload, three-way co-simulate,
-    // then the default 3-fault classification plan — so the baseline
-    // gate locks in the whole per-case cost of a real-program case.
+    // CLIs run it — the memoised rotation workload, a three-way
+    // co-simulation, then the default 3-fault classification plan — so
+    // the baseline gate locks in the per-case cost of a real-program
+    // case.
     let cfg = CosimConfig::default();
     let mut g = c.benchmark_group("progs");
     g.throughput(Throughput::Elements(1));
     g.bench_function("progs_cases_per_sec", |b| {
         b.iter(|| {
-            let wl = meek_progs::rotation_workload(black_box(0));
-            let case = Case::new(&wl, &cfg);
+            let case = Case::new(meek_progs::rotation_workload(black_box(0)), &cfg);
             assert!(case.verdict().divergence.is_none());
             let mut classified = 0usize;
             for spec in case.plan(7) {

@@ -81,6 +81,9 @@ pub struct BigCoreStats {
     pub stq_full_cycles: u64,
     /// Sum of ROB occupancy over cycles (mean occupancy = this / cycles).
     pub occupancy_sum: u64,
+    /// Issue-queue entries the issue stage examined: a deterministic
+    /// measure of scheduler work, bounded by the IQ occupancy per cycle.
+    pub issue_examined: u64,
 }
 
 impl BigCoreStats {
@@ -99,6 +102,57 @@ impl BigCoreStats {
     }
 }
 
+/// Functional units still free in the current issue cycle.
+struct FreeUnits {
+    alu: u32,
+    mem: u32,
+    jump: u32,
+    csr: u32,
+    fpm: u32,
+    div: u32,
+}
+
+impl FreeUnits {
+    fn new(cfg: &BigCoreConfig, divider_free: bool) -> FreeUnits {
+        // The FP/Mul pipe issues one op per cycle; the iterative divider
+        // (SonicBOOM's separate FDiv/SqrtUnit) blocks until complete.
+        FreeUnits {
+            alu: cfg.int_alu,
+            mem: cfg.mem_ports,
+            jump: cfg.jump_units,
+            csr: cfg.csr_units,
+            fpm: cfg.fp_muldiv,
+            div: u32::from(divider_free),
+        }
+    }
+
+    fn exhausted(&self) -> bool {
+        self.alu == 0
+            && self.mem == 0
+            && self.jump == 0
+            && self.csr == 0
+            && self.fpm == 0
+            && self.div == 0
+    }
+
+    /// Reserves a unit for `class`; `false` when none is free.
+    fn take(&mut self, class: ExecClass) -> bool {
+        let unit = match class {
+            ExecClass::IntAlu | ExecClass::Branch => &mut self.alu,
+            ExecClass::Load | ExecClass::Store => &mut self.mem,
+            ExecClass::Jump => &mut self.jump,
+            ExecClass::Csr | ExecClass::System | ExecClass::Meek => &mut self.csr,
+            ExecClass::IntDiv | ExecClass::FpDiv => &mut self.div,
+            _ => &mut self.fpm,
+        };
+        if *unit == 0 {
+            return false;
+        }
+        *unit -= 1;
+        true
+    }
+}
+
 /// Producer-dependency bound: two integer sources plus three FP sources
 /// is the widest any instruction gets (FMA).
 const MAX_DEPS: usize = 5;
@@ -110,13 +164,13 @@ struct Uop {
     /// Producer seqs this uop waits on (first `ndeps` slots).
     deps: [u64; MAX_DEPS],
     ndeps: u8,
-    /// Earliest issue cycle (front-end depth).
-    min_issue: u64,
-    /// Scheduler wake bound: dependencies are known not-ready before
-    /// this cycle, so the issue scan skips the uop without re-walking
-    /// its producers. Always a lower bound on real readiness — issue
-    /// decisions are identical to an every-cycle recheck.
-    wake_at: u64,
+    /// Lower bound on the cycle this uop can issue: the front-end depth
+    /// at dispatch, raised whenever the issue scan finds a producer not
+    /// yet complete. The scan skips the uop until then without
+    /// re-walking its producers. It never exceeds the first cycle at
+    /// which every producer has completed, so issue decisions are
+    /// identical to an every-cycle recheck of the producers.
+    ready_at: u64,
     issued: bool,
     complete_at: u64,
     is_load: bool,
@@ -127,6 +181,15 @@ struct Uop {
 ///
 /// Drive it with [`BigCore::tick`], passing a functional oracle that
 /// yields the program's dynamic instruction stream in commit order.
+///
+/// The issue stage scans the issue queue (dispatched, unissued uops in
+/// age order), not the ROB, and skips each uop until its `ready_at`
+/// bound. A uop waiting on a producer that has not issued yet sets that
+/// bound to the producer's own bound plus `min_latency`, the smallest
+/// completion latency any uop can have, so chains behind a cache miss
+/// are not re-polled every cycle. `min_latency` is 1 for every shipped
+/// configuration; it is 0 when a configured unit or L1D hit latency is
+/// 0, because then a consumer can issue in its producer's cycle.
 #[derive(Debug, Clone)]
 pub struct BigCore {
     cfg: BigCoreConfig,
@@ -137,7 +200,10 @@ pub struct BigCore {
     window: VecDeque<Uop>,
     pending: Option<Retired>,
     next_seq: u64,
-    iq_count: u32,
+    /// The issue queue: seqs of dispatched, unissued uops in age order.
+    iq: Vec<u64>,
+    /// Smallest completion latency any uop can have (see [`BigCore`]).
+    min_latency: u64,
     ldq_count: u32,
     stq_count: u32,
     int_prf_free: u32,
@@ -169,7 +235,20 @@ impl BigCore {
             window: VecDeque::new(),
             pending: None,
             next_seq: 0,
-            iq_count: 0,
+            iq: Vec::with_capacity(cfg.iq as usize),
+            // Fixed-latency classes take 1 cycle, and a load no less than
+            // an L1D hit (a miss merged into an outstanding MSHR resolves
+            // after the current cycle).
+            min_latency: [
+                cfg.mul_latency,
+                cfg.div_latency,
+                cfg.fp_add_latency,
+                cfg.fp_mul_latency,
+                cfg.fp_div_latency,
+                cfg.hierarchy.l1d.hit_latency,
+            ]
+            .into_iter()
+            .fold(1, u64::min),
             ldq_count: 0,
             stq_count: 0,
             int_prf_free: cfg.int_prf.saturating_sub(32),
@@ -218,7 +297,7 @@ impl BigCore {
     pub fn rollback(&mut self, now: u64, committed: u64) {
         self.window.clear();
         self.pending = None;
-        self.iq_count = 0;
+        self.iq.clear();
         self.ldq_count = 0;
         self.stq_count = 0;
         self.int_prf_free = self.cfg.int_prf.saturating_sub(32);
@@ -279,16 +358,16 @@ impl BigCore {
         self.window.get((seq - base) as usize)
     }
 
-    /// `Ok(())` when every producer has completed; otherwise the
-    /// earliest cycle the answer could change (the latest incomplete
-    /// producer's completion, or just next cycle while a producer is
-    /// still unissued).
+    /// `Ok(())` when every producer has completed; otherwise a lower
+    /// bound on the cycle the answer could change: the latest issued
+    /// producer's completion, or an unissued producer's own `ready_at`
+    /// plus `min_latency`, and never before next cycle.
     fn deps_ready(&self, uop: &Uop, now: u64) -> Result<(), u64> {
         let mut wake = 0u64;
         for &d in &uop.deps[..uop.ndeps as usize] {
             match self.uop_by_seq(d) {
                 None => {}
-                Some(p) if !p.issued => wake = wake.max(now + 1),
+                Some(p) if !p.issued => wake = wake.max(now + 1).max(p.ready_at + self.min_latency),
                 Some(p) if p.complete_at > now => wake = wake.max(p.complete_at),
                 Some(_) => {}
             }
@@ -377,73 +456,74 @@ impl BigCore {
         }
     }
 
+    /// The issue stage: walks the issue queue oldest first, skipping each
+    /// uop before its `ready_at`, until every functional unit is taken.
     fn issue(&mut self, now: u64) {
-        let mut alu = self.cfg.int_alu;
-        let mut mem = self.cfg.mem_ports;
-        let mut jump = self.cfg.jump_units;
-        let mut csr = self.cfg.csr_units;
-        // The FP/Mul pipe issues one op per cycle; the iterative divider
-        // (SonicBOOM's separate FDiv/SqrtUnit) blocks until complete.
-        let mut fpm = self.cfg.fp_muldiv;
-        let mut div = u32::from(now >= self.div_busy_until);
+        let Some(base) = self.window.front().map(|u| u.seq) else { return };
+        let mut free = FreeUnits::new(&self.cfg, now >= self.div_busy_until);
+        // Compact the queue in place: issued seqs drop out, the rest keep
+        // their age order.
+        let mut iq = std::mem::take(&mut self.iq);
+        let (mut next, mut kept) = (0, 0);
+        while next < iq.len() && !free.exhausted() {
+            let seq = iq[next];
+            next += 1;
+            let i = (seq - base) as usize;
+            let uop = &self.window[i];
+            if uop.ready_at <= now {
+                match self.deps_ready(uop, now) {
+                    Err(wake) => self.window[i].ready_at = wake,
+                    Ok(()) if free.take(uop.ret.class) => {
+                        self.issue_uop(i, now);
+                        continue;
+                    }
+                    Ok(()) => {}
+                }
+            }
+            iq[kept] = seq;
+            kept += 1;
+        }
+        self.stats.issue_examined += next as u64;
+        iq.copy_within(next.., kept);
+        iq.truncate(iq.len() - (next - kept));
+        self.iq = iq;
+    }
 
-        for i in 0..self.window.len() {
-            if alu == 0 && mem == 0 && jump == 0 && csr == 0 && fpm == 0 && div == 0 {
-                break;
-            }
-            let uop = &self.window[i];
-            if uop.issued || uop.min_issue > now || uop.wake_at > now {
-                continue;
-            }
-            if let Err(wake) = self.deps_ready(uop, now) {
-                self.window[i].wake_at = wake;
-                continue;
-            }
-            let uop = &self.window[i];
-            let class = uop.ret.class;
-            let unit = match class {
-                ExecClass::IntAlu | ExecClass::Branch => &mut alu,
-                ExecClass::Load | ExecClass::Store => &mut mem,
-                ExecClass::Jump => &mut jump,
-                ExecClass::Csr | ExecClass::System | ExecClass::Meek => &mut csr,
-                ExecClass::IntDiv | ExecClass::FpDiv => &mut div,
-                _ => &mut fpm,
-            };
-            if *unit == 0 {
-                continue;
-            }
-            *unit -= 1;
-            let complete_at = if class == ExecClass::Load {
-                let addr = uop.ret.mem.expect("load has mem").addr;
-                let seq = uop.seq;
-                // Store-to-load forwarding from older in-flight stores.
-                let forwarded = self.store_addrs.iter().any(|&(s, a)| s < seq && a == addr & !7);
-                if forwarded {
-                    now + 2
-                } else {
-                    self.hier.data_access(addr, AccessKind::Read, now).ready_at
-                }
+    /// Issues the uop at window index `i` on a unit the caller reserved:
+    /// sets its completion, records a store's address for forwarding,
+    /// occupies the divider and resolves a fetch block on the uop.
+    fn issue_uop(&mut self, i: usize, now: u64) {
+        let uop = &self.window[i];
+        let class = uop.ret.class;
+        let complete_at = if class == ExecClass::Load {
+            let addr = uop.ret.mem.expect("load has mem").addr;
+            let seq = uop.seq;
+            // Store-to-load forwarding from older in-flight stores.
+            let forwarded = self.store_addrs.iter().any(|&(s, a)| s < seq && a == addr & !7);
+            if forwarded {
+                now + 2
             } else {
-                now + self.latency(class)
-            };
-            let uop = &mut self.window[i];
-            uop.issued = true;
-            uop.complete_at = complete_at;
-            if uop.is_store {
-                if let Some(m) = uop.ret.mem {
-                    self.store_addrs.push((uop.seq, m.addr & !7));
-                }
+                self.hier.data_access(addr, AccessKind::Read, now).ready_at
             }
-            if class == ExecClass::IntDiv || class == ExecClass::FpDiv {
-                // The iterative divider is unpipelined.
-                self.div_busy_until = complete_at;
+        } else {
+            now + self.latency(class)
+        };
+        let uop = &mut self.window[i];
+        uop.issued = true;
+        uop.complete_at = complete_at;
+        if uop.is_store {
+            if let Some(m) = uop.ret.mem {
+                self.store_addrs.push((uop.seq, m.addr & !7));
             }
-            self.iq_count -= 1;
-            // Resolve a fetch block when the offending branch issues.
-            if self.fetch_stalled_on == Some(self.window[i].seq) {
-                self.fetch_stalled_on = None;
-                self.fetch_resume_at = complete_at + self.cfg.redirect_penalty;
-            }
+        }
+        if class == ExecClass::IntDiv || class == ExecClass::FpDiv {
+            // The iterative divider is unpipelined.
+            self.div_busy_until = complete_at;
+        }
+        // Resolve a fetch block when the offending branch issues.
+        if self.fetch_stalled_on == Some(uop.seq) {
+            self.fetch_stalled_on = None;
+            self.fetch_resume_at = complete_at + self.cfg.redirect_penalty;
         }
     }
 
@@ -456,7 +536,7 @@ impl BigCore {
                 self.stats.rob_full_cycles += 1;
                 break;
             }
-            if self.iq_count >= self.cfg.iq {
+            if self.iq.len() as u32 >= self.cfg.iq {
                 self.stats.iq_full_cycles += 1;
                 break;
             }
@@ -538,7 +618,7 @@ impl BigCore {
             if is_store {
                 self.stq_count += 1;
             }
-            self.iq_count += 1;
+            self.iq.push(seq);
             self.stats.fetched += 1;
 
             // Branch prediction.
@@ -601,8 +681,7 @@ impl BigCore {
                 ret,
                 deps,
                 ndeps,
-                min_issue: now + self.cfg.frontend_depth,
-                wake_at: 0,
+                ready_at: now + self.cfg.frontend_depth,
                 issued: false,
                 complete_at: u64::MAX,
                 is_load,
@@ -626,10 +705,12 @@ mod tests {
     use meek_isa::exec;
     use meek_isa::inst::{AluImmOp, BranchOp, LoadOp, MulDivOp, StoreOp};
     use meek_isa::{encode, ArchState, Bus, SparseMemory};
+    use meek_workloads::{parsec3, spec_int_2006, Workload};
 
-    /// Runs `insts` (looped `iters` times via a backward branch harness)
-    /// on the vanilla core; returns (cycles, committed).
-    fn run_program(insts: &[Inst], max_cycles: u64) -> (u64, u64) {
+    /// The functional oracle of `insts` loaded at 0x1000, with x5
+    /// pointing at 32 KB of data; it ends past the last instruction or
+    /// at a trap.
+    fn program_oracle(insts: &[Inst]) -> impl FnMut() -> Option<Retired> {
         let words: Vec<u32> = insts.iter().map(encode).collect();
         let mut mem = SparseMemory::new();
         mem.load_program(0x1000, &words);
@@ -639,11 +720,8 @@ mod tests {
         let mut st = ArchState::new(0x1000);
         st.set_x(Reg::X5, 0x10_0000);
         let end = 0x1000 + 4 * words.len() as u64;
-        let mut core = BigCore::new(BigCoreConfig::sonic_boom());
-        core.prewarm_icache(0x1000, 4 * words.len() as u64);
-        let mut hook = NullHook;
         let mut done = false;
-        let mut oracle = move || {
+        move || {
             if done || st.pc >= end {
                 return None;
             }
@@ -654,7 +732,15 @@ mod tests {
                     None
                 }
             }
-        };
+        }
+    }
+
+    /// Runs `insts` on the vanilla core; returns (cycles, committed).
+    fn run_program(insts: &[Inst], max_cycles: u64) -> (u64, u64) {
+        let mut core = BigCore::new(BigCoreConfig::sonic_boom());
+        core.prewarm_icache(0x1000, 4 * insts.len() as u64);
+        let mut hook = NullHook;
+        let mut oracle = program_oracle(insts);
         for now in 0..max_cycles {
             core.tick(now, &mut oracle, &mut hook);
             if core.is_drained() {
@@ -685,44 +771,28 @@ mod tests {
         assert!(ipc <= 2.05, "ALU IPC {ipc:.2} exceeds ALU bandwidth");
     }
 
-    #[test]
-    fn dependent_chain_is_serial() {
-        // A single dependence chain: IPC near 1.
-        let insts: Vec<Inst> = (0..2000)
+    /// A single dependence chain of `n` adds.
+    fn dependent_chain(n: usize) -> Vec<Inst> {
+        (0..n)
             .map(|_| Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X6, rs1: Reg::X6, imm: 1 })
-            .collect();
-        let (cycles, committed) = run_program(&insts, 100_000);
-        let ipc = committed as f64 / cycles as f64;
-        assert!(ipc < 1.1, "dependent chain IPC {ipc:.2} should be ~1");
+            .collect()
     }
 
-    #[test]
-    fn div_chain_much_slower_than_alu() {
-        let divs: Vec<Inst> = std::iter::once(Inst::AluImm {
-            op: AluImmOp::Addi,
-            rd: Reg::X7,
-            rs1: Reg::X0,
-            imm: 1000,
-        })
-        .chain((0..200).map(|_| Inst::MulDiv {
-            op: MulDivOp::Div,
-            rd: Reg::X8,
-            rs1: Reg::X7,
-            rs2: Reg::X7,
-        }))
-        .collect();
-        let (div_cycles, _) = run_program(&divs, 100_000);
-        let (alu_cycles, _) = run_program(&straightline_alu(201), 100_000);
-        assert!(
-            div_cycles > alu_cycles + 200 * 10,
-            "divides ({div_cycles}) must be far slower than ALU ({alu_cycles})"
-        );
+    /// 200 dependent-source divides behind one constant.
+    fn div_chain() -> Vec<Inst> {
+        std::iter::once(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X7, rs1: Reg::X0, imm: 1000 })
+            .chain((0..200).map(|_| Inst::MulDiv {
+                op: MulDivOp::Div,
+                rd: Reg::X8,
+                rs1: Reg::X7,
+                rs2: Reg::X7,
+            }))
+            .collect()
     }
 
-    #[test]
-    fn cold_loads_stall_warm_loads_fly() {
-        // Scattered loads at 2 KB stride: cold misses the stream
-        // prefetcher cannot cover (no adjacent-line residency).
+    /// Scattered loads at 2 KB stride: cold misses the stream
+    /// prefetcher cannot cover (no adjacent-line residency).
+    fn scattered_loads() -> Vec<Inst> {
         let mut insts = Vec::new();
         for i in 0..256 {
             insts.push(Inst::Load {
@@ -733,7 +803,40 @@ mod tests {
             });
             insts.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X5, rs1: Reg::X5, imm: 2040 });
         }
-        let (cold, _) = run_program(&insts, 1_000_000);
+        insts
+    }
+
+    /// A store to x5+0 loaded straight back, 200 times.
+    fn store_load_pairs() -> Vec<Inst> {
+        let mut insts = Vec::new();
+        for _ in 0..200 {
+            insts.push(Inst::Store { op: StoreOp::Sd, rs1: Reg::X5, rs2: Reg::X7, offset: 0 });
+            insts.push(Inst::Load { op: LoadOp::Ld, rd: Reg::X8, rs1: Reg::X5, offset: 0 });
+        }
+        insts
+    }
+
+    #[test]
+    fn dependent_chain_is_serial() {
+        // A single dependence chain: IPC near 1.
+        let (cycles, committed) = run_program(&dependent_chain(2000), 100_000);
+        let ipc = committed as f64 / cycles as f64;
+        assert!(ipc < 1.1, "dependent chain IPC {ipc:.2} should be ~1");
+    }
+
+    #[test]
+    fn div_chain_much_slower_than_alu() {
+        let (div_cycles, _) = run_program(&div_chain(), 100_000);
+        let (alu_cycles, _) = run_program(&straightline_alu(201), 100_000);
+        assert!(
+            div_cycles > alu_cycles + 200 * 10,
+            "divides ({div_cycles}) must be far slower than ALU ({alu_cycles})"
+        );
+    }
+
+    #[test]
+    fn cold_loads_stall_warm_loads_fly() {
+        let (cold, _) = run_program(&scattered_loads(), 1_000_000);
         // Same loads but hitting one line repeatedly.
         let mut warm = Vec::new();
         for _ in 0..256 {
@@ -743,48 +846,44 @@ mod tests {
         assert!(cold > hot, "cold loads ({cold}) must cost more than L1 hits ({hot})");
     }
 
+    /// A loop executed 500 times, whose inner branch is either always
+    /// not-taken (learnable) or driven by an LCG bit (unpredictable).
+    fn branchy_loop(random: bool) -> Vec<Inst> {
+        let mut v = vec![
+            // x20 = 500 iterations; x21 = LCG state.
+            Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X20, rs1: Reg::X0, imm: 500 },
+            Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X21, rs1: Reg::X0, imm: 1234 },
+            // x22 = 1103515245 (glibc LCG multiplier, odd).
+            Inst::Lui { rd: Reg::X22, imm: 0x41C65 },
+            Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X22, rs1: Reg::X22, imm: -403 },
+        ];
+        let loop_start = v.len();
+        if random {
+            // x21 = x21 * x22 + 1309; x9 = (x21 >> 17) & 1.
+            v.push(Inst::MulDiv { op: MulDivOp::Mul, rd: Reg::X21, rs1: Reg::X21, rs2: Reg::X22 });
+            v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X21, rs1: Reg::X21, imm: 1309 });
+            v.push(Inst::AluImm { op: AluImmOp::Srli, rd: Reg::X9, rs1: Reg::X21, imm: 17 });
+            v.push(Inst::AluImm { op: AluImmOp::Andi, rd: Reg::X9, rs1: Reg::X9, imm: 1 });
+        } else {
+            v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X9, rs1: Reg::X0, imm: 1 });
+            v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X9, rs1: Reg::X9, imm: 0 });
+            v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X9, rs1: Reg::X9, imm: 0 });
+            v.push(Inst::AluImm { op: AluImmOp::Andi, rd: Reg::X9, rs1: Reg::X9, imm: 1 });
+        }
+        // if x9 == 0 skip one filler instruction
+        v.push(Inst::Branch { op: BranchOp::Beq, rs1: Reg::X9, rs2: Reg::X0, offset: 8 });
+        v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X10, rs1: Reg::X10, imm: 1 });
+        // x20 -= 1; bne x20, x0, loop_start
+        v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X20, rs1: Reg::X20, imm: -1 });
+        let back = (loop_start as i32 - v.len() as i32) * 4;
+        v.push(Inst::Branch { op: BranchOp::Bne, rs1: Reg::X20, rs2: Reg::X0, offset: back });
+        v
+    }
+
     #[test]
     fn predictable_loop_outruns_random_branches() {
-        // A loop executed 500 times, whose inner branch is either always
-        // not-taken (learnable) or driven by an LCG bit (unpredictable).
-        let make = |random: bool| -> Vec<Inst> {
-            let mut v = vec![
-                // x20 = 500 iterations; x21 = LCG state.
-                Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X20, rs1: Reg::X0, imm: 500 },
-                Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X21, rs1: Reg::X0, imm: 1234 },
-                // x22 = 1103515245 (glibc LCG multiplier, odd).
-                Inst::Lui { rd: Reg::X22, imm: 0x41C65 },
-                Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X22, rs1: Reg::X22, imm: -403 },
-            ];
-            let loop_start = v.len();
-            if random {
-                // x21 = x21 * x22 + 1309; x9 = (x21 >> 17) & 1.
-                v.push(Inst::MulDiv {
-                    op: MulDivOp::Mul,
-                    rd: Reg::X21,
-                    rs1: Reg::X21,
-                    rs2: Reg::X22,
-                });
-                v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X21, rs1: Reg::X21, imm: 1309 });
-                v.push(Inst::AluImm { op: AluImmOp::Srli, rd: Reg::X9, rs1: Reg::X21, imm: 17 });
-                v.push(Inst::AluImm { op: AluImmOp::Andi, rd: Reg::X9, rs1: Reg::X9, imm: 1 });
-            } else {
-                v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X9, rs1: Reg::X0, imm: 1 });
-                v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X9, rs1: Reg::X9, imm: 0 });
-                v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X9, rs1: Reg::X9, imm: 0 });
-                v.push(Inst::AluImm { op: AluImmOp::Andi, rd: Reg::X9, rs1: Reg::X9, imm: 1 });
-            }
-            // if x9 == 0 skip one filler instruction
-            v.push(Inst::Branch { op: BranchOp::Beq, rs1: Reg::X9, rs2: Reg::X0, offset: 8 });
-            v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X10, rs1: Reg::X10, imm: 1 });
-            // x20 -= 1; bne x20, x0, loop_start
-            v.push(Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X20, rs1: Reg::X20, imm: -1 });
-            let back = (loop_start as i32 - v.len() as i32) * 4;
-            v.push(Inst::Branch { op: BranchOp::Bne, rs1: Reg::X20, rs2: Reg::X0, offset: back });
-            v
-        };
-        let (biased_cycles, biased_n) = run_program(&make(false), 1_000_000);
-        let (random_cycles, random_n) = run_program(&make(true), 1_000_000);
+        let (biased_cycles, biased_n) = run_program(&branchy_loop(false), 1_000_000);
+        let (random_cycles, random_n) = run_program(&branchy_loop(true), 1_000_000);
         // Similar dynamic lengths; the random one must be clearly slower.
         assert!(biased_n.abs_diff(random_n) < 600);
         assert!(
@@ -795,13 +894,8 @@ mod tests {
 
     #[test]
     fn store_load_forwarding() {
-        // store to x5+0 then load it back repeatedly: forwarding keeps it fast.
-        let mut insts = Vec::new();
-        for _ in 0..200 {
-            insts.push(Inst::Store { op: StoreOp::Sd, rs1: Reg::X5, rs2: Reg::X7, offset: 0 });
-            insts.push(Inst::Load { op: LoadOp::Ld, rd: Reg::X8, rs1: Reg::X5, offset: 0 });
-        }
-        let (cycles, committed) = run_program(&insts, 100_000);
+        // Forwarding keeps store/load pairs to one address fast.
+        let (cycles, committed) = run_program(&store_load_pairs(), 100_000);
         assert_eq!(committed, 400);
         let ipc = committed as f64 / cycles as f64;
         assert!(ipc > 0.8, "forwarded store/load pairs should sustain ~1 IPC, got {ipc:.2}");
@@ -879,5 +973,139 @@ mod tests {
         let (cycles, committed) = run_program(&straightline_alu(10), 10_000);
         assert_eq!(committed, 10);
         assert!(cycles > 6, "front-end depth implies a minimum latency");
+    }
+
+    /// The whole-window walk the issue queue replaced, with every
+    /// producer rechecked every cycle: the reference the scheduler is
+    /// held to. It never writes `ready_at`, which so stays the
+    /// dispatch-time front-end bound.
+    fn issue_by_window_walk(core: &mut BigCore, now: u64) {
+        let mut free = FreeUnits::new(&core.cfg, now >= core.div_busy_until);
+        for i in 0..core.window.len() {
+            if free.exhausted() {
+                break;
+            }
+            let uop = &core.window[i];
+            if uop.issued || !front_end_and_producers_ready(core, uop, now) {
+                continue;
+            }
+            if free.take(uop.ret.class) {
+                let seq = uop.seq;
+                core.issue_uop(i, now);
+                core.iq.retain(|&s| s != seq);
+            }
+        }
+    }
+
+    /// The per-producer rule on a reference-model uop: past its
+    /// front-end depth, and every producer committed or issued and
+    /// complete by `now`.
+    fn front_end_and_producers_ready(core: &BigCore, uop: &Uop, now: u64) -> bool {
+        uop.ready_at <= now
+            && uop.deps[..uop.ndeps as usize]
+                .iter()
+                .all(|&d| core.uop_by_seq(d).is_none_or(|p| p.issued && p.complete_at <= now))
+    }
+
+    /// Ticks a core under test with [`BigCore::tick`] and a reference
+    /// core with [`issue_by_window_walk`] on the same instruction
+    /// stream until both drain. After every cycle it checks that the
+    /// issue queue holds exactly the window's unissued seqs in age
+    /// order, that no uop the scan skips for its `ready_at` is ready
+    /// under the per-producer rule, and that both cores issued the same
+    /// uops at the same cycles. Returns the core under test.
+    fn lockstep(
+        cfg: BigCoreConfig,
+        mut oracle: impl FnMut() -> Option<Retired>,
+        mut reference_oracle: impl FnMut() -> Option<Retired>,
+        warm: (u64, u64),
+    ) -> BigCore {
+        let mut core = BigCore::new(cfg);
+        let mut reference = BigCore::new(cfg);
+        core.prewarm_icache(warm.0, warm.1);
+        reference.prewarm_icache(warm.0, warm.1);
+        let mut now = 0u64;
+        while !core.is_drained() {
+            assert!(now < 2_000_000, "no drain");
+            core.tick(now, &mut oracle, &mut NullHook);
+            reference.stats.cycles += 1;
+            reference.stats.occupancy_sum += reference.window.len() as u64;
+            reference.commit(now, &mut NullHook);
+            issue_by_window_walk(&mut reference, now);
+            reference.fetch(now, &mut reference_oracle);
+
+            let unissued: Vec<u64> =
+                core.window.iter().filter(|u| !u.issued).map(|u| u.seq).collect();
+            assert_eq!(core.iq, unissued, "cycle {now}: the IQ is the unissued window");
+            assert_eq!(core.window.len(), reference.window.len(), "cycle {now}");
+            for (u, r) in core.window.iter().zip(&reference.window) {
+                assert_eq!(
+                    (u.seq, u.issued, u.complete_at),
+                    (r.seq, r.issued, r.complete_at),
+                    "cycle {now}: issue decisions differ from the window walk"
+                );
+                if !u.issued && u.ready_at > now {
+                    assert!(
+                        !front_end_and_producers_ready(&reference, r, now),
+                        "cycle {now}: seq {} skipped until {} but ready",
+                        u.seq,
+                        u.ready_at
+                    );
+                }
+            }
+            assert_eq!(
+                BigCoreStats { issue_examined: 0, ..core.stats },
+                reference.stats,
+                "cycle {now}"
+            );
+            now += 1;
+        }
+        assert!(reference.is_drained());
+        core
+    }
+
+    fn lockstep_program(cfg: BigCoreConfig, insts: &[Inst]) -> BigCore {
+        let warm = (0x1000, 4 * insts.len() as u64);
+        lockstep(cfg, program_oracle(insts), program_oracle(insts), warm)
+    }
+
+    fn lockstep_workload(cfg: BigCoreConfig, wl: &Workload, insts: u64) -> BigCore {
+        let (mut a, mut b) = (wl.run(insts), wl.run(insts));
+        let warm = (wl.entry(), 4 * wl.static_len as u64);
+        lockstep(cfg, || a.next_retired(), || b.next_retired(), warm)
+    }
+
+    #[test]
+    fn the_issue_queue_issues_as_the_window_walk_on_unit_programs() {
+        let cfg = BigCoreConfig::sonic_boom();
+        for insts in [
+            straightline_alu(500),
+            dependent_chain(500),
+            div_chain(),
+            scattered_loads(),
+            branchy_loop(true),
+            store_load_pairs(),
+        ] {
+            let core = lockstep_program(cfg, &insts);
+            assert_eq!(core.min_latency, 1);
+            let s = core.stats();
+            assert!(s.issue_examined >= s.committed, "every uop is examined at least once");
+        }
+    }
+
+    #[test]
+    fn the_issue_queue_issues_as_the_window_walk_on_profiles() {
+        let profiles = [&spec_int_2006()[3], &spec_int_2006()[0], &parsec3()[0]];
+        for p in profiles {
+            lockstep_workload(BigCoreConfig::sonic_boom(), &Workload::build(p, 1), 3_000);
+        }
+    }
+
+    #[test]
+    fn a_zero_cycle_multiplier_lets_consumers_issue_with_their_producer() {
+        let cfg = BigCoreConfig { mul_latency: 0, ..BigCoreConfig::sonic_boom() };
+        let core = lockstep_program(cfg, &branchy_loop(true));
+        assert_eq!(core.min_latency, 0);
+        lockstep_workload(cfg, &Workload::build(&parsec3()[0], 1), 3_000);
     }
 }

@@ -386,6 +386,10 @@ mod tests {
             .sum();
         assert_eq!(latency, detected, "one latency observation per detection");
         assert!(
+            reg.counter("bigcore_issue_examined_total") >= reg.counter("committed_total"),
+            "the issue scan examines every committed uop at least once"
+        );
+        assert!(
             reg.hist("rob_occupancy").is_some_and(|h| h.count > 0),
             "the default stride must leave time-series samples"
         );

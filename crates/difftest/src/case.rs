@@ -169,18 +169,20 @@ pub fn case_seed(run_seed: u64, case: u64) -> u64 {
 /// `cfg.recover`, verifies the recovery of) every fault of its plan.
 pub fn run_case(run_seed: u64, case: u64, suite: &Suite, cfg: &CosimConfig) -> CaseReport {
     let seed = case_seed(run_seed, case);
+    let fuzzed;
     let wl = match suite {
         Suite::Fuzz(fuzz) => {
             let prog = fuzz_program(seed, fuzz);
             let _span = prof::span("image_build");
-            prog.workload()
+            fuzzed = prog.workload();
+            &fuzzed
         }
         Suite::Progs => {
             let _span = prof::span("image_build");
             meek_progs::rotation_workload(case)
         }
     };
-    let case = Case::new(&wl, cfg);
+    let case = Case::new(wl, cfg);
     let faults = case
         .plan(seed)
         .into_iter()

@@ -11,6 +11,8 @@
 use crate::asm::{assemble, Program};
 use crate::loader;
 use meek_workloads::Workload;
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// One committed benchmark kernel.
 #[derive(Debug, Clone, Copy)]
@@ -116,14 +118,16 @@ pub fn rotation_len() -> u64 {
 
 /// The canonical benchmark rotation shared by `meek-difftest --suite
 /// progs` and `meek-serve` difftest jobs: kernels in canonical order,
-/// then the fused all-kernel multi-workload set.
-pub fn rotation_workload(case: u64) -> Workload {
-    let slot = case % rotation_len();
-    if (slot as usize) < KERNELS.len() {
-        workload(&KERNELS[slot as usize])
-    } else {
-        crate::set::WorkloadSet::all().fuse()
-    }
+/// then the fused all-kernel multi-workload set. Each program is
+/// assembled on first use and memoised for the process lifetime.
+pub fn rotation_workload(case: u64) -> &'static Workload {
+    static ROTATION: [OnceLock<Workload>; KERNELS.len() + 1] =
+        [const { OnceLock::new() }; KERNELS.len() + 1];
+    let slot = (case % rotation_len()) as usize;
+    ROTATION[slot].get_or_init(|| match KERNELS.get(slot) {
+        Some(k) => workload(k),
+        None => crate::set::WorkloadSet::all().fuse(),
+    })
 }
 
 /// Dynamic instruction counts of every suite workload (and the fused
@@ -132,17 +136,16 @@ pub fn rotation_workload(case: u64) -> Workload {
 /// bound shard budgets and arm windows to what a program actually
 /// retires — a committed kernel runs once and exits, unlike a
 /// profile-synthesised loop that fills any budget.
-fn dynamic_lens() -> &'static std::collections::BTreeMap<&'static str, u64> {
-    static LENS: std::sync::OnceLock<std::collections::BTreeMap<&'static str, u64>> =
-        std::sync::OnceLock::new();
+fn dynamic_lens() -> &'static BTreeMap<&'static str, u64> {
+    static LENS: OnceLock<BTreeMap<&'static str, u64>> = OnceLock::new();
     LENS.get_or_init(|| {
-        let mut m = std::collections::BTreeMap::new();
-        for k in &KERNELS {
-            m.insert(k.name, crate::loader::run_golden(&workload(k), KERNEL_INST_CAP).retired);
-        }
-        let set = crate::set::WorkloadSet::all().fuse();
-        m.insert(SET_NAME, crate::loader::run_golden(&set, KERNEL_INST_CAP).retired);
-        m
+        let names = KERNELS.iter().map(|k| k.name).chain([SET_NAME]);
+        (0..rotation_len())
+            .zip(names)
+            .map(|(case, name)| {
+                (name, crate::loader::run_golden(rotation_workload(case), KERNEL_INST_CAP).retired)
+            })
+            .collect()
     })
 }
 

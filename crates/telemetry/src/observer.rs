@@ -30,6 +30,7 @@
 //! | `littlecore_replayed_insts{core=N}` | counter | per-checker replayed instructions |
 //! | `runs` / `cycles_total` / `app_cycles_total` / `committed_total` | counter | per-run report totals |
 //! | `cache_state_bytes_total` | counter | cache tag-state bytes the runs materialised |
+//! | `bigcore_issue_examined_total` | counter | issue-queue entries the big core's issue stage examined |
 //! | `ipc_milli` | hist | committed×1000 / app-cycles per run |
 
 use crate::registry::Registry;
@@ -154,6 +155,7 @@ impl Observer for MetricsObserver {
             st.reg.inc("app_cycles_total", report.app_cycles);
             st.reg.inc("committed_total", report.committed);
             st.reg.inc("cache_state_bytes_total", report.cache_state_bytes);
+            st.reg.inc("bigcore_issue_examined_total", report.big.issue_examined);
             st.reg.observe("ipc_milli", report.committed * 1000 / report.app_cycles.max(1));
             for (i, lc) in report.littles.iter().enumerate() {
                 st.reg.inc(format!("littlecore_busy_cycles{{core={i}}}"), lc.busy_cycles);
