@@ -49,9 +49,7 @@ fn drive(kind: FabricKind, pkts: &[Packet]) -> u64 {
                 }
             }
         }
-        let mut refs: Vec<&mut dyn PacketSink> =
-            sinks.iter_mut().map(|s| s as &mut dyn PacketSink).collect();
-        fabric.tick(now, &mut refs);
+        fabric.tick(now, &mut sinks);
         now += 1;
         if next.is_none() && fabric.is_empty() {
             return now;

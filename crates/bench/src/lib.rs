@@ -10,7 +10,6 @@
 
 pub mod suites;
 
-use meek_bigcore::BigCoreConfig;
 use meek_campaign::Executor;
 use meek_core::{run_vanilla, MeekConfig, RunReport, Sim};
 use meek_workloads::{BenchmarkProfile, Workload};
@@ -114,12 +113,6 @@ pub fn measure_meek_workload(
         .run()
         .report;
     MeekMeasurement { name, vanilla_cycles, report }
-}
-
-/// Vanilla cycles for one workload at the Table II configuration.
-pub fn measure_vanilla(profile: &BenchmarkProfile, insts: u64, seed: u64) -> u64 {
-    let wl = Workload::build(profile, seed);
-    run_vanilla(&BigCoreConfig::sonic_boom(), &wl, insts)
 }
 
 /// Pretty-prints a slowdown as the paper's figures do.

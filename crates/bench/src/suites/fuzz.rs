@@ -36,8 +36,8 @@ fn bench_coverage(c: &mut Criterion) {
     g.throughput(Throughput::Elements(golden.trace.len() as u64));
     g.bench_function("golden_features", |b| {
         b.iter(|| {
-            let map = CoverageMap::new();
-            golden_features(black_box(&golden), &map);
+            let mut map = CoverageMap::new();
+            golden_features(black_box(&golden), &mut map);
             map.take_features().len()
         })
     });

@@ -18,8 +18,8 @@ fn bench_metrics_observer(c: &mut Criterion) {
     });
     g.bench_function("metrics_observer_overhead", |b| {
         b.iter(|| {
-            let m = MetricsObserver::new(64);
-            Sim::builder(&wl, N).observe(m).build().expect("valid").run().report.cycles
+            let mut m = MetricsObserver::new(64);
+            Sim::builder(&wl, N).observe(&mut m).build().expect("valid").run().report.cycles
         })
     });
     g.finish();

@@ -95,11 +95,6 @@ impl BigCoreStats {
             self.committed as f64 / self.cycles as f64
         }
     }
-
-    /// Total MEEK-induced commit-stall cycles.
-    pub fn meek_stalls(&self) -> u64 {
-        self.stall_collect + self.stall_forward + self.stall_little
-    }
 }
 
 /// Functional units still free in the current issue cycle.
@@ -319,14 +314,6 @@ impl BigCore {
         self.hier.state_bytes()
     }
 
-    /// Memory-hierarchy statistics (read-only view).
-    pub fn hierarchy_stats(
-        &self,
-    ) -> (meek_mem::CacheStats, meek_mem::CacheStats, meek_mem::CacheStats, meek_mem::CacheStats)
-    {
-        self.hier.stats()
-    }
-
     /// Pre-warms the instruction cache over `[base, base + len)` —
     /// used by harnesses that measure steady-state behaviour (real
     /// workloads loop, so their code is resident after the first
@@ -336,16 +323,6 @@ impl BigCore {
         while addr < base + len {
             let _ = self.hier.inst_fetch(addr, 0);
             let _ = self.hier.inst_fetch(addr, 0);
-            addr += 64;
-        }
-    }
-
-    /// Pre-warms the data cache over `[base, base + len)`.
-    pub fn prewarm_dcache(&mut self, base: u64, len: u64) {
-        let mut addr = base & !63;
-        while addr < base + len {
-            let _ = self.hier.data_access(addr, AccessKind::Read, 0);
-            let _ = self.hier.data_access(addr, AccessKind::Read, 0);
             addr += 64;
         }
     }

@@ -16,7 +16,7 @@
 use crate::executor::Executor;
 use crate::sink::{CampaignRecord, RecordSink, ShardSummary};
 use crate::spec::{CampaignSpec, CampaignWorkload, ShardSpec, DEFAULT_METRICS_STRIDE};
-use meek_core::{validate_config, JsonlEventSink, SamplingObserver, SharedBuf, Sim};
+use meek_core::{validate_config, JsonlEventSink, SamplingObserver, Sim};
 use meek_telemetry::MetricsObserver;
 use meek_workloads::WorkloadCache;
 use std::io;
@@ -121,35 +121,37 @@ pub fn run_shard(spec: &CampaignSpec, cache: &WorkloadCache, shard: &ShardSpec) 
     };
     let faults = shard.fault_specs();
     let n_faults = faults.len();
-    let mut builder =
-        Sim::builder(&workload, shard.insts).config(spec.config.clone()).faults(faults);
     // With tracing on, the JSONL event observer serialises the shard's
     // structured event stream; every line carries the shard's identity
     // so the re-sequenced global trace stays self-describing.
-    let trace_buf = spec.trace_events.then(SharedBuf::new);
-    if let Some(buf) = &trace_buf {
+    let mut trace = spec.trace_events.then(|| {
         let prefix =
             format!("\"workload\":\"{}\",\"shard\":{},", shard.workload, shard.shard_in_workload);
-        builder = builder.observe(JsonlEventSink::with_prefix(buf.clone(), prefix));
-    }
+        JsonlEventSink::with_prefix(Vec::new(), prefix)
+    });
     // With sampling on, a SamplingObserver keeps the shard's ROB /
     // fabric-depth time series, rendered with shard identity columns.
-    let sampler = (spec.sample_stride > 0).then(|| SamplingObserver::new(spec.sample_stride));
-    if let Some(s) = &sampler {
-        builder = builder.observe(s.clone());
-    }
+    let mut sampler = (spec.sample_stride > 0).then(|| SamplingObserver::new(spec.sample_stride));
     // With metrics on, a MetricsObserver accumulates the shard's
     // registry (latency/occupancy histograms, verdict counters); its
     // rendered text rides the metrics channel and is merged in shard
     // order by the sink, keeping the campaign-wide registry
     // thread-count invariant.
-    let metrics = spec.metrics.then(|| {
+    let mut metrics = spec.metrics.then(|| {
         let stride =
             if spec.sample_stride > 0 { spec.sample_stride } else { DEFAULT_METRICS_STRIDE };
         MetricsObserver::new(stride)
     });
-    if let Some(m) = &metrics {
-        builder = builder.observe(m.clone());
+    let mut builder =
+        Sim::builder(&workload, shard.insts).config(spec.config.clone()).faults(faults);
+    if let Some(t) = &mut trace {
+        builder = builder.observe(t);
+    }
+    if let Some(s) = &mut sampler {
+        builder = builder.observe(s);
+    }
+    if let Some(m) = &mut metrics {
+        builder = builder.observe(m);
     }
     // Infallible: run_campaign validated the config up front, and
     // shard fault plans always arm inside the instruction budget.
@@ -182,7 +184,9 @@ pub fn run_shard(spec: &CampaignSpec, cache: &WorkloadCache, shard: &ShardSpec) 
             storage_bytes_hwm: report.recovery.storage_bytes_hwm,
         },
         records,
-        trace: trace_buf.map(|b| b.take_bytes()).unwrap_or_default(),
+        trace: trace
+            .map(|t| t.into_inner().expect("an in-memory trace cannot fail"))
+            .unwrap_or_default(),
         samples: sampler
             .map(|s| {
                 s.render_csv(&format!("{},{},", shard.workload, shard.shard_in_workload))

@@ -191,40 +191,29 @@ impl DeuState {
     /// per big-core cycle; pushes as many chunks as the status FIFOs
     /// accept this cycle.
     pub fn pump_transfers(&mut self, fabric: &mut Fabric, injector: &mut FaultInjector, now: u64) {
-        while let Some(t) = self.transfers.front_mut() {
+        while !self.transfers.is_empty() {
+            // The lane rotates on a refused push too.
+            let lane = self.next_lane();
+            if !fabric.can_push(lane, PacketKind::Status) {
+                break;
+            }
+            let t = self.transfers.front_mut().expect("front exists");
             let is_last = t.next_chunk + 1 == t.total;
             let payload = if is_last {
                 Payload::RcpEnd { seg: t.seg, inst_count: t.inst_count, cp: Box::new(t.cp) }
             } else {
                 Payload::RcpChunk { seg: t.seg, chunk: t.next_chunk, total: t.total }
             };
-            let seg = t.seg;
-            let dest = t.dest;
-            let mut pkt = Packet { seq: 0, dest, payload, created_at: now };
-            let was_busy = injector.busy();
+            let mut pkt = Packet { seq: 0, dest: t.dest, payload, created_at: now };
             if is_last {
-                injector.maybe_corrupt(&mut pkt, now, seg);
+                injector.maybe_corrupt(&mut pkt, now, t.seg);
+            }
+            t.next_chunk += 1;
+            if t.next_chunk == t.total {
+                self.transfers.pop_front();
             }
             pkt.seq = self.next_seq();
-            let lane = self.next_lane();
-            match fabric.try_push(lane, pkt) {
-                Ok(()) => {
-                    let t = self.transfers.front_mut().expect("front exists");
-                    t.next_chunk += 1;
-                    if t.next_chunk == t.total {
-                        self.transfers.pop_front();
-                    }
-                }
-                Err(_) => {
-                    // Chunk retained (next_chunk unchanged); undo a
-                    // corruption that fired on the dropped packet.
-                    if !was_busy && injector.busy() {
-                        injector.revert();
-                    }
-                    self.seq -= 1;
-                    break;
-                }
-            }
+            fabric.try_push(lane, pkt).expect("admission checked");
         }
     }
 
@@ -394,29 +383,21 @@ impl DeuHook<'_> {
         let Some(checker) = self.ensure_checker(seg) else {
             return Some(CommitDecision::Stall(CommitStall::LittleCore));
         };
+        if !self.fabric.can_push(lane, PacketKind::Runtime) {
+            let reason = if !self.littles[checker].lsl.can_accept(PacketKind::Runtime) {
+                CommitStall::LittleCore
+            } else {
+                CommitStall::DataForward
+            };
+            return Some(CommitDecision::Stall(reason));
+        }
         let mut pkt = Packet { seq: 0, dest: DestMask::single(checker), payload, created_at: now };
-        let was_busy = self.injector.busy();
         self.injector.maybe_corrupt(&mut pkt, now, seg);
         pkt.seq = self.deu.next_seq();
-        match self.fabric.try_push(lane, pkt) {
-            Ok(()) => {
-                self.deu.runtime_packets += 1;
-                self.deu.records_in_seg += 1;
-                None
-            }
-            Err(_) => {
-                if !was_busy && self.injector.busy() {
-                    self.injector.revert();
-                }
-                self.deu.seq -= 1;
-                let reason = if !self.littles[checker].lsl.can_accept(PacketKind::Runtime) {
-                    CommitStall::LittleCore
-                } else {
-                    CommitStall::DataForward
-                };
-                Some(CommitDecision::Stall(reason))
-            }
-        }
+        self.fabric.try_push(lane, pkt).expect("admission checked");
+        self.deu.runtime_packets += 1;
+        self.deu.records_in_seg += 1;
+        None
     }
 
     fn update_shadow(&mut self, ret: &Retired) {
@@ -462,6 +443,7 @@ impl CommitHook for DeuHook<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultSite, FaultSpec};
     use meek_fabric::{DcBufferConfig, FabricKind};
     use meek_isa::inst::{AluImmOp, Inst};
     use meek_isa::{ExecClass, Reg};
@@ -623,6 +605,36 @@ mod tests {
         assert_eq!(deu.chunks_per_cp(), 17); // ceil(65 / 4)
         let deu2 = DeuState::new(4, 2, 10, 10, RegCheckpoint::zeroed(0));
         assert_eq!(deu2.chunks_per_cp(), 33); // ceil(65 / 2)
+    }
+
+    #[test]
+    fn a_fault_offered_to_a_full_dc_buffer_stays_armed_until_the_push_fits() {
+        let mut rig = Rig::new(2, 1_000_000, 1_000_000);
+        let spec = FaultSpec { arm_at_commit: 0, site: FaultSite::MemData, bit: 3 };
+        rig.injector = FaultInjector::new(vec![spec]);
+        rig.injector.advance(0);
+        // Fill lane 0's run-time FIFO.
+        for seq in 100.. {
+            let payload = Payload::Csr { seg: 1, addr: 0x300, data: seq };
+            let pkt = Packet { seq, dest: DestMask::single(1), payload, created_at: 0 };
+            if rig.fabric.try_push(0, pkt).is_err() {
+                break;
+            }
+        }
+        let mem = Some(meek_isa::MemAccess { addr: 0x8000, size: 8, data: 5, is_store: false });
+        let load = fake_retired(0x1000, mem, false);
+        let stall = CommitDecision::Stall(CommitStall::DataForward);
+        assert_eq!(rig.hook().on_commit(0, &load, 0), stall);
+        assert!(!rig.injector.busy(), "the refused packet was never corrupted");
+        assert!(rig.injector.take_injections().is_empty(), "no injection logged");
+        assert_eq!(rig.injector.unresolved(), 1, "the fault is still armed");
+        assert_eq!(rig.deu.runtime_packets, 0);
+        // Room opens up: the retried push carries the corruption.
+        rig.fabric.flush();
+        assert_eq!(rig.hook().on_commit(0, &load, 1), CommitDecision::Proceed);
+        assert!(rig.injector.busy(), "the fault fired on the retried push");
+        assert_eq!(rig.injector.take_injections(), vec![(FaultSite::MemData, 1, 1)]);
+        assert_eq!(rig.deu.runtime_packets, 1);
     }
 
     #[test]

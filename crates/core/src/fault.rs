@@ -242,8 +242,7 @@ pub struct FaultInjector {
     pub suppressed: bool,
     /// `(site, segment, cycle)` of every corruption that actually fired
     /// since the last [`FaultInjector::take_injections`] — drained each
-    /// cycle by the system to emit typed `FaultInjected` events. A
-    /// [`FaultInjector::revert`] (dropped packet) pops its entry.
+    /// cycle by the system to emit typed `FaultInjected` events.
     injection_log: Vec<(FaultSite, u32, u64)>,
     /// Commit index at which each segment's closing boundary fell,
     /// reported by the DEU ([`FaultInjector::on_boundary`]). Mask
@@ -315,17 +314,6 @@ impl FaultInjector {
     /// Whether a fault is currently in flight (awaiting detection).
     pub fn busy(&self) -> bool {
         self.in_flight.is_some()
-    }
-
-    /// Re-arms the in-flight fault: used when the corrupted packet was
-    /// rejected by a full DC-Buffer and dropped (the retried push builds
-    /// a fresh packet, so the corruption must fire again).
-    pub fn revert(&mut self) {
-        if let Some(fl) = self.in_flight.take() {
-            self.armed = Some((fl.spec, fl.armed_at_commit));
-            // The corruption never left the DEU: un-log its event.
-            self.injection_log.pop();
-        }
     }
 
     /// Faults remaining in the queue (not yet armed).

@@ -33,8 +33,9 @@
 //! [`sim::RunError::Livelock`] if the system fails to drain within its
 //! derived cycle bound. [`sim::Sim::run`] panics with that error's text
 //! instead, for callers to whom a livelock is a simulator bug.
-//! Instrumentation attaches as [`sim::Observer`]s with typed hooks
-//! instead of polled debug strings:
+//! Instrumentation attaches as [`sim::Observer`]s, which receive every
+//! [`sim::SimEvent`] instead of polling debug strings. The caller owns
+//! the observer and the run borrows it:
 //!
 //! ```
 //! use meek_core::sim::{Sim, TraceLog};
@@ -42,10 +43,10 @@
 //!
 //! let profile = &parsec3()[0]; // blackscholes
 //! let wl = Workload::build(profile, 1);
-//! let trace = TraceLog::new(0);
+//! let mut trace = TraceLog::new(0);
 //! let outcome = Sim::builder(&wl, 20_000)
 //!     .little_cores(4)
-//!     .observe(trace.clone())
+//!     .observe(&mut trace)
 //!     .build()
 //!     .expect("a valid configuration")
 //!     .try_run()
@@ -79,7 +80,7 @@ pub use report::{RunReport, StallBreakdown};
 pub use segments::SegmentManager;
 pub use sim::{
     validate_config, BuildError, JsonlEventSink, NoObserver, Observer, ObserverSet, RunError,
-    RunOutcome, SampleRow, SamplingObserver, SegmentSpan, SharedBuf, Sim, SimBuilder, SimEvent,
-    TickSample, TraceLog,
+    RunOutcome, SampleRow, SamplingObserver, SegmentSpan, Sim, SimBuilder, SimEvent, TickSample,
+    TraceLog,
 };
 pub use system::{cycle_cap, run_vanilla, FabricKind, MeekConfig, MeekSystem};

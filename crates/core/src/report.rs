@@ -94,25 +94,6 @@ impl RunReport {
     pub fn slowdown_vs(&self, vanilla_cycles: u64) -> f64 {
         self.app_cycles as f64 / vanilla_cycles as f64
     }
-
-    /// Mean detection latency in nanoseconds (`None` if no detections).
-    pub fn mean_detection_ns(&self) -> Option<f64> {
-        if self.detections.is_empty() {
-            return None;
-        }
-        Some(
-            self.detections.iter().map(|d| d.latency_ns).sum::<f64>()
-                / self.detections.len() as f64,
-        )
-    }
-
-    /// Worst-case detection latency in nanoseconds.
-    pub fn max_detection_ns(&self) -> Option<f64> {
-        self.detections
-            .iter()
-            .map(|d| d.latency_ns)
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
-    }
 }
 
 /// Geometric mean of a slice of positive values (used for the paper's

@@ -8,7 +8,7 @@ use crate::report::{RunReport, StallBreakdown};
 use crate::segments::SegmentManager;
 use crate::sim::SimEvent;
 use meek_bigcore::{BigCore, BigCoreConfig, NullHook};
-use meek_fabric::{DcBufferConfig, DestMask, Fabric, Packet, PacketKind, PacketSink, SinkBank};
+use meek_fabric::{DcBufferConfig, DestMask, Fabric};
 use meek_isa::{ArchState, SparseMemory};
 use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig};
 use meek_recover::{RecoveryManager, RecoveryPolicy};
@@ -61,25 +61,6 @@ impl MeekConfig {
     /// policy: the full detect→rollback→re-execute→verify loop.
     pub fn with_recovery(n: usize, policy: RecoveryPolicy) -> MeekConfig {
         MeekConfig { n_little: n, recovery: policy, ..MeekConfig::default() }
-    }
-}
-
-/// The checker array viewed as the fabric's sink bank: sink `i` is
-/// little core `i`'s Load-Store Log. Handing this to [`Fabric::tick`]
-/// avoids materialising a slice of trait objects every cycle.
-struct LittleSinks<'a>(&'a mut [LittleCore]);
-
-impl SinkBank for LittleSinks<'_> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn can_accept(&self, i: usize, kind: PacketKind) -> bool {
-        self.0[i].lsl.can_accept(kind)
-    }
-
-    fn deliver(&mut self, i: usize, pkt: Packet, now: u64) {
-        self.0[i].lsl.deliver(pkt, now);
     }
 }
 
@@ -377,7 +358,7 @@ impl MeekSystem {
         // DEU background streaming of checkpoint chunks.
         self.deu.pump_transfers(&mut self.fabric, &mut self.injector, now);
         // Fabric moves packets toward the LSLs.
-        self.fabric.tick(now, &mut LittleSinks(&mut self.littles));
+        self.fabric.tick(now, &mut self.littles);
         // Big clock domain.
         if self.big.is_drained() && self.app_done_cycle.is_none() {
             self.app_done_cycle = Some(now);

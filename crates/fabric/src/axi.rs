@@ -8,7 +8,7 @@
 //! twice. The paper measures this design costing 16.7% geomean slowdown
 //! on PARSEC versus F2's <5%.
 
-use crate::{Fabric, FabricKind, SinkBank};
+use crate::{Fabric, FabricKind, PacketSink};
 
 impl Fabric {
     /// One AXI cycle: on a beat boundary, the oldest eligible head moves
@@ -16,7 +16,7 @@ impl Fabric {
     ///
     /// Kept out of line for the reason given on `tick_f2`.
     #[inline(never)]
-    pub(crate) fn tick_axi(&mut self, now: u64, sinks: &mut dyn SinkBank) {
+    pub(crate) fn tick_axi<S: PacketSink>(&mut self, now: u64, sinks: &mut [S]) {
         // One beat per `AXI_CYCLES_PER_BEAT` big-core cycles.
         if !now.is_multiple_of(FabricKind::AXI_CYCLES_PER_BEAT) {
             return;
@@ -27,7 +27,7 @@ impl Fabric {
             let head = self.buffers[lane].head(kind).expect("head exists");
             // Unicast: serve one targeted core that can accept.
             let Some(core) =
-                head.dest.iter().find(|&c| c < sinks.len() && sinks.can_accept(c, kind))
+                head.dest.iter().find(|&c| c < sinks.len() && sinks[c].can_accept(kind))
             else {
                 // The oldest packet of this kind is blocked: stall the
                 // kind so younger packets cannot overtake it.
@@ -40,9 +40,9 @@ impl Fabric {
             if pkt.dest.is_empty() {
                 // Sole destination takes the packet by move — sinks
                 // never read the dest mask.
-                sinks.deliver(core, pkt, now);
+                sinks[core].deliver(pkt, now);
             } else {
-                sinks.deliver(core, pkt.clone(), now);
+                sinks[core].deliver(pkt.clone(), now);
                 // Remaining destinations need their own bus beats.
                 self.buffers[lane].push_front(kind, pkt);
             }
@@ -64,7 +64,7 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::packet::{DestMask, Packet, PacketKind, Payload};
-    use crate::{DcBufferConfig, PacketSink};
+    use crate::DcBufferConfig;
 
     /// Packets created at cycle 0 become eligible at the AXI latency, so
     /// the clocks start there (a beat boundary: the latency is even).
@@ -110,9 +110,7 @@ mod tests {
 
     fn run(axi: &mut Fabric, sinks: &mut [Sink], from: u64, to: u64) {
         for now in from..to {
-            let mut refs: Vec<&mut dyn PacketSink> =
-                sinks.iter_mut().map(|s| s as &mut dyn PacketSink).collect();
-            axi.tick(now, &mut refs);
+            axi.tick(now, sinks);
         }
     }
 

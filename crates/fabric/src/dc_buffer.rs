@@ -42,6 +42,14 @@ impl DcBuffer {
         DcBuffer { cfg, runtime: VecDeque::new(), status: VecDeque::new() }
     }
 
+    /// Whether the channel FIFO for `kind` has room for one more packet.
+    pub fn can_push(&self, kind: PacketKind) -> bool {
+        match kind {
+            PacketKind::Runtime => self.runtime.len() < self.cfg.runtime_depth,
+            PacketKind::Status => self.status.len() < self.cfg.status_depth,
+        }
+    }
+
     /// Attempts to enqueue; returns the packet back when the target
     /// channel is full (the caller must stall commit).
     ///
@@ -49,14 +57,13 @@ impl DcBuffer {
     ///
     /// `Err(pkt)` if the channel FIFO for the packet's kind is full.
     pub fn try_push(&mut self, pkt: Packet) -> Result<(), Packet> {
-        let (q, cap) = match pkt.kind() {
-            PacketKind::Runtime => (&mut self.runtime, self.cfg.runtime_depth),
-            PacketKind::Status => (&mut self.status, self.cfg.status_depth),
-        };
-        if q.len() >= cap {
+        if !self.can_push(pkt.kind()) {
             return Err(pkt);
         }
-        q.push_back(pkt);
+        match pkt.kind() {
+            PacketKind::Runtime => self.runtime.push_back(pkt),
+            PacketKind::Status => self.status.push_back(pkt),
+        }
         Ok(())
     }
 

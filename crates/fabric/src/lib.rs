@@ -70,44 +70,6 @@ pub trait PacketSink {
     fn deliver(&mut self, pkt: Packet, now: u64);
 }
 
-/// An indexed bank of packet sinks — the little cores' LSLs as the
-/// fabric sees them.
-///
-/// Ticking through this trait lets the system hand the fabric its
-/// checker array directly instead of materialising a slice of trait
-/// objects every cycle. Test harnesses keep the slice shape via the
-/// impl for `Vec<&mut dyn PacketSink>`.
-pub trait SinkBank {
-    /// Number of sinks in the bank.
-    fn len(&self) -> usize;
-
-    /// Whether the bank has no sinks.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether sink `i` can currently accept one more packet of `kind`.
-    fn can_accept(&self, i: usize, kind: PacketKind) -> bool;
-
-    /// Delivers a packet into sink `i`. Called only when `can_accept`
-    /// returned `true` this cycle.
-    fn deliver(&mut self, i: usize, pkt: Packet, now: u64);
-}
-
-impl<'a> SinkBank for Vec<&'a mut (dyn PacketSink + 'a)> {
-    fn len(&self) -> usize {
-        <[_]>::len(self)
-    }
-
-    fn can_accept(&self, i: usize, kind: PacketKind) -> bool {
-        self[i].can_accept(kind)
-    }
-
-    fn deliver(&mut self, i: usize, pkt: Packet, now: u64) {
-        self[i].deliver(pkt, now);
-    }
-}
-
 /// Which interconnect forwards extracted data (the Fig. 9 ablation),
 /// with the per-kind constants of each design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -215,8 +177,19 @@ impl Fabric {
         r
     }
 
-    /// Advances one big-core cycle, moving packets toward the sinks.
-    pub fn tick(&mut self, now: u64, sinks: &mut dyn SinkBank) {
+    /// Whether commit path `lane`'s FIFO for `kind` has room for one
+    /// more packet: [`Fabric::try_push`] of such a packet then succeeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not a commit path of this fabric.
+    pub fn can_push(&self, lane: usize, kind: PacketKind) -> bool {
+        self.buffers[lane].can_push(kind)
+    }
+
+    /// Advances one big-core cycle, moving packets toward the sinks:
+    /// sink `i` is the destination `DestMask` bit `i` names.
+    pub fn tick<S: PacketSink>(&mut self, now: u64, sinks: &mut [S]) {
         match self.kind {
             FabricKind::F2 => self.tick_f2(now, sinks),
             FabricKind::Axi => self.tick_axi(now, sinks),

@@ -6,22 +6,22 @@
 //! currently receive it (eliminating the duplicated SRCP/ERCP transfers
 //! a unicast bus would perform).
 
-use crate::{Fabric, FabricKind, SinkBank};
+use crate::{Fabric, FabricKind, PacketSink};
 
 impl Fabric {
     /// One F2 cycle: up to [`FabricKind::F2_PACKETS_PER_CYCLE`] packets,
     /// oldest eligible head first, each multicast to every destination
     /// that can accept it.
     ///
-    /// Kept out of line, one call per cycle, as the per-kind trait
-    /// object kept it before the fabric was closed. Letting both loops
-    /// inline into the system's per-cycle tick (with `tick` generic over
-    /// the sink bank) grows the hottest function and bought nothing: 30
+    /// Generic over the sink type, but kept out of line, one call per
+    /// cycle, as the per-kind trait object kept it before the fabric was
+    /// closed. Letting both loops inline into the system's per-cycle
+    /// tick grows the hottest function and bought nothing: 30
     /// alternating pairs of `meek-difftest --cases 150 --threads 1` on a
     /// 2-vCPU x86-64 VM differed by under 1 %, inside the run-to-run
     /// noise.
     #[inline(never)]
-    pub(crate) fn tick_f2(&mut self, now: u64, sinks: &mut dyn SinkBank) {
+    pub(crate) fn tick_f2<S: PacketSink>(&mut self, now: u64, sinks: &mut [S]) {
         let mut budget = FabricKind::F2_PACKETS_PER_CYCLE;
         let mut skip = [false; 2];
         let mut moved = false;
@@ -35,7 +35,7 @@ impl Fabric {
             // accept this cycle.
             let mut ready = 0u16;
             for c in head.dest.iter() {
-                if c < sinks.len() && sinks.can_accept(c, kind) {
+                if c < sinks.len() && sinks[c].can_accept(kind) {
                     ready |= 1 << c;
                 }
             }
@@ -55,15 +55,15 @@ impl Fabric {
                 ready &= ready - 1;
                 pkt.dest.remove(c);
                 if ready != 0 {
-                    sinks.deliver(c, pkt.clone(), now);
+                    sinks[c].deliver(pkt.clone(), now);
                     continue;
                 }
                 if pkt.dest.is_empty() {
                     // The last reachable destination takes the packet by
                     // move — sinks never read the dest mask.
-                    sinks.deliver(c, pkt, now);
+                    sinks[c].deliver(pkt, now);
                 } else {
-                    sinks.deliver(c, pkt.clone(), now);
+                    sinks[c].deliver(pkt.clone(), now);
                     // Some destinations were full: the packet stays at
                     // the head of its FIFO for the remaining
                     // destinations, and younger packets of this kind
@@ -92,7 +92,7 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::packet::{DestMask, Packet, PacketKind, Payload};
-    use crate::{DcBufferConfig, PacketSink};
+    use crate::DcBufferConfig;
 
     /// Packets created at cycle 0 become eligible at the F2 latency, so
     /// the clocks start there.
@@ -153,9 +153,7 @@ mod tests {
 
     fn run_ticks(f2: &mut Fabric, sinks: &mut [TestSink], from: u64, to: u64) {
         for now in from..to {
-            let mut refs: Vec<&mut dyn PacketSink> =
-                sinks.iter_mut().map(|s| s as &mut dyn PacketSink).collect();
-            f2.tick(now, &mut refs);
+            f2.tick(now, sinks);
         }
     }
 

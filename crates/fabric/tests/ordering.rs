@@ -114,11 +114,7 @@ fn run_fabric(mut fabric: Fabric, plans: &[PacketPlan], tight_sinks: bool) -> Ve
                 }
             }
         }
-        {
-            let mut refs: Vec<&mut dyn PacketSink> =
-                sinks.iter_mut().map(|s| s as &mut dyn PacketSink).collect();
-            fabric.tick(now, &mut refs);
-        }
+        fabric.tick(now, &mut sinks);
         if tight_sinks && now.is_multiple_of(3) {
             for s in &mut sinks {
                 s.drain_some(2);
@@ -184,14 +180,12 @@ proptest! {
                 for &d in &p.dests { dest = dest.with(d); }
                 let pkt = Packet { seq: i as u64, dest, payload: Payload::RcpChunk { seg: 1, chunk: 0, total: 1 }, created_at: 0 };
                 while fabric.try_push(p.lane, pkt.clone()).is_err() {
-                    let mut refs: Vec<&mut dyn PacketSink> = sinks.iter_mut().map(|s| s as &mut dyn PacketSink).collect();
-                    fabric.tick(now, &mut refs);
+                    fabric.tick(now, &mut sinks);
                     now += 1;
                 }
             }
             while !fabric.is_empty() {
-                let mut refs: Vec<&mut dyn PacketSink> = sinks.iter_mut().map(|s| s as &mut dyn PacketSink).collect();
-                fabric.tick(now, &mut refs);
+                fabric.tick(now, &mut sinks);
                 now += 1;
             }
             sinks

@@ -15,7 +15,7 @@
 //! * the golden retired stream and oracle verdicts, folded in by the
 //!   engine through [`CoverageMap::note`] / [`golden_features`];
 //! * the full-system run itself: `CoverageMap` implements
-//!   [`meek_core::Observer`], so attached to a `SimBuilder` it buckets
+//!   [`meek_core::Observer`], so borrowed by a `SimBuilder` it buckets
 //!   the typed event stream (verdicts, detections, rollbacks, segment
 //!   lifetimes) and the per-cycle occupancy samples as they happen.
 
@@ -23,7 +23,6 @@ use meek_core::{DetectionRecord, Observer, RunReport, SimEvent, TickSample};
 use meek_difftest::GoldenRun;
 use meek_isa::inst::Inst;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// The stable 64-bit feature id of a feature name: its FNV-1a hash.
 pub fn feature_id(name: &str) -> u64 {
@@ -39,16 +38,10 @@ pub fn bucket(x: u64) -> u32 {
 
 /// The feature set one case discovered, plus an [`Observer`]
 /// implementation that buckets the live event/sample stream of a
-/// full-system run. A cheap cloneable handle (like `TraceLog`): keep
-/// one clone, attach the other via `SimBuilder::observe`, then
-/// [`CoverageMap::take_features`] after the run(s).
+/// full-system run. Attach it with `SimBuilder::observe(&mut map)`,
+/// then [`CoverageMap::take_features`] after the run(s).
 #[derive(Clone, Debug, Default)]
 pub struct CoverageMap {
-    inner: Arc<Mutex<MapState>>,
-}
-
-#[derive(Debug, Default)]
-struct MapState {
     features: BTreeMap<u64, String>,
     /// Open-segment tracking: seg -> open cycle.
     open: BTreeMap<u32, u64>,
@@ -56,12 +49,6 @@ struct MapState {
     rollbacks: u64,
     max_rob: usize,
     max_fabric: usize,
-}
-
-impl MapState {
-    fn note(&mut self, name: String) {
-        self.features.entry(feature_id(&name)).or_insert(name);
-    }
 }
 
 impl CoverageMap {
@@ -72,13 +59,14 @@ impl CoverageMap {
 
     /// Adds a feature by name (external sources: golden-trace shapes,
     /// oracle verdicts).
-    pub fn note(&self, name: impl Into<String>) {
-        self.inner.lock().expect("coverage map lock").note(name.into());
+    pub fn note(&mut self, name: impl Into<String>) {
+        let name = name.into();
+        self.features.entry(feature_id(&name)).or_insert(name);
     }
 
     /// Number of distinct features collected so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("coverage map lock").features.len()
+        self.features.len()
     }
 
     /// Whether no feature has been collected.
@@ -90,55 +78,50 @@ impl CoverageMap {
     /// watermarks) without touching the collected features. The
     /// [`Observer::finished`] hook does this after a completed run;
     /// call it explicitly after an *aborted* run (a `RunError::Livelock`),
-    /// or the next run observed by the same handle inherits stale state.
-    pub fn reset_scratch(&self) {
-        let mut st = self.inner.lock().expect("coverage map lock");
-        st.open.clear();
-        st.max_open = 0;
-        st.rollbacks = 0;
-        st.max_rob = 0;
-        st.max_fabric = 0;
+    /// or the next run observed by the same map inherits stale state.
+    pub fn reset_scratch(&mut self) {
+        self.open.clear();
+        self.max_open = 0;
+        self.rollbacks = 0;
+        self.max_rob = 0;
+        self.max_fabric = 0;
     }
 
     /// Drains the collected `(id, name)` pairs, id-sorted, resetting
     /// the map for the next case.
-    pub fn take_features(&self) -> Vec<(u64, String)> {
-        let mut st = self.inner.lock().expect("coverage map lock");
-        let features = std::mem::take(&mut st.features);
-        *st = MapState::default();
-        features.into_iter().collect()
+    pub fn take_features(&mut self) -> Vec<(u64, String)> {
+        std::mem::take(self).features.into_iter().collect()
     }
 }
 
 impl Observer for CoverageMap {
     fn event(&mut self, ev: &SimEvent) {
-        let mut st = self.inner.lock().expect("coverage map lock");
         match *ev {
             SimEvent::SegmentOpened { seg, cycle, .. } => {
-                st.open.insert(seg, cycle);
-                st.max_open = st.max_open.max(st.open.len());
+                self.open.insert(seg, cycle);
+                self.max_open = self.max_open.max(self.open.len());
             }
             SimEvent::SegmentClosed { seg, pass, cycle } => {
-                if let Some(opened) = st.open.remove(&seg) {
+                if let Some(opened) = self.open.remove(&seg) {
                     let b = bucket(cycle.saturating_sub(opened));
-                    st.note(format!("seg_cycles:{b}"));
+                    self.note(format!("seg_cycles:{b}"));
                 }
                 if !pass {
-                    st.note("verdict:fail".to_string());
+                    self.note("verdict:fail");
                 }
             }
             SimEvent::FaultInjected { site, .. } => {
-                st.note(format!("inject:{}", site.name()));
+                self.note(format!("inject:{}", site.name()));
             }
             SimEvent::FaultDetected { ref record } => {
                 let DetectionRecord { site, injected_cycle, detected_cycle, .. } = *record;
                 let b = bucket(detected_cycle.saturating_sub(injected_cycle));
-                st.note(format!("detect:{}:{b}", site.name()));
+                self.note(format!("detect:{}:{b}", site.name()));
             }
             SimEvent::RollbackStarted { golden, .. } => {
-                st.rollbacks += 1;
+                self.rollbacks += 1;
                 if golden {
-                    st.note("rollback:golden".to_string());
+                    self.note("rollback:golden");
                 }
             }
             SimEvent::RollbackCompleted { .. } => {}
@@ -146,9 +129,8 @@ impl Observer for CoverageMap {
     }
 
     fn sample(&mut self, _cycle: u64, sample: TickSample) {
-        let mut st = self.inner.lock().expect("coverage map lock");
-        st.max_rob = st.max_rob.max(sample.rob_occupancy);
-        st.max_fabric = st.max_fabric.max(sample.fabric_depth);
+        self.max_rob = self.max_rob.max(sample.rob_occupancy);
+        self.max_fabric = self.max_fabric.max(sample.fabric_depth);
     }
 
     fn wants_sample_at(&self, _cycle: u64) -> bool {
@@ -158,24 +140,17 @@ impl Observer for CoverageMap {
     }
 
     fn finished(&mut self, _report: &RunReport) {
-        let mut st = self.inner.lock().expect("coverage map lock");
-        let (max_open, rollbacks) = (st.max_open, st.rollbacks);
-        let (max_rob, max_fabric) = (st.max_rob, st.max_fabric);
-        if max_open > 0 {
-            st.note(format!("open_segs:{max_open}"));
+        if self.max_open > 0 {
+            self.note(format!("open_segs:{}", self.max_open));
         }
-        if rollbacks > 0 {
-            st.note(format!("rollback_depth:{}", bucket(rollbacks)));
+        if self.rollbacks > 0 {
+            self.note(format!("rollback_depth:{}", bucket(self.rollbacks)));
         }
-        st.note(format!("rob_max:{}", bucket(max_rob as u64)));
-        st.note(format!("fabric_max:{}", bucket(max_fabric as u64)));
-        // Reset the per-run scratch so the same handle can observe the
+        self.note(format!("rob_max:{}", bucket(self.max_rob as u64)));
+        self.note(format!("fabric_max:{}", bucket(self.max_fabric as u64)));
+        // Reset the per-run scratch so the same map can observe the
         // next fault's run of this case.
-        st.open.clear();
-        st.max_open = 0;
-        st.rollbacks = 0;
-        st.max_rob = 0;
-        st.max_fabric = 0;
+        self.reset_scratch();
     }
 }
 
@@ -185,7 +160,7 @@ impl Observer for CoverageMap {
 /// transit edges, and kernel-trap contexts (including trap → CSR
 /// edges). These are the program-structure features mutation preserves
 /// and extends — the signal that makes guided search beat random.
-pub fn golden_features(golden: &GoldenRun, map: &CoverageMap) {
+pub fn golden_features(golden: &GoldenRun, map: &mut CoverageMap) {
     map.note(format!("exec:{}", bucket(golden.trace.len() as u64)));
     let mut prev_class: Option<&'static str> = None;
     let mut prev2_class: Option<&'static str> = None;
@@ -365,10 +340,10 @@ mod tests {
 
     #[test]
     fn golden_features_cover_the_behaviour_vocabulary() {
-        let map = CoverageMap::new();
+        let mut map = CoverageMap::new();
         for seed in 0..6 {
             let wl = fuzz_program(seed, &FuzzConfig::default()).workload();
-            golden_features(&golden_run_in(&wl, cosim::GOLDEN_CAP).expect("clean"), &map);
+            golden_features(&golden_run_in(&wl, cosim::GOLDEN_CAP).expect("clean"), &mut map);
         }
         let feats = map.take_features();
         assert!(map.is_empty(), "take_features drains");

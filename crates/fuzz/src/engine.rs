@@ -321,8 +321,8 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
         _ => fault_plan(cand.tweak, s.faults_per_case, executed),
     };
 
-    let map = CoverageMap::new();
-    golden_features(&golden, &map);
+    let mut map = CoverageMap::new();
+    golden_features(&golden, &mut map);
 
     // Three-way co-simulation: any divergence on a valid program is a
     // real finding. An accepted candidate retires fewer than EVAL_CAP
@@ -366,7 +366,7 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
             .little_cores(s.n_little)
             .fabric(cand.fabric)
             .faults(vec![spec])
-            .observe(map.clone());
+            .observe(&mut map);
         if s.recover {
             b = b.recovery(RecoveryPolicy::enabled());
         }
@@ -375,7 +375,7 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
             Err(RunError::Livelock { .. }) => {
                 // The aborted run never fired Observer::finished, so
                 // clear the map's per-run scratch before the next
-                // fault's run reuses the handle.
+                // fault's run reuses the map.
                 map.reset_scratch();
                 map.note(format!("outcome:hang:{}", spec.site.name()));
                 map.note(format!("fabric_outcome:hang:{}", cand.fabric.name()));
@@ -416,8 +416,8 @@ fn evaluate(cand: &Candidate, s: &FuzzSettings) -> CaseEval {
 fn minimize_entry(words: &[u32], fresh_ids: &[u64]) -> Vec<u32> {
     let prog = FuzzProgram::from_words(words);
     let Ok(g) = golden_run_in(&prog.workload(), EVAL_CAP) else { return words.to_vec() };
-    let map = CoverageMap::new();
-    golden_features(&g, &map);
+    let mut map = CoverageMap::new();
+    golden_features(&g, &mut map);
     let golden_ids: BTreeSet<u64> = map.take_features().into_iter().map(|(id, _)| id).collect();
     let preserve: Vec<u64> =
         fresh_ids.iter().copied().filter(|id| golden_ids.contains(id)).collect();
@@ -435,8 +435,8 @@ fn minimize_entry(words: &[u32], fresh_ids: &[u64]) -> Vec<u32> {
         }
         match golden_run_in(&FuzzProgram::from_insts(cand).workload(), EVAL_CAP) {
             Ok(g) if (g.trace.len() as u64) < EVAL_CAP && !g.trace.is_empty() => {
-                let m = CoverageMap::new();
-                golden_features(&g, &m);
+                let mut m = CoverageMap::new();
+                golden_features(&g, &mut m);
                 let ids: BTreeSet<u64> = m.take_features().into_iter().map(|(id, _)| id).collect();
                 preserve.iter().all(|id| ids.contains(id))
             }

@@ -18,6 +18,7 @@
 
 use crate::config::LittleCoreConfig;
 use crate::lsl::{release_status_chunks, LoadStoreLog, RuntimeRecord, StatusRecord};
+use meek_fabric::{Packet, PacketKind, PacketSink};
 use meek_isa::exec;
 use meek_isa::inst::{ExecClass, Inst};
 use meek_isa::state::{CheckpointMismatch, RegCheckpoint};
@@ -794,24 +795,6 @@ impl LittleCore {
         Ok(Some(ret))
     }
 
-    /// Debug snapshot of the checker's internal phase.
-    pub fn debug_phase(&self) -> String {
-        let phase = match &self.phase {
-            Phase::WaitSrcp => "WaitSrcp".to_string(),
-            Phase::Apply { remaining } => format!("Apply({remaining})"),
-            Phase::Replay => "Replay".to_string(),
-            Phase::Compare { remaining, .. } => format!("Compare({remaining})"),
-        };
-        format!(
-            "{phase} carried={:?} ercp={:?} busy_until={} head_rt_seg={:?} head_st_seg={:?}",
-            self.carried_srcp.as_ref().map(|r| r.seg),
-            self.ercp.as_ref().map(|r| r.seg),
-            self.busy_until,
-            self.lsl.peek_runtime().map(|r| r.seg()),
-            self.lsl.peek_status().map(|r| r.seg),
-        )
-    }
-
     /// Resets core state for reuse by the scheduler (mode switch to
     /// application mode and back clears the LSL reservation).
     pub fn reset(&mut self) {
@@ -829,6 +812,20 @@ impl LittleCore {
                 self.arch.set_csr(addr, v);
             }
         }
+    }
+}
+
+/// The fabric delivers into a checker's Load-Store Log: a little core is
+/// the packet sink its `DestMask` bit names.
+impl PacketSink for LittleCore {
+    #[inline]
+    fn can_accept(&self, kind: PacketKind) -> bool {
+        self.lsl.can_accept(kind)
+    }
+
+    #[inline]
+    fn deliver(&mut self, pkt: Packet, now: u64) {
+        self.lsl.deliver(pkt, now);
     }
 }
 

@@ -29,18 +29,6 @@ pub struct CacheStats {
     pub mshr_stall_cycles: u64,
 }
 
-impl CacheStats {
-    /// Miss rate in [0, 1]; zero if no accesses.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// One way of a materialised set. LRU stamps start at 1, so `lru == 0`
 /// marks a way not filled since its set's block was made.
 #[derive(Debug, Clone, Copy, Default)]

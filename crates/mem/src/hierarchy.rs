@@ -1,6 +1,6 @@
 //! The multi-level memory hierarchy: L1 → L2 → LLC → DRAM.
 
-use crate::cache::{AccessKind, Cache, CacheStats, Probe};
+use crate::cache::{AccessKind, Cache, Probe};
 use crate::config::HierarchyConfig;
 use crate::dram::Dram;
 
@@ -134,16 +134,6 @@ impl MemHierarchy {
                 (resolve, served_by)
             }
         }
-    }
-
-    /// Statistics: (L1I, L1D, L2, LLC).
-    pub fn stats(&self) -> (CacheStats, CacheStats, CacheStats, CacheStats) {
-        (self.l1i.stats(), self.l1d.stats(), self.l2.stats(), self.llc.stats())
-    }
-
-    /// L1D statistics (hit/miss/MSHR stalls).
-    pub fn l1d_stats(&self) -> CacheStats {
-        self.l1d.stats()
     }
 
     /// Bytes of tag state the four cache levels hold: each level's per-set

@@ -248,20 +248,10 @@ impl WorkloadRun {
         self.undo = Some(UndoLog::new());
     }
 
-    /// Whether write journaling is active.
-    pub fn undo_enabled(&self) -> bool {
-        self.undo.is_some()
-    }
-
     /// Current undo-journal footprint in modelled bytes (0 when
     /// journaling is off).
     pub fn undo_bytes(&self) -> u64 {
         self.undo.as_ref().map_or(0, UndoLog::bytes)
-    }
-
-    /// High-water mark of the undo-journal footprint.
-    pub fn undo_peak_bytes(&self) -> u64 {
-        self.undo.as_ref().map_or(0, UndoLog::peak_bytes)
     }
 
     /// Releases journal entries for instructions at or before

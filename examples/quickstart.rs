@@ -1,8 +1,8 @@
 //! Quickstart: build a MEEK simulation through `SimBuilder` (one
 //! BOOM-class big core, four Rocket-class checker cores), run a
 //! workload under verification, and show an injected fault being
-//! caught — with a typed `Observer` watching the run instead of
-//! polled debug strings.
+//! caught — with an `Observer` the example owns watching the run
+//! instead of polled debug strings.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -51,10 +51,11 @@ fn main() {
 
     // 4. Inject a single bit flip into the forwarded data and watch the
     //    checkers catch it — through an observer this time.
-    let trace = TraceLog::new(0);
+    //    The run borrows the trace; we read it once the run is over.
+    let mut trace = TraceLog::new(0);
     let report = Sim::builder(&workload, insts)
         .faults(vec![FaultSpec { arm_at_commit: 10_000, site: FaultSite::MemAddr, bit: 13 }])
-        .observe(trace.clone())
+        .observe(&mut trace)
         .build()
         .expect("a valid configuration")
         .run()
