@@ -276,10 +276,8 @@ impl DeuHook<'_> {
         if let Some(owed) = self.deu.owed.take() {
             if owed.seg_to_open == seg {
                 // Deliver the SRCP the multicast could not reach earlier —
-                // unless the core carried it as its own previous ERCP.
-                let prev_checker_same = self.littles.get(c).is_some_and(|lc| lc.id == c)
-                    && self.seg_mgr.checker_of(seg.wrapping_sub(1)) == Some(c);
-                if !prev_checker_same {
+                // unless the core carries it as its own previous ERCP.
+                if !self.littles[c].carries(seg - 1) {
                     self.deu.queue_transfer(
                         owed.seg_to_open - 1,
                         owed.inst_count,
@@ -575,6 +573,34 @@ mod tests {
         let mem = Some(meek_isa::MemAccess { addr: 0x9000, size: 8, data: 1, is_store: true });
         let r = fake_retired(0x1014, mem, false);
         assert_eq!(rig.hook().on_commit(0, &r, 4), CommitDecision::Stall(CommitStall::LittleCore));
+    }
+
+    /// Drives a one-checker rig past segment 1's boundary, so the SRCP of
+    /// segment 2 is owed, then frees the checker with `carried` in its
+    /// carried slot and logs a record of segment 2. Returns whether the
+    /// owed SRCP was queued for the checker.
+    fn owed_srcp_sent_to_a_checker_carrying(carried: u32) -> bool {
+        let mut rig = Rig::new(1, 1, 1_000_000);
+        let mem = |addr| Some(meek_isa::MemAccess { addr, size: 8, data: 1, is_store: false });
+        rig.hook().on_commit(0, &fake_retired(0x1000, mem(0x8000), false), 0);
+        rig.hook().on_commit(0, &fake_retired(0x1004, None, false), 1);
+        assert_eq!(rig.deu.seg, 2);
+        rig.deu.pump_transfers(&mut rig.fabric, &mut rig.injector, 2);
+        assert!(rig.deu.transfers_drained(), "segment 1's ERCP is on its way");
+        // Segment 1's verdict frees the checker.
+        rig.seg_mgr.finish(1, true);
+        rig.littles[0].reset();
+        rig.littles[0].seed_carried_srcp(carried, RegCheckpoint::zeroed(0x1004), 3);
+        let load = fake_retired(0x1008, mem(0x8008), false);
+        assert_eq!(rig.hook().on_commit(0, &load, 3), CommitDecision::Proceed);
+        assert_eq!(rig.seg_mgr.checker_of(2), Some(0));
+        !rig.deu.transfers_drained()
+    }
+
+    #[test]
+    fn a_checker_carrying_the_owed_srcp_is_not_sent_it_again() {
+        assert!(!owed_srcp_sent_to_a_checker_carrying(1));
+        assert!(owed_srcp_sent_to_a_checker_carrying(0));
     }
 
     #[test]

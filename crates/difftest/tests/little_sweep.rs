@@ -5,7 +5,8 @@
 //! the same determinism contract the `meek-difftest` CLI ships with.
 
 use meek_campaign::Executor;
-use meek_difftest::{fuzz_program, Case, CosimConfig, FuzzConfig};
+use meek_core::{FaultSite, FaultSpec};
+use meek_difftest::{case_seed, fuzz_program, Case, CosimConfig, FaultOutcome, FuzzConfig};
 
 /// The (little-core count, program seed) sweep grid.
 fn grid() -> Vec<(usize, u64)> {
@@ -56,4 +57,28 @@ fn sweep_report_is_byte_identical_at_any_thread_count() {
     let four = run_with(4);
     assert_eq!(one, four, "fan-out must not change a single byte of the sweep report");
     assert_eq!(one.len(), cells.len());
+}
+
+/// `meek-difftest --seed 0`, case 2074: a register flip in the
+/// checkpoint that closes a segment and seeds the next. When the
+/// checker that verified the segment also takes the next one, it starts
+/// from its carried copy of that checkpoint. The DEU used to send it a
+/// second copy as well, and the flip could land on that copy, which no
+/// checker consumes: the fault read as masked, and the replay twin
+/// convicted it as an escape. With 1 and 4 checkers the flip now lands
+/// on the consumed copy and is detected.
+#[test]
+fn a_checkpoint_flip_is_detected_when_the_checker_carries_the_checkpoint() {
+    let seed = case_seed(0, 2074);
+    let wl = fuzz_program(seed, &FuzzConfig::default()).workload();
+    let spec = FaultSpec { arm_at_commit: 558, site: FaultSite::RcpRegister, bit: 21 };
+    for n_little in [1, 4] {
+        let case = Case::new(&wl, &CosimConfig { n_little, ..CosimConfig::default() });
+        assert!(case.plan(seed).contains(&spec), "case 2074 plans {spec:?}");
+        let outcome = case.classify(spec);
+        assert!(
+            matches!(outcome, FaultOutcome::Detected { .. }),
+            "{n_little} little cores: {outcome}"
+        );
+    }
 }

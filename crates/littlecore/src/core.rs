@@ -252,6 +252,13 @@ impl LittleCore {
         self.replayed = 0;
     }
 
+    /// Whether the carried slot holds checkpoint `seg`: the ERCP of
+    /// segment `seg` this core verified, kept as the SRCP of segment
+    /// `seg + 1`.
+    pub fn carries(&self, seg: u32) -> bool {
+        self.carried_srcp.as_ref().is_some_and(|r| r.seg == seg)
+    }
+
     /// Replay progress (instructions replayed in the current segment).
     pub fn replayed(&self) -> u64 {
         self.replayed
