@@ -20,8 +20,8 @@
 //! dynamic-length bound sound.
 
 use crate::cfg::static_target;
-use crate::eval::{alu, alu_imm};
 use crate::{ExitModel, ProgramSpec, Violation};
+use meek_isa::exec::{alu, alu_imm};
 use meek_isa::inst::{AluImmOp, AluOp, BranchOp, Inst};
 use meek_isa::meek::MeekOp;
 use meek_isa::{Reg, SYS_EXIT};

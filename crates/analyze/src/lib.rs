@@ -24,6 +24,11 @@
 //!   fuzz engine uses it to reject provably-trapping mutants without
 //!   paying for a golden run.
 //!
+//! Both value passes fold integer ALU ops with the golden executor's
+//! own rules ([`meek_isa::exec::alu`] and [`meek_isa::exec::alu_imm`]),
+//! so a constant the analyzer derives is, by construction, the value
+//! the interpreter computes.
+//!
 //! The report separates **violations** (provable breaches of the
 //! program contract: every flagged program is genuinely malformed) from
 //! the **trap forecast** (a mutated program may legitimately trap — the
@@ -34,7 +39,6 @@
 
 pub mod absint;
 pub mod cfg;
-pub mod eval;
 pub mod prescreen;
 
 use meek_isa::inst::Inst;

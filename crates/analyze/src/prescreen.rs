@@ -2,10 +2,11 @@
 //!
 //! Unlike the abstract interpreter, this walk follows *one* path — the
 //! concrete one — modelling only instructions whose result it can
-//! reproduce bit-for-bit (via [`crate::eval`]). The moment anything is
-//! uncertain (an unknown branch operand, a store through an unknown
-//! pointer, OS-surface traffic, a MEEK op) it gives up and returns
-//! `None`: "no claim". The only positive answer is a [`TrapForecast`],
+//! reproduce bit-for-bit (it folds ALU ops with the executor's own
+//! [`alu`] and [`alu_imm`]). The moment anything is uncertain (an
+//! unknown branch operand, a store through an unknown pointer,
+//! OS-surface traffic, a MEEK op) it gives up and returns `None`: "no
+//! claim". The only positive answer is a [`TrapForecast`],
 //! and a forecast is a *proof*: the golden interpreter, started from
 //! the same spec, will raise `IllegalInstruction` after exactly the
 //! forecast number of retirements. The fuzz engine leans on that
@@ -19,8 +20,8 @@
 //! - a walk that runs past the step budget, or records too many
 //!   stores to check cheaply, gives up rather than approximating.
 
-use crate::eval::{alu, alu_imm};
 use crate::{ExitModel, ProgramSpec, TrapForecast};
+use meek_isa::exec::{alu, alu_imm};
 use meek_isa::inst::{BranchOp, Inst};
 use meek_isa::{Reg, CSR_OS_ENABLE};
 

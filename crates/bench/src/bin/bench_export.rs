@@ -244,36 +244,58 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(argv: &[String]) -> Result<ExitCode, String> {
+/// A parsed command line: the subcommand and its flags.
+struct Args {
+    cmd: String,
+    out: String,
+    tolerance: f64,
+    samples: usize,
+}
+
+/// Parses `argv`; `Err("")` asks for the usage text. Values the
+/// measurement cannot use are usage errors here, before anything runs:
+/// the criterion shim needs at least two samples, and a negative or
+/// non-finite tolerance would fail or pass every row.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(String::new());
     };
-    let mut out = "BENCH_baseline.json".to_string();
-    let mut tolerance = 0.15f64;
-    let mut samples = 5usize;
+    let mut args =
+        Args { cmd: cmd.clone(), out: "BENCH_baseline.json".into(), tolerance: 0.15, samples: 5 };
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let mut value =
             |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
-            "--out" | "--baseline" => out = value(flag)?,
+            "--out" | "--baseline" => args.out = value(flag)?,
             "--tolerance" => {
-                tolerance = value("--tolerance")?
+                args.tolerance = value("--tolerance")?
                     .parse()
-                    .map_err(|_| "--tolerance: not a number".to_string())?
+                    .map_err(|_| "--tolerance: not a number".to_string())?;
+                if !(args.tolerance.is_finite() && args.tolerance >= 0.0) {
+                    return Err("--tolerance: must be a finite fraction >= 0".into());
+                }
             }
             "--samples" => {
-                samples = value("--samples")?
+                args.samples = value("--samples")?
                     .parse()
-                    .map_err(|_| "--samples: not a number".to_string())?
+                    .map_err(|_| "--samples: not a number".to_string())?;
+                if args.samples < 2 {
+                    return Err("--samples: must be at least 2".into());
+                }
             }
             "-h" | "--help" => return Err(String::new()),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    match cmd.as_str() {
-        "emit" => emit(&out, samples),
-        "check" => check(&out, tolerance, samples),
+    Ok(args)
+}
+
+fn run(argv: &[String]) -> Result<ExitCode, String> {
+    let args = parse_args(argv)?;
+    match args.cmd.as_str() {
+        "emit" => emit(&args.out, args.samples),
+        "check" => check(&args.out, args.tolerance, args.samples),
         "-h" | "--help" => Err(String::new()),
         other => Err(format!("unknown subcommand `{other}`")),
     }
@@ -282,6 +304,25 @@ fn run(argv: &[String]) -> Result<ExitCode, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn flags_a_measurement_cannot_use_are_usage_errors() {
+        let parse = |line: &str| {
+            parse_args(&line.split(' ').map(String::from).collect::<Vec<_>>()).map(|a| a.samples)
+        };
+        assert_eq!(parse("check --samples 2 --tolerance 0"), Ok(2));
+        assert_eq!(parse("emit"), Ok(5));
+        for bad in [
+            "emit --samples 1",
+            "check --samples 0",
+            "check --tolerance nan",
+            "check --tolerance inf",
+            "check --tolerance -0.1",
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.starts_with("--samples") || err.starts_with("--tolerance"), "{bad}: {err}");
+        }
+    }
 
     #[test]
     fn baseline_round_trips() {

@@ -55,7 +55,7 @@ pub use engine::{run_campaign, run_shard, CampaignSummary, ShardResult};
 pub use executor::Executor;
 pub use seed::{fnv1a, parse_seed, splitmix};
 pub use sink::{
-    site_name, AggregateSink, CampaignRecord, CsvSink, JsonlSink, LatencyStats, MetricsSink,
-    RecordSink, SampleSink, ShardSummary, TraceSink,
+    AggregateSink, CampaignRecord, CsvSink, JsonlSink, LatencyStats, MetricsSink, RecordSink,
+    SampleSink, ShardSummary, TraceSink,
 };
 pub use spec::{resolve_suite, CampaignSpec, CampaignWorkload, ShardSpec};

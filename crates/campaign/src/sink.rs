@@ -3,7 +3,7 @@
 //! deterministic order — CSV and JSON-lines writers for offline
 //! analysis, and an in-memory aggregator for latency percentiles.
 
-use meek_core::fault::{DetectionRecord, FaultSite};
+use meek_core::fault::DetectionRecord;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
@@ -16,12 +16,6 @@ pub struct CampaignRecord {
     pub shard: u32,
     /// The checker's detection, as recorded by the fault injector.
     pub detection: DetectionRecord,
-}
-
-/// Stable lower-case name for a fault site (column value in sinks).
-/// Shared with the sim event stream via [`FaultSite::name`].
-pub fn site_name(site: FaultSite) -> &'static str {
-    site.name()
 }
 
 impl CampaignRecord {
@@ -39,7 +33,7 @@ impl CampaignRecord {
             "{},{},{},{},{},{:.3},{},{},{}",
             self.workload,
             self.shard,
-            site_name(d.site),
+            d.site.name(),
             d.injected_cycle,
             d.detected_cycle,
             d.latency_ns,
@@ -58,7 +52,7 @@ impl CampaignRecord {
              \"recovery_cycles\":{}}}",
             self.workload,
             self.shard,
-            site_name(d.site),
+            d.site.name(),
             d.injected_cycle,
             d.detected_cycle,
             d.latency_ns,
@@ -495,6 +489,7 @@ impl RecordSink for AggregateSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use meek_core::fault::FaultSite;
 
     fn rec(workload: &'static str, shard: u32, latency_ns: f64) -> CampaignRecord {
         CampaignRecord {

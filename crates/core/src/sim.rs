@@ -14,11 +14,12 @@
 //!   and degenerate combinations are rejected with a typed
 //!   [`BuildError`] instead of a mid-run panic;
 //! * the simulation liveness bound is derived internally from the
-//!   instruction budget ([`cycle_cap`]) — widened automatically for
-//!   recovery-enabled runs, whose rollbacks legitimately re-execute
-//!   work — with [`SimBuilder::cycle_headroom`] for stress scenarios
-//!   beyond even that. The bound counts cycles from cycle 0, so a clone
-//!   of a run part-way through keeps the bound of its source;
+//!   instruction budget ([`cycle_cap`], at least 400 cycles per
+//!   instruction) — widened automatically for recovery-enabled runs,
+//!   whose rollbacks legitimately re-execute work. No caller sets it:
+//!   only a run that is stuck comes near it. The bound counts cycles
+//!   from cycle 0, so a clone of a run part-way through keeps the bound
+//!   of its source;
 //! * [`Sim::run_to_commit`] is the one loop that ticks a system: it
 //!   advances a run in place until a commit count is reached, so a
 //!   caller can pause a run, clone it and carry on. [`Sim::try_run`] is
@@ -655,7 +656,6 @@ pub struct SimBuilder<'a> {
     insts: u64,
     cfg: MeekConfig,
     faults: Vec<FaultSpec>,
-    headroom: u64,
     observers: Vec<&'a mut dyn Observer>,
 }
 
@@ -669,7 +669,6 @@ impl<'a> SimBuilder<'a> {
             insts,
             cfg: MeekConfig::default(),
             faults: Vec::new(),
-            headroom: 1,
             observers: Vec::new(),
         }
     }
@@ -720,17 +719,6 @@ impl<'a> SimBuilder<'a> {
         self
     }
 
-    /// Multiplies the internally derived liveness bound beyond its
-    /// default (recovery-enabled runs already get a retry-budget-aware
-    /// multiplier — see [`SimBuilder::build`]). Use for runs that
-    /// legitimately exceed even that — e.g. stress tests stacking many
-    /// failure episodes. The larger of the explicit and derived
-    /// multipliers wins.
-    pub fn cycle_headroom(mut self, multiplier: u64) -> Self {
-        self.headroom = multiplier.max(1);
-        self
-    }
-
     /// Attaches an [`Observer`] for the run; may be called repeatedly.
     /// Observers are driven in attachment order. The run borrows the
     /// observer, so the caller reads it directly once [`Sim::try_run`]
@@ -746,8 +734,7 @@ impl<'a> SimBuilder<'a> {
     /// ([`cycle_cap`]); recovery-enabled runs automatically widen it by
     /// a retry-budget-aware multiplier (rollback re-execution can
     /// legitimately repeat committed work once per retry, plus the
-    /// golden escalation pass), so ordinary recovery scenarios need no
-    /// manual [`SimBuilder::cycle_headroom`].
+    /// golden escalation pass).
     ///
     /// # Errors
     ///
@@ -818,8 +805,8 @@ impl<'a> SimBuilder<'a> {
         // Each failure episode may re-execute committed work once per
         // retry, and golden escalation adds one more pass.
         let recovery = &sys.config().recovery;
-        let derived = if recovery.enabled { 2 + recovery.max_retries as u64 } else { 1 };
-        let max_cycles = cycle_cap(self.insts).saturating_mul(self.headroom.max(derived));
+        let passes = if recovery.enabled { 2 + recovery.max_retries as u64 } else { 1 };
+        let max_cycles = cycle_cap(self.insts).saturating_mul(passes);
         Ok(Sim {
             sys,
             budget: self.insts,
@@ -1422,16 +1409,6 @@ mod tests {
     }
 
     #[test]
-    fn headroom_scales_the_cap() {
-        let wl = small_workload();
-        let sim = Sim::builder(&wl, 5_000).cycle_headroom(3).build().expect("valid");
-        assert_eq!(sim.max_cycles(), 3 * cycle_cap(5_000));
-        let outcome = sim.run();
-        assert_eq!(outcome.report.failed_segments, 0);
-        assert_eq!(outcome.report.committed, 5_000);
-    }
-
-    #[test]
     fn a_run_past_its_bound_is_a_typed_livelock() {
         let wl = small_workload();
         let mut sim = Sim::builder(&wl, 5_000).build_unobserved().expect("valid");
@@ -1547,10 +1524,6 @@ mod tests {
         let policy = RecoveryPolicy::enabled(); // max_retries 3
         let sim = Sim::builder(&wl, 5_000).recovery(policy).build().expect("valid");
         assert_eq!(sim.max_cycles(), (2 + 3) * cycle_cap(5_000));
-        // An explicit larger headroom still wins.
-        let sim =
-            Sim::builder(&wl, 5_000).recovery(policy).cycle_headroom(20).build().expect("valid");
-        assert_eq!(sim.max_cycles(), 20 * cycle_cap(5_000));
     }
 
     #[test]

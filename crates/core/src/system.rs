@@ -666,14 +666,7 @@ mod tests {
     fn more_little_cores_never_slower() {
         let wl = small_workload();
         let run_n = |n: usize| {
-            Sim::builder(&wl, 10_000)
-                .little_cores(n)
-                .cycle_headroom(2)
-                .build()
-                .expect("valid")
-                .run()
-                .report
-                .cycles
+            Sim::builder(&wl, 10_000).little_cores(n).build().expect("valid").run().report.cycles
         };
         let two = run_n(2);
         let four = run_n(4);
@@ -783,13 +776,8 @@ mod tests {
     #[test]
     fn axi_fabric_completes() {
         let wl = small_workload();
-        let report = Sim::builder(&wl, 8_000)
-            .fabric(FabricKind::Axi)
-            .cycle_headroom(2)
-            .build()
-            .expect("valid")
-            .run()
-            .report;
+        let report =
+            Sim::builder(&wl, 8_000).fabric(FabricKind::Axi).build().expect("valid").run().report;
         assert_eq!(report.failed_segments, 0);
     }
 

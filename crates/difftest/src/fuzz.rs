@@ -273,42 +273,10 @@ impl Fuzzer {
         let rs1 = self.src();
         let rs2 = self.src();
         if self.rng.gen_bool(0.5) {
-            const OPS: [AluOp; 15] = [
-                AluOp::Add,
-                AluOp::Sub,
-                AluOp::Sll,
-                AluOp::Slt,
-                AluOp::Sltu,
-                AluOp::Xor,
-                AluOp::Srl,
-                AluOp::Sra,
-                AluOp::Or,
-                AluOp::And,
-                AluOp::Addw,
-                AluOp::Subw,
-                AluOp::Sllw,
-                AluOp::Srlw,
-                AluOp::Sraw,
-            ];
-            let op = OPS[self.rng.gen_range(0..OPS.len())];
+            let op = AluOp::ALL[self.rng.gen_range(0..AluOp::ALL.len())];
             self.emit(Inst::Alu { op, rd, rs1, rs2 });
         } else {
-            const OPS: [AluImmOp; 13] = [
-                AluImmOp::Addi,
-                AluImmOp::Slti,
-                AluImmOp::Sltiu,
-                AluImmOp::Xori,
-                AluImmOp::Ori,
-                AluImmOp::Andi,
-                AluImmOp::Slli,
-                AluImmOp::Srli,
-                AluImmOp::Srai,
-                AluImmOp::Addiw,
-                AluImmOp::Slliw,
-                AluImmOp::Srliw,
-                AluImmOp::Sraiw,
-            ];
-            let op = OPS[self.rng.gen_range(0..OPS.len())];
+            let op = AluImmOp::ALL[self.rng.gen_range(0..AluImmOp::ALL.len())];
             let imm = match op {
                 AluImmOp::Slli | AluImmOp::Srli | AluImmOp::Srai => self.rng.gen_range(0..64),
                 AluImmOp::Slliw | AluImmOp::Srliw | AluImmOp::Sraiw => self.rng.gen_range(0..32),
@@ -319,22 +287,7 @@ impl Fuzzer {
     }
 
     fn emit_muldiv(&mut self) {
-        const OPS: [MulDivOp; 13] = [
-            MulDivOp::Mul,
-            MulDivOp::Mulh,
-            MulDivOp::Mulhsu,
-            MulDivOp::Mulhu,
-            MulDivOp::Div,
-            MulDivOp::Divu,
-            MulDivOp::Rem,
-            MulDivOp::Remu,
-            MulDivOp::Mulw,
-            MulDivOp::Divw,
-            MulDivOp::Divuw,
-            MulDivOp::Remw,
-            MulDivOp::Remuw,
-        ];
-        let op = OPS[self.rng.gen_range(0..OPS.len())];
+        let op = MulDivOp::ALL[self.rng.gen_range(0..MulDivOp::ALL.len())];
         let (rd, rs1, rs2) = (self.reg(), self.src(), self.src());
         // Divide-by-zero and overflow corners are defined in RV64M;
         // leaving them reachable is the point.
@@ -383,9 +336,7 @@ impl Fuzzer {
     }
 
     fn emit_csr(&mut self) {
-        const OPS: [CsrOp; 6] =
-            [CsrOp::Rw, CsrOp::Rs, CsrOp::Rc, CsrOp::Rwi, CsrOp::Rsi, CsrOp::Rci];
-        let op = OPS[self.rng.gen_range(0..OPS.len())];
+        let op = CsrOp::ALL[self.rng.gen_range(0..CsrOp::ALL.len())];
         let csr = CSRS[self.rng.gen_range(0..CSRS.len())];
         let (rd, rs1) = (self.reg(), self.reg());
         self.emit(Inst::Csr { op, rd, rs1, csr });
@@ -396,22 +347,11 @@ impl Fuzzer {
         let (rd, rs) = (self.reg(), self.src());
         match self.rng.gen_range(0..8) {
             0 => {
-                const OPS: [FpOp; 8] = [
-                    FpOp::FaddD,
-                    FpOp::FsubD,
-                    FpOp::FmulD,
-                    FpOp::FdivD,
-                    FpOp::FsqrtD,
-                    FpOp::FsgnjD,
-                    FpOp::FminD,
-                    FpOp::FmaxD,
-                ];
-                let op = OPS[self.rng.gen_range(0..OPS.len())];
+                let op = FpOp::ALL[self.rng.gen_range(0..FpOp::ALL.len())];
                 self.emit(Inst::Fp { op, rd: fd, rs1: f1, rs2: f2 });
             }
             1 => {
-                const OPS: [FpCmpOp; 3] = [FpCmpOp::FeqD, FpCmpOp::FltD, FpCmpOp::FleD];
-                let op = OPS[self.rng.gen_range(0..OPS.len())];
+                let op = FpCmpOp::ALL[self.rng.gen_range(0..FpCmpOp::ALL.len())];
                 self.emit(Inst::FpCmp { op, rd, rs1: f1, rs2: f2 });
             }
             2 => self.emit(Inst::FmaddD { rd: fd, rs1: f1, rs2: f2, rs3: f3 }),
@@ -431,15 +371,7 @@ impl Fuzzer {
     /// forks on data values (unlike the workload generator's
     /// next-instruction branches).
     fn emit_branch(&mut self) {
-        const OPS: [BranchOp; 6] = [
-            BranchOp::Beq,
-            BranchOp::Bne,
-            BranchOp::Blt,
-            BranchOp::Bge,
-            BranchOp::Bltu,
-            BranchOp::Bgeu,
-        ];
-        let op = OPS[self.rng.gen_range(0..OPS.len())];
+        let op = BranchOp::ALL[self.rng.gen_range(0..BranchOp::ALL.len())];
         let k = self.rng.gen_range(1..=4);
         let (rs1, rs2) = (self.src(), self.src());
         self.emit(Inst::Branch { op, rs1, rs2, offset: 4 * (k + 1) });

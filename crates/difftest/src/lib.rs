@@ -63,5 +63,7 @@ pub use fuzz::{fuzz_program, FuzzConfig, FuzzProgram};
 #[doc(hidden)]
 pub use recover::verify_recovery_in;
 pub use recover::RecoveryVerdict;
-pub use shrink::{emit_test, minimize, remove_range_relinked, shrink_insts};
+pub use shrink::{
+    emit_test, jump_pair_at, jump_triplet_at, minimize, shrink_insts, splice_relinked,
+};
 pub use stats::DifftestStats;

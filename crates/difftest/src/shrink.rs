@@ -8,9 +8,11 @@
 //! here removes ranges **and relinks** every PC-relative offset that
 //! spans them (a target inside the removed range snaps to the first
 //! surviving instruction), which makes the whole program shrinkable.
-//! On top of that run the vendored `proptest` shim's shrinkers: plain
-//! `shrink::vec` for residual removals and `shrink::elements` for NOP
-//! canonicalisation of the survivors.
+//! [`splice_relinked`] is that relinker, for removals and insertions
+//! alike: `meek-fuzz`'s mutator inserts with it. On top of that run
+//! the vendored `proptest` shim's shrinkers: plain `shrink::vec` for
+//! residual removals and `shrink::elements` for NOP canonicalisation
+//! of the survivors.
 
 use crate::cosim::{golden_run_in, CosimConfig, Divergence};
 use crate::fuzz::FuzzProgram;
@@ -19,116 +21,114 @@ use meek_isa::disasm::disasm_word;
 use meek_isa::inst::{AluImmOp, Inst};
 use meek_isa::Reg;
 
-/// Removes `insts[start..end]`, rewriting every branch/`jal` offset
-/// that crosses the removed range so surviving control flow still
-/// targets the same surviving instructions. A target *inside* the
-/// range snaps to the first instruction after it.
+/// Whether `insts[at]` and `insts[at + 1]` form the indirect-jump pair
+/// `jal rs1, +4; jalr _, rs1, off`. The link register then holds the
+/// `jalr`'s own address, so `off` is pc-relative to the `jalr`.
+pub fn jump_pair_at(insts: &[Inst], at: usize) -> bool {
+    matches!(
+        insts.get(at..at + 2),
+        Some(&[Inst::Jal { rd, offset: 4 }, Inst::Jalr { rs1, .. }]) if rd == rs1
+    )
+}
+
+/// If `insts[at..at + 3]` is the indirect-jump triplet
+/// `auipc rd, 0; addi rd, rd, Δ; jalr _, rd, 0` with a word-aligned
+/// `Δ`, returns `Δ`: the jump target's byte displacement from the
+/// `auipc`.
+pub fn jump_triplet_at(insts: &[Inst], at: usize) -> Option<i32> {
+    let [Inst::Auipc { rd, imm: 0 }, addi, Inst::Jalr { rs1: base, offset: 0, .. }] =
+        *insts.get(at..at + 3)?
+    else {
+        return None;
+    };
+    match addi {
+        Inst::AluImm { op: AluImmOp::Addi, rd: d, rs1, imm }
+            if d == rd && rs1 == rd && base == rd && imm % 4 == 0 =>
+        {
+            Some(imm)
+        }
+        _ => None,
+    }
+}
+
+/// Replaces `insts[start..end]` with `payload`, rewriting every
+/// PC-relative offset of the surviving instructions so their control
+/// flow still reaches the same surviving instructions. A removal is an
+/// empty `payload`, an insertion an empty range. A target inside the
+/// replaced range snaps to the first instruction after it; offsets
+/// inside `payload` are left alone (distances inside a contiguous block
+/// survive the move).
 ///
-/// `jalr` offsets are link-register-relative, but the fuzzer's two
+/// `jalr` offsets are register-relative, but the fuzzer's two
 /// indirect-jump idioms make their targets positionally decodable, so
-/// they relink too:
+/// they relink too while the splice leaves the idiom whole:
 ///
-/// * `jal rs1, +4; jalr _, rs1, off` — the link register holds the
-///   jalr's own address, so `off` is pc-relative in disguise;
-/// * `auipc rd, 0; addi rd, rd, Δ; jalr _, rd, 0` — `Δ` is the byte
-///   displacement from the `auipc`, rebuilt against the adjusted
-///   indices.
+/// * the pair ([`jump_pair_at`]): `jal rs1, +4; jalr _, rs1, off`, whose
+///   `off` anchors at the `jalr`;
+/// * the triplet ([`jump_triplet_at`]): `auipc rd, 0; addi rd, rd, Δ;
+///   jalr _, rd, 0`, whose `Δ` anchors at the `auipc`.
 ///
 /// Without this, any removal between an indirect jump and its target
 /// breaks the candidate and indirect-jump reproducers stop shrinking.
-pub fn remove_range_relinked(insts: &[Inst], start: usize, end: usize) -> Vec<Inst> {
-    let out = remove_range_relinked_inner(insts, start, end);
-    // Relink post-condition: removing a range from a program whose
-    // jumps were all in bounds must leave them all in bounds.
+///
+/// # Panics
+///
+/// Panics unless `start <= end <= insts.len()`.
+pub fn splice_relinked(insts: &[Inst], start: usize, end: usize, payload: &[Inst]) -> Vec<Inst> {
+    let (s, e) = (start as i64, end as i64);
+    let shift = payload.len() as i64 - (e - s);
+    // Index in the output of original index `j`.
+    let adj = |j: i64| if j < s { j } else { j.max(e) + shift };
+    // New offset of a pc-relative displacement anchored at original
+    // index `anchor`.
+    let relink_at = |anchor: usize, offset: i32| {
+        let anchor = anchor as i64;
+        ((adj(anchor + offset as i64 / 4) - adj(anchor)) * 4) as i32
+    };
+    // Whether `insts[j - 1]` and `insts[j]` both survive and stay
+    // adjacent, as an idiom needs.
+    let joined = |j: usize| j > 0 && !(start..=end).contains(&j);
+    let relink = |i: usize, inst: &Inst| match *inst {
+        Inst::Branch { op, rs1, rs2, offset } => {
+            Inst::Branch { op, rs1, rs2, offset: relink_at(i, offset) }
+        }
+        Inst::Jal { rd, offset } => Inst::Jal { rd, offset: relink_at(i, offset) },
+        Inst::Jalr { rd, rs1, offset } if joined(i) && jump_pair_at(insts, i - 1) => {
+            Inst::Jalr { rd, rs1, offset: relink_at(i, offset) }
+        }
+        Inst::AluImm { op, rd, rs1, .. } if joined(i) && joined(i + 1) => {
+            match jump_triplet_at(insts, i - 1) {
+                Some(imm) => Inst::AluImm { op, rd, rs1, imm: relink_at(i - 1, imm) },
+                None => *inst,
+            }
+        }
+        other => other,
+    };
+    let mut out = Vec::with_capacity(insts.len() - (end - start) + payload.len());
+    out.extend(insts[..start].iter().enumerate().map(|(i, inst)| relink(i, inst)));
+    out.extend_from_slice(payload);
+    out.extend(insts[end..].iter().enumerate().map(|(i, inst)| relink(end + i, inst)));
+    // Relink post-condition: splicing a payload with in-bounds jumps
+    // into a program with in-bounds jumps must leave them all in bounds.
     debug_assert!(
-        meek_analyze::jump_targets_ok(&out) || !meek_analyze::jump_targets_ok(insts),
-        "remove_range_relinked broke a jump target (range {start}..{end})"
+        meek_analyze::jump_targets_ok(&out)
+            || !(meek_analyze::jump_targets_ok(insts) && meek_analyze::jump_targets_ok(payload)),
+        "splice_relinked broke a jump target (range {start}..{end}, payload {})",
+        payload.len()
     );
     out
 }
 
-fn remove_range_relinked_inner(insts: &[Inst], start: usize, end: usize) -> Vec<Inst> {
-    let removed = end - start;
-    // Adjusted index of original index j after the removal.
-    let adj = |j: i64| -> i64 {
-        if j < start as i64 {
-            j
-        } else if j < end as i64 {
-            start as i64
-        } else {
-            j - removed as i64
-        }
-    };
-    let kept = |j: usize| !(start..end).contains(&j);
-    insts
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| kept(*i))
-        .map(|(i, inst)| {
-            // New offset for a pc-relative displacement anchored at
-            // original index `anchor`.
-            let relink_at = |anchor: usize, offset: i32| -> i32 {
-                let target = anchor as i64 + offset as i64 / 4;
-                ((adj(target) - adj(anchor as i64)) * 4) as i32
-            };
-            match *inst {
-                Inst::Branch { op, rs1, rs2, offset } => {
-                    Inst::Branch { op, rs1, rs2, offset: relink_at(i, offset) }
-                }
-                Inst::Jal { rd, offset } => Inst::Jal { rd, offset: relink_at(i, offset) },
-                Inst::Jalr { rd, rs1, offset } => {
-                    // jal rs1, +4 directly before: rs1 == this jalr's
-                    // own address, so the offset anchors here.
-                    let paired = i > 0
-                        && kept(i - 1)
-                        && matches!(insts[i - 1], Inst::Jal { rd: link, offset: 4 } if link == rs1);
-                    if paired {
-                        Inst::Jalr { rd, rs1, offset: relink_at(i, offset) }
-                    } else {
-                        Inst::Jalr { rd, rs1, offset }
-                    }
-                }
-                Inst::AluImm { op: AluImmOp::Addi, rd, rs1, imm } if rd == rs1 => {
-                    // The middle of an auipc/addi/jalr triplet: the
-                    // immediate anchors at the auipc one slot back.
-                    let triplet = i > 0
-                        && i + 1 < insts.len()
-                        && kept(i - 1)
-                        && kept(i + 1)
-                        && imm % 4 == 0
-                        && matches!(insts[i - 1], Inst::Auipc { rd: a, imm: 0 } if a == rd)
-                        && matches!(
-                            insts[i + 1],
-                            Inst::Jalr { rs1: j, offset: 0, .. } if j == rd
-                        );
-                    if triplet {
-                        Inst::AluImm { op: AluImmOp::Addi, rd, rs1, imm: relink_at(i - 1, imm) }
-                    } else {
-                        Inst::AluImm { op: AluImmOp::Addi, rd, rs1, imm }
-                    }
-                }
-                other => other,
-            }
-        })
-        .collect()
-}
-
 /// Shrinks an instruction sequence against an arbitrary failure
-/// predicate: the `proptest` shim's ddmin with [`remove_range_relinked`]
-/// as the removal operator, then its plain vector shrinker (for
-/// removals that need no relinking), then NOP canonicalisation of the
-/// survivors.
+/// predicate: the `proptest` shim's ddmin with [`splice_relinked`]
+/// removals, then its plain vector shrinker (for removals that need no
+/// relinking), then NOP canonicalisation of the survivors.
 pub fn shrink_insts<F: FnMut(&[Inst]) -> bool>(insts: Vec<Inst>, mut fails: F) -> Vec<Inst> {
-    let cur = proptest::shrink::vec_with(insts, remove_range_relinked_range, |c| fails(c));
+    let remove = |c: &[Inst], start, end| splice_relinked(c, start, end, &[]);
+    let cur = proptest::shrink::vec_with(insts, remove, |c| fails(c));
     let cur = proptest::shrink::vec(cur, |c| fails(c));
     let nop = Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X0, rs1: Reg::X0, imm: 0 };
     proptest::shrink::elements(cur, |_| vec![nop], |c| fails(c))
-}
-
-/// [`remove_range_relinked`] in the argument order the shim's
-/// [`proptest::shrink::vec_with`] removal operator expects.
-fn remove_range_relinked_range(insts: &[Inst], start: usize, end: usize) -> Vec<Inst> {
-    remove_range_relinked(insts, start, end)
 }
 
 /// Discriminates divergences by *kind* (not payload), so shrinking
@@ -214,7 +214,7 @@ mod tests {
             Inst::Jal { rd: Reg::X0, offset: -8 },
         ];
         // Remove index 1: branch target 3 -> 2; jal (now at 2) target 1 -> 1.
-        let out = remove_range_relinked(&prog, 1, 2);
+        let out = splice_relinked(&prog, 1, 2, &[]);
         assert_eq!(out.len(), 3);
         assert_eq!(
             out[0],
@@ -224,7 +224,7 @@ mod tests {
         // Remove the jal's own target: it snaps to the first survivor
         // after the range — the jal itself, a self-loop the shrink
         // predicate will reject as a candidate.
-        let out2 = remove_range_relinked(&prog, 1, 3);
+        let out2 = splice_relinked(&prog, 1, 3, &[]);
         assert_eq!(out2.len(), 2);
         assert_eq!(out2[1], Inst::Jal { rd: Reg::X0, offset: 0 });
     }
@@ -241,12 +241,12 @@ mod tests {
             nop,
         ];
         // Remove index 2: the jalr's target (4) slides to 3.
-        let out = remove_range_relinked(&prog, 2, 3);
+        let out = splice_relinked(&prog, 2, 3, &[]);
         assert_eq!(out[1], Inst::Jalr { rd: Reg::X2, rs1: Reg::X1, offset: 8 });
         // Without the jal anchor the jalr's offset must not be touched
         // (its base register is an arbitrary run-time value).
         let unanchored = vec![nop, Inst::Jalr { rd: Reg::X2, rs1: Reg::X1, offset: 12 }, nop, nop];
-        let out2 = remove_range_relinked(&unanchored, 2, 3);
+        let out2 = splice_relinked(&unanchored, 2, 3, &[]);
         assert_eq!(out2[1], Inst::Jalr { rd: Reg::X2, rs1: Reg::X1, offset: 12 });
     }
 
@@ -264,7 +264,7 @@ mod tests {
             nop,
         ];
         // Remove the two skipped nops: target index 5 snaps to 3.
-        let out = remove_range_relinked(&prog, 3, 5);
+        let out = splice_relinked(&prog, 3, 5, &[]);
         assert_eq!(out.len(), 4);
         assert_eq!(out[1], Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X1, rs1: Reg::X1, imm: 12 });
         // A plain rd==rs1 addi with no auipc/jalr neighbours keeps its
@@ -275,7 +275,7 @@ mod tests {
             nop,
             nop,
         ];
-        let out2 = remove_range_relinked(&plain, 2, 3);
+        let out2 = splice_relinked(&plain, 2, 3, &[]);
         assert_eq!(
             out2[1],
             Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X3, rs1: Reg::X3, imm: 20 }

@@ -151,7 +151,7 @@ impl Corpus {
                     let parts: Vec<&str> = rest.split(' ').collect();
                     let [site, bit, arm] = parts[..] else { return Err(bad(line)) };
                     e.plan.push(FaultSpec {
-                        site: site_from_name(site).ok_or_else(|| bad(line))?,
+                        site: FaultSite::from_name(site).ok_or_else(|| bad(line))?,
                         bit: bit.parse().map_err(|_| bad(line))?,
                         arm_at_commit: arm.parse().map_err(|_| bad(line))?,
                     });
@@ -223,12 +223,6 @@ impl Corpus {
         }
         Ok(corpus)
     }
-}
-
-/// Inverse of [`FaultSite::name`] (delegates to
-/// [`FaultSite::from_name`], which lives beside the forward mapping).
-pub fn site_from_name(name: &str) -> Option<FaultSite> {
-    FaultSite::from_name(name)
 }
 
 #[cfg(test)]

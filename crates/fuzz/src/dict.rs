@@ -26,9 +26,8 @@
 //! dictionary — and everything downstream of it — is a pure function of
 //! the harvested programs.
 
-use crate::mutate::R_PTR;
 use meek_isa::inst::Inst;
-use meek_isa::{decode, encode};
+use meek_isa::{decode, encode, R_PTR};
 use std::collections::BTreeSet;
 
 /// Window sizes the harvester scans, smallest first.
@@ -154,9 +153,9 @@ fn sanitize_window(window: &[Inst]) -> Option<Vec<Inst>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mutate::{decodable, dest_reg, self_contained, writes_anchor};
+    use crate::mutate::self_contained;
     use meek_isa::inst::{AluImmOp, BranchOp, LoadOp, StoreOp};
-    use meek_isa::Reg;
+    use meek_isa::{decodable, dest_reg, writes_anchor, Reg};
 
     #[test]
     fn the_suite_seeds_a_useful_dictionary() {

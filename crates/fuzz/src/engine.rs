@@ -25,7 +25,7 @@
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::coverage::{bucket, golden_features, CoverageMap, FeatureSet};
 use crate::dict::Dictionary;
-use crate::mutate::{self, decodable, writes_anchor};
+use crate::mutate;
 use crate::report::FuzzReport;
 use meek_campaign::{splitmix, Executor};
 use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, RunError, Sim};
@@ -33,7 +33,7 @@ use meek_difftest::{
     arm_span, emit_test, fault_plan, fuzz_program, golden_run_in, minimize, shrink_insts, Case,
     CosimConfig, FaultOutcome, FuzzConfig, FuzzProgram, GoldenRun,
 };
-use meek_isa::{encode, Inst};
+use meek_isa::{decodable, encode, writes_anchor, Inst};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;

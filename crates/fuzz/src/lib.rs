@@ -18,8 +18,8 @@
 //!   per-cycle occupancy samples of the very runs the oracle judges.
 //! * [`corpus`] keeps the programs that *first discovered* a feature,
 //!   with deterministic eviction and byte-stable on-disk persistence.
-//! * [`mod@mutate`] is the difftest shrinker's relink machinery run in
-//!   reverse: splice ([`insert_range_relinked`]), delete, instruction
+//! * [`mod@mutate`] is the difftest shrinker's relinker
+//!   ([`splice_relinked`]) run in reverse: splice, delete, instruction
 //!   mix-shift, branch retarget, dictionary splice — plus fault-plan
 //!   mutation in the engine — all preserving decodability and the
 //!   data-window discipline.
@@ -54,7 +54,7 @@
 //! ```
 //!
 //! [`CoverageMap`]: coverage::CoverageMap
-//! [`insert_range_relinked`]: mutate::insert_range_relinked
+//! [`splice_relinked`]: meek_difftest::splice_relinked
 //! [`FuzzReport`]: report::FuzzReport
 
 pub mod corpus;
@@ -64,12 +64,9 @@ pub mod engine;
 pub mod mutate;
 pub mod report;
 
-pub use corpus::{site_from_name, Corpus, CorpusEntry};
+pub use corpus::{Corpus, CorpusEntry};
 pub use coverage::{bucket, feature_id, golden_features, CoverageMap, FeatureSet};
 pub use dict::Dictionary;
 pub use engine::{parent_weight, run_fuzz, FuzzSettings, EVAL_CAP};
-pub use mutate::{
-    decodable, insert_range_relinked, mutate, random_simple_inst, self_contained, writes_anchor,
-    MutationOp,
-};
+pub use mutate::{mutate, random_simple_inst, self_contained, MutationOp};
 pub use report::FuzzReport;

@@ -1,11 +1,11 @@
 //! Mutation operators over fuzzed programs — the shrinker's relink
 //! machinery run in reverse.
 //!
-//! `meek-difftest`'s minimiser removes ranges and relinks every
-//! PC-relative offset that crosses them ([`remove_range_relinked`]);
-//! this module adds the inverse ([`insert_range_relinked`]) plus
-//! point mutations, and composes them into the operators the
-//! coverage-guided engine schedules:
+//! `meek-difftest`'s [`splice_relinked`] replaces a range of a program
+//! and relinks every PC-relative offset that crosses it; the minimiser
+//! removes ranges with it, and this module inserts with it. On top of
+//! it, plus point mutations, sit the operators the coverage-guided
+//! engine schedules:
 //!
 //! * **splice** — copy a self-contained range from a donor corpus
 //!   program into the subject, widening every crossing offset;
@@ -31,11 +31,11 @@
 //!   engine's bounded golden pre-screen, exactly like shrink
 //!   candidates.
 
-use meek_difftest::remove_range_relinked;
+use meek_difftest::{jump_pair_at, jump_triplet_at, splice_relinked};
 #[cfg(test)]
 use meek_isa::inst::BranchOp;
 use meek_isa::inst::{AluImmOp, AluOp, CsrOp, FpCmpOp, FpOp, Inst, LoadOp, MulDivOp, StoreOp};
-use meek_isa::{FReg, Reg};
+use meek_isa::{decodable, writes_anchor, FReg, Reg, R_PTR};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -60,129 +60,31 @@ const POOL: [Reg; 16] = [
     Reg::X31,
 ];
 
-// The shared predicate definitions live in `meek_isa::invariants`
-// (every program producer enforces the same invariants); re-exported
-// here so existing `crate::mutate::{...}` imports keep working.
-pub use meek_isa::invariants::{decodable, dest_reg, writes_anchor, R_PTR};
-
 /// CSR addresses fuzzed CSR traffic targets (mirrors the seed fuzzer).
 const CSRS: [u16; 4] = [0x340, 0x341, 0x342, 0xC00];
 
-/// Inserts `payload` before index `at`, rewriting every branch/`jal`
-/// offset of the host program that crosses the insertion point —
-/// [`remove_range_relinked`] in reverse. The same positional idioms
-/// relink: `jal rs1, +4; jalr` pairs and `auipc`/`addi`/`jalr`
-/// triplets. Payload-internal offsets are untouched (relative
-/// distances inside a contiguous block survive insertion).
-pub fn insert_range_relinked(insts: &[Inst], at: usize, payload: &[Inst]) -> Vec<Inst> {
-    let k = payload.len() as i64;
-    let at = at.min(insts.len());
-    // Adjusted index of original host index j after the insertion.
-    let adj = |j: i64| -> i64 {
-        if j < at as i64 {
-            j
-        } else {
-            j + k
-        }
-    };
-    let mut out: Vec<Inst> = Vec::with_capacity(insts.len() + payload.len());
-    for (i, inst) in insts.iter().enumerate() {
-        if i == at {
-            out.extend_from_slice(payload);
-        }
-        // New offset for a pc-relative displacement anchored at
-        // original host index `anchor`.
-        let relink_at = |anchor: usize, offset: i32| -> i32 {
-            let target = anchor as i64 + offset as i64 / 4;
-            ((adj(target) - adj(anchor as i64)) * 4) as i32
-        };
-        out.push(match *inst {
-            Inst::Branch { op, rs1, rs2, offset } => {
-                Inst::Branch { op, rs1, rs2, offset: relink_at(i, offset) }
-            }
-            Inst::Jal { rd, offset } => Inst::Jal { rd, offset: relink_at(i, offset) },
-            Inst::Jalr { rd, rs1, offset } => {
-                let paired = i > 0
-                    && matches!(insts[i - 1], Inst::Jal { rd: link, offset: 4 } if link == rs1)
-                    && i != at; // insertion between the pair breaks the anchor
-                if paired {
-                    Inst::Jalr { rd, rs1, offset: relink_at(i, offset) }
-                } else {
-                    Inst::Jalr { rd, rs1, offset }
-                }
-            }
-            Inst::AluImm { op: AluImmOp::Addi, rd, rs1, imm } if rd == rs1 => {
-                let triplet = i > 0
-                    && i + 1 < insts.len()
-                    && i != at // splitting auipc/addi breaks the anchor
-                    && i + 1 != at // splitting addi/jalr too
-                    && imm % 4 == 0
-                    && matches!(insts[i - 1], Inst::Auipc { rd: a, imm: 0 } if a == rd)
-                    && matches!(insts[i + 1], Inst::Jalr { rs1: j, offset: 0, .. } if j == rd);
-                if triplet {
-                    Inst::AluImm { op: AluImmOp::Addi, rd, rs1, imm: relink_at(i - 1, imm) }
-                } else {
-                    Inst::AluImm { op: AluImmOp::Addi, rd, rs1, imm }
-                }
-            }
-            other => other,
-        });
-    }
-    if at >= insts.len() {
-        out.extend_from_slice(payload);
-    }
-    // Relink post-condition: inserting a self-contained payload into a
-    // host with in-bounds jumps must leave every jump in bounds.
-    debug_assert!(
-        meek_analyze::jump_targets_ok(&out)
-            || !(meek_analyze::jump_targets_ok(insts) && meek_analyze::jump_targets_ok(payload)),
-        "insert_range_relinked broke a jump target (at={at}, payload={})",
-        payload.len()
-    );
-    out
-}
-
 /// Whether `insts[start..end]` is *self-contained*: every control-flow
 /// target stays inside the range (branches and `jal`s), and `jalr`s
-/// appear only inside a complete in-range pair/triplet idiom — the
-/// donor ranges splice may copy without manufacturing wild jumps.
+/// appear only inside a complete in-range pair or triplet idiom
+/// ([`jump_pair_at`], [`jump_triplet_at`]) — the donor ranges splice
+/// may copy without manufacturing wild jumps.
 pub fn self_contained(insts: &[Inst], start: usize, end: usize) -> bool {
-    let in_range = |j: i64| j >= start as i64 && j <= end as i64;
-    for (i, inst) in insts[start..end].iter().enumerate() {
-        let i = start + i;
-        match *inst {
-            Inst::Branch { offset, .. } | Inst::Jal { offset, .. }
-                if !in_range(i as i64 + offset as i64 / 4) =>
-            {
-                return false;
-            }
-            Inst::Jalr { rs1, offset, .. } => {
-                let paired = i > start
-                    && matches!(insts[i - 1], Inst::Jal { rd: link, offset: 4 } if link == rs1);
-                let tripled = offset == 0
-                    && i >= start + 2
-                    && matches!(insts[i - 2], Inst::Auipc { rd: a, imm: 0 } if a == rs1)
-                    && matches!(
-                        insts[i - 1],
-                        Inst::AluImm { op: AluImmOp::Addi, rd, rs1: r, .. } if rd == rs1 && r == rs1
-                    );
-                if paired {
-                    if !in_range(i as i64 + offset as i64 / 4) {
-                        return false;
-                    }
-                } else if tripled {
-                    let Inst::AluImm { imm, .. } = insts[i - 1] else { unreachable!() };
-                    if imm % 4 != 0 || !in_range((i - 2) as i64 + imm as i64 / 4) {
-                        return false;
-                    }
-                } else {
-                    return false; // unanchored indirect jump: wild target
-                }
-            }
-            _ => {}
-        }
-    }
-    true
+    let range = &insts[start..end];
+    // Whether the target `bytes` from range index `k` lies in the range
+    // or just past its end.
+    let lands =
+        |k: usize, bytes: i32| (0..=range.len() as i64).contains(&(k as i64 + bytes as i64 / 4));
+    range.iter().enumerate().all(|(k, inst)| match *inst {
+        Inst::Branch { offset, .. } | Inst::Jal { offset, .. } => lands(k, offset),
+        Inst::Jalr { offset, .. } if k > 0 && jump_pair_at(range, k - 1) => lands(k, offset),
+        // A triplet's displacement anchors at its `auipc`; any other
+        // `jalr` is an unanchored indirect jump with a wild target.
+        Inst::Jalr { .. } => k
+            .checked_sub(2)
+            .and_then(|at| jump_triplet_at(range, at))
+            .is_some_and(|delta| lands(k - 2, delta)),
+        _ => true,
+    })
 }
 
 /// One freshly generated computational instruction (never control
@@ -343,7 +245,7 @@ pub fn mutate(
             }
             let (s, e) = range?;
             let at = rng.gen_range(0..=subject.len());
-            insert_range_relinked(subject, at, &donor[s..e])
+            splice_relinked(subject, at, at, &donor[s..e])
         }
         MutationOp::Delete => {
             let len = rng.gen_range(1..=8.min(subject.len()));
@@ -351,7 +253,7 @@ pub fn mutate(
             if subject[start..start + len].iter().any(writes_anchor) {
                 return None;
             }
-            remove_range_relinked(subject, start, start + len)
+            splice_relinked(subject, start, start + len, &[])
         }
         MutationOp::MixShift => {
             // Replace a computational instruction in place: positions
@@ -419,7 +321,7 @@ pub fn mutate(
             // fragment inserts anywhere.
             let frag = &dict[rng.gen_range(0..dict.len())];
             let at = rng.gen_range(0..=subject.len());
-            insert_range_relinked(subject, at, frag)
+            splice_relinked(subject, at, at, frag)
         }
     };
     if out.len() > MAX_LEN || out.is_empty() || !decodable(&out) {
@@ -460,7 +362,7 @@ mod tests {
         ];
         let payload = [random_simple_inst(&mut SmallRng::seed_from_u64(1))];
         // Insert at 2: the branch (0 -> 3) crosses, the jal (3 -> 1) crosses.
-        let out = insert_range_relinked(&prog, 2, &payload);
+        let out = splice_relinked(&prog, 2, 2, &payload);
         assert_eq!(out.len(), 5);
         assert_eq!(
             out[0],
@@ -468,11 +370,11 @@ mod tests {
         );
         assert_eq!(out[4], Inst::Jal { rd: Reg::X0, offset: -12 });
         // Insert before everything: both endpoints shift, offsets keep.
-        let out = insert_range_relinked(&prog, 0, &payload);
+        let out = splice_relinked(&prog, 0, 0, &payload);
         assert_eq!(out[1], prog[0]);
         assert_eq!(out[4], prog[3]);
         // Insert past the end: nothing crosses.
-        let out = insert_range_relinked(&prog, 4, &payload);
+        let out = splice_relinked(&prog, 4, 4, &payload);
         assert_eq!(&out[..4], &prog[..]);
     }
 
@@ -487,10 +389,10 @@ mod tests {
             nop(),
         ];
         let payload = [nop(), nop()];
-        let out = insert_range_relinked(&pair, 3, &payload);
+        let out = splice_relinked(&pair, 3, 3, &payload);
         assert_eq!(out[1], Inst::Jalr { rd: Reg::X2, rs1: Reg::X1, offset: 20 });
         // Inserting *between* the pair breaks the anchor: offset kept.
-        let out = insert_range_relinked(&pair, 1, &payload);
+        let out = splice_relinked(&pair, 1, 1, &payload);
         assert_eq!(out[3], Inst::Jalr { rd: Reg::X2, rs1: Reg::X1, offset: 12 });
 
         // 0: auipc x1  1: addi x1,x1,20 (-> 5)  2: jalr x2,x1  3..5: nop
@@ -502,7 +404,7 @@ mod tests {
             nop(),
             nop(),
         ];
-        let out = insert_range_relinked(&tri, 4, &payload);
+        let out = splice_relinked(&tri, 4, 4, &payload);
         assert_eq!(out[1], Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X1, rs1: Reg::X1, imm: 28 });
     }
 

@@ -1,8 +1,6 @@
 //! A small disassembler for debugging traces and failed checks.
 
-use crate::inst::{
-    AluImmOp, AluOp, BranchOp, CsrOp, FpCmpOp, FpOp, Inst, LoadOp, MulDivOp, StoreOp,
-};
+use crate::inst::{FpOp, Inst};
 use std::fmt;
 
 /// Wrapper that formats an [`Inst`] as assembly text.
@@ -19,62 +17,6 @@ use std::fmt;
 #[derive(Debug, Clone, Copy)]
 pub struct Disasm<'a>(pub &'a Inst);
 
-fn alu_name(op: AluOp) -> &'static str {
-    match op {
-        AluOp::Add => "add",
-        AluOp::Sub => "sub",
-        AluOp::Sll => "sll",
-        AluOp::Slt => "slt",
-        AluOp::Sltu => "sltu",
-        AluOp::Xor => "xor",
-        AluOp::Srl => "srl",
-        AluOp::Sra => "sra",
-        AluOp::Or => "or",
-        AluOp::And => "and",
-        AluOp::Addw => "addw",
-        AluOp::Subw => "subw",
-        AluOp::Sllw => "sllw",
-        AluOp::Srlw => "srlw",
-        AluOp::Sraw => "sraw",
-    }
-}
-
-fn alu_imm_name(op: AluImmOp) -> &'static str {
-    match op {
-        AluImmOp::Addi => "addi",
-        AluImmOp::Slti => "slti",
-        AluImmOp::Sltiu => "sltiu",
-        AluImmOp::Xori => "xori",
-        AluImmOp::Ori => "ori",
-        AluImmOp::Andi => "andi",
-        AluImmOp::Slli => "slli",
-        AluImmOp::Srli => "srli",
-        AluImmOp::Srai => "srai",
-        AluImmOp::Addiw => "addiw",
-        AluImmOp::Slliw => "slliw",
-        AluImmOp::Srliw => "srliw",
-        AluImmOp::Sraiw => "sraiw",
-    }
-}
-
-fn muldiv_name(op: MulDivOp) -> &'static str {
-    match op {
-        MulDivOp::Mul => "mul",
-        MulDivOp::Mulh => "mulh",
-        MulDivOp::Mulhsu => "mulhsu",
-        MulDivOp::Mulhu => "mulhu",
-        MulDivOp::Div => "div",
-        MulDivOp::Divu => "divu",
-        MulDivOp::Rem => "rem",
-        MulDivOp::Remu => "remu",
-        MulDivOp::Mulw => "mulw",
-        MulDivOp::Divw => "divw",
-        MulDivOp::Divuw => "divuw",
-        MulDivOp::Remw => "remw",
-        MulDivOp::Remuw => "remuw",
-    }
-}
-
 impl fmt::Display for Disasm<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self.0 {
@@ -83,88 +25,35 @@ impl fmt::Display for Disasm<'_> {
             Inst::Jal { rd, offset } => write!(f, "jal {rd}, {offset}"),
             Inst::Jalr { rd, rs1, offset } => write!(f, "jalr {rd}, {offset}({rs1})"),
             Inst::Branch { op, rs1, rs2, offset } => {
-                let name = match op {
-                    BranchOp::Beq => "beq",
-                    BranchOp::Bne => "bne",
-                    BranchOp::Blt => "blt",
-                    BranchOp::Bge => "bge",
-                    BranchOp::Bltu => "bltu",
-                    BranchOp::Bgeu => "bgeu",
-                };
-                write!(f, "{name} {rs1}, {rs2}, {offset}")
+                write!(f, "{} {rs1}, {rs2}, {offset}", op.mnemonic())
             }
             Inst::Load { op, rd, rs1, offset } => {
-                let name = match op {
-                    LoadOp::Lb => "lb",
-                    LoadOp::Lh => "lh",
-                    LoadOp::Lw => "lw",
-                    LoadOp::Ld => "ld",
-                    LoadOp::Lbu => "lbu",
-                    LoadOp::Lhu => "lhu",
-                    LoadOp::Lwu => "lwu",
-                };
-                write!(f, "{name} {rd}, {offset}({rs1})")
+                write!(f, "{} {rd}, {offset}({rs1})", op.mnemonic())
             }
             Inst::Store { op, rs1, rs2, offset } => {
-                let name = match op {
-                    StoreOp::Sb => "sb",
-                    StoreOp::Sh => "sh",
-                    StoreOp::Sw => "sw",
-                    StoreOp::Sd => "sd",
-                };
-                write!(f, "{name} {rs2}, {offset}({rs1})")
+                write!(f, "{} {rs2}, {offset}({rs1})", op.mnemonic())
             }
-            Inst::AluImm { op, rd, rs1, imm } => {
-                write!(f, "{} {rd}, {rs1}, {imm}", alu_imm_name(op))
-            }
-            Inst::Alu { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", alu_name(op)),
+            Inst::AluImm { op, rd, rs1, imm } => write!(f, "{} {rd}, {rs1}, {imm}", op.mnemonic()),
+            Inst::Alu { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
             Inst::MulDiv { op, rd, rs1, rs2 } => {
-                write!(f, "{} {rd}, {rs1}, {rs2}", muldiv_name(op))
+                write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic())
             }
             Inst::Fld { rd, rs1, offset } => write!(f, "fld {rd}, {offset}({rs1})"),
             Inst::Fsd { rs1, rs2, offset } => write!(f, "fsd {rs2}, {offset}({rs1})"),
-            Inst::Fp { op, rd, rs1, rs2 } => {
-                let name = match op {
-                    FpOp::FaddD => "fadd.d",
-                    FpOp::FsubD => "fsub.d",
-                    FpOp::FmulD => "fmul.d",
-                    FpOp::FdivD => "fdiv.d",
-                    FpOp::FsqrtD => return write!(f, "fsqrt.d {rd}, {rs1}"),
-                    FpOp::FsgnjD => "fsgnj.d",
-                    FpOp::FminD => "fmin.d",
-                    FpOp::FmaxD => "fmax.d",
-                };
-                write!(f, "{name} {rd}, {rs1}, {rs2}")
+            Inst::Fp { op, rd, rs1, .. } if op == FpOp::FsqrtD => {
+                write!(f, "{} {rd}, {rs1}", op.mnemonic())
             }
-            Inst::FpCmp { op, rd, rs1, rs2 } => {
-                let name = match op {
-                    FpCmpOp::FeqD => "feq.d",
-                    FpCmpOp::FltD => "flt.d",
-                    FpCmpOp::FleD => "fle.d",
-                };
-                write!(f, "{name} {rd}, {rs1}, {rs2}")
-            }
+            Inst::Fp { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
+            Inst::FpCmp { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
             Inst::FmaddD { rd, rs1, rs2, rs3 } => write!(f, "fmadd.d {rd}, {rs1}, {rs2}, {rs3}"),
             Inst::FcvtDL { rd, rs1 } => write!(f, "fcvt.d.l {rd}, {rs1}"),
             Inst::FcvtLD { rd, rs1 } => write!(f, "fcvt.l.d {rd}, {rs1}"),
             Inst::FmvXD { rd, rs1 } => write!(f, "fmv.x.d {rd}, {rs1}"),
             Inst::FmvDX { rd, rs1 } => write!(f, "fmv.d.x {rd}, {rs1}"),
-            Inst::Csr { op, rd, rs1, csr } => {
-                let name = match op {
-                    CsrOp::Rw => "csrrw",
-                    CsrOp::Rs => "csrrs",
-                    CsrOp::Rc => "csrrc",
-                    CsrOp::Rwi => "csrrwi",
-                    CsrOp::Rsi => "csrrsi",
-                    CsrOp::Rci => "csrrci",
-                };
-                match op {
-                    CsrOp::Rwi | CsrOp::Rsi | CsrOp::Rci => {
-                        write!(f, "{name} {rd}, {csr:#x}, {}", rs1.index())
-                    }
-                    _ => write!(f, "{name} {rd}, {csr:#x}, {rs1}"),
-                }
+            Inst::Csr { op, rd, rs1, csr } if op.is_imm() => {
+                write!(f, "{} {rd}, {csr:#x}, {}", op.mnemonic(), rs1.index())
             }
+            Inst::Csr { op, rd, rs1, csr } => write!(f, "{} {rd}, {csr:#x}, {rs1}", op.mnemonic()),
             Inst::Fence => write!(f, "fence"),
             Inst::Ecall => write!(f, "ecall"),
             Inst::Ebreak => write!(f, "ebreak"),
@@ -207,6 +96,7 @@ pub fn disasm_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::{LoadOp, StoreOp};
     use crate::reg::{FReg, Reg};
 
     #[test]

@@ -204,47 +204,8 @@ pub fn execute<B: Bus>(st: &mut ArchState, mem: &mut B, pc: u64, raw: u32, inst:
             mem.write(addr, size, data);
             mem_access = Some(MemAccess { addr, size, data, is_store: true });
         }
-        Inst::AluImm { op, rd, rs1, imm } => {
-            let a = st.x(rs1);
-            let i = imm as i64 as u64;
-            let v = match op {
-                AluImmOp::Addi => a.wrapping_add(i),
-                AluImmOp::Slti => ((a as i64) < (i as i64)) as u64,
-                AluImmOp::Sltiu => (a < i) as u64,
-                AluImmOp::Xori => a ^ i,
-                AluImmOp::Ori => a | i,
-                AluImmOp::Andi => a & i,
-                AluImmOp::Slli => a << (imm & 0x3F),
-                AluImmOp::Srli => a >> (imm & 0x3F),
-                AluImmOp::Srai => ((a as i64) >> (imm & 0x3F)) as u64,
-                AluImmOp::Addiw => sext(a.wrapping_add(i) & 0xFFFF_FFFF, 32),
-                AluImmOp::Slliw => sext((a as u32 as u64) << (imm & 0x1F) & 0xFFFF_FFFF, 32),
-                AluImmOp::Srliw => sext((a as u32 >> (imm & 0x1F)) as u64, 32),
-                AluImmOp::Sraiw => ((a as i32) >> (imm & 0x1F)) as i64 as u64,
-            };
-            st.set_x(rd, v);
-        }
-        Inst::Alu { op, rd, rs1, rs2 } => {
-            let (a, b) = (st.x(rs1), st.x(rs2));
-            let v = match op {
-                AluOp::Add => a.wrapping_add(b),
-                AluOp::Sub => a.wrapping_sub(b),
-                AluOp::Sll => a << (b & 0x3F),
-                AluOp::Slt => ((a as i64) < (b as i64)) as u64,
-                AluOp::Sltu => (a < b) as u64,
-                AluOp::Xor => a ^ b,
-                AluOp::Srl => a >> (b & 0x3F),
-                AluOp::Sra => ((a as i64) >> (b & 0x3F)) as u64,
-                AluOp::Or => a | b,
-                AluOp::And => a & b,
-                AluOp::Addw => sext(a.wrapping_add(b) & 0xFFFF_FFFF, 32),
-                AluOp::Subw => sext(a.wrapping_sub(b) & 0xFFFF_FFFF, 32),
-                AluOp::Sllw => sext(((a as u32) << (b & 0x1F)) as u64, 32),
-                AluOp::Srlw => sext((a as u32 >> (b & 0x1F)) as u64, 32),
-                AluOp::Sraw => ((a as i32) >> (b & 0x1F)) as i64 as u64,
-            };
-            st.set_x(rd, v);
-        }
+        Inst::AluImm { op, rd, rs1, imm } => st.set_x(rd, alu_imm(op, st.x(rs1), imm)),
+        Inst::Alu { op, rd, rs1, rs2 } => st.set_x(rd, alu(op, st.x(rs1), st.x(rs2))),
         Inst::MulDiv { op, rd, rs1, rs2 } => {
             let (a, b) = (st.x(rs1), st.x(rs2));
             let v = muldiv(op, a, b);
@@ -319,11 +280,8 @@ pub fn execute<B: Bus>(st: &mut ArchState, mem: &mut B, pc: u64, raw: u32, inst:
         }
         Inst::Csr { op, rd, rs1, csr } => {
             let old = st.csr(csr);
-            let operand = match op {
-                CsrOp::Rw | CsrOp::Rs | CsrOp::Rc => st.x(rs1),
-                // Immediate forms use the rs1 field as a 5-bit zimm.
-                CsrOp::Rwi | CsrOp::Rsi | CsrOp::Rci => rs1.index() as u64,
-            };
+            // Immediate forms use the rs1 field as a 5-bit zimm.
+            let operand = if op.is_imm() { rs1.index() as u64 } else { st.x(rs1) };
             let new = match op {
                 CsrOp::Rw | CsrOp::Rwi => operand,
                 CsrOp::Rs | CsrOp::Rsi => old | operand,
@@ -399,6 +357,51 @@ pub fn execute<B: Bus>(st: &mut ArchState, mem: &mut B, pc: u64, raw: u32, inst:
         is_kernel_trap,
         syscall,
         wb,
+    }
+}
+
+/// The `AluImm` result for `op` on operand `a`: the one statement of
+/// the OP-IMM rules, shared by [`execute`] and the static analyzer.
+#[inline]
+pub fn alu_imm(op: AluImmOp, a: u64, imm: i32) -> u64 {
+    let i = imm as i64 as u64;
+    match op {
+        AluImmOp::Addi => a.wrapping_add(i),
+        AluImmOp::Slti => ((a as i64) < (i as i64)) as u64,
+        AluImmOp::Sltiu => (a < i) as u64,
+        AluImmOp::Xori => a ^ i,
+        AluImmOp::Ori => a | i,
+        AluImmOp::Andi => a & i,
+        AluImmOp::Slli => a << (imm & 0x3F),
+        AluImmOp::Srli => a >> (imm & 0x3F),
+        AluImmOp::Srai => ((a as i64) >> (imm & 0x3F)) as u64,
+        AluImmOp::Addiw => sext(a.wrapping_add(i) & 0xFFFF_FFFF, 32),
+        AluImmOp::Slliw => sext((a as u32 as u64) << (imm & 0x1F) & 0xFFFF_FFFF, 32),
+        AluImmOp::Srliw => sext((a as u32 >> (imm & 0x1F)) as u64, 32),
+        AluImmOp::Sraiw => ((a as i32) >> (imm & 0x1F)) as i64 as u64,
+    }
+}
+
+/// The `Alu` result for `op` on operands `a` and `b`: the one statement
+/// of the OP rules, shared by [`execute`] and the static analyzer.
+#[inline]
+pub fn alu(op: AluOp, a: u64, b: u64) -> u64 {
+    match op {
+        AluOp::Add => a.wrapping_add(b),
+        AluOp::Sub => a.wrapping_sub(b),
+        AluOp::Sll => a << (b & 0x3F),
+        AluOp::Slt => ((a as i64) < (b as i64)) as u64,
+        AluOp::Sltu => (a < b) as u64,
+        AluOp::Xor => a ^ b,
+        AluOp::Srl => a >> (b & 0x3F),
+        AluOp::Sra => ((a as i64) >> (b & 0x3F)) as u64,
+        AluOp::Or => a | b,
+        AluOp::And => a & b,
+        AluOp::Addw => sext(a.wrapping_add(b) & 0xFFFF_FFFF, 32),
+        AluOp::Subw => sext(a.wrapping_sub(b) & 0xFFFF_FFFF, 32),
+        AluOp::Sllw => sext(((a as u32) << (b & 0x1F)) as u64, 32),
+        AluOp::Srlw => sext((a as u32 >> (b & 0x1F)) as u64, 32),
+        AluOp::Sraw => ((a as i32) >> (b & 0x1F)) as i64 as u64,
     }
 }
 
@@ -488,6 +491,54 @@ mod tests {
             step(&mut st, &mut mem).expect("no trap");
         }
         (st, mem)
+    }
+
+    /// Differential check of [`alu_imm`] and [`alu`], the rules the
+    /// static analyzer folds constants with, against the executor over a
+    /// grid of operand values. Each op runs as an encoded word through
+    /// [`step`], so the encoder's and decoder's immediate and shift-amount
+    /// fields are held to the same rules.
+    #[test]
+    fn scalar_semantics_match_the_executor() {
+        const OPERANDS: [u64; 8] = [
+            0,
+            1,
+            0xFFF,
+            0x8000_0000,
+            0xFFFF_FFFF,
+            0x7FFF_FFFF_FFFF_FFFF,
+            u64::MAX,
+            0x1234_5678_9ABC_DEF0,
+        ];
+        const IMMS: [i32; 6] = [0, 1, -1, 2047, -2048, 63];
+        let exec = |inst: Inst, a: u64, b: u64| {
+            let mut mem = SparseMemory::new();
+            mem.load_program(0x1000, &[encode(&inst)]);
+            let mut st = ArchState::new(0x1000);
+            st.set_x(Reg::X6, a);
+            st.set_x(Reg::X7, b);
+            step(&mut st, &mut mem).expect("no trap");
+            st.x(Reg::X5)
+        };
+        for &a in &OPERANDS {
+            for &imm in &IMMS {
+                for &op in AluImmOp::ALL {
+                    let imm = match op {
+                        AluImmOp::Slli | AluImmOp::Srli | AluImmOp::Srai => imm & 0x3F,
+                        AluImmOp::Slliw | AluImmOp::Srliw | AluImmOp::Sraiw => imm & 0x1F,
+                        _ => imm,
+                    };
+                    let inst = Inst::AluImm { op, rd: Reg::X5, rs1: Reg::X6, imm };
+                    assert_eq!(exec(inst, a, 0), alu_imm(op, a, imm), "{op:?} a={a:#x} imm={imm}");
+                }
+            }
+            for &b in &OPERANDS {
+                for &op in AluOp::ALL {
+                    let inst = Inst::Alu { op, rd: Reg::X5, rs1: Reg::X6, rs2: Reg::X7 };
+                    assert_eq!(exec(inst, a, b), alu(op, a, b), "{op:?} a={a:#x} b={b:#x}");
+                }
+            }
+        }
     }
 
     #[test]

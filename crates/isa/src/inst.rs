@@ -3,29 +3,65 @@
 use crate::meek::MeekOp;
 use crate::reg::{FReg, Reg};
 
-/// Conditional branch comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum BranchOp {
-    Beq,
-    Bne,
-    Blt,
-    Bge,
-    Bltu,
-    Bgeu,
+/// Declares an op enum from one `Variant => "mnemonic"` list and
+/// generates `ALL` (every variant, in declaration order), `mnemonic()`
+/// and `from_mnemonic()`: the one place an op's assembly spelling is
+/// written, so no variant can be missing from `ALL` or from either
+/// direction of the mapping.
+macro_rules! op_enum {
+    ($(#[$doc:meta])* $name:ident { $($variant:ident => $mnemonic:literal,)+ }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[allow(missing_docs)]
+        pub enum $name {
+            $($variant,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant,)+];
+
+            /// The assembly mnemonic.
+            pub fn mnemonic(self) -> &'static str {
+                match self {
+                    $($name::$variant => $mnemonic,)+
+                }
+            }
+
+            /// The variant whose assembly mnemonic is `mnemonic`.
+            pub fn from_mnemonic(mnemonic: &str) -> Option<$name> {
+                match mnemonic {
+                    $($mnemonic => Some($name::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-/// Load width/signedness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum LoadOp {
-    Lb,
-    Lh,
-    Lw,
-    Ld,
-    Lbu,
-    Lhu,
-    Lwu,
+op_enum! {
+    /// Conditional branch comparison.
+    BranchOp {
+        Beq => "beq",
+        Bne => "bne",
+        Blt => "blt",
+        Bge => "bge",
+        Bltu => "bltu",
+        Bgeu => "bgeu",
+    }
+}
+
+op_enum! {
+    /// Load width/signedness.
+    LoadOp {
+        Lb => "lb",
+        Lh => "lh",
+        Lw => "lw",
+        Ld => "ld",
+        Lbu => "lbu",
+        Lhu => "lhu",
+        Lwu => "lwu",
+    }
 }
 
 impl LoadOp {
@@ -40,14 +76,14 @@ impl LoadOp {
     }
 }
 
-/// Store width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum StoreOp {
-    Sb,
-    Sh,
-    Sw,
-    Sd,
+op_enum! {
+    /// Store width.
+    StoreOp {
+        Sb => "sb",
+        Sh => "sh",
+        Sw => "sw",
+        Sd => "sd",
+    }
 }
 
 impl StoreOp {
@@ -62,63 +98,63 @@ impl StoreOp {
     }
 }
 
-/// Register-register integer ALU operation (OP / OP-32 major opcodes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum AluOp {
-    Add,
-    Sub,
-    Sll,
-    Slt,
-    Sltu,
-    Xor,
-    Srl,
-    Sra,
-    Or,
-    And,
-    Addw,
-    Subw,
-    Sllw,
-    Srlw,
-    Sraw,
+op_enum! {
+    /// Register-register integer ALU operation (OP / OP-32 major opcodes).
+    AluOp {
+        Add => "add",
+        Sub => "sub",
+        Sll => "sll",
+        Slt => "slt",
+        Sltu => "sltu",
+        Xor => "xor",
+        Srl => "srl",
+        Sra => "sra",
+        Or => "or",
+        And => "and",
+        Addw => "addw",
+        Subw => "subw",
+        Sllw => "sllw",
+        Srlw => "srlw",
+        Sraw => "sraw",
+    }
 }
 
-/// Register-immediate integer ALU operation (OP-IMM / OP-IMM-32).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum AluImmOp {
-    Addi,
-    Slti,
-    Sltiu,
-    Xori,
-    Ori,
-    Andi,
-    Slli,
-    Srli,
-    Srai,
-    Addiw,
-    Slliw,
-    Srliw,
-    Sraiw,
+op_enum! {
+    /// Register-immediate integer ALU operation (OP-IMM / OP-IMM-32).
+    AluImmOp {
+        Addi => "addi",
+        Slti => "slti",
+        Sltiu => "sltiu",
+        Xori => "xori",
+        Ori => "ori",
+        Andi => "andi",
+        Slli => "slli",
+        Srli => "srli",
+        Srai => "srai",
+        Addiw => "addiw",
+        Slliw => "slliw",
+        Srliw => "srliw",
+        Sraiw => "sraiw",
+    }
 }
 
-/// RV64M multiply/divide operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum MulDivOp {
-    Mul,
-    Mulh,
-    Mulhsu,
-    Mulhu,
-    Div,
-    Divu,
-    Rem,
-    Remu,
-    Mulw,
-    Divw,
-    Divuw,
-    Remw,
-    Remuw,
+op_enum! {
+    /// RV64M multiply/divide operation.
+    MulDivOp {
+        Mul => "mul",
+        Mulh => "mulh",
+        Mulhsu => "mulhsu",
+        Mulhu => "mulhu",
+        Div => "div",
+        Divu => "divu",
+        Rem => "rem",
+        Remu => "remu",
+        Mulw => "mulw",
+        Divw => "divw",
+        Divuw => "divuw",
+        Remw => "remw",
+        Remuw => "remuw",
+    }
 }
 
 impl MulDivOp {
@@ -138,39 +174,47 @@ impl MulDivOp {
     }
 }
 
-/// Double-precision floating-point compute operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum FpOp {
-    FaddD,
-    FsubD,
-    FmulD,
-    FdivD,
-    FsqrtD,
-    FsgnjD,
-    FminD,
-    FmaxD,
+op_enum! {
+    /// Double-precision floating-point compute operation.
+    FpOp {
+        FaddD => "fadd.d",
+        FsubD => "fsub.d",
+        FmulD => "fmul.d",
+        FdivD => "fdiv.d",
+        FsqrtD => "fsqrt.d",
+        FsgnjD => "fsgnj.d",
+        FminD => "fmin.d",
+        FmaxD => "fmax.d",
+    }
 }
 
-/// Floating-point compare (writes an integer register).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum FpCmpOp {
-    FeqD,
-    FltD,
-    FleD,
+op_enum! {
+    /// Floating-point compare (writes an integer register).
+    FpCmpOp {
+        FeqD => "feq.d",
+        FltD => "flt.d",
+        FleD => "fle.d",
+    }
 }
 
-/// CSR access operation (Zicsr).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[allow(missing_docs)]
-pub enum CsrOp {
-    Rw,
-    Rs,
-    Rc,
-    Rwi,
-    Rsi,
-    Rci,
+op_enum! {
+    /// CSR access operation (Zicsr).
+    CsrOp {
+        Rw => "csrrw",
+        Rs => "csrrs",
+        Rc => "csrrc",
+        Rwi => "csrrwi",
+        Rsi => "csrrsi",
+        Rci => "csrrci",
+    }
+}
+
+impl CsrOp {
+    /// Whether the `rs1` field holds a 5-bit immediate (`zimm`) rather
+    /// than a register.
+    pub fn is_imm(self) -> bool {
+        matches!(self, CsrOp::Rwi | CsrOp::Rsi | CsrOp::Rci)
+    }
 }
 
 /// A decoded RISC-V (plus MEEK-ISA) instruction.
@@ -467,6 +511,27 @@ mod tests {
         let fld = Inst::Fld { rd: FReg::new(4), rs1: Reg::X2, offset: 0 };
         assert_eq!(fld.fp_dest(), Some(FReg::new(4)));
         assert_eq!(fld.int_srcs()[0], Some(Reg::X2));
+    }
+
+    #[test]
+    fn op_tables_round_trip_and_spell_each_mnemonic_once() {
+        // The assembler tries the tables in turn, so a mnemonic shared by
+        // two enums would silently assemble as the first.
+        let mut owner = std::collections::HashMap::new();
+        macro_rules! check {
+            ($($ty:ident),+) => {$(
+                for (i, &op) in $ty::ALL.iter().enumerate() {
+                    assert_eq!($ty::from_mnemonic(op.mnemonic()), Some(op));
+                    assert!(!$ty::ALL[..i].contains(&op), "{op:?} twice in ALL");
+                    if let Some(other) = owner.insert(op.mnemonic(), stringify!($ty)) {
+                        panic!("`{}` is both {other} and {op:?}", op.mnemonic());
+                    }
+                }
+            )+};
+        }
+        check!(BranchOp, LoadOp, StoreOp, AluOp, AluImmOp, MulDivOp, FpOp, FpCmpOp, CsrOp);
+        assert_eq!(owner.len(), 75, "the nine enums hold 75 ops");
+        assert_eq!(AluOp::from_mnemonic("addi"), None);
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //!
 //! * decoded instruction representation ([`Inst`]) for RV64IM, the Zicsr
 //!   CSR instructions, a double-precision floating-point subset, and the
-//!   seven custom **MEEK-ISA** instructions of the paper's Table I;
+//!   seven custom **MEEK-ISA** instructions of the paper's Table I; each
+//!   op enum spells its own assembly mnemonics ([`BranchOp::mnemonic`],
+//!   [`BranchOp::from_mnemonic`]), for the disassembler and assemblers;
 //! * binary [`encode()`](encode())/[`decode()`](decode()) in both directions (the workload generator
 //!   emits real machine code; the core models decode it);
 //! * a functional executor ([`exec`]) that advances an [`ArchState`] over a
 //!   [`Bus`] and produces a [`Retired`] record per instruction — the dynamic
 //!   stream consumed by the timing models in `meek-bigcore` and
-//!   `meek-littlecore`;
+//!   `meek-littlecore` — with its integer ALU rules ([`exec::alu`],
+//!   [`exec::alu_imm`]) exposed for the static analyzer to fold with;
 //! * a disassembler for debugging.
 //!
 //! # Example

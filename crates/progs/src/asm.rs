@@ -2,13 +2,15 @@
 //! models.
 //!
 //! The grammar is deliberately the same one [`meek_isa::disasm`] prints:
-//! ABI register names, `offset(base)` memory operands, numeric CSR
-//! addresses, and a `.word` fallback for raw words — so any disassembled
-//! trace line reassembles byte-identically (property-tested in
-//! `meek-difftest`). On top of that it adds what real programs need:
-//! labels, `.text`/`.data` sections, data directives, and the standard
-//! pseudo-instructions (`li`, `la`, `call`, `ret`, `j`, …). `la` expands
-//! to the `auipc`/`addi` pair the difftest shrinker already understands.
+//! the op enums' own mnemonics ([`BranchOp::mnemonic`] and its
+//! siblings), ABI register names, `offset(base)` memory operands,
+//! numeric CSR addresses, and a `.word` fallback for raw words — so any
+//! disassembled trace line reassembles byte-identically
+//! (property-tested in `meek-difftest`). On top of that it adds what
+//! real programs need: labels, `.text`/`.data` sections, data
+//! directives, and the standard pseudo-instructions (`li`, `la`,
+//! `call`, `ret`, `j`, …). `la` expands to the `auipc`/`addi` pair the
+//! difftest shrinker already understands.
 //!
 //! # Example
 //!
@@ -632,134 +634,6 @@ fn expect_ops(ops: &[String], n: usize, mnemonic: &str, line: usize) -> Result<(
     }
 }
 
-fn alu_imm_op(mnemonic: &str) -> Option<AluImmOp> {
-    Some(match mnemonic {
-        "addi" => AluImmOp::Addi,
-        "slti" => AluImmOp::Slti,
-        "sltiu" => AluImmOp::Sltiu,
-        "xori" => AluImmOp::Xori,
-        "ori" => AluImmOp::Ori,
-        "andi" => AluImmOp::Andi,
-        "slli" => AluImmOp::Slli,
-        "srli" => AluImmOp::Srli,
-        "srai" => AluImmOp::Srai,
-        "addiw" => AluImmOp::Addiw,
-        "slliw" => AluImmOp::Slliw,
-        "srliw" => AluImmOp::Srliw,
-        "sraiw" => AluImmOp::Sraiw,
-        _ => return None,
-    })
-}
-
-fn alu_op(mnemonic: &str) -> Option<AluOp> {
-    Some(match mnemonic {
-        "add" => AluOp::Add,
-        "sub" => AluOp::Sub,
-        "sll" => AluOp::Sll,
-        "slt" => AluOp::Slt,
-        "sltu" => AluOp::Sltu,
-        "xor" => AluOp::Xor,
-        "srl" => AluOp::Srl,
-        "sra" => AluOp::Sra,
-        "or" => AluOp::Or,
-        "and" => AluOp::And,
-        "addw" => AluOp::Addw,
-        "subw" => AluOp::Subw,
-        "sllw" => AluOp::Sllw,
-        "srlw" => AluOp::Srlw,
-        "sraw" => AluOp::Sraw,
-        _ => return None,
-    })
-}
-
-fn muldiv_op(mnemonic: &str) -> Option<MulDivOp> {
-    Some(match mnemonic {
-        "mul" => MulDivOp::Mul,
-        "mulh" => MulDivOp::Mulh,
-        "mulhsu" => MulDivOp::Mulhsu,
-        "mulhu" => MulDivOp::Mulhu,
-        "div" => MulDivOp::Div,
-        "divu" => MulDivOp::Divu,
-        "rem" => MulDivOp::Rem,
-        "remu" => MulDivOp::Remu,
-        "mulw" => MulDivOp::Mulw,
-        "divw" => MulDivOp::Divw,
-        "divuw" => MulDivOp::Divuw,
-        "remw" => MulDivOp::Remw,
-        "remuw" => MulDivOp::Remuw,
-        _ => return None,
-    })
-}
-
-fn load_op(mnemonic: &str) -> Option<LoadOp> {
-    Some(match mnemonic {
-        "lb" => LoadOp::Lb,
-        "lh" => LoadOp::Lh,
-        "lw" => LoadOp::Lw,
-        "ld" => LoadOp::Ld,
-        "lbu" => LoadOp::Lbu,
-        "lhu" => LoadOp::Lhu,
-        "lwu" => LoadOp::Lwu,
-        _ => return None,
-    })
-}
-
-fn store_op(mnemonic: &str) -> Option<StoreOp> {
-    Some(match mnemonic {
-        "sb" => StoreOp::Sb,
-        "sh" => StoreOp::Sh,
-        "sw" => StoreOp::Sw,
-        "sd" => StoreOp::Sd,
-        _ => return None,
-    })
-}
-
-fn branch_op(mnemonic: &str) -> Option<BranchOp> {
-    Some(match mnemonic {
-        "beq" => BranchOp::Beq,
-        "bne" => BranchOp::Bne,
-        "blt" => BranchOp::Blt,
-        "bge" => BranchOp::Bge,
-        "bltu" => BranchOp::Bltu,
-        "bgeu" => BranchOp::Bgeu,
-        _ => return None,
-    })
-}
-
-fn fp_op(mnemonic: &str) -> Option<FpOp> {
-    Some(match mnemonic {
-        "fadd.d" => FpOp::FaddD,
-        "fsub.d" => FpOp::FsubD,
-        "fmul.d" => FpOp::FmulD,
-        "fdiv.d" => FpOp::FdivD,
-        "fsgnj.d" => FpOp::FsgnjD,
-        "fmin.d" => FpOp::FminD,
-        "fmax.d" => FpOp::FmaxD,
-        _ => return None,
-    })
-}
-
-fn fp_cmp_op(mnemonic: &str) -> Option<FpCmpOp> {
-    Some(match mnemonic {
-        "feq.d" => FpCmpOp::FeqD,
-        "flt.d" => FpCmpOp::FltD,
-        "fle.d" => FpCmpOp::FleD,
-        _ => return None,
-    })
-}
-
-fn csr_op(mnemonic: &str) -> Option<(CsrOp, bool)> {
-    Some(match mnemonic {
-        "csrrw" => (CsrOp::Rw, false),
-        "csrrs" => (CsrOp::Rs, false),
-        "csrrc" => (CsrOp::Rc, false),
-        "csrrwi" => (CsrOp::Rwi, true),
-        "csrrsi" => (CsrOp::Rsi, true),
-        "csrrci" => (CsrOp::Rci, true),
-        _ => return None,
-    })
-}
-
 /// Encodes one statement into machine words (pseudo-instructions expand
 /// to several).
 fn encode_statement(
@@ -808,53 +682,6 @@ fn encode_statement(
             }
             n => return err(line, format!("`jalr` expects 1–2 operands, got {n}")),
         },
-        _ if branch_op(m).is_some() => {
-            expect_ops(ops, 3, m, line)?;
-            let rs1 = parse_reg(op_str(ops, 0, line)?, line)?;
-            let rs2 = parse_reg(op_str(ops, 1, line)?, line)?;
-            let target = resolve_target(op_str(ops, 2, line)?, addr, symbols, line)?;
-            vec![Inst::Branch {
-                op: branch_op(m).unwrap(),
-                rs1,
-                rs2,
-                offset: check_branch_range(target, line)?,
-            }]
-        }
-        _ if load_op(m).is_some() => {
-            expect_ops(ops, 2, m, line)?;
-            let rd = parse_reg(op_str(ops, 0, line)?, line)?;
-            let (offset, rs1) = parse_mem(op_str(ops, 1, line)?, line)?;
-            vec![Inst::Load { op: load_op(m).unwrap(), rd, rs1, offset }]
-        }
-        _ if store_op(m).is_some() => {
-            expect_ops(ops, 2, m, line)?;
-            let rs2 = parse_reg(op_str(ops, 0, line)?, line)?;
-            let (offset, rs1) = parse_mem(op_str(ops, 1, line)?, line)?;
-            vec![Inst::Store { op: store_op(m).unwrap(), rs1, rs2, offset }]
-        }
-        _ if alu_imm_op(m).is_some() => {
-            expect_ops(ops, 3, m, line)?;
-            let op = alu_imm_op(m).unwrap();
-            let rd = parse_reg(op_str(ops, 0, line)?, line)?;
-            let rs1 = parse_reg(op_str(ops, 1, line)?, line)?;
-            let v = parse_int_op(ops, 2, line)?;
-            let imm = match op {
-                AluImmOp::Slli | AluImmOp::Srli | AluImmOp::Srai => check_shamt(v, 63, line)?,
-                AluImmOp::Slliw | AluImmOp::Srliw | AluImmOp::Sraiw => check_shamt(v, 31, line)?,
-                _ => check_i12(v, line)?,
-            };
-            vec![Inst::AluImm { op, rd, rs1, imm }]
-        }
-        _ if alu_op(m).is_some() || muldiv_op(m).is_some() => {
-            expect_ops(ops, 3, m, line)?;
-            let rd = parse_reg(op_str(ops, 0, line)?, line)?;
-            let rs1 = parse_reg(op_str(ops, 1, line)?, line)?;
-            let rs2 = parse_reg(op_str(ops, 2, line)?, line)?;
-            vec![match alu_op(m) {
-                Some(op) => Inst::Alu { op, rd, rs1, rs2 },
-                None => Inst::MulDiv { op: muldiv_op(m).unwrap(), rd, rs1, rs2 },
-            }]
-        }
         "fld" => {
             expect_ops(ops, 2, m, line)?;
             let rd = parse_freg(op_str(ops, 0, line)?, line)?;
@@ -866,26 +693,6 @@ fn encode_statement(
             let rs2 = parse_freg(op_str(ops, 0, line)?, line)?;
             let (offset, rs1) = parse_mem(op_str(ops, 1, line)?, line)?;
             vec![Inst::Fsd { rs1, rs2, offset }]
-        }
-        "fsqrt.d" => {
-            expect_ops(ops, 2, m, line)?;
-            let rd = parse_freg(op_str(ops, 0, line)?, line)?;
-            let rs1 = parse_freg(op_str(ops, 1, line)?, line)?;
-            vec![Inst::Fp { op: FpOp::FsqrtD, rd, rs1, rs2: FReg::new(0) }]
-        }
-        _ if fp_op(m).is_some() => {
-            expect_ops(ops, 3, m, line)?;
-            let rd = parse_freg(op_str(ops, 0, line)?, line)?;
-            let rs1 = parse_freg(op_str(ops, 1, line)?, line)?;
-            let rs2 = parse_freg(op_str(ops, 2, line)?, line)?;
-            vec![Inst::Fp { op: fp_op(m).unwrap(), rd, rs1, rs2 }]
-        }
-        _ if fp_cmp_op(m).is_some() => {
-            expect_ops(ops, 3, m, line)?;
-            let rd = parse_reg(op_str(ops, 0, line)?, line)?;
-            let rs1 = parse_freg(op_str(ops, 1, line)?, line)?;
-            let rs2 = parse_freg(op_str(ops, 2, line)?, line)?;
-            vec![Inst::FpCmp { op: fp_cmp_op(m).unwrap(), rd, rs1, rs2 }]
         }
         "fmadd.d" => {
             expect_ops(ops, 4, m, line)?;
@@ -918,22 +725,6 @@ fn encode_statement(
             let rd = parse_freg(op_str(ops, 0, line)?, line)?;
             let rs1 = parse_reg(op_str(ops, 1, line)?, line)?;
             vec![Inst::FmvDX { rd, rs1 }]
-        }
-        _ if csr_op(m).is_some() => {
-            expect_ops(ops, 3, m, line)?;
-            let (op, immediate_form) = csr_op(m).unwrap();
-            let rd = parse_reg(op_str(ops, 0, line)?, line)?;
-            let csr = check_csr(parse_int_op(ops, 1, line)?, line)?;
-            let rs1 = if immediate_form {
-                let zimm = parse_int_op(ops, 2, line)?;
-                if !(0..32).contains(&zimm) {
-                    return err(line, format!("zimm {zimm} out of range 0..32"));
-                }
-                Reg::from_index(zimm as u8)
-            } else {
-                parse_reg(op_str(ops, 2, line)?, line)?
-            };
-            vec![Inst::Csr { op, rd, rs1, csr }]
         }
         "csrr" => {
             expect_ops(ops, 2, m, line)?;
@@ -1052,9 +843,95 @@ fn encode_statement(
             expect_ops(ops, 0, m, line)?;
             vec![Inst::Jalr { rd: Reg::X0, rs1: Reg::X1, offset: 0 }]
         }
-        _ => return err(line, format!("unknown mnemonic `{m}`")),
+        _ => match encode_op(m, ops, line, addr, symbols)? {
+            Some(inst) => vec![inst],
+            None => return err(line, format!("unknown mnemonic `{m}`")),
+        },
     };
     Ok(insts.iter().map(encode).collect())
+}
+
+/// Encodes a statement whose mnemonic names an op of one of the op
+/// enums (`BranchOp` … `CsrOp`), which spell their own mnemonics;
+/// `Ok(None)` when it names none.
+fn encode_op(
+    m: &str,
+    ops: &[String],
+    line: usize,
+    addr: u64,
+    symbols: &BTreeMap<String, u64>,
+) -> Result<Option<Inst>, AsmError> {
+    // `rd, rs1, rs2`, all integer registers.
+    let int3 = || -> Result<[Reg; 3], AsmError> {
+        expect_ops(ops, 3, m, line)?;
+        let reg = |i| parse_reg(op_str(ops, i, line)?, line);
+        Ok([reg(0)?, reg(1)?, reg(2)?])
+    };
+    let inst = if let Some(op) = BranchOp::from_mnemonic(m) {
+        expect_ops(ops, 3, m, line)?;
+        let rs1 = parse_reg(op_str(ops, 0, line)?, line)?;
+        let rs2 = parse_reg(op_str(ops, 1, line)?, line)?;
+        let target = resolve_target(op_str(ops, 2, line)?, addr, symbols, line)?;
+        Inst::Branch { op, rs1, rs2, offset: check_branch_range(target, line)? }
+    } else if let Some(op) = LoadOp::from_mnemonic(m) {
+        expect_ops(ops, 2, m, line)?;
+        let rd = parse_reg(op_str(ops, 0, line)?, line)?;
+        let (offset, rs1) = parse_mem(op_str(ops, 1, line)?, line)?;
+        Inst::Load { op, rd, rs1, offset }
+    } else if let Some(op) = StoreOp::from_mnemonic(m) {
+        expect_ops(ops, 2, m, line)?;
+        let rs2 = parse_reg(op_str(ops, 0, line)?, line)?;
+        let (offset, rs1) = parse_mem(op_str(ops, 1, line)?, line)?;
+        Inst::Store { op, rs1, rs2, offset }
+    } else if let Some(op) = AluImmOp::from_mnemonic(m) {
+        expect_ops(ops, 3, m, line)?;
+        let rd = parse_reg(op_str(ops, 0, line)?, line)?;
+        let rs1 = parse_reg(op_str(ops, 1, line)?, line)?;
+        let v = parse_int_op(ops, 2, line)?;
+        let imm = match op {
+            AluImmOp::Slli | AluImmOp::Srli | AluImmOp::Srai => check_shamt(v, 63, line)?,
+            AluImmOp::Slliw | AluImmOp::Srliw | AluImmOp::Sraiw => check_shamt(v, 31, line)?,
+            _ => check_i12(v, line)?,
+        };
+        Inst::AluImm { op, rd, rs1, imm }
+    } else if let Some(op) = AluOp::from_mnemonic(m) {
+        let [rd, rs1, rs2] = int3()?;
+        Inst::Alu { op, rd, rs1, rs2 }
+    } else if let Some(op) = MulDivOp::from_mnemonic(m) {
+        let [rd, rs1, rs2] = int3()?;
+        Inst::MulDiv { op, rd, rs1, rs2 }
+    } else if let Some(op) = FpOp::from_mnemonic(m) {
+        // `fsqrt.d` is unary: its rs2 field is zero.
+        let unary = op == FpOp::FsqrtD;
+        expect_ops(ops, if unary { 2 } else { 3 }, m, line)?;
+        let rd = parse_freg(op_str(ops, 0, line)?, line)?;
+        let rs1 = parse_freg(op_str(ops, 1, line)?, line)?;
+        let rs2 = if unary { FReg::new(0) } else { parse_freg(op_str(ops, 2, line)?, line)? };
+        Inst::Fp { op, rd, rs1, rs2 }
+    } else if let Some(op) = FpCmpOp::from_mnemonic(m) {
+        expect_ops(ops, 3, m, line)?;
+        let rd = parse_reg(op_str(ops, 0, line)?, line)?;
+        let rs1 = parse_freg(op_str(ops, 1, line)?, line)?;
+        let rs2 = parse_freg(op_str(ops, 2, line)?, line)?;
+        Inst::FpCmp { op, rd, rs1, rs2 }
+    } else if let Some(op) = CsrOp::from_mnemonic(m) {
+        expect_ops(ops, 3, m, line)?;
+        let rd = parse_reg(op_str(ops, 0, line)?, line)?;
+        let csr = check_csr(parse_int_op(ops, 1, line)?, line)?;
+        let rs1 = if op.is_imm() {
+            let zimm = parse_int_op(ops, 2, line)?;
+            if !(0..32).contains(&zimm) {
+                return err(line, format!("zimm {zimm} out of range 0..32"));
+            }
+            Reg::from_index(zimm as u8)
+        } else {
+            parse_reg(op_str(ops, 2, line)?, line)?
+        };
+        Inst::Csr { op, rd, rs1, csr }
+    } else {
+        return Ok(None);
+    };
+    Ok(Some(inst))
 }
 
 #[cfg(test)]

@@ -27,7 +27,6 @@ fn main() {
     let mut rng = SmallRng::seed_from_u64(0xDEAD);
     let report = Sim::builder(&workload, insts)
         .faults(random_fault_specs(n_faults, insts, &mut rng))
-        .cycle_headroom(2)
         .build()
         .expect("a valid campaign configuration")
         .run()

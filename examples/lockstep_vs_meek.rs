@@ -36,13 +36,8 @@ fn main() {
     );
 
     let vanilla = run_vanilla(&cfg.big, &workload, insts);
-    let meek = Sim::builder(&workload, insts)
-        .cycle_headroom(5)
-        .build()
-        .expect("a valid configuration")
-        .run()
-        .report
-        .cycles;
+    let meek =
+        Sim::builder(&workload, insts).build().expect("a valid configuration").run().report.cycles;
     let lockstep = run_ea_lockstep(4, &workload, insts);
     let ls_cfg = ea_lockstep_config(4);
 

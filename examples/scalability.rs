@@ -26,7 +26,6 @@ fn main() {
     for n in 1..=8 {
         let report = Sim::builder(&workload, insts)
             .little_cores(n)
-            .cycle_headroom(10)
             .build()
             .expect("a valid configuration")
             .run()

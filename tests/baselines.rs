@@ -14,8 +14,7 @@ fn meek_beats_both_baselines() {
     let wl = Workload::build(&p, challenge_seed());
     let cfg = MeekConfig::default();
     let vanilla = run_vanilla(&cfg.big, &wl, INSTS);
-    let meek_report =
-        Sim::builder(&wl, INSTS).cycle_headroom(5).build().expect("valid").run().report;
+    let meek_report = Sim::builder(&wl, INSTS).build().expect("valid").run().report;
     let meek = meek_report.app_cycles as f64 / vanilla as f64;
     let lockstep = run_ea_lockstep(4, &wl, INSTS) as f64 / vanilla as f64;
     let (nz, _) = run_nzdc(&cfg.big, &wl, INSTS);

@@ -11,7 +11,6 @@ fn run_one_fault(site: FaultSite, bit: u32, seed: u64) -> meek_core::RunReport {
     let wl = Workload::build(p, seed);
     Sim::builder(&wl, 12_000)
         .faults(vec![FaultSpec { arm_at_commit: 5_000, site, bit }])
-        .cycle_headroom(10)
         .build()
         .expect("valid")
         .run()
@@ -63,7 +62,6 @@ fn campaign_has_high_coverage_and_sane_latencies() {
     let mut rng = SmallRng::seed_from_u64(0xCA4);
     let r = Sim::builder(&wl, insts)
         .faults(random_fault_specs(40, insts, &mut rng))
-        .cycle_headroom(6)
         .build()
         .expect("valid")
         .run()
@@ -88,7 +86,7 @@ fn campaign_has_high_coverage_and_sane_latencies() {
 fn clean_run_has_zero_detections() {
     let p = &parsec3()[5];
     let wl = Workload::build(p, 0xC1E);
-    let r = Sim::builder(&wl, 10_000).cycle_headroom(10).build().expect("valid").run().report;
+    let r = Sim::builder(&wl, 10_000).build().expect("valid").run().report;
     assert!(r.detections.is_empty());
     assert_eq!(r.failed_segments, 0, "no false positives");
 }

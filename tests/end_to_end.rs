@@ -6,10 +6,9 @@ use meek_workloads::{parsec3, spec_int_2006, Workload};
 
 const INSTS: u64 = 8_000;
 
-/// A default-configuration builder with the headroom the stress
-/// configurations below (1–2 cores, AXI) need.
+/// A default-configuration builder for the shared instruction budget.
 fn sim(wl: &Workload) -> SimBuilder<'_> {
-    Sim::builder(wl, INSTS).cycle_headroom(4)
+    Sim::builder(wl, INSTS)
 }
 
 fn run(wl: &Workload) -> RunReport {

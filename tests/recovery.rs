@@ -15,7 +15,6 @@ fn recovered_run(wl: &Workload, n_little: usize, faults: Vec<FaultSpec>) -> RunO
         .little_cores(n_little)
         .recovery(RecoveryPolicy::enabled())
         .faults(faults)
-        .cycle_headroom(20)
         .build()
         .expect("valid")
         .run()
@@ -113,7 +112,6 @@ fn deep_rollback_recovers_to_the_clean_final_state() {
             FaultSpec { arm_at_commit: 3_000, site: FaultSite::MemData, bit: 12 },
             FaultSpec { arm_at_commit: 7_000, site: FaultSite::RcpRegister, bit: 4 },
         ])
-        .cycle_headroom(20)
         .build()
         .expect("valid")
         .run();

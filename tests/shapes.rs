@@ -11,7 +11,7 @@ use meek_workloads::{parsec3, Workload};
 const INSTS: u64 = 20_000;
 
 fn measure(cfg: MeekConfig, wl: &Workload) -> RunReport {
-    Sim::builder(wl, INSTS).config(cfg).cycle_headroom(10).build().expect("valid").run().report
+    Sim::builder(wl, INSTS).config(cfg).build().expect("valid").run().report
 }
 
 fn slowdown(cfg: MeekConfig, wl: &Workload, vanilla: u64) -> f64 {
