@@ -19,6 +19,7 @@
 
 use criterion::{black_box, Criterion};
 use meek_bench::suites::BASELINE_SUITES;
+use meek_campaign::cli::{self, CliError, Flags};
 use meek_serve::json::Json;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -136,7 +137,7 @@ fn parse_baseline(text: &str) -> Result<Baseline, String> {
 /// passes against it, so transient slowness on the checking machine
 /// eats into a guard band before it can fail the gate, while a real
 /// regression shifts the minimum itself.
-fn emit(out: &str, samples: usize) -> Result<ExitCode, String> {
+fn emit(out: &str, samples: usize) -> Result<bool, String> {
     let passes: Vec<_> = (0..3).map(|_| measure_once(samples)).collect();
     let mut rows: Vec<(String, u64, f64)> = Vec::new();
     for (id, ns, ratio) in &passes[0] {
@@ -153,7 +154,7 @@ fn emit(out: &str, samples: usize) -> Result<ExitCode, String> {
     let text = render_baseline(samples, &rows);
     std::fs::write(out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!("[emit] {} benches (median of {} passes) -> {out}", rows.len(), passes.len());
-    Ok(ExitCode::SUCCESS)
+    Ok(true)
 }
 
 /// Evaluates one merged measurement set against the baseline; returns
@@ -180,7 +181,7 @@ fn evaluate(baseline: &Baseline, rows: &[(String, u64, f64)], tolerance: f64) ->
     failures
 }
 
-fn check(baseline_path: &str, tolerance: f64, samples: usize) -> Result<ExitCode, String> {
+fn check(baseline_path: &str, tolerance: f64, samples: usize) -> Result<bool, String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
     let baseline = parse_baseline(&text)?;
@@ -219,32 +220,28 @@ fn check(baseline_path: &str, tolerance: f64, samples: usize) -> Result<ExitCode
 
     if failures.is_empty() {
         eprintln!("[check] all {} benches within tolerance", baseline.rows.len());
-        Ok(ExitCode::SUCCESS)
-    } else {
-        for f in &failures {
-            eprintln!("[check] FAIL {f}");
-        }
-        Ok(ExitCode::FAILURE)
     }
+    for f in &failures {
+        eprintln!("[check] FAIL {f}");
+    }
+    Ok(failures.is_empty())
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
-        Ok(code) => code,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("error: {msg}");
-                ExitCode::from(2)
-            }
+    cli::main(USAGE, |argv| {
+        let args = parse_args(argv)?;
+        match args.cmd.as_str() {
+            "emit" => emit(&args.out, args.samples),
+            "check" => check(&args.out, args.tolerance, args.samples),
+            "-h" | "--help" => return Err(CliError::Help),
+            other => return Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
         }
-    }
+        .map_err(CliError::Failed)
+    })
 }
 
 /// A parsed command line: the subcommand and its flags.
+#[derive(Debug)]
 struct Args {
     cmd: String,
     out: String,
@@ -252,53 +249,32 @@ struct Args {
     samples: usize,
 }
 
-/// Parses `argv`; `Err("")` asks for the usage text. Values the
-/// measurement cannot use are usage errors here, before anything runs:
-/// the criterion shim needs at least two samples, and a negative or
-/// non-finite tolerance would fail or pass every row.
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+/// Parses `argv`. Values the measurement cannot use are usage errors
+/// here, before anything runs: the criterion shim needs at least two
+/// samples, and a negative or non-finite tolerance would fail or pass
+/// every row.
+fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
-        return Err(String::new());
+        return Err(CliError::Help);
     };
     let mut args =
         Args { cmd: cmd.clone(), out: "BENCH_baseline.json".into(), tolerance: 0.15, samples: 5 };
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--out" | "--baseline" => args.out = value(flag)?,
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|_| "--tolerance: not a number".to_string())?;
-                if !(args.tolerance.is_finite() && args.tolerance >= 0.0) {
-                    return Err("--tolerance: must be a finite fraction >= 0".into());
-                }
-            }
-            "--samples" => {
-                args.samples = value("--samples")?
-                    .parse()
-                    .map_err(|_| "--samples: not a number".to_string())?;
-                if args.samples < 2 {
-                    return Err("--samples: must be at least 2".into());
-                }
-            }
-            "-h" | "--help" => return Err(String::new()),
-            other => return Err(format!("unknown flag `{other}`")),
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag()? {
+        match flag {
+            "--out" | "--baseline" => args.out = flags.value()?,
+            "--tolerance" => args.tolerance = flags.value()?,
+            "--samples" => args.samples = flags.value()?,
+            _ => return Err(flags.unknown()),
         }
     }
-    Ok(args)
-}
-
-fn run(argv: &[String]) -> Result<ExitCode, String> {
-    let args = parse_args(argv)?;
-    match args.cmd.as_str() {
-        "emit" => emit(&args.out, args.samples),
-        "check" => check(&args.out, args.tolerance, args.samples),
-        "-h" | "--help" => Err(String::new()),
-        other => Err(format!("unknown subcommand `{other}`")),
+    if !(args.tolerance.is_finite() && args.tolerance >= 0.0) {
+        return Err(CliError::Usage("--tolerance: must be a finite fraction >= 0".into()));
     }
+    if args.samples < 2 {
+        return Err(CliError::Usage("--samples: must be at least 2".into()));
+    }
+    Ok(args)
 }
 
 #[cfg(test)]
@@ -319,7 +295,7 @@ mod tests {
             "check --tolerance inf",
             "check --tolerance -0.1",
         ] {
-            let err = parse(bad).expect_err(bad);
+            let Err(CliError::Usage(err)) = parse(bad) else { panic!("{bad}: not a usage error") };
             assert!(err.starts_with("--samples") || err.starts_with("--tolerance"), "{bad}: {err}");
         }
     }

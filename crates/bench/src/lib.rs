@@ -13,28 +13,50 @@ pub mod suites;
 use meek_campaign::Executor;
 use meek_core::{run_vanilla, MeekConfig, RunReport, Sim};
 use meek_workloads::{BenchmarkProfile, Workload};
+use std::ffi::OsString;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Default dynamic instruction budget per run.
 pub const DEFAULT_SIM_INSTS: u64 = 60_000;
 
 /// Dynamic instructions per run (`MEEK_SIM_INSTS` env override).
 pub fn sim_insts() -> u64 {
-    std::env::var("MEEK_SIM_INSTS").ok().and_then(|v| v.parse().ok()).unwrap_or(DEFAULT_SIM_INSTS)
+    env_setting("MEEK_SIM_INSTS", DEFAULT_SIM_INSTS)
 }
 
 /// Faults per workload for the detection-latency campaign
 /// (`MEEK_FAULTS` env override; the paper uses 5 000–10 000).
 pub fn fault_count() -> usize {
-    std::env::var("MEEK_FAULTS").ok().and_then(|v| v.parse().ok()).unwrap_or(300)
+    env_setting("MEEK_FAULTS", 300)
 }
 
 /// Worker threads for the experiment harnesses (`MEEK_THREADS` env
 /// override; 0 = one per hardware thread).
 pub fn threads() -> usize {
-    std::env::var("MEEK_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
+    env_setting("MEEK_THREADS", 0)
+}
+
+/// A numeric environment setting, `default` when unset or empty. A
+/// value that does not parse is a usage error: it is reported and the
+/// process exits 2, rather than running at the default.
+fn env_setting<T: FromStr>(name: &str, default: T) -> T {
+    read_setting(name, std::env::var_os(name), default).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
+}
+
+fn read_setting<T: FromStr>(name: &str, value: Option<OsString>, default: T) -> Result<T, String> {
+    match value.filter(|v| !v.is_empty()) {
+        None => Ok(default),
+        Some(v) => v
+            .to_str()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| format!("{name}: cannot parse `{}` as a number", v.to_string_lossy())),
+    }
 }
 
 /// The shared executor the experiment binaries fan out on. Output stays
@@ -126,4 +148,18 @@ pub fn banner(title: &str, caption: &str) {
     println!("{title}");
     println!("{caption}");
     println!("================================================================");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn settings_that_do_not_parse_are_errors_not_defaults() {
+        let read = |v: Option<&str>| read_setting("MEEK_SIM_INSTS", v.map(OsString::from), 7u64);
+        assert_eq!(read(None), Ok(7));
+        assert_eq!(read(Some("")), Ok(7));
+        assert_eq!(read(Some("8000")), Ok(8000));
+        assert_eq!(read(Some("8k")), Err("MEEK_SIM_INSTS: cannot parse `8k` as a number".into()));
+    }
 }

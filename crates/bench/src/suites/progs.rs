@@ -27,12 +27,12 @@ fn bench_assemble(c: &mut Criterion) {
 fn bench_golden(c: &mut Criterion) {
     let k = kernel("qsort").expect("qsort is committed");
     let wl = suite::workload(k);
-    let reference = run_golden(&wl, KERNEL_INST_CAP);
+    let reference = run_golden(&wl, KERNEL_INST_CAP).expect("kernels run trap-free");
     assert!(reference.exited, "qsort must run to its exit syscall");
     let mut g = c.benchmark_group("progs");
     g.throughput(Throughput::Elements(reference.retired));
     g.bench_function("golden_kernel_qsort", |b| {
-        b.iter(|| run_golden(black_box(&wl), KERNEL_INST_CAP).retired)
+        b.iter(|| run_golden(black_box(&wl), KERNEL_INST_CAP).map(|o| o.retired))
     });
     g.finish();
 }

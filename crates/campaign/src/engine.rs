@@ -17,7 +17,7 @@ use crate::executor::Executor;
 use crate::sink::{CampaignRecord, RecordSink, ShardSummary};
 use crate::spec::{CampaignSpec, CampaignWorkload, ShardSpec, DEFAULT_METRICS_STRIDE};
 use meek_core::{validate_config, JsonlEventSink, SamplingObserver, Sim};
-use meek_telemetry::MetricsObserver;
+use meek_telemetry::{MetricsObserver, Registry};
 use meek_workloads::WorkloadCache;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,9 +70,9 @@ pub struct ShardResult {
     pub trace: Vec<u8>,
     /// Serialised occupancy time series (empty when sampling is off).
     pub samples: Vec<u8>,
-    /// Rendered metrics registry ([`meek_telemetry::Registry::render`]
-    /// text; empty when metrics collection is off).
-    pub metrics: Vec<u8>,
+    /// The shard's metrics registry (empty when metrics collection is
+    /// off).
+    pub metrics: Registry,
 }
 
 /// An empty result for a shard skipped after campaign cancellation.
@@ -97,7 +97,7 @@ fn cancelled_shard(shard: &ShardSpec) -> ShardResult {
         },
         trace: Vec::new(),
         samples: Vec::new(),
-        metrics: Vec::new(),
+        metrics: Registry::new(),
     }
 }
 
@@ -133,10 +133,9 @@ pub fn run_shard(spec: &CampaignSpec, cache: &WorkloadCache, shard: &ShardSpec) 
     // fabric-depth time series, rendered with shard identity columns.
     let mut sampler = (spec.sample_stride > 0).then(|| SamplingObserver::new(spec.sample_stride));
     // With metrics on, a MetricsObserver accumulates the shard's
-    // registry (latency/occupancy histograms, verdict counters); its
-    // rendered text rides the metrics channel and is merged in shard
-    // order by the sink, keeping the campaign-wide registry
-    // thread-count invariant.
+    // registry (latency/occupancy histograms, verdict counters); it
+    // rides the metrics channel and is merged in shard order by the
+    // sink, keeping the campaign-wide registry thread-count invariant.
     let mut metrics = spec.metrics.then(|| {
         let stride =
             if spec.sample_stride > 0 { spec.sample_stride } else { DEFAULT_METRICS_STRIDE };
@@ -193,7 +192,7 @@ pub fn run_shard(spec: &CampaignSpec, cache: &WorkloadCache, shard: &ShardSpec) 
                     .into_bytes()
             })
             .unwrap_or_default(),
-        metrics: metrics.map(|m| m.render().into_bytes()).unwrap_or_default(),
+        metrics: metrics.map(MetricsObserver::into_registry).unwrap_or_default(),
     }
 }
 
@@ -368,14 +367,14 @@ mod tests {
                 let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut agg, &mut metrics];
                 run_campaign(&spec, &Executor::new(threads), &mut sinks).unwrap()
             };
-            (summary, metrics.into_inner())
+            (summary, metrics.registry().clone(), metrics.into_inner())
         };
-        let (s1, m1) = run_with(1);
-        let (_, m4) = run_with(4);
-        let (_, m8) = run_with(8);
+        let (s1, reg, m1) = run_with(1);
+        let (_, _, m4) = run_with(4);
+        let (_, _, m8) = run_with(8);
         assert_eq!(m1, m4, "metrics must be byte-identical across thread counts");
         assert_eq!(m1, m8);
-        let reg = meek_telemetry::Registry::parse(&String::from_utf8(m1).unwrap()).unwrap();
+        assert_eq!(m1, reg.render().into_bytes(), "the sink writes the registry it merged");
         // One simulation per shard, and every detection accounted for:
         // the per-site counter family and the latency histogram must
         // both sum to exactly the campaign-wide detection total.

@@ -36,7 +36,10 @@
 //! assert_eq!(summary.detected + summary.masked as usize + summary.pending, 4);
 //! ```
 //!
-//! The `meek-campaign` binary wraps this as a CLI:
+//! A [`CampaignJob`] is the campaign as its front ends name it: the
+//! `meek-campaign` binary reads one from its flags, `meek-serve` from a
+//! job's JSON, and [`CampaignJob::to_spec`] expands it. [`cli`] is the
+//! flag reader and exit-code rule every MEEK command line shares:
 //!
 //! ```text
 //! cargo run --release -p meek-campaign -- --suite specint --faults 1000 --threads 8
@@ -45,14 +48,17 @@
 //! [`DetectionRecord`]: meek_core::fault::DetectionRecord
 //! [`WorkloadCache`]: meek_workloads::WorkloadCache
 
+pub mod cli;
 pub mod engine;
 pub mod executor;
+pub mod job;
 pub mod seed;
 pub mod sink;
 pub mod spec;
 
 pub use engine::{run_campaign, run_shard, CampaignSummary, ShardResult};
 pub use executor::Executor;
+pub use job::CampaignJob;
 pub use seed::{fnv1a, parse_seed, splitmix};
 pub use sink::{
     AggregateSink, CampaignRecord, CsvSink, JsonlSink, LatencyStats, MetricsSink, RecordSink,

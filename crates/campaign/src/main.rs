@@ -10,14 +10,14 @@
 //! `campaign_records.jsonl`, and `campaign_summary.csv` (per-workload
 //! latency stats), and prints the paper-style summary table.
 
+use meek_campaign::cli::{self, CliError, Flags};
 use meek_campaign::{
-    resolve_suite, run_campaign, AggregateSink, CampaignSpec, CsvSink, Executor, JsonlSink,
+    run_campaign, AggregateSink, CampaignJob, CampaignSpec, CsvSink, Executor, JsonlSink,
     MetricsSink, RecordSink, SampleSink, TraceSink,
 };
-use meek_core::{validate_config, MeekConfig};
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -40,7 +40,8 @@ OPTIONS:
                           or ./results]
     --format <csv|jsonl|both>
                           Record file format(s) [default: csv]
-    --seed <N>            Campaign master seed [default: 3203334829]
+    --seed <S>            Campaign master seed: decimal, 0x-hex, or any
+                          string (hashed) [default: 3203386029]
     --shard-faults <N>    Faults per shard (parallel grain) [default: 25]
     --insts-per-fault <N> Instruction headroom per fault [default: 4000]
     --little <N>          Checker cores per system [default: 4]
@@ -81,17 +82,13 @@ OPTIONS:
     -h, --help            Print this help
 ";
 
+/// The command line: the campaign job plus where and how its output
+/// goes.
 struct Args {
-    suite: String,
-    faults: usize,
+    job: CampaignJob,
     threads: usize,
     out: PathBuf,
     format: String,
-    seed: u64,
-    shard_faults: usize,
-    insts_per_fault: u64,
-    little: usize,
-    recover: bool,
     trace: Option<PathBuf>,
     sample: Option<PathBuf>,
     sample_stride: u64,
@@ -108,18 +105,17 @@ impl Args {
         }
     }
 
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    fn parse(argv: &[String]) -> Result<Args, CliError> {
         let mut args = Args {
-            suite: "parsec".into(),
-            faults: 1000,
+            job: CampaignJob {
+                suite: "parsec".into(),
+                faults: 1000,
+                seed: 0xBEEF_CAAD,
+                ..CampaignJob::default()
+            },
             threads: 0,
             out: Args::default_out(),
             format: "csv".into(),
-            seed: 0xBEEF_CAAD,
-            shard_faults: 25,
-            insts_per_fault: meek_campaign::spec::DEFAULT_INSTS_PER_FAULT,
-            little: 4,
-            recover: false,
             trace: None,
             sample: None,
             sample_stride: 64,
@@ -127,173 +123,90 @@ impl Args {
             stream_window: 0,
             quiet: false,
         };
-        let mut it = argv.iter();
-        while let Some(flag) = it.next() {
-            let mut value =
-                |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-            match flag.as_str() {
-                "--suite" => args.suite = value("--suite")?,
-                "--faults" => args.faults = parse_num(&value("--faults")?, "--faults")?,
-                "--threads" => args.threads = parse_num(&value("--threads")?, "--threads")?,
-                "--out" => args.out = PathBuf::from(value("--out")?),
-                "--format" => args.format = value("--format")?,
-                "--seed" => args.seed = parse_num(&value("--seed")?, "--seed")?,
-                "--shard-faults" => {
-                    args.shard_faults = parse_num(&value("--shard-faults")?, "--shard-faults")?
-                }
-                "--insts-per-fault" => {
-                    args.insts_per_fault =
-                        parse_num(&value("--insts-per-fault")?, "--insts-per-fault")?
-                }
-                "--little" => args.little = parse_num(&value("--little")?, "--little")?,
-                "--recover" => args.recover = true,
-                "--trace" => args.trace = Some(PathBuf::from(value("--trace")?)),
-                "--sample" => args.sample = Some(PathBuf::from(value("--sample")?)),
-                "--sample-stride" => {
-                    args.sample_stride = parse_num(&value("--sample-stride")?, "--sample-stride")?
-                }
-                "--metrics" => args.metrics = Some(PathBuf::from(value("--metrics")?)),
-                "--stream-window" => {
-                    args.stream_window = parse_num(&value("--stream-window")?, "--stream-window")?
-                }
+        let job = &mut args.job;
+        let mut flags = Flags::new(argv);
+        while let Some(flag) = flags.next_flag()? {
+            match flag {
+                "--suite" => job.suite = flags.value()?,
+                "--faults" => job.faults = flags.value()?,
+                "--threads" => args.threads = flags.value()?,
+                "--out" => args.out = flags.value()?,
+                "--format" => args.format = flags.value()?,
+                "--seed" => job.seed = flags.seed()?,
+                "--shard-faults" => job.shard_faults = flags.value()?,
+                "--insts-per-fault" => job.insts_per_fault = flags.value()?,
+                "--little" => job.little = flags.value()?,
+                "--recover" => job.recover = true,
+                "--trace" => args.trace = Some(flags.value()?),
+                "--sample" => args.sample = Some(flags.value()?),
+                "--sample-stride" => args.sample_stride = flags.value()?,
+                "--metrics" => args.metrics = Some(flags.value()?),
+                "--stream-window" => args.stream_window = flags.value()?,
                 "--quiet" => args.quiet = true,
-                "-h" | "--help" => return Err(String::new()),
-                other => return Err(format!("unknown flag `{other}`")),
+                _ => return Err(flags.unknown()),
             }
         }
-        if args.faults == 0 {
-            return Err("--faults must be positive".into());
-        }
-        if args.shard_faults == 0 || args.insts_per_fault == 0 {
-            return Err("--shard-faults and --insts-per-fault must be positive".into());
-        }
-        validate_config(&MeekConfig::with_little_cores(args.little))
-            .map_err(|e| format!("--little: {e}"))?;
         if !matches!(args.format.as_str(), "csv" | "jsonl" | "both") {
-            return Err(format!("--format must be csv, jsonl or both, got `{}`", args.format));
+            let msg = format!("--format must be csv, jsonl or both, got `{}`", args.format);
+            return Err(CliError::Usage(msg));
         }
         if args.sample_stride == 0 {
-            return Err("--sample-stride must be positive".into());
+            return Err(CliError::Usage("--sample-stride must be positive".into()));
         }
+        job.trace = args.trace.is_some();
+        job.sample_stride = if args.sample.is_some() { args.sample_stride } else { 0 };
         Ok(args)
     }
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("{flag}: cannot parse `{s}` as a number"))
-}
-
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match Args::parse(&argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::main(USAGE, |argv| run(&Args::parse(argv)?).map(|()| true))
 }
 
-fn run(args: &Args) -> io::Result<()> {
-    let workloads = resolve_suite(&args.suite).map_err(io::Error::other)?;
-    let config = if args.recover {
-        MeekConfig::with_recovery(args.little, meek_core::RecoveryPolicy::enabled())
-    } else {
-        MeekConfig::with_little_cores(args.little)
-    };
+/// Creates the file at `path`, and its directory, for writing.
+fn create(path: &Path) -> io::Result<BufWriter<File>> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        fs::create_dir_all(parent)?;
+    }
+    File::create(path).map(BufWriter::new)
+}
+
+fn run(args: &Args) -> Result<(), CliError> {
     let spec = CampaignSpec {
-        workloads,
-        config,
-        faults_per_workload: args.faults,
-        faults_per_shard: args.shard_faults,
-        insts_per_fault: args.insts_per_fault,
-        seed: args.seed,
-        trace_events: args.trace.is_some(),
-        sample_stride: if args.sample.is_some() { args.sample_stride } else { 0 },
         metrics: args.metrics.is_some(),
+        ..args.job.to_spec().map_err(CliError::Usage)?
     };
     let executor = Executor::new(args.threads).stream_window(args.stream_window);
     fs::create_dir_all(&args.out)?;
 
+    let format = args.format.as_str();
+    let csv_path = matches!(format, "csv" | "both").then(|| args.out.join("campaign_records.csv"));
+    let jsonl_path =
+        matches!(format, "jsonl" | "both").then(|| args.out.join("campaign_records.jsonl"));
     let mut agg = AggregateSink::new();
-    let mut csv = if matches!(args.format.as_str(), "csv" | "both") {
-        let path = args.out.join("campaign_records.csv");
-        Some((CsvSink::new(BufWriter::new(File::create(&path)?)), path))
-    } else {
-        None
-    };
-    let mut jsonl = if matches!(args.format.as_str(), "jsonl" | "both") {
-        let path = args.out.join("campaign_records.jsonl");
-        Some((JsonlSink::new(BufWriter::new(File::create(&path)?)), path))
-    } else {
-        None
-    };
-    let mut trace = match &args.trace {
-        Some(path) => {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                fs::create_dir_all(parent)?;
-            }
-            Some((TraceSink::new(BufWriter::new(File::create(path)?)), path.clone()))
-        }
-        None => None,
-    };
-    let mut sample = match &args.sample {
-        Some(path) => {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                fs::create_dir_all(parent)?;
-            }
-            Some((SampleSink::new(BufWriter::new(File::create(path)?)), path.clone()))
-        }
-        None => None,
-    };
-    let mut metrics = match &args.metrics {
-        Some(path) => {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                fs::create_dir_all(parent)?;
-            }
-            Some((MetricsSink::new(BufWriter::new(File::create(path)?)), path.clone()))
-        }
-        None => None,
-    };
+    let mut csv = csv_path.as_deref().map(create).transpose()?.map(CsvSink::new);
+    let mut jsonl = jsonl_path.as_deref().map(create).transpose()?.map(JsonlSink::new);
+    let mut trace = args.trace.as_deref().map(create).transpose()?.map(TraceSink::new);
+    let mut sample = args.sample.as_deref().map(create).transpose()?.map(SampleSink::new);
+    let mut metrics = args.metrics.as_deref().map(create).transpose()?.map(MetricsSink::new);
 
     let n_workloads = spec.workloads.len();
     println!(
         "meek-campaign: {} fault(s) x {} workload(s), {} shard(s) on {} thread(s), seed {:#x}",
-        args.faults,
+        spec.faults_per_workload,
         n_workloads,
         spec.shards().len(),
         executor.threads(),
-        args.seed
+        spec.seed
     );
     let started = Instant::now();
     let summary = {
         let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut agg];
-        if let Some((s, _)) = csv.as_mut() {
-            sinks.push(s);
-        }
-        if let Some((s, _)) = jsonl.as_mut() {
-            sinks.push(s);
-        }
-        if let Some((s, _)) = trace.as_mut() {
-            sinks.push(s);
-        }
-        if let Some((s, _)) = sample.as_mut() {
-            sinks.push(s);
-        }
-        if let Some((s, _)) = metrics.as_mut() {
-            sinks.push(s);
-        }
+        sinks.extend(csv.as_mut().map(|s| s as &mut dyn RecordSink));
+        sinks.extend(jsonl.as_mut().map(|s| s as &mut dyn RecordSink));
+        sinks.extend(trace.as_mut().map(|s| s as &mut dyn RecordSink));
+        sinks.extend(sample.as_mut().map(|s| s as &mut dyn RecordSink));
+        sinks.extend(metrics.as_mut().map(|s| s as &mut dyn RecordSink));
         run_campaign(&spec, &executor, &mut sinks)?
     };
     let wall = started.elapsed();
@@ -322,7 +235,7 @@ fn run(args: &Args) -> io::Result<()> {
         "\ntotal: {} injected, {} detected, {} masked, {} pending",
         summary.faults, summary.detected, summary.masked, summary.pending
     );
-    if args.recover {
+    if args.job.recover {
         println!(
             "recovery: {} rollback(s), {} episode(s) recovered, {} unrecovered, \
              storage high-water {} byte(s)",
@@ -350,7 +263,7 @@ fn run(args: &Args) -> io::Result<()> {
 
     // Per-workload summary CSV.
     let summary_path = args.out.join("campaign_summary.csv");
-    let mut f = BufWriter::new(File::create(&summary_path)?);
+    let mut f = create(&summary_path)?;
     writeln!(
         f,
         "workload,faults,detected,masked,pending,mean_ns,p50_ns,p99_ns,p999_ns,max_ns,frac_under_3us"
@@ -374,20 +287,55 @@ fn run(args: &Args) -> io::Result<()> {
     }
     f.flush()?;
     println!("[csv] {}", summary_path.display());
-    if let Some((_, path)) = &csv {
-        println!("[csv] {}", path.display());
-    }
-    if let Some((_, path)) = &jsonl {
-        println!("[jsonl] {}", path.display());
-    }
-    if let Some((_, path)) = &trace {
-        println!("[trace] {}", path.display());
-    }
-    if let Some((_, path)) = &sample {
-        println!("[sample] {}", path.display());
-    }
-    if let Some((_, path)) = &metrics {
-        println!("[metrics] {}", path.display());
+    let written = [
+        ("csv", &csv_path),
+        ("jsonl", &jsonl_path),
+        ("trace", &args.trace),
+        ("sample", &args.sample),
+        ("metrics", &args.metrics),
+    ];
+    for (tag, path) in written {
+        if let Some(path) = path {
+            println!("[{tag}] {}", path.display());
+        }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use meek_campaign::cli::usage_default;
+
+    #[test]
+    fn campaign_defaults_are_the_ones_the_usage_prints() {
+        let args = Args::parse(&[]).unwrap();
+        let doc = |flag| usage_default(USAGE, flag).unwrap_or_else(|| panic!("{flag} default"));
+        let job = &args.job;
+        assert_eq!(doc("--suite"), job.suite);
+        assert_eq!(doc("--faults"), job.faults.to_string());
+        assert_eq!(doc("--threads"), args.threads.to_string());
+        assert_eq!(doc("--format"), args.format);
+        assert_eq!(doc("--seed"), job.seed.to_string());
+        assert_eq!(doc("--shard-faults"), job.shard_faults.to_string());
+        assert_eq!(doc("--insts-per-fault"), job.insts_per_fault.to_string());
+        assert_eq!(doc("--little"), job.little.to_string());
+        assert_eq!(doc("--sample-stride"), args.sample_stride.to_string());
+        assert_eq!(doc("--stream-window"), args.stream_window.to_string());
+        assert!(!job.recover && !job.trace && job.sample_stride == 0 && args.metrics.is_none());
+    }
+
+    #[test]
+    fn seeds_take_every_form_and_output_flags_reach_the_job() {
+        let parse = |line: &str| {
+            Args::parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+        };
+        let hex = parse("--seed 0xBEEF").unwrap();
+        assert_eq!(hex.job, parse("--seed 48879").unwrap().job);
+        let traced = parse("--trace t.jsonl --sample s.csv --sample-stride 8").unwrap();
+        assert!(traced.job.trace);
+        assert_eq!(traced.job.sample_stride, 8);
+        assert!(matches!(parse("--format xml"), Err(CliError::Usage(_))));
+        assert!(matches!(parse("--faults"), Err(CliError::Usage(_))));
+    }
 }

@@ -4,6 +4,7 @@
 //! analysis, and an in-memory aggregator for latency percentiles.
 
 use meek_core::fault::DetectionRecord;
+use meek_telemetry::Registry;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
@@ -124,11 +125,10 @@ pub trait RecordSink {
     }
 
     /// Called once per shard (before [`RecordSink::on_shard`]) with the
-    /// shard's rendered metrics registry
-    /// ([`meek_telemetry::Registry::render`] text). Empty when metrics
-    /// collection is off. Most sinks ignore it; [`MetricsSink`] merges
-    /// the registries in call (= shard) order.
-    fn on_metrics(&mut self, _text: &[u8]) -> io::Result<()> {
+    /// shard's metrics registry, empty when metrics collection is off.
+    /// Most sinks ignore it; [`MetricsSink`] merges the registries in
+    /// call (= shard) order.
+    fn on_metrics(&mut self, _shard: &Registry) -> io::Result<()> {
         Ok(())
     }
 
@@ -230,23 +230,23 @@ impl<W: Write> RecordSink for SampleSink<W> {
 }
 
 /// Merges the per-shard metrics registries (`--metrics`) and writes the
-/// merged [`meek_telemetry::Registry::render`] text once at
-/// [`RecordSink::finish`]. Registries arrive in deterministic shard
-/// order and [`meek_telemetry::Registry::merge`] is integer-only, so
-/// the merged output is byte-identical at any thread count.
+/// merged [`Registry::render`] text once at [`RecordSink::finish`].
+/// Registries arrive in deterministic shard order and
+/// [`Registry::merge`] is integer-only, so the merged output is
+/// byte-identical at any thread count.
 pub struct MetricsSink<W: Write> {
     out: W,
-    merged: meek_telemetry::Registry,
+    merged: Registry,
 }
 
 impl<W: Write> MetricsSink<W> {
     /// A metrics sink writing the merged registry to `out`.
     pub fn new(out: W) -> MetricsSink<W> {
-        MetricsSink { out, merged: meek_telemetry::Registry::new() }
+        MetricsSink { out, merged: Registry::new() }
     }
 
     /// The merge state accumulated so far.
-    pub fn registry(&self) -> &meek_telemetry::Registry {
+    pub fn registry(&self) -> &Registry {
         &self.merged
     }
 
@@ -261,13 +261,8 @@ impl<W: Write> RecordSink for MetricsSink<W> {
         Ok(())
     }
 
-    fn on_metrics(&mut self, text: &[u8]) -> io::Result<()> {
-        if text.is_empty() {
-            return Ok(());
-        }
-        let text = std::str::from_utf8(text).map_err(io::Error::other)?;
-        let shard = meek_telemetry::Registry::parse(text).map_err(io::Error::other)?;
-        self.merged.merge(&shard);
+    fn on_metrics(&mut self, shard: &Registry) -> io::Result<()> {
+        self.merged.merge(shard);
         Ok(())
     }
 

@@ -26,10 +26,13 @@
 //!   that each detected fault end with a final architectural state
 //!   (registers, CSRs, memory) equal to the golden interpreter's.
 //!
-//! Every caller drives the oracles through one [`Case`]. [`run_case`] is
-//! the grid cell the `meek-difftest` CLI and serve difftest jobs share;
-//! the CLI fans cases out over the `meek-campaign` executor, and its
-//! report is byte-identical for a given seed at any `--threads`.
+//! Every caller drives the oracles through one [`Case`]. A
+//! [`DifftestJob`] is the case grid as its front ends name it: the
+//! `meek-difftest` CLI reads one from its flags and serve from a job's
+//! JSON, and both run [`run_case`] per grid cell and fold the reports
+//! into one [`Tally`]. The CLI fans cases out over the `meek-campaign`
+//! executor, and its report is byte-identical for a given seed at any
+//! `--threads`.
 //!
 //! # Example
 //!
@@ -50,6 +53,7 @@ mod case;
 pub mod cosim;
 pub mod coverage;
 pub mod fuzz;
+mod job;
 pub mod recover;
 pub mod shrink;
 pub mod stats;
@@ -60,10 +64,11 @@ pub use cosim::{golden_run_in, CosimConfig, CosimVerdict, Divergence, GoldenRun}
 pub use coverage::classify_in;
 pub use coverage::{arm_span, fault_plan, FaultOutcome};
 pub use fuzz::{fuzz_program, FuzzConfig, FuzzProgram};
+pub use job::DifftestJob;
 #[doc(hidden)]
 pub use recover::verify_recovery_in;
 pub use recover::RecoveryVerdict;
 pub use shrink::{
     emit_test, jump_pair_at, jump_triplet_at, minimize, shrink_insts, splice_relinked,
 };
-pub use stats::DifftestStats;
+pub use stats::Tally;

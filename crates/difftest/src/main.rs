@@ -15,11 +15,11 @@
 //! campaign executor and results are re-sequenced into case order, so
 //! output is byte-identical at any `--threads`.
 
-use meek_campaign::{parse_seed, Executor};
-use meek_core::{validate_config, MeekConfig};
+use meek_campaign::cli::{self, CliError, Flags};
+use meek_campaign::Executor;
 use meek_difftest::{
-    case_seed, emit_test, fuzz_program, minimize, run_case, CaseReport, CosimConfig, DifftestStats,
-    Divergence, FaultOutcome, FuzzConfig, RecoveryVerdict, Suite,
+    case_seed, emit_test, fuzz_program, minimize, run_case, CaseReport, DifftestJob, FaultOutcome,
+    RecoveryVerdict, Suite, Tally,
 };
 use meek_telemetry::prof;
 use std::io::Write;
@@ -73,87 +73,58 @@ OPTIONS:
     -h, --help         Print this help
 ";
 
+/// The command line: the difftest job plus how to run and report it.
 struct Args {
-    cases: u64,
-    seed: u64,
+    job: DifftestJob,
     threads: usize,
-    cfg: CosimConfig,
-    suite: Suite,
     stats: bool,
     prof: Option<String>,
     shrink: bool,
     emit_path: Option<String>,
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("{flag}: cannot parse `{s}` as a number"))
-}
-
 impl Args {
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    fn parse(argv: &[String]) -> Result<Args, CliError> {
         let mut args = Args {
-            cases: 100,
-            seed: 0,
+            job: DifftestJob::default(),
             threads: 0,
-            cfg: CosimConfig::default(),
-            suite: Suite::Progs,
             stats: false,
             prof: None,
             shrink: false,
             emit_path: None,
         };
-        let mut progs = false;
-        let mut fuzz = FuzzConfig::default();
-        let cfg = &mut args.cfg;
-        let mut it = argv.iter();
-        while let Some(flag) = it.next() {
-            let mut value =
-                |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-            match flag.as_str() {
-                "--cases" => args.cases = parse_num(&value("--cases")?, "--cases")?,
-                "--seed" => args.seed = parse_seed(&value("--seed")?),
-                "--threads" => args.threads = parse_num(&value("--threads")?, "--threads")?,
-                "--faults" => cfg.faults = parse_num(&value("--faults")?, "--faults")?,
-                "--seg-len" => cfg.seg_len = parse_num(&value("--seg-len")?, "--seg-len")?,
-                "--static-len" => {
-                    fuzz.static_len = parse_num(&value("--static-len")?, "--static-len")?
-                }
-                "--little" => cfg.n_little = parse_num(&value("--little")?, "--little")?,
-                "--suite" => {
-                    let name = value("--suite")?;
-                    if name != "progs" {
-                        return Err(format!("unknown suite `{name}` (try `progs`)"));
-                    }
-                    progs = true;
-                }
-                "--recover" => cfg.recover = true,
+        let job = &mut args.job;
+        let mut flags = Flags::new(argv);
+        while let Some(flag) = flags.next_flag()? {
+            match flag {
+                "--cases" => job.cases = flags.value()?,
+                "--seed" => job.seed = flags.seed()?,
+                "--threads" => args.threads = flags.value()?,
+                "--faults" => job.faults = flags.value()?,
+                "--seg-len" => job.seg_len = flags.value()?,
+                "--static-len" => job.static_len = flags.value()?,
+                "--little" => job.little = flags.value()?,
+                "--suite" => job.suite = flags.value()?,
+                "--recover" => job.recover = true,
                 "--stats" => args.stats = true,
-                "--prof" => args.prof = Some(value("--prof")?),
+                "--prof" => args.prof = Some(flags.value()?),
                 "--shrink" => args.shrink = true,
-                "--emit-test" => args.emit_path = Some(value("--emit-test")?),
-                "-h" | "--help" => return Err(String::new()),
-                other => return Err(format!("unknown flag `{other}`")),
+                "--emit-test" => args.emit_path = Some(flags.value()?),
+                _ => return Err(flags.unknown()),
             }
         }
-        if args.cases == 0 || args.cfg.seg_len == 0 || fuzz.static_len == 0 {
-            return Err("--cases, --seg-len and --static-len must be positive".into());
-        }
-        validate_config(&MeekConfig::with_little_cores(args.cfg.n_little))
-            .map_err(|e| format!("--little: {e}"))?;
-        if !progs {
-            args.suite = Suite::Fuzz(fuzz);
-        }
+        job.validate().map_err(CliError::Usage)?;
         Ok(args)
     }
 }
 
 /// `meek-difftest analyze`: static verification of the same program
 /// stream the co-simulation would run, one report per program.
-fn cmd_analyze(args: &Args) -> ExitCode {
+fn cmd_analyze(job: &DifftestJob) -> bool {
     let mut unclean = 0u64;
-    if let Suite::Fuzz(fuzz) = args.suite {
-        for case in 0..args.cases {
-            let case_seed = case_seed(args.seed, case);
+    if let Suite::Fuzz(fuzz) = job.suite() {
+        for case in 0..job.cases {
+            let case_seed = case_seed(job.seed, case);
             let prog = fuzz_program(case_seed, &fuzz);
             let mut spec = meek_difftest::FuzzProgram::spec();
             spec.name = format!("case {case} (seed {case_seed:#x})");
@@ -165,7 +136,7 @@ fn cmd_analyze(args: &Args) -> ExitCode {
         }
         println!(
             "analyzed {} fuzzed program(s): {}",
-            args.cases,
+            job.cases,
             if unclean == 0 { "all clean".to_string() } else { format!("{unclean} unclean") },
         );
     } else {
@@ -185,42 +156,28 @@ fn cmd_analyze(args: &Args) -> ExitCode {
             if unclean == 0 { "all clean".to_string() } else { format!("{unclean} unclean") },
         );
     }
-    if unclean == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    unclean == 0
 }
 
 fn main() -> ExitCode {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    let analyze_only = argv.first().is_some_and(|a| a == "analyze");
-    if analyze_only {
-        argv.remove(0);
-    }
-    let args = match Args::parse(&argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    if analyze_only {
-        return cmd_analyze(&args);
-    }
+    cli::main(USAGE, |argv| match argv.split_first() {
+        Some((cmd, rest)) if cmd == "analyze" => Ok(cmd_analyze(&Args::parse(rest)?.job)),
+        _ => Ok(run(&Args::parse(argv)?)),
+    })
+}
+
+/// Runs the case grid and prints its report; `true` when it is clean.
+fn run(args: &Args) -> bool {
     let executor = Executor::new(args.threads);
-    let cfg = &args.cfg;
-    match args.suite {
+    let job = &args.job;
+    let (suite, cfg) = (job.suite(), job.cosim_config());
+    match suite {
         Suite::Progs => println!(
             "meek-difftest: {} case(s) over the `progs` suite ({} kernel(s) + fused set), \
              seed {:#x}, {} fault(s)/case, seg-len {}, {} little core(s)",
-            args.cases,
+            job.cases,
             meek_progs::KERNELS.len(),
-            args.seed,
+            job.seed,
             cfg.faults,
             cfg.seg_len,
             cfg.n_little
@@ -228,7 +185,7 @@ fn main() -> ExitCode {
         Suite::Fuzz(fuzz) => println!(
             "meek-difftest: {} case(s), seed {:#x}, {} fault(s)/case, seg-len {}, \
              static-len {}, {} little core(s)",
-            args.cases, args.seed, cfg.faults, cfg.seg_len, fuzz.static_len, cfg.n_little
+            job.cases, job.seed, cfg.faults, cfg.seg_len, fuzz.static_len, cfg.n_little
         ),
     }
     if args.prof.is_some() {
@@ -236,107 +193,78 @@ fn main() -> ExitCode {
     }
     let started = Instant::now();
 
-    let case_ids: Vec<u64> = (0..args.cases).collect();
-    let mut failures: Vec<(u64, Divergence)> = Vec::new();
-    let mut escapes: Vec<(u64, meek_core::FaultSpec, String)> = Vec::new();
-    let (mut executed, mut segments, mut cycles) = (0u64, 0u64, 0u64);
-    let (mut detected, mut masked, mut pending, mut total_faults) = (0u64, 0u64, 0u64, 0u64);
-    let (mut recovered, mut rollbacks, mut unrecovered) = (0u64, 0u64, 0u64);
-    let mut worst_recovery_cycles = 0u64;
-    let mut latency_sum = 0.0f64;
-    let mut stats = args.stats.then(DifftestStats::new);
+    let case_ids: Vec<u64> = (0..job.cases).collect();
+    let mut tally = Tally::default();
+    let mut first_divergence = None;
     executor.map_ordered(
         &case_ids,
-        |_idx, &case| run_case(args.seed, case, &args.suite, cfg),
+        |_idx, &case| run_case(job.seed, case, &suite, &cfg),
         |idx, r: CaseReport| {
-            executed += r.verdict.executed;
-            segments += r.verdict.segments as u64;
-            cycles += r.verdict.system_cycles;
-            if let Some(d) = r.verdict.divergence {
+            if let Some(d) = &r.verdict.divergence {
                 println!("case {idx} (seed {:#x}): DIVERGENCE\n{d}", r.case_seed);
-                failures.push((r.case_seed, d));
+                first_divergence.get_or_insert(r.case_seed);
             }
-            for (spec, outcome, recovery) in r.faults {
-                total_faults += 1;
-                if let Some(st) = stats.as_mut() {
-                    st.record(&spec, &outcome);
+            for (spec, outcome, recovery) in &r.faults {
+                if let FaultOutcome::Escaped { reason } = outcome {
+                    println!(
+                        "case {idx} (seed {:#x}): FAULT ESCAPE {spec:?}: {reason}",
+                        r.case_seed
+                    );
                 }
-                match outcome {
-                    FaultOutcome::Detected { latency_ns } => {
-                        detected += 1;
-                        latency_sum += latency_ns;
-                    }
-                    FaultOutcome::MaskedProvenBenign => masked += 1,
-                    FaultOutcome::Pending => pending += 1,
-                    FaultOutcome::Escaped { reason } => {
-                        println!(
-                            "case {idx} (seed {:#x}): FAULT ESCAPE {spec:?}: {reason}",
-                            r.case_seed
-                        );
-                        escapes.push((r.case_seed, spec, reason));
-                    }
-                }
-                match recovery {
-                    Some(RecoveryVerdict::Recovered { rollbacks: n, max_cycles }) => {
-                        recovered += 1;
-                        rollbacks += n;
-                        worst_recovery_cycles = worst_recovery_cycles.max(max_cycles);
-                    }
-                    Some(
-                        v @ (RecoveryVerdict::Unrecovered { .. }
-                        | RecoveryVerdict::StateDiverged { .. }),
-                    ) => {
-                        println!(
-                            "case {idx} (seed {:#x}): RECOVERY FAILURE {spec:?}: {v}",
-                            r.case_seed
-                        );
-                        unrecovered += 1;
-                    }
-                    Some(RecoveryVerdict::NothingToRecover) | None => {}
+                if let Some(
+                    v @ (RecoveryVerdict::Unrecovered { .. }
+                    | RecoveryVerdict::StateDiverged { .. }),
+                ) = recovery
+                {
+                    println!(
+                        "case {idx} (seed {:#x}): RECOVERY FAILURE {spec:?}: {v}",
+                        r.case_seed
+                    );
                 }
             }
+            tally.add(&r);
         },
     );
 
+    let t = &tally;
     println!(
         "\nthree-way: {} case(s), {} instruction(s) co-simulated, {} segment(s) replayed, \
          {} divergence(s)",
-        args.cases,
-        executed,
-        segments,
-        failures.len()
+        t.cases, t.executed, t.segments, t.divergences
     );
-    if total_faults > 0 {
+    if t.faults > 0 {
         println!(
-            "coverage: {total_faults} fault(s) — {detected} detected ({:.1}%), {masked} \
-             masked-proven-benign, {pending} pending, {} ESCAPED",
-            100.0 * detected as f64 / total_faults as f64,
-            escapes.len()
+            "coverage: {} fault(s) — {} detected ({:.1}%), {} masked-proven-benign, {} pending, \
+             {} ESCAPED",
+            t.faults,
+            t.detected,
+            100.0 * t.detected as f64 / t.faults as f64,
+            t.masked,
+            t.pending,
+            t.escapes
         );
-        if detected > 0 {
-            println!("mean detection latency: {:.1} ns", latency_sum / detected as f64);
+        if t.detected > 0 {
+            println!("mean detection latency: {:.1} ns", t.latency_sum_ns / t.detected as f64);
         }
     }
-    if let Some(st) = &stats {
-        // The table is fed from the same outcome stream as the headline
-        // counters above, so the books must balance exactly.
-        assert_eq!(st.total(), total_faults, "--stats fault accounting must reconcile");
-        assert_eq!(st.verdicts("detected"), detected);
-        assert_eq!(st.latency_count(), detected, "one latency observation per detection");
-        print!("{}", st.render_table());
+    if args.stats {
+        print!("{}", t.render_table());
     }
-    if cfg.recover && total_faults > 0 {
+    if cfg.recover && t.faults > 0 {
         println!(
-            "recovery: {recovered} detection(s) recovered to golden-equal final state \
-             ({rollbacks} rollback(s), worst episode {worst_recovery_cycles} cycle(s)), \
-             {unrecovered} UNRECOVERED"
+            "recovery: {} detection(s) recovered to golden-equal final state \
+             ({} rollback(s), worst episode {} cycle(s)), {} UNRECOVERED",
+            t.recovered,
+            t.rollbacks,
+            t.worst_recovery_cycles,
+            t.failed_recoveries()
         );
     }
     eprintln!(
         "[timing] {} case(s) on {} thread(s), {} big-core cycle(s) simulated in {:.2?}",
-        args.cases,
+        job.cases,
         executor.threads(),
-        cycles,
+        t.cycles,
         started.elapsed()
     );
     if let Some(path) = &args.prof {
@@ -355,16 +283,16 @@ fn main() -> ExitCode {
         }
     }
 
-    match (args.shrink, args.suite, failures.first()) {
+    match (args.shrink, suite, first_divergence) {
         (false, ..) => {}
         (true, Suite::Progs, _) => {
             eprintln!("[shrink] --suite cases are committed programs; nothing to shrink")
         }
         (true, Suite::Fuzz(_), None) => eprintln!("[shrink] nothing to shrink: no divergence"),
-        (true, Suite::Fuzz(fuzz), Some((case_seed, _))) => {
+        (true, Suite::Fuzz(fuzz), Some(case_seed)) => {
             eprintln!("[shrink] minimising case seed {case_seed:#x}...");
-            let prog = fuzz_program(*case_seed, &fuzz);
-            let min = minimize(&prog, cfg);
+            let prog = fuzz_program(case_seed, &fuzz);
+            let min = minimize(&prog, &cfg);
             let test = emit_test(
                 &format!("shrunk_case_{case_seed:x}"),
                 &min,
@@ -385,14 +313,34 @@ fn main() -> ExitCode {
         }
     }
 
-    if failures.is_empty() && escapes.is_empty() && unrecovered == 0 {
+    if t.clean() {
         if cfg.recover {
             println!("OK: zero divergences, zero escapes, zero unrecovered detections");
         } else {
             println!("OK: zero divergences, zero escapes");
         }
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    }
+    t.clean()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use meek_campaign::cli::usage_default;
+
+    #[test]
+    fn difftest_defaults_are_the_ones_the_usage_prints() {
+        let args = Args::parse(&[]).unwrap();
+        let doc = |flag| usage_default(USAGE, flag).unwrap_or_else(|| panic!("{flag} default"));
+        let job = &args.job;
+        assert_eq!(doc("--cases"), job.cases.to_string());
+        assert_eq!(doc("--seed"), job.seed.to_string());
+        assert_eq!(doc("--threads"), args.threads.to_string());
+        assert_eq!(doc("--faults"), job.faults.to_string());
+        assert_eq!(doc("--seg-len"), job.seg_len.to_string());
+        assert_eq!(doc("--static-len"), job.static_len.to_string());
+        assert_eq!(doc("--little"), job.little.to_string());
+        assert!(matches!(job.suite(), Suite::Fuzz(_)), "fuzzed programs unless --suite progs");
+        assert!(!job.recover && !args.stats && !args.shrink);
     }
 }

@@ -67,42 +67,41 @@ fn recovery_results_are_thread_count_invariant() {
     assert_eq!(t1, t4, "recovery-mode 4-thread run diverged from single-threaded");
 }
 
-/// The `--stats` accumulator folded in case order: the rendered
-/// percentile table (and the registry behind it) must be byte-identical
-/// at any thread count, and its counts must reconcile with a direct
-/// tally of the same outcome stream.
+/// The one tally folded in case order: the rendered `--stats` table and
+/// serve's counters must be identical at any thread count, and its
+/// counts must reconcile with a direct count of the same outcome stream.
 #[test]
 fn stats_table_is_thread_count_invariant_and_reconciles() {
     let run = |threads: usize| {
         let executor = Executor::new(threads);
         let case_ids: Vec<u64> = (0..CASES).collect();
         let cfg = cfg(false);
-        let mut stats = meek_difftest::DifftestStats::new();
+        let mut tally = meek_difftest::Tally::default();
         let mut detected = 0u64;
         let mut total = 0u64;
         executor.map_ordered(
             &case_ids,
-            |_idx, &case| run_case(RUN_SEED, case, &SUITE, &cfg).faults,
-            |_idx, outcomes| {
-                for (spec, outcome, _) in outcomes {
+            |_idx, &case| run_case(RUN_SEED, case, &SUITE, &cfg),
+            |_idx, report| {
+                for (_, outcome, _) in &report.faults {
                     total += 1;
                     if matches!(outcome, meek_difftest::FaultOutcome::Detected { .. }) {
                         detected += 1;
                     }
-                    stats.record(&spec, &outcome);
                 }
+                tally.add(&report);
             },
         );
-        (stats, detected, total)
+        (tally, detected, total)
     };
     let (s1, detected, total) = run(1);
     let (s4, ..) = run(4);
     let (s8, ..) = run(8);
-    assert_eq!(s1.registry().render(), s4.registry().render());
-    assert_eq!(s1.registry().render(), s8.registry().render());
     assert_eq!(s1.render_table(), s4.render_table());
-    assert_eq!(s1.total(), total, "every classified fault lands in the table");
-    assert_eq!(s1.verdicts("detected"), detected);
+    assert_eq!(s1.render_table(), s8.render_table());
+    assert_eq!(s1.counters(), s8.counters());
+    assert_eq!(s1.faults, total, "every classified fault lands in the tally");
+    assert_eq!(s1.detected, detected);
     assert_eq!(s1.latency_count(), detected, "one latency observation per detection");
     assert!(detected > 0, "this campaign must detect something for the table to mean anything");
 }

@@ -28,7 +28,9 @@ use crate::dict::Dictionary;
 use crate::mutate;
 use crate::report::FuzzReport;
 use meek_campaign::{splitmix, Executor};
-use meek_core::{FabricKind, FaultSite, FaultSpec, RecoveryPolicy, RunError, Sim};
+use meek_core::{
+    validate_config, FabricKind, FaultSite, FaultSpec, MeekConfig, RecoveryPolicy, RunError, Sim,
+};
 use meek_difftest::{
     arm_span, emit_test, fault_plan, fuzz_program, golden_run_in, minimize, shrink_insts, Case,
     CosimConfig, FaultOutcome, FuzzConfig, FuzzProgram, GoldenRun,
@@ -44,8 +46,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// bound evaluation cost (like the shrinker's runaway pre-screen).
 pub const EVAL_CAP: u64 = 60_000;
 
-/// Fuzz-run settings (the `meek-fuzz` CLI surface).
-#[derive(Debug, Clone)]
+/// Fuzz-run settings: the `meek-fuzz` CLI reads them from its flags,
+/// and a `meek-serve` fuzz job is these plus its chunk grain.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzSettings {
     /// Candidates to evaluate.
     pub iters: u64,
@@ -90,6 +93,21 @@ impl Default for FuzzSettings {
             corpus_cap: 0,
             batch: 32,
         }
+    }
+}
+
+impl FuzzSettings {
+    /// Checks the settings before anything runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.iters == 0 || self.static_len == 0 || self.batch == 0 {
+            return Err("iters, static_len and batch must be positive".into());
+        }
+        validate_config(&MeekConfig::with_little_cores(self.n_little))
+            .map_err(|e| format!("little: {e}"))
     }
 }
 

@@ -12,8 +12,7 @@
 //! on any divergence or coverage escape, and under `--compare-random`
 //! also when guided search fails to beat the random baseline.
 
-use meek_campaign::parse_seed;
-use meek_core::{validate_config, MeekConfig};
+use meek_campaign::cli::{self, CliError, Flags};
 use meek_fuzz::{run_fuzz, Corpus, FuzzSettings};
 use std::fs;
 use std::io::Write;
@@ -55,86 +54,65 @@ OPTIONS:
     -h, --help         Print this help
 ";
 
+/// The command line: the fuzz settings plus the corpus directory and
+/// the random-baseline comparison.
 struct Args {
     settings: FuzzSettings,
     corpus_dir: Option<PathBuf>,
     compare_random: bool,
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("{flag}: cannot parse `{s}` as a number"))
-}
-
 impl Args {
-    fn parse(argv: &[String]) -> Result<Args, String> {
+    fn parse(argv: &[String]) -> Result<Args, CliError> {
         let mut args = Args {
             settings: FuzzSettings { iters: 200, ..FuzzSettings::default() },
             corpus_dir: None,
             compare_random: false,
         };
         let s = &mut args.settings;
-        let mut it = argv.iter();
-        while let Some(flag) = it.next() {
-            let mut value =
-                |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-            match flag.as_str() {
-                "--iters" => s.iters = parse_num(&value("--iters")?, "--iters")?,
-                "--seed" => s.seed = parse_seed(&value("--seed")?),
-                "--threads" => s.threads = parse_num(&value("--threads")?, "--threads")?,
-                "--corpus" => args.corpus_dir = Some(PathBuf::from(value("--corpus")?)),
+        let mut flags = Flags::new(argv);
+        while let Some(flag) = flags.next_flag()? {
+            match flag {
+                "--iters" => s.iters = flags.value()?,
+                "--seed" => s.seed = flags.seed()?,
+                "--threads" => s.threads = flags.value()?,
+                "--corpus" => args.corpus_dir = Some(flags.value()?),
                 "--minimize" => s.minimize = true,
                 "--recover" => s.recover = true,
                 "--random" => s.guided = false,
                 "--compare-random" => args.compare_random = true,
-                "--faults" => s.faults_per_case = parse_num(&value("--faults")?, "--faults")?,
-                "--static-len" => {
-                    s.static_len = parse_num(&value("--static-len")?, "--static-len")?
-                }
-                "--little" => s.n_little = parse_num(&value("--little")?, "--little")?,
-                "--batch" => s.batch = parse_num(&value("--batch")?, "--batch")?,
-                "-h" | "--help" => return Err(String::new()),
-                other => return Err(format!("unknown flag `{other}`")),
+                "--faults" => s.faults_per_case = flags.value()?,
+                "--static-len" => s.static_len = flags.value()?,
+                "--little" => s.n_little = flags.value()?,
+                "--batch" => s.batch = flags.value()?,
+                _ => return Err(flags.unknown()),
             }
         }
-        if s.iters == 0 || s.static_len == 0 || s.batch == 0 {
-            return Err("--iters, --static-len and --batch must be positive".into());
-        }
-        validate_config(&MeekConfig::with_little_cores(s.n_little))
-            .map_err(|e| format!("--little: {e}"))?;
+        s.validate().map_err(CliError::Usage)?;
+        let usage = |msg: &str| Err(CliError::Usage(msg.into()));
         if args.compare_random && !s.guided {
-            return Err("--compare-random already runs the random baseline; drop --random".into());
+            return usage("--compare-random already runs the random baseline; drop --random");
         }
         if args.compare_random && args.corpus_dir.is_some() {
             // A preloaded corpus seeds both guidance and the feature
             // universe, so the comparison would no longer measure this
             // run's budget against the baseline's.
-            return Err("--compare-random needs a cold start; drop --corpus".into());
+            return usage("--compare-random needs a cold start; drop --corpus");
         }
         Ok(args)
     }
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match Args::parse(&argv) {
-        Ok(a) => a,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    cli::main(USAGE, |argv| run(&Args::parse(argv)?))
+}
+
+/// Runs the search and prints its report; `true` when it is clean (and,
+/// under `--compare-random`, guidance beat the baseline).
+fn run(args: &Args) -> Result<bool, CliError> {
     let initial = match &args.corpus_dir {
-        Some(dir) => match Corpus::load(dir, args.settings.corpus_cap) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: cannot load corpus: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(dir) => Corpus::load(dir, args.settings.corpus_cap)
+            .map_err(|e| CliError::Failed(format!("cannot load corpus: {e}")))?,
         None => Corpus::new(args.settings.corpus_cap),
     };
     let loaded = initial.len();
@@ -148,15 +126,14 @@ fn main() -> ExitCode {
     );
 
     if let Some(dir) = &args.corpus_dir {
-        let save = corpus.save(dir).and_then(|()| {
-            fs::File::create(dir.join("features.txt"))?
-                .write_all(features.render_names().as_bytes())?;
-            fs::File::create(dir.join("report.txt"))?.write_all(report.to_string().as_bytes())
-        });
-        if let Err(e) = save {
-            eprintln!("error: cannot persist corpus: {e}");
-            return ExitCode::FAILURE;
-        }
+        corpus
+            .save(dir)
+            .and_then(|()| {
+                fs::File::create(dir.join("features.txt"))?
+                    .write_all(features.render_names().as_bytes())?;
+                fs::File::create(dir.join("report.txt"))?.write_all(report.to_string().as_bytes())
+            })
+            .map_err(|e| CliError::Failed(format!("cannot persist corpus: {e}")))?;
         eprintln!("[corpus] {} entr(ies) -> {}", corpus.len(), dir.display());
     }
 
@@ -178,9 +155,26 @@ fn main() -> ExitCode {
             ok = false;
         }
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    Ok(ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use meek_campaign::cli::usage_default;
+
+    #[test]
+    fn fuzz_defaults_are_the_ones_the_usage_prints() {
+        let args = Args::parse(&[]).unwrap();
+        let doc = |flag| usage_default(USAGE, flag).unwrap_or_else(|| panic!("{flag} default"));
+        let s = &args.settings;
+        assert_eq!(doc("--iters"), s.iters.to_string());
+        assert_eq!(doc("--seed"), s.seed.to_string());
+        assert_eq!(doc("--threads"), s.threads.to_string());
+        assert_eq!(doc("--faults"), s.faults_per_case.to_string());
+        assert_eq!(doc("--static-len"), s.static_len.to_string());
+        assert_eq!(doc("--little"), s.n_little.to_string());
+        assert_eq!(doc("--batch"), s.batch.to_string());
+        assert!(s.guided && !s.recover && !s.minimize && !args.compare_random);
     }
 }

@@ -14,7 +14,7 @@
 //!   syscall, not by running off the end.
 
 use crate::asm::Program;
-use meek_isa::{ArchState, Reg, SparseMemory, CSR_OS_ENABLE, HALT_PC};
+use meek_isa::{ArchState, Reg, SparseMemory, Trap, CSR_OS_ENABLE, HALT_PC};
 use meek_workloads::Workload;
 
 /// Default per-program writable window: 64 KiB of data + stack.
@@ -49,17 +49,18 @@ fn initial_state(entry: u64, data_base: u64, window: u64) -> ArchState {
 /// Loads `prog` as a standalone workload with a [`DATA_WINDOW`]-byte
 /// window at its data base.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the program's initialised data plus [`STACK_RESERVE`]
-/// overflows the window — a suite kernel must fit its budget.
-pub fn workload(prog: &Program) -> Workload {
-    assert!(
-        prog.data.len() as u64 + STACK_RESERVE <= DATA_WINDOW,
-        "{}: {} data bytes overflow the {DATA_WINDOW}-byte window",
-        prog.name,
-        prog.data.len(),
-    );
+/// Returns a message if the program's initialised data plus
+/// [`STACK_RESERVE`] overflows the window.
+pub fn workload(prog: &Program) -> Result<Workload, String> {
+    if prog.data.len() as u64 + STACK_RESERVE > DATA_WINDOW {
+        return Err(format!(
+            "{}: {} data bytes overflow the {DATA_WINDOW}-byte window",
+            prog.name,
+            prog.data.len()
+        ));
+    }
     // Lint-on-load: every program entering the loader must satisfy the
     // strict loader contract the static analyzer checks.
     debug_assert!(
@@ -74,7 +75,7 @@ pub fn workload(prog: &Program) -> Workload {
         image.load_program(prog.data_base, &pack_words(&prog.data));
     }
     let name: &'static str = Box::leak(prog.name.clone().into_boxed_str());
-    Workload::from_image(
+    Ok(Workload::from_image(
         name,
         image,
         prog.code_base,
@@ -82,7 +83,7 @@ pub fn workload(prog: &Program) -> Workload {
         prog.code.len(),
         initial_state(prog.code_base, prog.data_base, DATA_WINDOW),
     )
-    .with_data_window(prog.data_base, DATA_WINDOW)
+    .with_data_window(prog.data_base, DATA_WINDOW))
 }
 
 /// The result of a functional (golden-interpreter) run.
@@ -105,14 +106,19 @@ impl RunOutcome {
 }
 
 /// Runs `wl` to completion (or `max_insts`) on the golden interpreter.
-pub fn run_golden(wl: &Workload, max_insts: u64) -> RunOutcome {
+///
+/// # Errors
+///
+/// The trap of a program that executes a word that does not decode,
+/// such as one that runs off the end of its code.
+pub fn run_golden(wl: &Workload, max_insts: u64) -> Result<RunOutcome, Trap> {
     let mut run = wl.run(max_insts);
-    while run.next_retired().is_some() {}
-    RunOutcome {
+    while run.try_next_retired()?.is_some() {}
+    Ok(RunOutcome {
         console: run.console(),
         retired: run.executed(),
         exited: run.state().pc == wl.exit_pc(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -148,8 +154,8 @@ msg:
     #[test]
     fn hello_world_runs_to_exit() {
         let prog = assemble("hello", HELLO).unwrap();
-        let wl = workload(&prog);
-        let out = run_golden(&wl, 10_000);
+        let wl = workload(&prog).unwrap();
+        let out = run_golden(&wl, 10_000).unwrap();
         assert!(out.exited, "program must reach the exit syscall");
         assert_eq!(out.console_text(), "hello\n");
         assert!(out.retired > 10);
@@ -158,7 +164,7 @@ msg:
     #[test]
     fn loader_sets_window_discipline_registers() {
         let prog = assemble("hello", HELLO).unwrap();
-        let wl = workload(&prog);
+        let wl = workload(&prog).unwrap();
         let st = wl.initial_state();
         assert_eq!(st.x(Reg::X26), prog.data_base);
         assert_eq!(st.x(Reg::X27), DATA_WINDOW - 1);
@@ -171,9 +177,23 @@ msg:
     #[test]
     fn capped_run_reports_no_exit() {
         let prog = assemble("hello", HELLO).unwrap();
-        let wl = workload(&prog);
-        let out = run_golden(&wl, 5);
+        let wl = workload(&prog).unwrap();
+        let out = run_golden(&wl, 5).unwrap();
         assert!(!out.exited);
         assert_eq!(out.retired, 5);
+    }
+
+    #[test]
+    fn a_program_that_runs_off_its_code_is_a_trap_not_a_panic() {
+        let prog = assemble("off", "lui a0, -1").unwrap();
+        let trap = run_golden(&workload(&prog).unwrap(), 100).unwrap_err();
+        assert_eq!(trap, Trap::IllegalInstruction { pc: prog.code_base + 4, word: 0 });
+    }
+
+    #[test]
+    fn data_that_overflows_the_window_is_an_error() {
+        let source = format!("_start:\n    li a7, 93\n    ecall\n.data\n    .zero {DATA_WINDOW}\n");
+        let err = workload(&assemble("big", &source).unwrap()).unwrap_err();
+        assert!(err.contains("overflow the 65536-byte window"), "{err}");
     }
 }

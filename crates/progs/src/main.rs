@@ -42,6 +42,24 @@ OPTIONS (run/set):
     -h, --help         Print this help
 ";
 
+/// Why a command did not succeed: a command line `meek-progs` cannot
+/// run (exit 2, like the other MEEK command lines), or a run that
+/// failed (exit 1).
+enum Error {
+    Usage(String),
+    Failed(String),
+}
+
+impl From<String> for Error {
+    fn from(msg: String) -> Error {
+        Error::Failed(msg)
+    }
+}
+
+fn usage<T>(msg: impl Into<String>) -> Result<T, Error> {
+    Err(Error::Usage(msg.into()))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "-h" || args[0] == "--help" {
@@ -53,18 +71,22 @@ fn main() -> ExitCode {
         "asm" => cmd_asm(&args[1..]),
         "run" => cmd_run(&args[1..]),
         "set" => cmd_set(&args[1..]),
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+        other => usage(format!("unknown command `{other}`")),
     };
     match r {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Error::Usage(e)) => {
+            eprintln!("error: {e}\n\n{USAGE}");
+            ExitCode::from(2)
+        }
+        Err(Error::Failed(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list() -> Result<(), Error> {
     println!("{:<10} {:<62} console", "kernel", "description");
     for k in &KERNELS {
         println!("{:<10} {:<62} {:?}", k.name, k.description, k.expected_console);
@@ -72,12 +94,12 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_asm(rest: &[String]) -> Result<(), String> {
+fn cmd_asm(rest: &[String]) -> Result<(), Error> {
     let (lint, paths): (Vec<&String>, Vec<&String>) =
         rest.iter().partition(|a| a.as_str() == "--lint");
     let lint = !lint.is_empty();
     let [path] = paths[..] else {
-        return Err("usage: meek-progs asm <FILE.s> [--lint]".into());
+        return usage("usage: meek-progs asm <FILE.s> [--lint]");
     };
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let prog = assemble("cli", &source).map_err(|e| format!("{path}: {e}"))?;
@@ -99,7 +121,7 @@ fn cmd_asm(rest: &[String]) -> Result<(), String> {
         let report = meek_progs::analyze_program(&prog);
         print!("{report}");
         if !report.violations.is_empty() {
-            return Err(format!("{path}: {} static violation(s)", report.violations.len()));
+            return Err(format!("{path}: {} static violation(s)", report.violations.len()).into());
         }
     }
     Ok(())
@@ -111,57 +133,58 @@ struct RunOpts {
     positional: Vec<String>,
 }
 
-fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
+fn parse_run_opts(rest: &[String]) -> Result<RunOpts, Error> {
     let mut opts = RunOpts { max_insts: KERNEL_INST_CAP, system: false, positional: Vec::new() };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--max-insts" => {
-                let v = it.next().ok_or("--max-insts needs a value")?;
-                opts.max_insts = v.parse().map_err(|_| format!("bad --max-insts value `{v}`"))?;
+                let Some(v) = it.next() else { return usage("--max-insts needs a value") };
+                let Ok(n) = v.parse() else { return usage(format!("bad --max-insts value `{v}`")) };
+                opts.max_insts = n;
             }
             "--system" => opts.system = true,
-            s if s.starts_with('-') => return Err(format!("unknown option `{s}`")),
+            s if s.starts_with('-') => return usage(format!("unknown option `{s}`")),
             s => opts.positional.push(s.to_string()),
         }
     }
     Ok(opts)
 }
 
-fn cmd_run(rest: &[String]) -> Result<(), String> {
+fn cmd_run(rest: &[String]) -> Result<(), Error> {
     let opts = parse_run_opts(rest)?;
     let [target] = &opts.positional[..] else {
-        return Err("usage: meek-progs run <KERNEL|FILE.s> [OPTIONS]".into());
+        return usage("usage: meek-progs run <KERNEL|FILE.s> [OPTIONS]");
     };
     let wl = if let Some(k) = meek_progs::kernel(target) {
         suite::workload(k)
     } else if target.ends_with(".s") {
         let source = std::fs::read_to_string(target).map_err(|e| format!("{target}: {e}"))?;
         let prog = assemble("cli", &source).map_err(|e| format!("{target}: {e}"))?;
-        workload(&prog)
+        workload(&prog).map_err(|e| format!("{target}: {e}"))?
     } else {
-        return Err(format!("`{target}` is neither a suite kernel nor a .s file"));
+        return usage(format!("`{target}` is neither a suite kernel nor a .s file"));
     };
     execute(&wl, &opts)
 }
 
-fn cmd_set(rest: &[String]) -> Result<(), String> {
+fn cmd_set(rest: &[String]) -> Result<(), Error> {
     let opts = parse_run_opts(rest)?;
     if opts.positional.is_empty() {
-        return Err("usage: meek-progs set <KERNEL>... [OPTIONS]".into());
+        return usage("usage: meek-progs set <KERNEL>... [OPTIONS]");
     }
     let names: Vec<&str> = opts.positional.iter().map(|s| s.as_str()).collect();
-    let set = WorkloadSet::from_names(&names)?;
+    let set = WorkloadSet::from_names(&names).map_err(Error::Usage)?;
     let wl = set.fuse();
     println!("# fused {} kernels: {}", set.kernels().len(), set.display_name());
     execute(&wl, &opts)
 }
 
-fn execute(wl: &Workload, opts: &RunOpts) -> Result<(), String> {
-    let golden = run_golden(wl, opts.max_insts);
+fn execute(wl: &Workload, opts: &RunOpts) -> Result<(), Error> {
+    let golden = run_golden(wl, opts.max_insts).map_err(|t| format!("program trapped: {t}"))?;
     report_golden(&golden);
     if !golden.exited {
-        return Err(format!("hit the {}-instruction cap before exit", opts.max_insts));
+        return Err(format!("hit the {}-instruction cap before exit", opts.max_insts).into());
     }
     if opts.system {
         run_system(wl, &golden)?;

@@ -172,7 +172,7 @@ mod tests {
     fn fused_pair_runs_both_kernels_in_order() {
         let set = WorkloadSet::from_names(&["memcpy", "recurse"]).unwrap();
         let wl = set.fuse();
-        let out = run_golden(&wl, 500_000);
+        let out = run_golden(&wl, 500_000).unwrap();
         assert!(out.exited, "fused pair hit the cap");
         assert_eq!(out.console_text(), "memcpy ok\nrecurse ok\n");
     }
@@ -181,7 +181,7 @@ mod tests {
     fn full_suite_fuses_and_context_switches_cleanly() {
         let set = WorkloadSet::all();
         let wl = set.fuse();
-        let out = run_golden(&wl, 500_000);
+        let out = run_golden(&wl, 500_000).unwrap();
         assert!(out.exited, "fused suite hit the cap");
         assert_eq!(out.console_text(), set.expected_console());
     }

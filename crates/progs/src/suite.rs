@@ -99,7 +99,7 @@ pub fn program(k: &Kernel) -> Program {
 
 /// Assembles and loads a kernel as a standalone [`Workload`].
 pub fn workload(k: &Kernel) -> Workload {
-    loader::workload(&program(k))
+    loader::workload(&program(k)).expect("committed kernels fit the data window")
 }
 
 /// A generous per-kernel dynamic instruction cap: the largest suite
@@ -143,7 +143,8 @@ fn dynamic_lens() -> &'static BTreeMap<&'static str, u64> {
         (0..rotation_len())
             .zip(names)
             .map(|(case, name)| {
-                (name, crate::loader::run_golden(rotation_workload(case), KERNEL_INST_CAP).retired)
+                let out = crate::loader::run_golden(rotation_workload(case), KERNEL_INST_CAP);
+                (name, out.expect("committed kernels run trap-free").retired)
             })
             .collect()
     })
@@ -177,7 +178,7 @@ mod tests {
     #[test]
     fn every_kernel_runs_clean_on_the_golden_interpreter() {
         for k in &KERNELS {
-            let out = run_golden(&workload(k), KERNEL_INST_CAP);
+            let out = run_golden(&workload(k), KERNEL_INST_CAP).unwrap();
             assert!(out.exited, "{} hit the instruction cap", k.name);
             assert_eq!(out.console_text(), k.expected_console, "{} console", k.name);
         }

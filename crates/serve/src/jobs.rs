@@ -18,16 +18,14 @@
 //! deterministic unit order. Fuzz chunks are sequentially dependent
 //! (each feeds the next its corpus) and run one at a time.
 
-use crate::proto::{CampaignJob, DifftestJob, FuzzJob, JobSpec, JobState, JobStatus};
+use crate::proto::{CampaignJob, DifftestJob, FuzzSettings, JobSpec, JobState, JobStatus};
 use crate::sched::PoolHandle;
 use crate::spool::{
     append_output, read_state, touch_output, truncate_outputs, write_state, JobProgress,
 };
 use meek_campaign::{run_shard, splitmix, CsvSink, RecordSink, SampleSink, ShardResult};
-use meek_difftest::{
-    run_case, CaseReport, CosimConfig, FaultOutcome, FuzzConfig, RecoveryVerdict, Suite,
-};
-use meek_fuzz::{run_fuzz, Corpus, FeatureSet, FuzzSettings};
+use meek_difftest::{run_case, CaseReport, FaultOutcome, RecoveryVerdict, Suite, Tally};
+use meek_fuzz::{run_fuzz, Corpus, FeatureSet};
 use meek_workloads::WorkloadCache;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -71,11 +69,11 @@ enum LoopEnd {
 /// returned state is the in-memory one (`Interrupted` stays `running`
 /// on disk); on error the job is marked `failed` both places.
 pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobState {
-    let result = match spec {
+    let result = spec.validate().and_then(|()| match spec {
         JobSpec::Campaign(job) => run_campaign_job(job, ctx),
         JobSpec::Difftest(job) => run_difftest_job(job, ctx),
-        JobSpec::Fuzz(job) => run_fuzz_job(job, ctx),
-    };
+        JobSpec::Fuzz { settings, chunk } => run_fuzz_job(settings, *chunk, ctx),
+    });
     let state = match result {
         Ok(state) => state,
         Err(e) => {
@@ -316,7 +314,6 @@ struct BatchResult {
 }
 
 fn run_difftest_job(job: &DifftestJob, ctx: &JobContext) -> Result<JobState, String> {
-    job.validate()?;
     let total = job.cases.div_ceil(job.batch);
     let mut progress = start_progress(ctx, total)?;
     touch_output(&ctx.dir, "results.jsonl").map_err(|e| e.to_string())?;
@@ -350,27 +347,14 @@ fn run_difftest_job(job: &DifftestJob, ctx: &JobContext) -> Result<JobState, Str
 /// Runs one batch of a difftest job: each case is the `meek-difftest`
 /// grid cell of the same seed, rendered as one JSONL line.
 fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
-    let cfg = CosimConfig {
-        seg_len: job.seg_len,
-        n_little: job.little,
-        faults: job.faults,
-        recover: job.recover,
-    };
-    let suite = match job.suite.as_str() {
-        "progs" => Suite::Progs,
-        _ => Suite::Fuzz(FuzzConfig { static_len: job.static_len }),
-    };
+    let (suite, cfg) = (job.suite(), job.cosim_config());
     let first = batch_idx * job.batch;
     let last = (first + job.batch).min(job.cases);
     let mut jsonl = Vec::new();
-    let mut deltas = BTreeMap::new();
+    let mut tally = Tally::default();
     for case in first..last {
-        let CaseReport { case_seed, workload, verdict, faults } =
-            run_case(job.seed, case, &suite, &cfg);
-        bump(&mut deltas, "cases", 1);
-        bump(&mut deltas, "executed", verdict.executed);
-        bump(&mut deltas, "segments", verdict.segments as u64);
-        bump(&mut deltas, "cycles", verdict.system_cycles);
+        let report = run_case(job.seed, case, &suite, &cfg);
+        let CaseReport { case_seed, workload, verdict, faults } = &report;
         let mut line = format!("{{\"case\":{case},\"case_seed\":\"{case_seed:#x}\"");
         if let Suite::Progs = suite {
             let _ = write!(line, ",\"workload\":\"{}\"", crate::json::escape(workload));
@@ -382,7 +366,6 @@ fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
         );
         match &verdict.divergence {
             Some(d) => {
-                bump(&mut deltas, "divergences", 1);
                 let _ = write!(line, ",\"divergence\":\"{}\"", crate::json::escape(&d.to_string()));
             }
             None => line.push_str(",\"divergence\":null"),
@@ -392,7 +375,6 @@ fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
             if i > 0 {
                 line.push(',');
             }
-            bump(&mut deltas, "faults", 1);
             let _ = write!(
                 line,
                 "{{\"site\":\"{}\",\"bit\":{},\"arm\":{}",
@@ -402,20 +384,12 @@ fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
             );
             match outcome {
                 FaultOutcome::Detected { latency_ns } => {
-                    bump(&mut deltas, "detected", 1);
                     let _ =
                         write!(line, ",\"outcome\":\"detected\",\"latency_ns\":{latency_ns:.3}");
                 }
-                FaultOutcome::MaskedProvenBenign => {
-                    bump(&mut deltas, "masked", 1);
-                    line.push_str(",\"outcome\":\"masked\"");
-                }
-                FaultOutcome::Pending => {
-                    bump(&mut deltas, "pending", 1);
-                    line.push_str(",\"outcome\":\"pending\"");
-                }
+                FaultOutcome::MaskedProvenBenign => line.push_str(",\"outcome\":\"masked\""),
+                FaultOutcome::Pending => line.push_str(",\"outcome\":\"pending\""),
                 FaultOutcome::Escaped { reason } => {
-                    bump(&mut deltas, "escapes", 1);
                     let _ = write!(
                         line,
                         ",\"outcome\":\"escaped\",\"reason\":\"{}\"",
@@ -426,7 +400,6 @@ fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
             match recovery {
                 None => {}
                 Some(RecoveryVerdict::Recovered { rollbacks, max_cycles }) => {
-                    bump(&mut deltas, "recovered", 1);
                     let _ = write!(
                         line,
                         ",\"recovery\":\"recovered\",\"rollbacks\":{rollbacks},\
@@ -437,7 +410,6 @@ fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
                     line.push_str(",\"recovery\":\"nothing_to_recover\"");
                 }
                 Some(RecoveryVerdict::Unrecovered { reason }) => {
-                    bump(&mut deltas, "unrecovered", 1);
                     let _ = write!(
                         line,
                         ",\"recovery\":\"unrecovered\",\"reason\":\"{}\"",
@@ -445,7 +417,6 @@ fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
                     );
                 }
                 Some(RecoveryVerdict::StateDiverged { reason }) => {
-                    bump(&mut deltas, "state_diverged", 1);
                     let _ = write!(
                         line,
                         ",\"recovery\":\"state_diverged\",\"reason\":\"{}\"",
@@ -457,15 +428,15 @@ fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
         }
         line.push_str("]}\n");
         jsonl.extend_from_slice(line.as_bytes());
+        tally.add(&report);
     }
-    BatchResult { jsonl, deltas }
+    BatchResult { jsonl, deltas: tally.counters() }
 }
 
 // -------------------------------------------------------------------- fuzz
 
-fn run_fuzz_job(job: &FuzzJob, ctx: &JobContext) -> Result<JobState, String> {
-    job.validate()?;
-    let total = job.iters.div_ceil(job.chunk);
+fn run_fuzz_job(job: &FuzzSettings, chunk: u64, ctx: &JobContext) -> Result<JobState, String> {
+    let total = job.iters.div_ceil(chunk);
     let mut progress = start_progress(ctx, total)?;
     touch_output(&ctx.dir, "results.jsonl").map_err(|e| e.to_string())?;
     let mut emitted_this_run = 0u64;
@@ -495,23 +466,19 @@ fn run_fuzz_job(job: &FuzzJob, ctx: &JobContext) -> Result<JobState, String> {
         if ctx.quiesce.load(Ordering::Acquire) {
             break LoopEnd::Interrupted;
         }
-        let iters = job.chunk.min(job.iters - chunk_idx * job.chunk);
         let settings = FuzzSettings {
-            iters,
+            iters: chunk.min(job.iters - chunk_idx * chunk),
             // Decorrelated per-chunk seed stream: a resumed chunk
             // re-runs with the same seed and the same input corpus,
             // hence identical output.
             seed: splitmix(job.seed ^ chunk_idx.wrapping_mul(0x9E37_79B9)),
+            // The settings the wire does not carry.
             threads: 1,
-            guided: job.guided,
-            recover: job.recover,
             minimize: false,
-            static_len: job.static_len,
-            faults_per_case: job.faults_per_case,
-            n_little: job.little,
-            corpus_cap: job.corpus_cap,
-            ..FuzzSettings::default()
+            batch: FuzzSettings::default().batch,
+            ..job.clone()
         };
+        let iters = settings.iters;
         let corpus =
             Corpus::load(&gen_dir(chunk_idx), job.corpus_cap).map_err(|e| e.to_string())?;
         let (tx, rx) = mpsc::channel();

@@ -184,7 +184,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_num(bytes, pos),
+        Some(_) => parse_digits(bytes, pos),
     }
 }
 
@@ -197,7 +197,8 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
     }
 }
 
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// A number, kept as its digits so `u64` seeds survive exactly.
+fn parse_digits(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;

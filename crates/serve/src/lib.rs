@@ -12,7 +12,11 @@
 //!
 //! * **Jobs over a socket**: clients submit typed [`proto::JobSpec`]s
 //!   (campaign / difftest / fuzz) as one-line JSON frames over a Unix
-//!   or TCP socket, with per-job priorities and cancellation.
+//!   or TCP socket, with per-job priorities and cancellation. A job is
+//!   the same value its batch CLI parses from flags — [`CampaignJob`],
+//!   [`DifftestJob`], or [`FuzzSettings`] plus a chunk grain, each
+//!   defined and validated in the crate that runs it; [`proto`] is the
+//!   wire format only.
 //! * **One shared pool**: every job's units (campaign shards, difftest
 //!   case batches, fuzz chunks) drain through a single priority
 //!   work-stealing pool ([`sched`]), so a quick high-priority difftest
@@ -70,7 +74,7 @@ pub use client::{request, stream_request, Endpoint};
 pub use daemon::{Daemon, ServeConfig};
 pub use json::Json;
 pub use proto::{
-    CampaignJob, Channel, DifftestJob, FuzzJob, JobSpec, JobState, JobStatus, Request,
+    CampaignJob, Channel, DifftestJob, FuzzSettings, JobSpec, JobState, JobStatus, Request,
 };
 pub use sched::{Pool, PoolHandle};
 pub use spool::{JobProgress, Spool};

@@ -1,6 +1,7 @@
 //! `meek-serve` CLI: the daemon (`serve`) plus thin client
 //! subcommands speaking the JSONL socket protocol.
 
+use meek_campaign::cli::{self, CliError, Flags};
 use meek_serve::daemon::{Daemon, ServeConfig};
 use meek_serve::json::Json;
 use meek_serve::proto::{Channel, JobSpec, Request};
@@ -54,107 +55,84 @@ CLIENT NOTES:
                           counters) instead of JSON snapshots.
 ";
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("{flag}: cannot parse `{s}` as a number"))
-}
-
-struct Common {
-    endpoint: Option<Endpoint>,
-}
-
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(&argv) {
-        Ok(code) => code,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("error: {msg}");
-                ExitCode::from(2)
-            }
+    cli::main(USAGE, |argv| {
+        let Some((cmd, rest)) = argv.split_first() else {
+            return Err(CliError::Help);
+        };
+        match cmd.as_str() {
+            "serve" => serve(rest),
+            "submit" => submit(rest),
+            "status" => status(rest),
+            "cancel" => cancel(rest),
+            "tail" => tail(rest),
+            "metrics" => metrics(rest),
+            "shutdown" => shutdown(rest),
+            "-h" | "--help" => Err(CliError::Help),
+            other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
         }
-    }
+    })
 }
 
-fn run(argv: &[String]) -> Result<ExitCode, String> {
-    let Some((cmd, rest)) = argv.split_first() else {
-        return Err(String::new());
-    };
-    match cmd.as_str() {
-        "serve" => serve(rest),
-        "submit" => submit(rest),
-        "status" => status(rest),
-        "cancel" => cancel(rest),
-        "tail" => tail(rest),
-        "metrics" => metrics(rest),
-        "shutdown" => shutdown(rest),
-        "-h" | "--help" => Err(String::new()),
-        other => Err(format!("unknown subcommand `{other}`")),
-    }
-}
-
-/// Pulls the shared endpoint flags out of an argument list, returning
-/// the leftovers for subcommand-specific parsing.
-fn split_endpoint(args: &[String]) -> Result<(Common, Vec<String>), String> {
+/// Reads a subcommand's flags: `--socket` and `--tcp` here, every other
+/// flag through `flag`. Returns the endpoint, if one was named.
+fn read_flags(
+    args: &[String],
+    mut flag: impl FnMut(&str, &mut Flags) -> Result<(), CliError>,
+) -> Result<Option<Endpoint>, CliError> {
     let mut endpoint = None;
-    let mut rest = Vec::new();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--socket" => {
-                let path = it.next().ok_or("--socket needs a value")?;
-                endpoint = Some(Endpoint::Unix(PathBuf::from(path)));
-            }
-            "--tcp" => {
-                let addr = it.next().ok_or("--tcp needs a value")?;
-                endpoint = Some(Endpoint::Tcp(addr.clone()));
-            }
-            "-h" | "--help" => return Err(String::new()),
-            other => rest.push(other.to_string()),
+    let mut flags = Flags::new(args);
+    while let Some(name) = flags.next_flag()? {
+        match name {
+            "--socket" => endpoint = Some(Endpoint::Unix(flags.value()?)),
+            "--tcp" => endpoint = Some(Endpoint::Tcp(flags.value()?)),
+            _ => flag(name, &mut flags)?,
         }
     }
-    Ok((Common { endpoint }, rest))
+    Ok(endpoint)
 }
 
-fn need_endpoint(common: &Common) -> Result<Endpoint, String> {
-    common.endpoint.clone().ok_or_else(|| "need --socket PATH or --tcp ADDR".to_string())
+/// A client subcommand's endpoint, which it cannot run without.
+fn need_endpoint(endpoint: Option<Endpoint>) -> Result<Endpoint, CliError> {
+    endpoint.ok_or_else(|| CliError::Usage("need --socket PATH or --tcp ADDR".into()))
 }
 
-fn serve(args: &[String]) -> Result<ExitCode, String> {
-    let (common, rest) = split_endpoint(args)?;
-    let mut spool = None;
+/// A runtime failure: a socket that does not answer, a daemon that
+/// cannot start.
+fn failed(e: impl ToString) -> CliError {
+    CliError::Failed(e.to_string())
+}
+
+fn serve(args: &[String]) -> Result<bool, CliError> {
+    let mut spool: Option<PathBuf> = None;
     let mut cfg_workers = 0usize;
     let mut window = 4usize;
     let mut fail_after = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--spool" => spool = Some(PathBuf::from(value("--spool")?)),
-            "--workers" => cfg_workers = parse_num(&value("--workers")?, "--workers")?,
-            "--window" => window = parse_num(&value("--window")?, "--window")?,
-            "--fail-after-units" => {
-                fail_after = Some(parse_num(&value("--fail-after-units")?, "--fail-after-units")?)
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+    let endpoint = read_flags(args, |flag, flags| {
+        match flag {
+            "--spool" => spool = Some(flags.value()?),
+            "--workers" => cfg_workers = flags.value()?,
+            "--window" => window = flags.value()?,
+            "--fail-after-units" => fail_after = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
         }
-    }
-    let spool = spool.ok_or("serve needs --spool DIR")?;
+        Ok(())
+    })?;
+    let spool = spool.ok_or_else(|| CliError::Usage("serve needs --spool DIR".into()))?;
+    let Some(endpoint) = endpoint else {
+        return Err(CliError::Usage("serve needs --socket PATH or --tcp ADDR (or both)".into()));
+    };
     let cfg = ServeConfig { spool, workers: cfg_workers, window, fail_after_units: fail_after };
-    let daemon = Daemon::start(cfg).map_err(|e| e.to_string())?;
-    match &common.endpoint {
-        Some(Endpoint::Unix(path)) => daemon.serve_unix(path).map_err(|e| e.to_string())?,
-        Some(Endpoint::Tcp(addr)) => {
-            let bound = daemon.serve_tcp(addr).map_err(|e| e.to_string())?;
+    let daemon = Daemon::start(cfg).map_err(failed)?;
+    match &endpoint {
+        Endpoint::Unix(path) => {
+            daemon.serve_unix(path).map_err(failed)?;
+            println!("meek-serve: listening on unix {}", path.display());
+        }
+        Endpoint::Tcp(addr) => {
+            let bound = daemon.serve_tcp(addr).map_err(failed)?;
             println!("meek-serve: listening on tcp {bound}");
         }
-        None => return Err("serve needs --socket PATH or --tcp ADDR (or both)".into()),
-    }
-    if let Some(Endpoint::Unix(path)) = &common.endpoint {
-        println!("meek-serve: listening on unix {}", path.display());
     }
     // The daemon runs until a client sends `shutdown`; coordinators
     // then stop at their next unit boundary and state stays resumable.
@@ -163,13 +141,13 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     }
     daemon.shutdown();
     println!("meek-serve: stopped");
-    Ok(ExitCode::SUCCESS)
+    Ok(true)
 }
 
 /// Sends one request; prints every response line; fails the process if
 /// the first response carries `"ok":false`.
-fn simple_exchange(endpoint: &Endpoint, req: &Request) -> Result<ExitCode, String> {
-    let lines = client::request(endpoint, req).map_err(|e| e.to_string())?;
+fn simple_exchange(endpoint: &Endpoint, req: &Request) -> Result<bool, CliError> {
+    let lines = client::request(endpoint, req).map_err(failed)?;
     let mut ok = true;
     for line in &lines {
         println!("{line}");
@@ -179,84 +157,71 @@ fn simple_exchange(endpoint: &Endpoint, req: &Request) -> Result<ExitCode, Strin
             }
         }
     }
-    Ok(if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE })
+    Ok(ok)
 }
 
-fn submit(args: &[String]) -> Result<ExitCode, String> {
-    let (common, rest) = split_endpoint(args)?;
-    let endpoint = need_endpoint(&common)?;
-    let mut json = None;
+fn submit(args: &[String]) -> Result<bool, CliError> {
+    let mut json: Option<String> = None;
     let mut priority = 0i64;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--json" => json = Some(value("--json")?),
-            "--priority" => priority = parse_num(&value("--priority")?, "--priority")?,
-            other => return Err(format!("unknown flag `{other}`")),
+    let endpoint = read_flags(args, |flag, flags| {
+        match flag {
+            "--json" => json = Some(flags.value()?),
+            "--priority" => priority = flags.value()?,
+            _ => return Err(flags.unknown()),
         }
-    }
-    let text = json.ok_or("submit needs --json SPEC")?;
-    let spec = JobSpec::from_json(&Json::parse(&text)?)?;
+        Ok(())
+    })?;
+    let endpoint = need_endpoint(endpoint)?;
+    let text = json.ok_or_else(|| CliError::Usage("submit needs --json SPEC".into()))?;
+    let spec = Json::parse(&text).and_then(|v| JobSpec::from_json(&v)).map_err(CliError::Usage)?;
     simple_exchange(&endpoint, &Request::Submit { spec, priority })
 }
 
-fn status(args: &[String]) -> Result<ExitCode, String> {
-    let (common, rest) = split_endpoint(args)?;
-    let endpoint = need_endpoint(&common)?;
+/// Reads `--job N` (and the endpoint) for `status` and `cancel`.
+fn job_flag(args: &[String]) -> Result<(Endpoint, Option<u64>), CliError> {
     let mut job = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--job" => {
-                job = Some(parse_num(it.next().ok_or("--job needs a value")?, "--job")?);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+    let endpoint = read_flags(args, |flag, flags| {
+        match flag {
+            "--job" => job = Some(flags.value()?),
+            _ => return Err(flags.unknown()),
         }
-    }
+        Ok(())
+    })?;
+    Ok((need_endpoint(endpoint)?, job))
+}
+
+fn status(args: &[String]) -> Result<bool, CliError> {
+    let (endpoint, job) = job_flag(args)?;
     simple_exchange(&endpoint, &Request::Status { job })
 }
 
-fn cancel(args: &[String]) -> Result<ExitCode, String> {
-    let (common, rest) = split_endpoint(args)?;
-    let endpoint = need_endpoint(&common)?;
-    let mut job = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--job" => {
-                job = Some(parse_num(it.next().ok_or("--job needs a value")?, "--job")?);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    let job = job.ok_or("cancel needs --job N")?;
+fn cancel(args: &[String]) -> Result<bool, CliError> {
+    let (endpoint, job) = job_flag(args)?;
+    let job = job.ok_or_else(|| CliError::Usage("cancel needs --job N".into()))?;
     simple_exchange(&endpoint, &Request::Cancel { job })
 }
 
-fn tail(args: &[String]) -> Result<ExitCode, String> {
-    let (common, rest) = split_endpoint(args)?;
-    let endpoint = need_endpoint(&common)?;
+fn tail(args: &[String]) -> Result<bool, CliError> {
     let mut job = None;
     let mut channel = Channel::Records;
     let mut from = 0u64;
     let mut follow = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--job" => job = Some(parse_num(&value("--job")?, "--job")?),
-            "--channel" => channel = Channel::from_name(&value("--channel")?)?,
-            "--from" => from = parse_num(&value("--from")?, "--from")?,
+    let endpoint = read_flags(args, |flag, flags| {
+        match flag {
+            "--job" => job = Some(flags.value()?),
+            "--channel" => {
+                channel = Channel::from_name(&flags.value::<String>()?).map_err(CliError::Usage)?
+            }
+            "--from" => from = flags.value()?,
             "--follow" => follow = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            _ => return Err(flags.unknown()),
         }
-    }
-    let job = job.ok_or("tail needs --job N")?;
+        Ok(())
+    })?;
+    let endpoint = need_endpoint(endpoint)?;
+    let job = job.ok_or_else(|| CliError::Usage("tail needs --job N".into()))?;
     let req = Request::Tail { job, channel, from, follow };
-    let mut failed = false;
+    let mut refused = false;
     client::stream_request(&endpoint, &req, |line| {
         match Json::parse(line) {
             Ok(v) => {
@@ -268,51 +233,40 @@ fn tail(args: &[String]) -> Result<ExitCode, String> {
                     }
                 } else if v.get("ok").and_then(Json::as_bool) == Some(false) {
                     eprintln!("{line}");
-                    failed = true;
+                    refused = true;
                 }
             }
             Err(_) => println!("{line}"),
         }
         true
     })
-    .map_err(|e| e.to_string())?;
-    Ok(if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS })
+    .map_err(failed)?;
+    Ok(!refused)
 }
 
-fn metrics(args: &[String]) -> Result<ExitCode, String> {
-    let (common, rest) = split_endpoint(args)?;
-    let endpoint = need_endpoint(&common)?;
+fn metrics(args: &[String]) -> Result<bool, CliError> {
     let mut follow = false;
     let mut interval_ms = 1000u64;
     let mut prom = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
+    let endpoint = read_flags(args, |flag, flags| {
+        match flag {
             "--follow" => follow = true,
-            "--interval-ms" => {
-                let v = it.next().ok_or("--interval-ms needs a value")?;
-                interval_ms = v
-                    .parse()
-                    .map_err(|_| format!("--interval-ms: cannot parse `{v}` as a number"))?;
-            }
+            "--interval-ms" => interval_ms = flags.value()?,
             "--prom" => prom = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            _ => return Err(flags.unknown()),
         }
-    }
+        Ok(())
+    })?;
     let req = Request::Metrics { follow, interval_ms, prom };
-    client::stream_request(&endpoint, &req, |line| {
+    client::stream_request(&need_endpoint(endpoint)?, &req, |line| {
         println!("{line}");
         true
     })
-    .map_err(|e| e.to_string())?;
-    Ok(ExitCode::SUCCESS)
+    .map_err(failed)?;
+    Ok(true)
 }
 
-fn shutdown(args: &[String]) -> Result<ExitCode, String> {
-    let (common, rest) = split_endpoint(args)?;
-    let endpoint = need_endpoint(&common)?;
-    if let Some(other) = rest.first() {
-        return Err(format!("unknown flag `{other}`"));
-    }
-    simple_exchange(&endpoint, &Request::Shutdown)
+fn shutdown(args: &[String]) -> Result<bool, CliError> {
+    let endpoint = read_flags(args, |_, flags| Err(flags.unknown()))?;
+    simple_exchange(&need_endpoint(endpoint)?, &Request::Shutdown)
 }

@@ -1,5 +1,10 @@
-//! The serve wire protocol: typed job specifications, job status, and
-//! client requests, each with a stable hand-written JSON form.
+//! The serve wire protocol: each job's JSON form, job status, and client
+//! requests, each with a stable hand-written JSON form.
+//!
+//! The job types live in the crates that run them, shared with their
+//! CLIs: [`CampaignJob`] in `meek-campaign`, [`DifftestJob`] in
+//! `meek-difftest`, and a fuzz job is `meek-fuzz`'s [`FuzzSettings`]
+//! plus its chunk grain. This module only reads and writes them.
 //!
 //! Every frame is one JSON object on one line (JSONL). Serialisation
 //! is golden-tested byte-for-byte in `tests/proto_goldens.rs`: field
@@ -7,246 +12,19 @@
 //! integers so `u64` seeds survive the round trip exactly.
 
 use crate::json::{escape, Json};
-use meek_campaign::{resolve_suite, CampaignSpec};
-use meek_core::{validate_config, MeekConfig, RecoveryPolicy};
+pub use meek_campaign::CampaignJob;
+pub use meek_difftest::DifftestJob;
+pub use meek_fuzz::FuzzSettings;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A campaign job: the same vocabulary as the `meek-campaign` CLI, so
-/// a socket-submitted job and a batch run with the same parameters are
-/// the *same campaign* — byte-identical records (proved in
-/// `tests/serve_e2e.rs`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignJob {
-    /// Suite selector (`meek_campaign::resolve_suite` vocabulary).
-    pub suite: String,
-    /// Faults injected per workload.
-    pub faults: usize,
-    /// Faults per shard (the checkpoint/stream grain).
-    pub shard_faults: usize,
-    /// Instruction headroom per queued fault.
-    pub insts_per_fault: u64,
-    /// Campaign master seed.
-    pub seed: u64,
-    /// Checker cores per simulated system.
-    pub little: usize,
-    /// Run with checkpoint/rollback recovery enabled.
-    pub recover: bool,
-    /// Stream the JSONL event trace (`trace.jsonl` channel).
-    pub trace: bool,
-    /// Occupancy sample stride (`samples.csv` channel); 0 disables.
-    pub sample_stride: u64,
-}
+/// A fuzz job's chunk when its spec names none.
+pub const FUZZ_CHUNK: u64 = 16;
 
-impl Default for CampaignJob {
-    fn default() -> CampaignJob {
-        CampaignJob {
-            suite: "specint".to_string(),
-            faults: 100,
-            shard_faults: meek_campaign::spec::DEFAULT_FAULTS_PER_SHARD,
-            insts_per_fault: meek_campaign::spec::DEFAULT_INSTS_PER_FAULT,
-            seed: 0,
-            little: 4,
-            recover: false,
-            trace: false,
-            sample_stride: 0,
-        }
-    }
-}
-
-impl CampaignJob {
-    /// Expands the job into the engine's [`CampaignSpec`], mirroring
-    /// the `meek-campaign` CLI's construction exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the suite or configuration is invalid —
-    /// admission-time validation, so a bad job never reaches a worker.
-    pub fn to_spec(&self) -> Result<CampaignSpec, String> {
-        if self.faults == 0 || self.shard_faults == 0 || self.insts_per_fault == 0 {
-            return Err("faults, shard_faults and insts_per_fault must be positive".into());
-        }
-        let workloads = resolve_suite(&self.suite)?;
-        let config = if self.recover {
-            MeekConfig::with_recovery(self.little, RecoveryPolicy::enabled())
-        } else {
-            MeekConfig::with_little_cores(self.little)
-        };
-        validate_config(&config).map_err(|e| e.to_string())?;
-        Ok(CampaignSpec {
-            workloads,
-            config,
-            faults_per_workload: self.faults,
-            faults_per_shard: self.shard_faults,
-            insts_per_fault: self.insts_per_fault,
-            seed: self.seed,
-            trace_events: self.trace,
-            sample_stride: self.sample_stride,
-            metrics: false,
-        })
-    }
-}
-
-/// A difftest job: the `meek-difftest` CLI's case grid, chunked into
-/// `batch`-sized units so progress checkpoints at batch granularity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DifftestJob {
-    /// Case source: `fuzz` (random programs) or `progs` (the committed
-    /// benchmark-kernel rotation, `meek_progs::rotation_workload`).
-    pub suite: String,
-    /// Co-simulation cases.
-    pub cases: u64,
-    /// Master seed (per-case seeds derive from it).
-    pub seed: u64,
-    /// Faults injected per clean case.
-    pub faults: usize,
-    /// Instructions per replay segment.
-    pub seg_len: u64,
-    /// Static instruction count of fuzzed programs.
-    pub static_len: usize,
-    /// Checker cores.
-    pub little: usize,
-    /// Verify recovery (golden-equal final state) for each fault.
-    pub recover: bool,
-    /// Cases per unit (the checkpoint/stream grain).
-    pub batch: u64,
-}
-
-impl Default for DifftestJob {
-    fn default() -> DifftestJob {
-        DifftestJob {
-            suite: "fuzz".to_string(),
-            cases: 100,
-            seed: 0,
-            faults: 3,
-            seg_len: 192,
-            static_len: 220,
-            little: 4,
-            recover: false,
-            batch: 16,
-        }
-    }
-}
-
-impl DifftestJob {
-    /// Validates the job at admission time.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        if !matches!(self.suite.as_str(), "fuzz" | "progs") {
-            return Err(format!("unknown difftest suite `{}` (want fuzz or progs)", self.suite));
-        }
-        if self.cases == 0 || self.seg_len == 0 || self.static_len == 0 {
-            return Err("cases, seg_len and static_len must be positive".into());
-        }
-        validate_config(&MeekConfig::with_little_cores(self.little))
-            .map_err(|e| format!("little: {e}"))?;
-        if self.batch == 0 {
-            return Err("batch must be positive".into());
-        }
-        if self.suite == "progs" {
-            // Program-bearing jobs are statically verified at admission:
-            // a job rotating over malformed programs must bounce with a
-            // typed message, not crash a worker mid-stream. The rotation
-            // is fixed (committed kernels + fused set), so the lint runs
-            // once per process.
-            if let Some(err) = progs_rotation_lint() {
-                return Err(format!("progs rotation failed static analysis: {err}"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Lints the committed-kernel rotation (plus the fused set) with
-/// `meek-analyze`, once per process; `Some` carries the first unclean
-/// program's verdict line.
-fn progs_rotation_lint() -> Option<&'static str> {
-    static LINT: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    LINT.get_or_init(|| {
-        for k in &meek_progs::KERNELS {
-            let prog = meek_progs::suite::program(k);
-            let report = meek_progs::analyze_program(&prog);
-            if !report.clean() {
-                let what = report
-                    .violations
-                    .first()
-                    .map(|v| v.to_string())
-                    .or_else(|| report.guaranteed_trap.map(|t| t.to_string()))
-                    .unwrap_or_default();
-                return Some(format!("kernel `{}`: {what}", prog.name));
-            }
-        }
-        let fused = meek_progs::WorkloadSet::all().fuse();
-        let report = meek_progs::analyze_workload(&fused);
-        if !report.clean() {
-            return Some(format!("fused set `{}` is unclean", fused.name));
-        }
-        None
-    })
-    .as_deref()
-}
-
-/// A fuzz job: coverage-guided search chunked into `chunk`-iteration
-/// units; the corpus is persisted after every chunk, so a restarted
-/// daemon resumes the search from the last completed chunk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzJob {
-    /// Total fuzz iterations across all chunks.
-    pub iters: u64,
-    /// Master seed (per-chunk seeds derive from it).
-    pub seed: u64,
-    /// Static instruction count of fuzzed programs.
-    pub static_len: usize,
-    /// Faults injected per clean candidate.
-    pub faults_per_case: usize,
-    /// Checker cores.
-    pub little: usize,
-    /// Coverage-guided (`true`) or purely random baseline.
-    pub guided: bool,
-    /// Run faults under the recovery oracle.
-    pub recover: bool,
-    /// Corpus capacity bound.
-    pub corpus_cap: usize,
-    /// Iterations per unit (the checkpoint grain).
-    pub chunk: u64,
-}
-
-impl Default for FuzzJob {
-    fn default() -> FuzzJob {
-        FuzzJob {
-            iters: 64,
-            seed: 0,
-            static_len: 220,
-            faults_per_case: 2,
-            little: 4,
-            guided: true,
-            recover: false,
-            corpus_cap: 256,
-            chunk: 16,
-        }
-    }
-}
-
-impl FuzzJob {
-    /// Validates the job at admission time.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.iters == 0 || self.chunk == 0 {
-            return Err("iters and chunk must be positive".into());
-        }
-        if self.static_len == 0 {
-            return Err("static_len must be positive".into());
-        }
-        validate_config(&MeekConfig::with_little_cores(self.little))
-            .map_err(|e| format!("little: {e}"))?;
-        Ok(())
-    }
+/// A fuzz job's settings where its spec leaves them out: 64 iterations
+/// and a 256-entry corpus, the engine's defaults elsewhere.
+pub fn fuzz_defaults() -> FuzzSettings {
+    FuzzSettings { iters: 64, corpus_cap: 256, ..FuzzSettings::default() }
 }
 
 /// One job specification, as submitted over the socket.
@@ -254,10 +32,19 @@ impl FuzzJob {
 pub enum JobSpec {
     /// A sharded fault-injection campaign.
     Campaign(CampaignJob),
-    /// A differential-testing case grid.
+    /// A differential-testing case grid, `batch` cases per unit.
     Difftest(DifftestJob),
-    /// A coverage-guided fuzzing run.
-    Fuzz(FuzzJob),
+    /// A coverage-guided fuzzing run in `chunk`-iteration units; the
+    /// corpus is persisted after every chunk, so a restarted daemon
+    /// resumes the search from the last completed chunk. Each chunk
+    /// runs on one thread, without shrinking, in the engine's default
+    /// rounds: the wire carries no `threads`, `minimize` or `batch`.
+    Fuzz {
+        /// The search.
+        settings: FuzzSettings,
+        /// Iterations per unit (the checkpoint grain).
+        chunk: u64,
+    },
 }
 
 impl JobSpec {
@@ -266,7 +53,7 @@ impl JobSpec {
         match self {
             JobSpec::Campaign(_) => "campaign",
             JobSpec::Difftest(_) => "difftest",
-            JobSpec::Fuzz(_) => "fuzz",
+            JobSpec::Fuzz { .. } => "fuzz",
         }
     }
 
@@ -279,7 +66,13 @@ impl JobSpec {
         match self {
             JobSpec::Campaign(j) => j.to_spec().map(|_| ()),
             JobSpec::Difftest(j) => j.validate(),
-            JobSpec::Fuzz(j) => j.validate(),
+            JobSpec::Fuzz { settings, chunk } => {
+                settings.validate()?;
+                if *chunk == 0 {
+                    return Err("chunk must be positive".into());
+                }
+                Ok(())
+            }
         }
     }
 
@@ -314,19 +107,19 @@ impl JobSpec {
                 j.recover,
                 j.batch
             ),
-            JobSpec::Fuzz(j) => format!(
+            JobSpec::Fuzz { settings: s, chunk } => format!(
                 "{{\"kind\":\"fuzz\",\"iters\":{},\"seed\":{},\"static_len\":{},\
                  \"faults_per_case\":{},\"little\":{},\"guided\":{},\"recover\":{},\
                  \"corpus_cap\":{},\"chunk\":{}}}",
-                j.iters,
-                j.seed,
-                j.static_len,
-                j.faults_per_case,
-                j.little,
-                j.guided,
-                j.recover,
-                j.corpus_cap,
-                j.chunk
+                s.iters,
+                s.seed,
+                s.static_len,
+                s.faults_per_case,
+                s.n_little,
+                s.guided,
+                s.recover,
+                s.corpus_cap,
+                chunk
             ),
         }
     }
@@ -369,18 +162,21 @@ impl JobSpec {
                 }))
             }
             "fuzz" => {
-                let d = FuzzJob::default();
-                Ok(JobSpec::Fuzz(FuzzJob {
-                    iters: field_u64(v, "iters", d.iters)?,
-                    seed: field_u64(v, "seed", d.seed)?,
-                    static_len: field_usize(v, "static_len", d.static_len)?,
-                    faults_per_case: field_usize(v, "faults_per_case", d.faults_per_case)?,
-                    little: field_usize(v, "little", d.little)?,
-                    guided: field_bool(v, "guided", d.guided)?,
-                    recover: field_bool(v, "recover", d.recover)?,
-                    corpus_cap: field_usize(v, "corpus_cap", d.corpus_cap)?,
-                    chunk: field_u64(v, "chunk", d.chunk)?,
-                }))
+                let d = fuzz_defaults();
+                Ok(JobSpec::Fuzz {
+                    settings: FuzzSettings {
+                        iters: field_u64(v, "iters", d.iters)?,
+                        seed: field_u64(v, "seed", d.seed)?,
+                        static_len: field_usize(v, "static_len", d.static_len)?,
+                        faults_per_case: field_usize(v, "faults_per_case", d.faults_per_case)?,
+                        n_little: field_usize(v, "little", d.n_little)?,
+                        guided: field_bool(v, "guided", d.guided)?,
+                        recover: field_bool(v, "recover", d.recover)?,
+                        corpus_cap: field_usize(v, "corpus_cap", d.corpus_cap)?,
+                        ..d
+                    },
+                    chunk: field_u64(v, "chunk", FUZZ_CHUNK)?,
+                })
             }
             other => Err(format!("unknown job kind `{other}`")),
         }
@@ -723,22 +519,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn campaign_spec_mirrors_the_cli_construction() {
-        let job = CampaignJob {
-            suite: "parsec".into(),
-            faults: 10,
-            shard_faults: 5,
-            recover: true,
-            ..CampaignJob::default()
-        };
-        let spec = job.to_spec().unwrap();
-        assert_eq!(spec.faults_per_workload, 10);
-        assert_eq!(spec.faults_per_shard, 5);
-        assert!(spec.config.recovery.enabled, "recover flag reaches the config");
-        assert!(job.to_spec().unwrap().shards().len() >= 2);
-    }
-
-    #[test]
     fn invalid_jobs_are_rejected_at_admission() {
         let bad_suite =
             JobSpec::Campaign(CampaignJob { suite: "nope".into(), ..CampaignJob::default() });
@@ -751,7 +531,7 @@ mod tests {
         let progs =
             JobSpec::Difftest(DifftestJob { suite: "progs".into(), ..DifftestJob::default() });
         assert!(progs.validate().is_ok());
-        let zero_chunk = JobSpec::Fuzz(FuzzJob { chunk: 0, ..FuzzJob::default() });
+        let zero_chunk = JobSpec::Fuzz { settings: fuzz_defaults(), chunk: 0 };
         assert!(zero_chunk.validate().is_err());
     }
 
@@ -761,7 +541,8 @@ mod tests {
         let v = Json::parse(r#"{"kind":"difftest","little":17}"#).unwrap();
         let difftest = JobSpec::from_json(&v).unwrap();
         assert_eq!(difftest.validate().unwrap_err(), format!("little: {msg}"));
-        let fuzz = JobSpec::Fuzz(FuzzJob { little: 17, ..FuzzJob::default() });
+        let settings = FuzzSettings { n_little: 17, ..fuzz_defaults() };
+        let fuzz = JobSpec::Fuzz { settings, chunk: FUZZ_CHUNK };
         assert_eq!(fuzz.validate().unwrap_err(), format!("little: {msg}"));
         let campaign = JobSpec::Campaign(CampaignJob { little: 17, ..CampaignJob::default() });
         assert_eq!(campaign.validate().unwrap_err(), msg);
@@ -772,10 +553,11 @@ mod tests {
     #[test]
     fn sparse_specs_take_defaults() {
         let v = Json::parse(r#"{"kind":"fuzz","iters":8}"#).unwrap();
-        let JobSpec::Fuzz(job) = JobSpec::from_json(&v).unwrap() else { panic!("kind") };
-        assert_eq!(job.iters, 8);
-        assert_eq!(job.chunk, FuzzJob::default().chunk);
-        assert_eq!(job.corpus_cap, FuzzJob::default().corpus_cap);
+        let JobSpec::Fuzz { settings, chunk } = JobSpec::from_json(&v).unwrap() else {
+            panic!("kind")
+        };
+        assert_eq!(settings, FuzzSettings { iters: 8, ..fuzz_defaults() });
+        assert_eq!(chunk, FUZZ_CHUNK);
     }
 
     #[test]

@@ -307,7 +307,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{CampaignJob, FuzzJob};
+    use crate::proto::{fuzz_defaults, CampaignJob, FUZZ_CHUNK};
     use std::sync::atomic::{AtomicU32, Ordering};
 
     fn scratch(tag: &str) -> PathBuf {
@@ -324,7 +324,7 @@ mod tests {
         let root = scratch("roundtrip");
         let spool = Spool::open(&root).unwrap();
         let campaign = JobSpec::Campaign(CampaignJob { seed: u64::MAX, ..CampaignJob::default() });
-        let fuzz = JobSpec::Fuzz(FuzzJob::default());
+        let fuzz = JobSpec::Fuzz { settings: fuzz_defaults(), chunk: FUZZ_CHUNK };
         assert_eq!(spool.create_job(&campaign, 5).unwrap(), 1);
         assert_eq!(spool.create_job(&fuzz, -1).unwrap(), 2);
         let jobs = spool.scan().unwrap();
@@ -343,7 +343,7 @@ mod tests {
     fn concurrent_submits_allocate_distinct_ids() {
         let root = scratch("race");
         let spool = Spool::open(&root).unwrap();
-        let spec = JobSpec::Fuzz(FuzzJob::default());
+        let spec = JobSpec::Fuzz { settings: fuzz_defaults(), chunk: FUZZ_CHUNK };
         let ids: Vec<u64> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
@@ -364,7 +364,9 @@ mod tests {
     fn state_checkpoints_round_trip() {
         let root = scratch("state");
         let spool = Spool::open(&root).unwrap();
-        let id = spool.create_job(&JobSpec::Fuzz(FuzzJob::default()), 0).unwrap();
+        let id = spool
+            .create_job(&JobSpec::Fuzz { settings: fuzz_defaults(), chunk: FUZZ_CHUNK }, 0)
+            .unwrap();
         let dir = spool.job_dir(id);
         let mut progress = JobProgress::queued();
         progress.state = JobState::Running;
@@ -384,7 +386,9 @@ mod tests {
     fn truncate_discards_bytes_past_the_checkpoint() {
         let root = scratch("truncate");
         let spool = Spool::open(&root).unwrap();
-        let id = spool.create_job(&JobSpec::Fuzz(FuzzJob::default()), 0).unwrap();
+        let id = spool
+            .create_job(&JobSpec::Fuzz { settings: fuzz_defaults(), chunk: FUZZ_CHUNK }, 0)
+            .unwrap();
         let dir = spool.job_dir(id);
         append_output(&dir, "records.csv", b"header\nrow1\nrow2-partial").unwrap();
         append_output(&dir, "trace.jsonl", b"{}\n{}\n").unwrap();

@@ -9,7 +9,8 @@
 
 use meek_serve::json::Json;
 use meek_serve::proto::{
-    CampaignJob, Channel, DifftestJob, FuzzJob, JobSpec, JobState, JobStatus, Request,
+    fuzz_defaults, CampaignJob, Channel, DifftestJob, FuzzSettings, JobSpec, JobState, JobStatus,
+    Request, FUZZ_CHUNK,
 };
 use meek_serve::spool::{read_state, write_state, JobProgress, Spool};
 use std::collections::BTreeMap;
@@ -66,17 +67,18 @@ fn difftest_spec_golden() {
 
 #[test]
 fn fuzz_spec_golden() {
-    let spec = JobSpec::Fuzz(FuzzJob {
+    let settings = FuzzSettings {
         iters: 512,
         seed: 7,
         static_len: 220,
         faults_per_case: 2,
-        little: 4,
+        n_little: 4,
         guided: true,
         recover: false,
         corpus_cap: 256,
-        chunk: 32,
-    });
+        ..fuzz_defaults()
+    };
+    let spec = JobSpec::Fuzz { settings, chunk: 32 };
     assert_eq!(
         spec.to_json(),
         r#"{"kind":"fuzz","iters":512,"seed":7,"static_len":220,"faults_per_case":2,"little":4,"guided":true,"recover":false,"corpus_cap":256,"chunk":32}"#
@@ -129,7 +131,10 @@ fn failed_status_carries_its_error() {
 fn request_goldens() {
     let cases: Vec<(Request, &str)> = vec![
         (
-            Request::Submit { spec: JobSpec::Fuzz(FuzzJob::default()), priority: 5 },
+            Request::Submit {
+                spec: JobSpec::Fuzz { settings: fuzz_defaults(), chunk: FUZZ_CHUNK },
+                priority: 5,
+            },
             r#"{"cmd":"submit","priority":5,"spec":{"kind":"fuzz","iters":64,"seed":0,"static_len":220,"faults_per_case":2,"little":4,"guided":true,"recover":false,"corpus_cap":256,"chunk":16}}"#,
         ),
         (Request::Status { job: None }, r#"{"cmd":"status"}"#),

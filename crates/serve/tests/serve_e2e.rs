@@ -12,7 +12,9 @@ use meek_campaign::{run_campaign, CsvSink, Executor, RecordSink, SampleSink, Tra
 use meek_serve::client;
 use meek_serve::daemon::{Daemon, ServeConfig};
 use meek_serve::json::Json;
-use meek_serve::proto::{CampaignJob, Channel, DifftestJob, FuzzJob, JobSpec, JobState, Request};
+use meek_serve::proto::{
+    fuzz_defaults, CampaignJob, Channel, DifftestJob, FuzzSettings, JobSpec, JobState, Request,
+};
 use meek_serve::spool::read_state;
 use meek_serve::Endpoint;
 use std::path::{Path, PathBuf};
@@ -248,22 +250,23 @@ fn progs_suite_difftest_job_names_kernels_and_stays_clean() {
 /// must resume to the same results and the same saved corpus.
 #[test]
 fn fuzz_job_resumes_with_corpus_continuity() {
-    let job = FuzzJob {
+    let settings = FuzzSettings {
         iters: 8,
-        chunk: 4, // 2 units
         seed: 11,
         static_len: 80,
         faults_per_case: 1,
         corpus_cap: 32,
-        ..FuzzJob::default()
+        ..fuzz_defaults()
     };
+    let total_iters = settings.iters;
+    let job = JobSpec::Fuzz { settings, chunk: 4 }; // 2 units
 
     let run = |fail_after: Option<u64>, tag: &str| -> (Vec<u8>, Vec<u8>, u64) {
         let spool = scratch(tag);
         let daemon_a =
             Daemon::start(ServeConfig { fail_after_units: fail_after, ..ServeConfig::new(&spool) })
                 .unwrap();
-        let id = daemon_a.submit(JobSpec::Fuzz(job.clone()), 0).unwrap();
+        let id = daemon_a.submit(job.clone(), 0).unwrap();
         let status = daemon_a.wait(id, WAIT).expect("fuzz job settles");
         let status = if fail_after.is_some() {
             assert_eq!(status.state, JobState::Interrupted);
@@ -302,7 +305,7 @@ fn fuzz_job_resumes_with_corpus_continuity() {
 
     let (want_results, want_features, want_iters) = run(None, "fuzz-ref");
     assert_eq!(want_results.iter().filter(|&&b| b == b'\n').count(), 2, "one line per chunk");
-    assert_eq!(want_iters, job.iters);
+    assert_eq!(want_iters, total_iters);
 
     let (results, features, iters) = run(Some(1), "fuzz-resume");
     assert_eq!(results, want_results, "results.jsonl differs after restart");
@@ -355,8 +358,8 @@ fn status_metrics_and_shutdown_frames() {
     daemon.serve_unix(&sock).unwrap();
     let endpoint = Endpoint::Unix(sock.clone());
 
-    let job = FuzzJob { iters: 4, chunk: 4, static_len: 80, ..FuzzJob::default() };
-    let id = submit_over_socket(&sock, JobSpec::Fuzz(job), 3);
+    let settings = FuzzSettings { iters: 4, static_len: 80, ..fuzz_defaults() };
+    let id = submit_over_socket(&sock, JobSpec::Fuzz { settings, chunk: 4 }, 3);
     assert!(daemon.wait(id, WAIT).is_some());
 
     let lines = client::request(&endpoint, &Request::Status { job: Some(id) }).unwrap();

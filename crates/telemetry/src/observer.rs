@@ -73,10 +73,9 @@ impl MetricsObserver {
         &self.reg
     }
 
-    /// The accumulated registry's stable text form
-    /// ([`Registry::render`]).
-    pub fn render(&self) -> String {
-        self.reg.render()
+    /// The accumulated registry, consuming the observer.
+    pub fn into_registry(self) -> Registry {
+        self.reg
     }
 }
 

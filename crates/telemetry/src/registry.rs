@@ -2,10 +2,10 @@
 //!
 //! Counters, gauges and fixed log2-bucket histograms keyed by name.
 //! Everything is integer arithmetic over [`BTreeMap`]s: rendering a
-//! registry, merging two registries, and re-parsing a rendered one are
-//! all order-independent of *how* the values were produced, so metrics
-//! collected across worker threads and merged in a deterministic order
-//! (e.g. campaign shard order) are byte-identical at any `--threads`.
+//! registry and merging two registries are order-independent of *how*
+//! the values were produced, so metrics collected across worker threads
+//! and merged in a deterministic order (e.g. campaign shard order) are
+//! byte-identical at any `--threads`.
 //! No wall-clock anywhere — sim-domain metrics count cycles and
 //! commits; host time lives in [`crate::prof`] only.
 //!
@@ -191,9 +191,6 @@ impl Registry {
     /// gauge workers 4
     /// hist detection_latency_cycles count=12 sum=512 b4=3 b6=9
     /// ```
-    ///
-    /// [`Registry::parse`] reads this format back; render → parse →
-    /// render is the identity.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
@@ -212,59 +209,6 @@ impl Registry {
             out.push('\n');
         }
         out
-    }
-
-    /// Parses the [`Registry::render`] text format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line.
-    pub fn parse(text: &str) -> Result<Registry, String> {
-        let mut reg = Registry::new();
-        for (ln, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let kind = parts.next().unwrap_or_default();
-            let key = parts.next().ok_or_else(|| format!("line {}: missing key", ln + 1))?;
-            let bad = |what: &str| format!("line {}: bad {what} in `{line}`", ln + 1);
-            match kind {
-                "counter" => {
-                    let v: u64 =
-                        parts.next().and_then(|v| v.parse().ok()).ok_or_else(|| bad("value"))?;
-                    reg.inc(key, v);
-                }
-                "gauge" => {
-                    let v: i64 =
-                        parts.next().and_then(|v| v.parse().ok()).ok_or_else(|| bad("value"))?;
-                    reg.gauge_set(key, v);
-                }
-                "hist" => {
-                    let mut h = Hist::default();
-                    for field in parts {
-                        let (name, val) = field.split_once('=').ok_or_else(|| bad("hist field"))?;
-                        let val: u64 = val.parse().map_err(|_| bad("hist field"))?;
-                        match name {
-                            "count" => h.count = val,
-                            "sum" => h.sum = val,
-                            b => {
-                                let idx: usize = b
-                                    .strip_prefix('b')
-                                    .and_then(|i| i.parse().ok())
-                                    .filter(|i| *i < BUCKETS)
-                                    .ok_or_else(|| bad("bucket"))?;
-                                h.buckets[idx] = val;
-                            }
-                        }
-                    }
-                    reg.hists.entry(key.to_string()).or_default().merge(&h);
-                }
-                other => return Err(format!("line {}: unknown kind `{other}`", ln + 1)),
-            }
-        }
-        Ok(reg)
     }
 
     /// Renders the registry in the Prometheus text exposition format,
@@ -388,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn render_parse_round_trips_and_merge_adds() {
+    fn merge_adds_counters_and_hists_and_keeps_the_highest_gauge() {
         let mut a = Registry::new();
         a.inc("faults{site=mem_data}", 3);
         a.gauge_set("workers", 4);
@@ -400,31 +344,20 @@ mod tests {
         b.gauge_set("workers", 2);
         b.observe("latency", 10);
 
-        let parsed = Registry::parse(&a.render()).unwrap();
-        assert_eq!(parsed, a, "render → parse is the identity");
-        assert_eq!(Registry::parse(&parsed.render()).unwrap().render(), a.render());
-
-        let mut m1 = a.clone();
-        m1.merge(&b);
-        assert_eq!(m1.counter("faults{site=mem_data}"), 5);
-        assert_eq!(m1.counter("faults{site=rcp_register}"), 1);
-        assert_eq!(m1.gauge("workers"), 4, "gauges merge by max");
-        assert_eq!(m1.hist("latency").unwrap().count, 3);
-        // Merge is associative over renders: parse(render(a)) + b ==
-        // a + b, which is what the campaign's shard-order merge relies
-        // on.
-        let mut m2 = Registry::parse(&a.render()).unwrap();
-        m2.merge(&Registry::parse(&b.render()).unwrap());
-        assert_eq!(m1.render(), m2.render());
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(Registry::parse("counter x").unwrap_err().contains("value"));
-        assert!(Registry::parse("wat x 3").unwrap_err().contains("unknown kind"));
-        assert!(Registry::parse("hist h count=1 b99=1").unwrap_err().contains("bucket"));
-        assert!(Registry::parse("gauge g nope").unwrap_err().contains("value"));
-        assert!(Registry::parse("").unwrap().is_empty());
+        let mut m = a.clone();
+        m.merge(&b);
+        assert_eq!(m.counter("faults{site=mem_data}"), 5);
+        assert_eq!(m.counter("faults{site=rcp_register}"), 1);
+        assert_eq!(m.gauge("workers"), 4, "gauges merge by max");
+        assert_eq!(m.hist("latency").unwrap().count, 3);
+        let before = m.clone();
+        m.merge(&Registry::new());
+        assert_eq!(m, before, "merging an empty registry changes nothing");
+        assert_eq!(
+            m.render(),
+            "counter faults{site=mem_data} 5\ncounter faults{site=rcp_register} 1\n\
+             gauge workers 4\nhist latency count=3 sum=1020 b4=2 b10=1\n"
+        );
     }
 
     #[test]

@@ -205,8 +205,31 @@ impl WorkloadRun {
     /// # Panics
     ///
     /// Panics if the generated program traps — generated programs are
-    /// trap-free by construction, so a trap is a generator bug.
+    /// trap-free by construction, so a trap is a generator bug. Programs
+    /// a user supplies run through [`WorkloadRun::try_next_retired`].
     pub fn next_retired(&mut self) -> Option<Retired> {
+        self.step(|Trap::IllegalInstruction { pc, word }| {
+            panic!("generated program trapped at {pc:#x} (word {word:#010x})")
+        })
+    }
+
+    /// [`WorkloadRun::next_retired`], with a trap returned instead of
+    /// a panic; the run stays at the trapping instruction.
+    ///
+    /// # Errors
+    ///
+    /// The trap the next instruction raised.
+    pub fn try_next_retired(&mut self) -> Result<Option<Retired>, Trap> {
+        let mut trap = None;
+        let retired = self.step(|t| trap = Some(t));
+        trap.map_or(Ok(retired), Err)
+    }
+
+    /// One step, handing a trap to `trapped`. Generic so the oracle
+    /// feed's panic inlines and `Retired` is written straight into
+    /// `next_retired`'s result.
+    #[inline(always)]
+    fn step(&mut self, trapped: impl FnOnce(Trap)) -> Option<Retired> {
         if self.executed >= self.cap || self.st.pc == self.exit_pc {
             return None;
         }
@@ -225,8 +248,9 @@ impl WorkloadRun {
                 }
                 Some(r)
             }
-            Err(Trap::IllegalInstruction { pc, word }) => {
-                panic!("generated program trapped at {pc:#x} (word {word:#010x})")
+            Err(trap) => {
+                trapped(trap);
+                None
             }
         }
     }
