@@ -60,8 +60,14 @@ pub fn concrete_walk(decoded: &[Option<Inst>], spec: &ProgramSpec) -> Option<Tra
     };
 
     loop {
-        if idx >= n || step >= BUDGET {
+        if step >= BUDGET {
             return None;
+        }
+        if idx >= n {
+            // The last instruction fell through to the word after the
+            // code. Under `FallsOffEnd` that word is the exit.
+            let trap = n > 0 && code_hi != exit_pc && unbacked(spec, code_hi, &writes, code_hi);
+            return trap.then(|| TrapForecast { step, index: n - 1, target: code_hi });
         }
         let pc = code_lo + 4 * idx as u64;
         if overlaps(&writes, pc, pc + 3) {
@@ -85,16 +91,7 @@ pub fn concrete_walk(decoded: &[Option<Inst>], spec: &ProgramSpec) -> Option<Tra
                     Walk::GiveUp
                 };
             }
-            let Some(end) = target.checked_add(3) else {
-                return Walk::GiveUp;
-            };
-            let in_code = target < code_hi && end >= code_lo;
-            let in_mapped = spec.mapped.iter().any(|&(base, len)| {
-                base.checked_add(len).is_some_and(|e| target < e && end >= base)
-            });
-            if !in_code && !in_mapped && !overlaps(&writes, target, end) {
-                // Nothing can live at the target: the fetch reads
-                // zeroes, which do not decode.
+            if unbacked(spec, code_hi, &writes, target) {
                 Walk::Trap(TrapForecast { step, index: idx, target })
             } else {
                 Walk::GiveUp
@@ -200,6 +197,19 @@ fn set(regs: &mut [Option<u64>; 32], r: Reg, v: Option<u64>) {
     if r != Reg::X0 {
         regs[r.index() as usize] = v;
     }
+}
+
+/// Whether nothing can live at the word `target`: it misses the code
+/// span (ending at `code_hi`), every mapped span and every recorded
+/// store, so its fetch reads zeroes, which do not decode.
+fn unbacked(spec: &ProgramSpec, code_hi: u64, writes: &[(u64, u64)], target: u64) -> bool {
+    let Some(end) = target.checked_add(3) else { return false };
+    let in_code = target < code_hi && end >= spec.code_base;
+    let in_mapped = spec
+        .mapped
+        .iter()
+        .any(|&(base, len)| base.checked_add(len).is_some_and(|e| target < e && end >= base));
+    !in_code && !in_mapped && !overlaps(writes, target, end)
 }
 
 fn overlaps(writes: &[(u64, u64)], lo: u64, hi: u64) -> bool {

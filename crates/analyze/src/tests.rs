@@ -126,6 +126,30 @@ fn wild_concrete_jalr_yields_a_forecast_matching_the_golden_interpreter() {
 }
 
 #[test]
+fn running_off_the_code_is_forecast_only_when_the_exit_is_elsewhere() {
+    // `lui a0, -1` and nothing after it: the next fetch is the word
+    // past the code.
+    let prog = [Inst::Lui { rd: Reg::X10, imm: -1 }];
+    let mut spec = ProgramSpec::bare("t", CODE);
+    assert_eq!(spec.exit, ExitModel::FallsOffEnd);
+    let r = report(&prog, &spec);
+    assert!(r.clean(), "falling off the end is the exit: {r}");
+    assert_eq!(golden_trap_step(&prog, &spec, 100), None);
+
+    spec.exit = ExitModel::HaltPc(meek_isa::HALT_PC);
+    let r = report(&prog, &spec);
+    assert!(r.violations.is_empty(), "a trapping program is not malformed: {r}");
+    let t = r.guaranteed_trap.expect("the word after the code is unmapped");
+    assert_eq!((t.step, t.index, t.target), (1, 0, CODE + 4));
+    let words: Vec<u32> = prog.iter().map(encode).collect();
+    assert_eq!(static_reject(&words, &spec), Some(t));
+
+    // Something mapped at that word may decode: no claim.
+    spec.mapped = vec![(CODE + 4, 4)];
+    assert_eq!(report(&prog, &spec).guaranteed_trap, None);
+}
+
+#[test]
 fn mapped_spans_suppress_wild_jump_forecasts() {
     let prog = [
         Inst::Lui { rd: Reg::X5, imm: 0x400 },

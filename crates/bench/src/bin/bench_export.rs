@@ -20,7 +20,7 @@
 use criterion::{black_box, Criterion};
 use meek_bench::suites::BASELINE_SUITES;
 use meek_campaign::cli::{self, CliError, Flags};
-use meek_serve::json::Json;
+use meek_telemetry::{obj, Json};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -100,17 +100,15 @@ fn merge_best(best: &mut Vec<(String, u64, f64)>, pass: Vec<(String, u64, f64)>)
     }
 }
 
+/// The baseline file: one bench row per line, each row a [`Json`]
+/// object.
 fn render_baseline(sample_size: usize, rows: &[(String, u64, f64)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": 1,\n");
-    out.push_str(&format!("  \"sample_size\": {sample_size},\n"));
+    let mut out = format!("{{\n  \"schema\": 1,\n  \"sample_size\": {sample_size},\n");
     out.push_str("  \"benches\": [\n");
     for (i, (id, ns, ratio)) in rows.iter().enumerate() {
+        let row = obj! { "id": id.as_str(), "median_ns": *ns, "ratio": Json::fixed(*ratio, 6) };
         let comma = if i + 1 == rows.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"id\": \"{id}\", \"median_ns\": {ns}, \"ratio\": {ratio:.6}}}{comma}\n"
-        ));
+        out.push_str(&format!("    {}{comma}\n", row.render()));
     }
     out.push_str("  ]\n}\n");
     out
@@ -305,13 +303,38 @@ mod tests {
         let rows = vec![
             ("system/a".to_string(), 1_000u64, 0.1f64),
             ("campaign/b".to_string(), 2_500u64, 0.25f64),
+            ("odd/\"quoted\"\\id".to_string(), 7u64, 2.821121f64),
         ];
         let text = render_baseline(5, &rows);
+        assert_eq!(text.lines().count(), 6 + rows.len(), "one row per line:\n{text}");
+        assert!(
+            text.contains("\n    {\"id\":\"system/a\",\"median_ns\":1000,\"ratio\":0.100000},\n")
+        );
         let parsed = parse_baseline(&text).unwrap();
-        assert_eq!(parsed.rows.len(), 2);
-        assert_eq!(parsed.rows[0].0, "system/a");
-        assert!((parsed.rows[0].1 - 0.1).abs() < 1e-9);
-        assert!((parsed.rows[1].1 - 0.25).abs() < 1e-9);
+        let want: Vec<(String, f64)> = rows.iter().map(|(id, _, r)| (id.clone(), *r)).collect();
+        assert_eq!(parsed.rows, want);
+    }
+
+    #[test]
+    fn the_committed_baseline_reads_and_renders_back_up_to_row_whitespace() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let doc = Json::parse(&text).unwrap();
+        let rows: Vec<(String, u64, f64)> = doc
+            .get("benches")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|b| {
+                let id = b.get("id").and_then(Json::as_str).unwrap().to_string();
+                let ns = b.get("median_ns").and_then(Json::as_u64).unwrap();
+                (id, ns, b.get("ratio").and_then(Json::as_f64).unwrap())
+            })
+            .collect();
+        let samples = doc.get("sample_size").and_then(Json::as_u64).unwrap() as usize;
+        let squeeze = |s: &str| s.replace(": ", ":").replace(", ", ",");
+        assert_eq!(squeeze(&render_baseline(samples, &rows)), squeeze(&text));
+        assert_eq!(parse_baseline(&text).unwrap().rows.len(), rows.len());
     }
 
     #[test]

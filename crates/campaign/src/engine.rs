@@ -16,8 +16,8 @@
 use crate::executor::Executor;
 use crate::sink::{CampaignRecord, RecordSink, ShardSummary};
 use crate::spec::{CampaignSpec, CampaignWorkload, ShardSpec, DEFAULT_METRICS_STRIDE};
-use meek_core::{validate_config, JsonlEventSink, SamplingObserver, Sim};
-use meek_telemetry::{MetricsObserver, Registry};
+use meek_core::{validate_config, SamplingObserver, Sim};
+use meek_telemetry::{JsonlEventSink, MetricsObserver, Registry};
 use meek_workloads::WorkloadCache;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -125,9 +125,9 @@ pub fn run_shard(spec: &CampaignSpec, cache: &WorkloadCache, shard: &ShardSpec) 
     // structured event stream; every line carries the shard's identity
     // so the re-sequenced global trace stays self-describing.
     let mut trace = spec.trace_events.then(|| {
-        let prefix =
-            format!("\"workload\":\"{}\",\"shard\":{},", shard.workload, shard.shard_in_workload);
-        JsonlEventSink::with_prefix(Vec::new(), prefix)
+        let context =
+            [("workload", shard.workload.into()), ("shard", shard.shard_in_workload.into())];
+        JsonlEventSink::new(Vec::new(), context)
     });
     // With sampling on, a SamplingObserver keeps the shard's ROB /
     // fabric-depth time series, rendered with shard identity columns.

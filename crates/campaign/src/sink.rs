@@ -4,7 +4,7 @@
 //! analysis, and an in-memory aggregator for latency percentiles.
 
 use meek_core::fault::DetectionRecord;
-use meek_telemetry::Registry;
+use meek_telemetry::{obj, Json, Registry};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
@@ -47,20 +47,14 @@ impl CampaignRecord {
     /// One JSON object (no newline). Fields are flat and stable.
     pub fn json_line(&self) -> String {
         let d = &self.detection;
-        format!(
-            "{{\"workload\":\"{}\",\"shard\":{},\"site\":\"{}\",\"injected_cycle\":{},\
-             \"detected_cycle\":{},\"latency_ns\":{:.3},\"seg\":{},\"recovered\":{},\
-             \"recovery_cycles\":{}}}",
-            self.workload,
-            self.shard,
-            d.site.name(),
-            d.injected_cycle,
-            d.detected_cycle,
-            d.latency_ns,
-            d.seg,
-            d.recovery_cycles.is_some(),
-            d.recovery_cycles.unwrap_or(0)
-        )
+        obj! {
+            "workload": self.workload, "shard": self.shard, "site": d.site.name(),
+            "injected_cycle": d.injected_cycle, "detected_cycle": d.detected_cycle,
+            "latency_ns": Json::fixed(d.latency_ns, 3), "seg": d.seg,
+            "recovered": d.recovery_cycles.is_some(),
+            "recovery_cycles": d.recovery_cycles.unwrap_or(0),
+        }
+        .render()
     }
 }
 

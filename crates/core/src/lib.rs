@@ -61,6 +61,10 @@
 //!
 //! Faults, recovery policies and fabric choices compose on the same
 //! builder — see [`sim`] for the full scenario-matrix surface.
+//!
+//! This crate writes no JSON: exporting a run is `meek-telemetry`'s
+//! job (`JsonlEventSink`, `MetricsObserver`), next to the one JSON
+//! writer every tool renders through.
 
 pub mod deu;
 pub mod fault;
@@ -79,8 +83,7 @@ pub use meek_recover::{RecoveryPolicy, RecoveryReport};
 pub use report::{RunReport, StallBreakdown};
 pub use segments::SegmentManager;
 pub use sim::{
-    validate_config, BuildError, JsonlEventSink, NoObserver, Observer, ObserverSet, RunError,
-    RunOutcome, SampleRow, SamplingObserver, SegmentSpan, Sim, SimBuilder, SimEvent, TickSample,
-    TraceLog,
+    validate_config, BuildError, NoObserver, Observer, ObserverSet, RunError, RunOutcome,
+    SampleRow, SamplingObserver, SegmentSpan, Sim, SimBuilder, SimEvent, TickSample, TraceLog,
 };
 pub use system::{cycle_cap, run_vanilla, FabricKind, MeekConfig, MeekSystem};

@@ -87,11 +87,10 @@ use meek_recover::RecoveryPolicy;
 use meek_workloads::Workload;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::io::{self, Write};
 
 /// One structured simulation event, stamped with the big-core cycle it
-/// happened on. This is what [`Observer`]s receive and what the JSONL
-/// event sink serialises.
+/// happened on. This is what [`Observer`]s receive and what
+/// `meek_telemetry::JsonlEventSink` serialises.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimEvent {
     /// A segment was opened on (assigned to) a checker core.
@@ -171,40 +170,6 @@ impl SimEvent {
             SimEvent::FaultDetected { .. } => "fault_detected",
             SimEvent::RollbackStarted { .. } => "rollback_started",
             SimEvent::RollbackCompleted { .. } => "rollback_completed",
-        }
-    }
-}
-
-/// Renders one event as a flat, stable JSON object (no newline) — the
-/// line format of [`JsonlEventSink`] and `meek-campaign --trace`.
-pub fn event_json(ev: &SimEvent) -> String {
-    match *ev {
-        SimEvent::SegmentOpened { seg, checker, cycle } => format!(
-            "{{\"event\":\"segment_opened\",\"seg\":{seg},\"checker\":{checker},\
-             \"cycle\":{cycle}}}"
-        ),
-        SimEvent::SegmentClosed { seg, pass, cycle } => format!(
-            "{{\"event\":\"segment_closed\",\"seg\":{seg},\"pass\":{pass},\"cycle\":{cycle}}}"
-        ),
-        SimEvent::FaultInjected { site, seg, cycle } => format!(
-            "{{\"event\":\"fault_injected\",\"site\":\"{}\",\"seg\":{seg},\"cycle\":{cycle}}}",
-            site.name()
-        ),
-        SimEvent::FaultDetected { ref record } => format!(
-            "{{\"event\":\"fault_detected\",\"site\":\"{}\",\"injected_cycle\":{},\
-             \"detected_cycle\":{},\"latency_ns\":{:.3},\"seg\":{}}}",
-            record.site.name(),
-            record.injected_cycle,
-            record.detected_cycle,
-            record.latency_ns,
-            record.seg
-        ),
-        SimEvent::RollbackStarted { seg, golden, cycle } => format!(
-            "{{\"event\":\"rollback_started\",\"seg\":{seg},\"golden\":{golden},\
-             \"cycle\":{cycle}}}"
-        ),
-        SimEvent::RollbackCompleted { seg, cycle } => {
-            format!("{{\"event\":\"rollback_completed\",\"seg\":{seg},\"cycle\":{cycle}}}")
         }
     }
 }
@@ -320,7 +285,7 @@ pub struct TickSample {
 /// when diagnosing a stuck or misbehaving run.
 ///
 /// Attach it with `observe(&mut trace)` and read
-/// [`TraceLog::snapshot`]/[`TraceLog::render`] once the run is over.
+/// [`TraceLog::snapshot`] once the run is over.
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
     capacity: usize,
@@ -342,12 +307,6 @@ impl TraceLog {
     /// Events evicted by the capacity bound.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The retained events rendered one per line — ready for a panic
-    /// message or a bug report.
-    pub fn render(&self) -> String {
-        self.events.iter().map(|ev| event_json(ev) + "\n").collect()
     }
 }
 
@@ -442,72 +401,6 @@ impl Observer for SamplingObserver {
 
     fn wants_sample_at(&self, cycle: u64) -> bool {
         cycle.is_multiple_of(self.stride)
-    }
-}
-
-/// Serialises every event as one JSON line ([`event_json`]) — the
-/// observer behind `meek-campaign --trace`. The first write error is
-/// latched and stops the sink, so a full disk cannot silently truncate
-/// a trace: [`JsonlEventSink::into_inner`] returns it.
-pub struct JsonlEventSink<W: Write + Send> {
-    out: W,
-    /// Raw JSON fields (e.g. `"workload":"mcf","shard":3,`) injected
-    /// after the opening brace of every line — context for traces that
-    /// interleave many runs in one file.
-    prefix: String,
-    error: Option<io::Error>,
-}
-
-impl<W: Write + Send> JsonlEventSink<W> {
-    /// A sink writing plain event lines to `out`.
-    pub fn new(out: W) -> JsonlEventSink<W> {
-        JsonlEventSink::with_prefix(out, String::new())
-    }
-
-    /// A sink that splices `prefix` (raw JSON fields, trailing comma
-    /// included) into every line after the opening `{`.
-    pub fn with_prefix(out: W, prefix: String) -> JsonlEventSink<W> {
-        JsonlEventSink { out, prefix, error: None }
-    }
-
-    /// Consumes the sink, returning the writer (or the first latched
-    /// write error).
-    ///
-    /// # Errors
-    ///
-    /// The first error a write or the end-of-run flush returned.
-    pub fn into_inner(self) -> io::Result<W> {
-        match self.error {
-            Some(e) => Err(e),
-            None => Ok(self.out),
-        }
-    }
-}
-
-impl<W: Write + Send> Observer for JsonlEventSink<W> {
-    fn event(&mut self, ev: &SimEvent) {
-        if self.error.is_some() {
-            return;
-        }
-        let line = event_json(ev);
-        let r = if self.prefix.is_empty() {
-            writeln!(self.out, "{line}")
-        } else {
-            writeln!(self.out, "{{{}{}", self.prefix, &line[1..])
-        };
-        if let Err(e) = r {
-            self.error = Some(e);
-        }
-    }
-
-    fn finished(&mut self, _report: &RunReport) {
-        if self.error.is_none() {
-            self.error = self.out.flush().err();
-        }
-    }
-
-    fn wants_sample_at(&self, _cycle: u64) -> bool {
-        false // serialises the event stream: never consumes TickSamples
     }
 }
 
@@ -1338,28 +1231,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_sink_serialises_the_stream() {
-        let wl = small_workload();
-        let mut sink = JsonlEventSink::with_prefix(Vec::new(), "\"shard\":7,".to_string());
-        let outcome = Sim::builder(&wl, 6_000)
-            .faults(vec![FaultSpec { arm_at_commit: 2_000, site: FaultSite::MemData, bit: 3 }])
-            .observe(&mut sink)
-            .build()
-            .expect("valid")
-            .run();
-        let bytes = sink.into_inner().expect("an in-memory trace cannot fail");
-        let text = String::from_utf8(bytes).expect("utf8");
-        assert!(!text.is_empty());
-        for line in text.lines() {
-            assert!(line.starts_with("{\"shard\":7,\"event\":\""), "bad line: {line}");
-            assert!(line.ends_with('}'));
-        }
-        let opened = text.matches("\"event\":\"segment_opened\"").count() as u64;
-        assert_eq!(opened, outcome.report.verified_segments + outcome.report.failed_segments);
-        assert_eq!(text.matches("\"event\":\"fault_injected\"").count(), 1);
-    }
-
-    #[test]
     fn trace_log_ring_evicts_oldest() {
         let wl = small_workload();
         let mut trace = TraceLog::new(4);
@@ -1376,7 +1247,6 @@ mod tests {
             }
             other => panic!("unexpected tail event {other:?}"),
         }
-        assert_eq!(trace.render().lines().count(), 4);
     }
 
     #[test]
@@ -1535,7 +1405,6 @@ mod tests {
         assert_send::<RunOutcome>();
         assert_send::<SimEvent>();
         assert_send::<TraceLog>();
-        assert_send::<JsonlEventSink<Vec<u8>>>();
     }
 
     #[test]
@@ -1615,42 +1484,5 @@ mod tests {
         let wl = small_workload();
         let outcome = Sim::builder(&wl, 3_000).observe(&mut sampler).build().expect("valid").run();
         assert_eq!(sampler.rows().len() as u64, outcome.report.cycles);
-    }
-
-    #[test]
-    fn event_json_is_flat_and_stable() {
-        assert_eq!(
-            event_json(&SimEvent::SegmentOpened { seg: 3, checker: 1, cycle: 99 }),
-            "{\"event\":\"segment_opened\",\"seg\":3,\"checker\":1,\"cycle\":99}"
-        );
-        assert_eq!(
-            event_json(&SimEvent::SegmentClosed { seg: 3, pass: false, cycle: 120 }),
-            "{\"event\":\"segment_closed\",\"seg\":3,\"pass\":false,\"cycle\":120}"
-        );
-        assert_eq!(
-            event_json(&SimEvent::FaultInjected { site: FaultSite::MemAddr, seg: 2, cycle: 7 }),
-            "{\"event\":\"fault_injected\",\"site\":\"mem_addr\",\"seg\":2,\"cycle\":7}"
-        );
-        let rec = DetectionRecord {
-            site: FaultSite::RcpRegister,
-            injected_cycle: 10,
-            detected_cycle: 42,
-            latency_ns: 10.0,
-            seg: 2,
-            recovery_cycles: None,
-        };
-        assert_eq!(
-            event_json(&SimEvent::FaultDetected { record: rec }),
-            "{\"event\":\"fault_detected\",\"site\":\"rcp_register\",\"injected_cycle\":10,\
-             \"detected_cycle\":42,\"latency_ns\":10.000,\"seg\":2}"
-        );
-        assert_eq!(
-            event_json(&SimEvent::RollbackStarted { seg: 5, golden: true, cycle: 1 }),
-            "{\"event\":\"rollback_started\",\"seg\":5,\"golden\":true,\"cycle\":1}"
-        );
-        assert_eq!(
-            event_json(&SimEvent::RollbackCompleted { seg: 5, cycle: 2 }),
-            "{\"event\":\"rollback_completed\",\"seg\":5,\"cycle\":2}"
-        );
     }
 }

@@ -47,7 +47,9 @@ fn initial_state(entry: u64, data_base: u64, window: u64) -> ArchState {
 }
 
 /// Loads `prog` as a standalone workload with a [`DATA_WINDOW`]-byte
-/// window at its data base.
+/// window at its data base. The loader contract is not checked here:
+/// the committed kernels are pinned clean by a test, and `meek-progs
+/// run` checks a user's program with [`crate::analyze_program`].
 ///
 /// # Errors
 ///
@@ -61,14 +63,6 @@ pub fn workload(prog: &Program) -> Result<Workload, String> {
             prog.data.len()
         ));
     }
-    // Lint-on-load: every program entering the loader must satisfy the
-    // strict loader contract the static analyzer checks.
-    debug_assert!(
-        crate::analyze::analyze_program(prog).violations.is_empty(),
-        "{}: program violates the loader contract:\n{}",
-        prog.name,
-        crate::analyze::analyze_program(prog),
-    );
     let mut image = SparseMemory::new();
     image.load_program(prog.code_base, &prog.code);
     if !prog.data.is_empty() {

@@ -120,8 +120,10 @@ fn cmd_asm(rest: &[String]) -> Result<(), Error> {
     if lint {
         let report = meek_progs::analyze_program(&prog);
         print!("{report}");
-        if !report.violations.is_empty() {
-            return Err(format!("{path}: {} static violation(s)", report.violations.len()).into());
+        if !report.clean() {
+            let trap = if report.guaranteed_trap.is_some() { " and a guaranteed trap" } else { "" };
+            let n = report.violations.len();
+            return Err(format!("{path}: {n} static violation(s){trap}").into());
         }
     }
     Ok(())
@@ -161,6 +163,13 @@ fn cmd_run(rest: &[String]) -> Result<(), Error> {
     } else if target.ends_with(".s") {
         let source = std::fs::read_to_string(target).map_err(|e| format!("{target}: {e}"))?;
         let prog = assemble("cli", &source).map_err(|e| format!("{target}: {e}"))?;
+        let report = meek_progs::analyze_program(&prog);
+        if !report.violations.is_empty() {
+            let report = report.to_string();
+            return Err(
+                format!("{target}: breaks the loader contract:\n{}", report.trim_end()).into()
+            );
+        }
         workload(&prog).map_err(|e| format!("{target}: {e}"))?
     } else {
         return usage(format!("`{target}` is neither a suite kernel nor a .s file"));

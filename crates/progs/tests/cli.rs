@@ -48,3 +48,34 @@ fn unknown_commands_and_options_are_usage_errors() {
     assert_error(&progs(&["run", "memcpy", "--no-such-flag"]), 2);
     assert_eq!(progs(&["--help"]).status.code(), Some(0));
 }
+
+#[test]
+fn a_program_that_breaks_the_loader_contract_is_an_error() {
+    // Writing the window anchor x26 breaks the contract the loader
+    // relies on; the program itself exits cleanly.
+    let path = source("anchor", "_start:\n    li x26, 5\n    li a7, 93\n    ecall\n");
+    let stderr = assert_error(&progs(&["run", path.to_str().unwrap()]), 1);
+    assert!(stderr.contains("breaks the loader contract"), "{stderr}");
+    assert!(stderr.contains("anchor register X26"), "the report names the anchor: {stderr}");
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn lint_fails_on_a_forecast_trap() {
+    let path = source("lint-off", "lui a0, -1\n");
+    let out = progs(&["asm", path.to_str().unwrap(), "--lint"]);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(stdout.contains("guaranteed trap: fetch at 0x1004 after 1 retired"), "{stdout}");
+    assert!(!stdout.contains("verdict: clean"), "{stdout}");
+    let stderr = assert_error(&out, 1);
+    assert!(stderr.contains("guaranteed trap"), "{stderr}");
+    let _ = std::fs::remove_file(path);
+
+    for kernel in std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/kernels")).unwrap() {
+        let kernel = kernel.unwrap().path();
+        let out = progs(&["asm", kernel.to_str().unwrap(), "--lint"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{}:\n{stdout}", kernel.display());
+        assert!(stdout.contains("verdict: clean"), "{}:\n{stdout}", kernel.display());
+    }
+}

@@ -29,12 +29,16 @@ impl Stream {
     ///
     /// # Errors
     ///
-    /// Propagates connection failures.
+    /// A connection failure, its message naming the socket path or TCP
+    /// address.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Stream> {
-        match endpoint {
-            Endpoint::Unix(path) => UnixStream::connect(path).map(Stream::Unix),
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
-        }
+        let (stream, name) = match endpoint {
+            Endpoint::Unix(path) => {
+                (UnixStream::connect(path).map(Stream::Unix), path.display().to_string())
+            }
+            Endpoint::Tcp(addr) => (TcpStream::connect(addr).map(Stream::Tcp), addr.clone()),
+        };
+        stream.map_err(|e| io::Error::new(e.kind(), format!("cannot connect to {name}: {e}")))
     }
 
     /// An independently readable/writable clone of the stream.

@@ -14,6 +14,7 @@ use crate::jobs::{run_job, JobContext};
 use crate::proto::{Channel, JobSpec, JobState, JobStatus, Request};
 use crate::sched::Pool;
 use crate::spool::Spool;
+use meek_telemetry::{obj, Json};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -133,6 +134,9 @@ impl Inner {
         Ok(())
     }
 
+    /// One metrics snapshot as a JSON line: uptime, pool occupancy,
+    /// and per-job progress with unit throughput since this daemon
+    /// started working the job.
     fn metrics_json(&self) -> String {
         let jobs = self.jobs.lock().expect("jobs lock");
         let mut rows = Vec::new();
@@ -144,29 +148,20 @@ impl Inner {
             for (k, v) in &status.counters {
                 *merged.entry(k.clone()).or_insert(0) += v;
             }
-            rows.push(format!(
-                "{{\"id\":{id},\"kind\":\"{}\",\"state\":\"{}\",\"priority\":{},\
-                 \"units_total\":{},\"units_done\":{},\"units_per_s\":{:.3}}}",
-                status.kind,
-                status.state.name(),
-                entry.priority,
-                status.units_total,
-                status.units_done,
-                advanced as f64 / elapsed
-            ));
+            rows.push(obj! {
+                "id": *id, "kind": status.kind.as_str(), "state": status.state.name(),
+                "priority": entry.priority, "units_total": status.units_total,
+                "units_done": status.units_done,
+                "units_per_s": Json::fixed(advanced as f64 / elapsed, 3),
+            });
         }
-        let counters: Vec<String> =
-            merged.iter().map(|(k, v)| format!("\"{}\":{v}", crate::json::escape(k))).collect();
-        format!(
-            "{{\"uptime_ms\":{},\"workers\":{},\"queued\":{},\"running\":{},\
-             \"counters\":{{{}}},\"jobs\":[{}]}}",
-            self.started.elapsed().as_millis(),
-            self.pool.workers(),
-            self.pool.queued(),
-            self.pool.running(),
-            counters.join(","),
-            rows.join(",")
-        )
+        let pool = &self.pool;
+        obj! {
+            "uptime_ms": self.started.elapsed().as_millis(), "workers": pool.workers(),
+            "queued": pool.queued(), "running": pool.running(), "counters": &merged,
+            "jobs": Json::Arr(rows),
+        }
+        .render()
     }
 
     /// The same snapshot as [`Inner::metrics_json`] rendered as
@@ -282,19 +277,6 @@ impl Daemon {
         self.inner.spool.job_dir(job)
     }
 
-    /// One metrics snapshot as a JSON line: uptime, pool occupancy,
-    /// and per-job progress with unit throughput since this daemon
-    /// started working the job.
-    pub fn metrics_json(&self) -> String {
-        self.inner.metrics_json()
-    }
-
-    /// The same snapshot as Prometheus text exposition (`# TYPE` lines,
-    /// gauges for pool occupancy, merged per-job counters).
-    pub fn metrics_prom(&self) -> String {
-        self.inner.metrics_prom()
-    }
-
     /// Whether a client has requested shutdown.
     pub fn quiesce_requested(&self) -> bool {
         self.inner.quiesce.load(Ordering::Acquire)
@@ -402,29 +384,33 @@ fn handle_conn(inner: &Arc<Inner>, stream: Stream) {
     let req = match Request::from_line(line.trim()) {
         Ok(req) => req,
         Err(e) => {
-            let _ = writeln!(out, "{{\"ok\":false,\"error\":\"{}\"}}", crate::json::escape(&e));
+            let _ = send(&mut out, obj! { "ok": false, "error": e });
             return;
         }
     };
     if let Err(e) = dispatch(inner, &req, &mut out) {
-        let _ = writeln!(out, "{{\"ok\":false,\"error\":\"{}\"}}", crate::json::escape(&e));
+        let _ = send(&mut out, obj! { "ok": false, "error": e });
     }
+}
+
+/// Writes one response frame on one line.
+fn send(out: &mut Stream, frame: Json) -> io::Result<()> {
+    writeln!(out, "{}", frame.render())
 }
 
 fn dispatch(inner: &Inner, req: &Request, out: &mut Stream) -> Result<(), String> {
     match req {
         Request::Submit { spec, priority } => {
             let id = inner.submit(spec.clone(), *priority)?;
-            writeln!(out, "{{\"ok\":true,\"job\":{id}}}").map_err(|e| e.to_string())
+            send(out, obj! { "ok": true, "job": id }).map_err(|e| e.to_string())
         }
         Request::Status { job } => {
-            let frames: Vec<String> = inner.status(*job).iter().map(JobStatus::to_json).collect();
-            writeln!(out, "{{\"ok\":true,\"jobs\":[{}]}}", frames.join(","))
-                .map_err(|e| e.to_string())
+            let jobs = Json::Arr(inner.status(*job).iter().map(Json::from).collect());
+            send(out, obj! { "ok": true, "jobs": jobs }).map_err(|e| e.to_string())
         }
         Request::Cancel { job } => {
             inner.cancel(*job)?;
-            writeln!(out, "{{\"ok\":true}}").map_err(|e| e.to_string())
+            send(out, obj! { "ok": true }).map_err(|e| e.to_string())
         }
         Request::Tail { job, channel, from, follow } => {
             tail(inner, *job, *channel, *from, *follow, out).map_err(|e| e.to_string())
@@ -446,7 +432,7 @@ fn dispatch(inner: &Inner, req: &Request, out: &mut Stream) -> Result<(), String
         },
         Request::Shutdown => {
             inner.quiesce.store(true, Ordering::Release);
-            writeln!(out, "{{\"ok\":true}}").map_err(|e| e.to_string())
+            send(out, obj! { "ok": true }).map_err(|e| e.to_string())
         }
     }
 }
@@ -502,7 +488,7 @@ fn tail(
                 while let Some(nl) = pending.iter().position(|&b| b == b'\n') {
                     let line: Vec<u8> = pending.drain(..=nl).collect();
                     let text = String::from_utf8_lossy(&line[..line.len() - 1]);
-                    writeln!(out, "{{\"line\":\"{}\"}}", crate::json::escape(&text))?;
+                    send(out, obj! { "line": text.into_owned() })?;
                     emitted = true;
                 }
                 if emitted {
@@ -513,7 +499,7 @@ fn tail(
         let terminal = inner.status(Some(job)).pop().is_none_or(|s| s.state.is_terminal());
         if !follow || (terminal && offset >= len) {
             let resume_at = offset - pending.len() as u64;
-            writeln!(out, "{{\"eof\":true,\"offset\":{resume_at}}}")?;
+            send(out, obj! { "eof": true, "offset": resume_at })?;
             return out.flush();
         }
         std::thread::sleep(Duration::from_millis(50));

@@ -24,11 +24,12 @@ use crate::spool::{
     append_output, read_state, touch_output, truncate_outputs, write_state, JobProgress,
 };
 use meek_campaign::{run_shard, splitmix, CsvSink, RecordSink, SampleSink, ShardResult};
+use meek_core::FaultSpec;
 use meek_difftest::{run_case, CaseReport, FaultOutcome, RecoveryVerdict, Suite, Tally};
 use meek_fuzz::{run_fuzz, Corpus, FeatureSet};
+use meek_telemetry::{obj, Json};
 use meek_workloads::WorkloadCache;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -355,82 +356,64 @@ fn run_difftest_batch(job: &DifftestJob, batch_idx: u64) -> BatchResult {
     for case in first..last {
         let report = run_case(job.seed, case, &suite, &cfg);
         let CaseReport { case_seed, workload, verdict, faults } = &report;
-        let mut line = format!("{{\"case\":{case},\"case_seed\":\"{case_seed:#x}\"");
+        let mut line = vec![("case", case.into()), ("case_seed", format!("{case_seed:#x}").into())];
         if let Suite::Progs = suite {
-            let _ = write!(line, ",\"workload\":\"{}\"", crate::json::escape(workload));
+            line.push(("workload", (*workload).into()));
         }
-        let _ = write!(
-            line,
-            ",\"executed\":{},\"segments\":{},\"cycles\":{}",
-            verdict.executed, verdict.segments, verdict.system_cycles
-        );
-        match &verdict.divergence {
-            Some(d) => {
-                let _ = write!(line, ",\"divergence\":\"{}\"", crate::json::escape(&d.to_string()));
-            }
-            None => line.push_str(",\"divergence\":null"),
-        }
-        line.push_str(",\"faults\":[");
-        for (i, (spec, outcome, recovery)) in faults.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(
-                line,
-                "{{\"site\":\"{}\",\"bit\":{},\"arm\":{}",
-                spec.site.name(),
-                spec.bit,
-                spec.arm_at_commit
-            );
-            match outcome {
-                FaultOutcome::Detected { latency_ns } => {
-                    let _ =
-                        write!(line, ",\"outcome\":\"detected\",\"latency_ns\":{latency_ns:.3}");
-                }
-                FaultOutcome::MaskedProvenBenign => line.push_str(",\"outcome\":\"masked\""),
-                FaultOutcome::Pending => line.push_str(",\"outcome\":\"pending\""),
-                FaultOutcome::Escaped { reason } => {
-                    let _ = write!(
-                        line,
-                        ",\"outcome\":\"escaped\",\"reason\":\"{}\"",
-                        crate::json::escape(reason)
-                    );
-                }
-            }
-            match recovery {
-                None => {}
-                Some(RecoveryVerdict::Recovered { rollbacks, max_cycles }) => {
-                    let _ = write!(
-                        line,
-                        ",\"recovery\":\"recovered\",\"rollbacks\":{rollbacks},\
-                             \"recovery_cycles\":{max_cycles}"
-                    );
-                }
-                Some(RecoveryVerdict::NothingToRecover) => {
-                    line.push_str(",\"recovery\":\"nothing_to_recover\"");
-                }
-                Some(RecoveryVerdict::Unrecovered { reason }) => {
-                    let _ = write!(
-                        line,
-                        ",\"recovery\":\"unrecovered\",\"reason\":\"{}\"",
-                        crate::json::escape(reason)
-                    );
-                }
-                Some(RecoveryVerdict::StateDiverged { reason }) => {
-                    let _ = write!(
-                        line,
-                        ",\"recovery\":\"state_diverged\",\"reason\":\"{}\"",
-                        crate::json::escape(reason)
-                    );
-                }
-            }
-            line.push('}');
-        }
-        line.push_str("]}\n");
+        line.extend([
+            ("executed", verdict.executed.into()),
+            ("segments", verdict.segments.into()),
+            ("cycles", verdict.system_cycles.into()),
+            (
+                "divergence",
+                verdict.divergence.as_ref().map_or(Json::Null, |d| d.to_string().into()),
+            ),
+            ("faults", Json::Arr(faults.iter().map(fault_json).collect())),
+        ]);
+        let line = format!("{}\n", Json::obj(line).render());
         jsonl.extend_from_slice(line.as_bytes());
         tally.add(&report);
     }
     BatchResult { jsonl, deltas: tally.counters() }
+}
+
+/// One fault of a difftest result line: where it struck, its outcome,
+/// and its recovery verdict when the job recovers.
+fn fault_json(
+    (spec, outcome, recovery): &(FaultSpec, FaultOutcome, Option<RecoveryVerdict>),
+) -> Json {
+    let mut members: Vec<(&str, Json)> = vec![
+        ("site", spec.site.name().into()),
+        ("bit", spec.bit.into()),
+        ("arm", spec.arm_at_commit.into()),
+    ];
+    match outcome {
+        FaultOutcome::Detected { latency_ns } => members
+            .extend([("outcome", "detected".into()), ("latency_ns", Json::fixed(*latency_ns, 3))]),
+        FaultOutcome::MaskedProvenBenign => members.push(("outcome", "masked".into())),
+        FaultOutcome::Pending => members.push(("outcome", "pending".into())),
+        FaultOutcome::Escaped { reason } => {
+            members.extend([("outcome", "escaped".into()), ("reason", reason.as_str().into())]);
+        }
+    }
+    match recovery {
+        None => {}
+        Some(RecoveryVerdict::Recovered { rollbacks, max_cycles }) => members.extend([
+            ("recovery", "recovered".into()),
+            ("rollbacks", (*rollbacks).into()),
+            ("recovery_cycles", (*max_cycles).into()),
+        ]),
+        Some(RecoveryVerdict::NothingToRecover) => {
+            members.push(("recovery", "nothing_to_recover".into()));
+        }
+        Some(RecoveryVerdict::Unrecovered { reason }) => {
+            members
+                .extend([("recovery", "unrecovered".into()), ("reason", reason.as_str().into())]);
+        }
+        Some(RecoveryVerdict::StateDiverged { reason }) => members
+            .extend([("recovery", "state_diverged".into()), ("reason", reason.as_str().into())]),
+    }
+    Json::obj(members)
 }
 
 // -------------------------------------------------------------------- fuzz
@@ -496,16 +479,12 @@ fn run_fuzz_job(job: &FuzzSettings, chunk: u64, ctx: &JobContext) -> Result<JobS
             .map_err(|p| format!("fuzz chunk {chunk_idx} panicked: {}", panic_text(p.as_ref())))?;
         stage_corpus(&gen_dir(chunk_idx + 1), &corpus, &features).map_err(|e| e.to_string())?;
 
-        let line = format!(
-            "{{\"chunk\":{chunk_idx},\"iters\":{iters},\"evaluated\":{},\"features\":{},\
-             \"corpus\":{},\"evicted\":{},\"escapes\":{},\"divergences\":{}}}\n",
-            report.evaluated,
-            features.len(),
-            corpus.len(),
-            corpus.evicted(),
-            report.escapes.len(),
-            report.divergences.len()
-        );
+        let line = obj! {
+            "chunk": chunk_idx, "iters": iters, "evaluated": report.evaluated,
+            "features": features.len(), "corpus": corpus.len(), "evicted": corpus.evicted(),
+            "escapes": report.escapes.len(), "divergences": report.divergences.len(),
+        };
+        let line = format!("{}\n", line.render());
         let off = progress.offsets.get("results.jsonl").copied().unwrap_or(0);
         append_output(&ctx.dir, "results.jsonl", line.as_bytes()).map_err(|e| e.to_string())?;
         progress.offsets.insert("results.jsonl".to_string(), off + line.len() as u64);

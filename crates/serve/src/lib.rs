@@ -16,7 +16,8 @@
 //!   the same value its batch CLI parses from flags — [`CampaignJob`],
 //!   [`DifftestJob`], or [`FuzzSettings`] plus a chunk grain, each
 //!   defined and validated in the crate that runs it; [`proto`] is the
-//!   wire format only.
+//!   wire format only, each frame a [`json::Json`] value from
+//!   `meek-telemetry` (re-exported here as [`json`]).
 //! * **One shared pool**: every job's units (campaign shards, difftest
 //!   case batches, fuzz chunks) drain through a single priority
 //!   work-stealing pool ([`sched`]), so a quick high-priority difftest
@@ -65,14 +66,16 @@
 pub mod client;
 pub mod daemon;
 pub mod jobs;
-pub mod json;
 pub mod proto;
 pub mod sched;
 pub mod spool;
 
+/// The workspace's JSON reader and writer, re-exported for the
+/// benchmark crate's `meek_serve::json::Json`.
+pub use meek_telemetry::json;
+
 pub use client::{request, stream_request, Endpoint};
 pub use daemon::{Daemon, ServeConfig};
-pub use json::Json;
 pub use proto::{
     CampaignJob, Channel, DifftestJob, FuzzSettings, JobSpec, JobState, JobStatus, Request,
 };

@@ -3,9 +3,9 @@
 
 use meek_campaign::cli::{self, CliError, Flags};
 use meek_serve::daemon::{Daemon, ServeConfig};
-use meek_serve::json::Json;
 use meek_serve::proto::{Channel, JobSpec, Request};
 use meek_serve::{client, Endpoint};
+use meek_telemetry::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;

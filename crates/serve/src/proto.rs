@@ -1,5 +1,5 @@
 //! The serve wire protocol: each job's JSON form, job status, and client
-//! requests, each with a stable hand-written JSON form.
+//! requests, each with a stable JSON form built as a [`Json`] value.
 //!
 //! The job types live in the crates that run them, shared with their
 //! CLIs: [`CampaignJob`] in `meek-campaign`, [`DifftestJob`] in
@@ -11,10 +11,10 @@
 //! order is part of the protocol, and numbers render as plain decimal
 //! integers so `u64` seeds survive the round trip exactly.
 
-use crate::json::{escape, Json};
 pub use meek_campaign::CampaignJob;
 pub use meek_difftest::DifftestJob;
 pub use meek_fuzz::FuzzSettings;
+use meek_telemetry::{obj, Json};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -79,49 +79,7 @@ impl JobSpec {
     /// The stable one-line JSON form (field order is part of the
     /// protocol; see the golden tests).
     pub fn to_json(&self) -> String {
-        match self {
-            JobSpec::Campaign(j) => format!(
-                "{{\"kind\":\"campaign\",\"suite\":\"{}\",\"faults\":{},\"shard_faults\":{},\
-                 \"insts_per_fault\":{},\"seed\":{},\"little\":{},\"recover\":{},\"trace\":{},\
-                 \"sample_stride\":{}}}",
-                escape(&j.suite),
-                j.faults,
-                j.shard_faults,
-                j.insts_per_fault,
-                j.seed,
-                j.little,
-                j.recover,
-                j.trace,
-                j.sample_stride
-            ),
-            JobSpec::Difftest(j) => format!(
-                "{{\"kind\":\"difftest\",\"suite\":\"{}\",\"cases\":{},\"seed\":{},\"faults\":{},\
-                 \"seg_len\":{},\"static_len\":{},\"little\":{},\"recover\":{},\"batch\":{}}}",
-                escape(&j.suite),
-                j.cases,
-                j.seed,
-                j.faults,
-                j.seg_len,
-                j.static_len,
-                j.little,
-                j.recover,
-                j.batch
-            ),
-            JobSpec::Fuzz { settings: s, chunk } => format!(
-                "{{\"kind\":\"fuzz\",\"iters\":{},\"seed\":{},\"static_len\":{},\
-                 \"faults_per_case\":{},\"little\":{},\"guided\":{},\"recover\":{},\
-                 \"corpus_cap\":{},\"chunk\":{}}}",
-                s.iters,
-                s.seed,
-                s.static_len,
-                s.faults_per_case,
-                s.n_little,
-                s.guided,
-                s.recover,
-                s.corpus_cap,
-                chunk
-            ),
-        }
+        Json::from(self).render()
     }
 
     /// Parses a spec from its JSON form. Missing fields take the
@@ -183,6 +141,31 @@ impl JobSpec {
     }
 }
 
+/// A spec as the object `submit` and `job.json` nest.
+impl From<&JobSpec> for Json {
+    fn from(spec: &JobSpec) -> Json {
+        let kind = spec.kind();
+        match spec {
+            JobSpec::Campaign(j) => obj! {
+                "kind": kind, "suite": j.suite.as_str(), "faults": j.faults,
+                "shard_faults": j.shard_faults, "insts_per_fault": j.insts_per_fault,
+                "seed": j.seed, "little": j.little, "recover": j.recover, "trace": j.trace,
+                "sample_stride": j.sample_stride,
+            },
+            JobSpec::Difftest(j) => obj! {
+                "kind": kind, "suite": j.suite.as_str(), "cases": j.cases, "seed": j.seed,
+                "faults": j.faults, "seg_len": j.seg_len, "static_len": j.static_len,
+                "little": j.little, "recover": j.recover, "batch": j.batch,
+            },
+            JobSpec::Fuzz { settings: s, chunk } => obj! {
+                "kind": kind, "iters": s.iters, "seed": s.seed, "static_len": s.static_len,
+                "faults_per_case": s.faults_per_case, "little": s.n_little, "guided": s.guided,
+                "recover": s.recover, "corpus_cap": s.corpus_cap, "chunk": *chunk,
+            },
+        }
+    }
+}
+
 /// Lifecycle of a job. `Interrupted` is in-memory only: a coordinator
 /// that stopped without finishing (daemon quiesce or the
 /// `fail_after_units` test hook) leaves `running` on disk, which is
@@ -235,6 +218,14 @@ impl JobState {
         }
     }
 
+    /// A failed state's error message.
+    pub(crate) fn error(&self) -> Option<&str> {
+        match self {
+            JobState::Failed(e) => Some(e),
+            _ => None,
+        }
+    }
+
     /// Whether the job will make no further progress in this daemon.
     pub fn is_terminal(&self) -> bool {
         !matches!(self, JobState::Queued | JobState::Running)
@@ -273,29 +264,7 @@ pub struct JobStatus {
 impl JobStatus {
     /// The stable one-line JSON form.
     pub fn to_json(&self) -> String {
-        let mut counters = String::new();
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                counters.push(',');
-            }
-            counters.push_str(&format!("\"{}\":{}", escape(k), v));
-        }
-        let error = match &self.state {
-            JobState::Failed(e) => format!("\"{}\"", escape(e)),
-            _ => "null".to_string(),
-        };
-        format!(
-            "{{\"id\":{},\"kind\":\"{}\",\"state\":\"{}\",\"priority\":{},\"units_total\":{},\
-             \"units_done\":{},\"counters\":{{{}}},\"error\":{}}}",
-            self.id,
-            escape(&self.kind),
-            self.state.name(),
-            self.priority,
-            self.units_total,
-            self.units_done,
-            counters,
-            error
-        )
+        Json::from(self).render()
     }
 
     /// Parses a status frame.
@@ -308,12 +277,6 @@ impl JobStatus {
         let kind = v.get("kind").and_then(Json::as_str).ok_or("status needs a `kind`")?;
         let state_name = v.get("state").and_then(Json::as_str).ok_or("status needs a `state`")?;
         let error = v.get("error").and_then(Json::as_str);
-        let mut counters = BTreeMap::new();
-        if let Some(members) = v.get("counters").and_then(Json::as_obj) {
-            for (k, val) in members {
-                counters.insert(k.clone(), val.as_u64().ok_or_else(|| format!("counter `{k}`"))?);
-            }
-        }
         Ok(JobStatus {
             id,
             kind: kind.to_string(),
@@ -321,9 +284,36 @@ impl JobStatus {
             priority: v.get("priority").and_then(Json::as_i64).unwrap_or(0),
             units_total: v.get("units_total").and_then(Json::as_u64).unwrap_or(0),
             units_done: v.get("units_done").and_then(Json::as_u64).unwrap_or(0),
-            counters,
+            counters: u64_map(v, "counters")?,
         })
     }
+}
+
+/// A status frame's object.
+impl From<&JobStatus> for Json {
+    fn from(status: &JobStatus) -> Json {
+        obj! {
+            "id": status.id, "kind": status.kind.as_str(), "state": status.state.name(),
+            "priority": status.priority, "units_total": status.units_total,
+            "units_done": status.units_done, "counters": &status.counters,
+            "error": status.state.error().map_or(Json::Null, Json::from),
+        }
+    }
+}
+
+/// Reads the `{name: count}` object under `key` (absent reads as
+/// empty): a status frame's counters, `state.json`'s offsets and
+/// counters.
+pub(crate) fn u64_map(v: &Json, key: &str) -> Result<BTreeMap<String, u64>, String> {
+    let members = v.get(key).and_then(Json::as_obj).unwrap_or_default();
+    members
+        .iter()
+        .map(|(k, n)| {
+            let n =
+                n.as_u64().ok_or_else(|| format!("`{key}.{k}` must be a non-negative integer"))?;
+            Ok((k.clone(), n))
+        })
+        .collect()
 }
 
 /// A streamed output channel of a job.
@@ -425,27 +415,21 @@ impl Request {
     pub fn to_json(&self) -> String {
         match self {
             Request::Submit { spec, priority } => {
-                format!(
-                    "{{\"cmd\":\"submit\",\"priority\":{priority},\"spec\":{}}}",
-                    spec.to_json()
-                )
+                obj! { "cmd": "submit", "priority": *priority, "spec": spec }
             }
-            Request::Status { job: None } => "{\"cmd\":\"status\"}".to_string(),
-            Request::Status { job: Some(id) } => format!("{{\"cmd\":\"status\",\"job\":{id}}}"),
-            Request::Cancel { job } => format!("{{\"cmd\":\"cancel\",\"job\":{job}}}"),
-            Request::Tail { job, channel, from, follow } => format!(
-                "{{\"cmd\":\"tail\",\"job\":{job},\"channel\":\"{}\",\"from\":{from},\
-                 \"follow\":{follow}}}",
-                channel.name()
-            ),
-            Request::Metrics { follow, interval_ms, prom } => {
-                format!(
-                    "{{\"cmd\":\"metrics\",\"follow\":{follow},\"interval_ms\":{interval_ms},\
-                     \"prom\":{prom}}}"
-                )
-            }
-            Request::Shutdown => "{\"cmd\":\"shutdown\"}".to_string(),
+            Request::Status { job: None } => obj! { "cmd": "status" },
+            Request::Status { job: Some(id) } => obj! { "cmd": "status", "job": *id },
+            Request::Cancel { job } => obj! { "cmd": "cancel", "job": *job },
+            Request::Tail { job, channel, from, follow } => obj! {
+                "cmd": "tail", "job": *job, "channel": channel.name(), "from": *from,
+                "follow": *follow,
+            },
+            Request::Metrics { follow, interval_ms, prom } => obj! {
+                "cmd": "metrics", "follow": *follow, "interval_ms": *interval_ms, "prom": *prom,
+            },
+            Request::Shutdown => obj! { "cmd": "shutdown" },
         }
+        .render()
     }
 
     /// Parses a request line.

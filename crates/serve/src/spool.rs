@@ -26,8 +26,8 @@
 //! job's output is byte-identical to an uninterrupted run (proved in
 //! `tests/serve_e2e.rs`).
 
-use crate::json::{escape, Json};
-use crate::proto::{JobSpec, JobState};
+use crate::proto::{u64_map, JobSpec, JobState};
+use meek_telemetry::{obj, Json};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -62,46 +62,24 @@ impl JobProgress {
     }
 
     fn to_json(&self) -> String {
-        let join = |map: &BTreeMap<String, u64>| {
-            map.iter().map(|(k, v)| format!("\"{}\":{v}", escape(k))).collect::<Vec<_>>().join(",")
-        };
-        let error = match &self.state {
-            JobState::Failed(e) => format!("\"{}\"", escape(e)),
-            _ => "null".to_string(),
-        };
-        format!(
-            "{{\"state\":\"{}\",\"units_done\":{},\"units_total\":{},\"offsets\":{{{}}},\
-             \"counters\":{{{}}},\"error\":{}}}",
-            self.state.name(),
-            self.units_done,
-            self.units_total,
-            join(&self.offsets),
-            join(&self.counters),
-            error
-        )
+        let error = self.state.error().map_or(Json::Null, Json::from);
+        obj! {
+            "state": self.state.name(), "units_done": self.units_done,
+            "units_total": self.units_total, "offsets": &self.offsets,
+            "counters": &self.counters, "error": error,
+        }
+        .render()
     }
 
     fn from_json(v: &Json) -> Result<JobProgress, String> {
         let state_name = v.get("state").and_then(Json::as_str).ok_or("state.json needs `state`")?;
         let error = v.get("error").and_then(Json::as_str);
-        let map_of = |key: &str| -> Result<BTreeMap<String, u64>, String> {
-            let mut map = BTreeMap::new();
-            if let Some(members) = v.get(key).and_then(Json::as_obj) {
-                for (k, val) in members {
-                    map.insert(
-                        k.clone(),
-                        val.as_u64().ok_or_else(|| format!("`{key}.{k}` must be an integer"))?,
-                    );
-                }
-            }
-            Ok(map)
-        };
         Ok(JobProgress {
             state: JobState::from_name(state_name, error)?,
             units_done: v.get("units_done").and_then(Json::as_u64).unwrap_or(0),
             units_total: v.get("units_total").and_then(Json::as_u64).unwrap_or(0),
-            offsets: map_of("offsets")?,
-            counters: map_of("counters")?,
+            offsets: u64_map(v, "offsets")?,
+            counters: u64_map(v, "counters")?,
         })
     }
 }
@@ -167,8 +145,8 @@ impl Spool {
             }
         }
         let dir = self.job_dir(id);
-        let job_json = format!("{{\"priority\":{priority},\"spec\":{}}}\n", spec.to_json());
-        write_atomic(&dir.join("job.json"), job_json.as_bytes())?;
+        let job = obj! { "priority": priority, "spec": spec };
+        write_atomic(&dir.join("job.json"), format!("{}\n", job.render()).as_bytes())?;
         write_state(&dir, &JobProgress::queued())?;
         Ok(id)
     }

@@ -412,3 +412,17 @@ fn status_metrics_and_shutdown_frames() {
     let _ = std::fs::remove_dir_all(&spool);
     let _ = std::fs::remove_file(&sock);
 }
+
+#[test]
+fn an_unreachable_endpoint_is_named() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_meek-serve"))
+        .args(["status", "--socket", "/nonexistent"])
+        .output()
+        .expect("meek-serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: cannot connect to /nonexistent: "), "{stderr}");
+    let tcp = client::request(&Endpoint::Tcp("127.0.0.1:1".into()), &Request::Shutdown);
+    let err = tcp.expect_err("nothing listens on port 1").to_string();
+    assert!(err.starts_with("cannot connect to 127.0.0.1:1: "), "{err}");
+}

@@ -1,12 +1,13 @@
-//! A minimal JSON reader/writer for the serve protocol.
+//! The workspace's one JSON reader and writer: every JSON line the MEEK
+//! tools emit is a [`Json`] value — built with [`obj!`](crate::obj), the
+//! `From` conversions and [`Json::fixed`] — rendered by [`Json::render`].
 //!
-//! The workspace is offline-vendored — no `serde` — and the protocol
-//! needs exact `u64` round-trips (campaign seeds use all 64 bits, which
-//! an `f64`-based parser would silently round). So numbers are kept as
-//! their raw source text and converted on access, and the writer side
-//! is a pair of small escape helpers plus hand-formatted objects in
-//! [`crate::proto`].
+//! The workspace is offline-vendored — no `serde` — and the serve
+//! protocol needs exact `u64` round-trips (campaign seeds use all 64
+//! bits, which an `f64`-based parser would silently round). So numbers
+//! are kept as their raw source text and converted on access.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// One parsed JSON value. Object member order is preserved (the
@@ -108,6 +109,17 @@ impl Json {
         }
     }
 
+    /// An object whose members keep the order given.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// A number written with exactly `decimals` digits after the point,
+    /// as `format!("{x:.3}")` writes it.
+    pub fn fixed(x: f64, decimals: usize) -> Json {
+        Json::Num(format!("{x:.decimals$}"))
+    }
+
     /// Serialises the value back to compact JSON (objects keep their
     /// member order, numbers their source text).
     pub fn render(&self) -> String {
@@ -121,9 +133,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(raw) => out.push_str(raw),
-            Json::Str(s) => {
-                let _ = write!(out, "\"{}\"", escape(s));
-            }
+            Json::Str(s) => escape_into(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -140,7 +150,8 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\"{}\":", escape(k));
+                    escape_into(out, k);
+                    out.push(':');
                     v.render_into(out);
                 }
                 out.push('}');
@@ -149,9 +160,40 @@ impl Json {
     }
 }
 
-/// Escapes a string for embedding between JSON double quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// An object literal: `obj! { "seg": 3u32, "pass": true }` is
+/// [`Json::obj`] of those members in that order, each value converted
+/// by `Json::from`.
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        $crate::Json::obj([$(($key, $crate::Json::from($value))),*])
+    };
+}
+
+macro_rules! from_value {
+    ($make:expr; $($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                ($make)(v)
+            }
+        }
+    )*};
+}
+from_value!(|n| Json::Num(format!("{n}")); u32, u64, u128, usize, i64);
+from_value!(Json::Bool; bool);
+from_value!(Json::Str; String);
+from_value!(|s: &str| Json::Str(s.to_string()); &str);
+
+/// A `{name: count}` map as an object, keys in map order.
+impl From<&BTreeMap<String, u64>> for Json {
+    fn from(map: &BTreeMap<String, u64>) -> Json {
+        Json::obj(map.iter().map(|(k, &v)| (k.as_str(), Json::from(v))))
+    }
+}
+
+/// Writes `s` as a quoted JSON string.
+fn escape_into(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -165,7 +207,7 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -352,10 +394,46 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
-        let original = "line\nbreak\ttab \"quote\" back\\slash \u{1}ctl";
-        let framed = format!("\"{}\"", escape(original));
-        let v = Json::parse(&framed).unwrap();
-        assert_eq!(v.as_str(), Some(original));
+        for original in [
+            "line\nbreak\ttab \"quote\" back\\slash \u{1}ctl\r",
+            "non-ASCII: µs, Zürich, 漢字, 🦀",
+            "",
+        ] {
+            let rendered = Json::obj([(original, Json::from(original))]).render();
+            let back = Json::parse(&rendered).unwrap();
+            assert_eq!(back.get(original).and_then(Json::as_str), Some(original), "{rendered}");
+        }
+        assert_eq!(Json::from("a\"b\u{1}").render(), r#""a\"b\u0001""#);
+    }
+
+    #[test]
+    fn fixed_decimals_match_the_format_macro() {
+        for x in [0.0, 10.0, 62.5, 1.0 / 3.0, 2.0005, 123_456.789_012_5, 1e-7, -4.25] {
+            assert_eq!(Json::fixed(x, 3).render(), format!("{x:.3}"));
+            assert_eq!(Json::fixed(x, 6).render(), format!("{x:.6}"));
+        }
+    }
+
+    #[test]
+    fn conversions_build_the_values_the_writers_emit() {
+        let mut counters = BTreeMap::new();
+        counters.insert("b".to_string(), 2);
+        counters.insert("a".to_string(), 1);
+        let v = Json::obj([
+            ("n", Json::from(u64::MAX)),
+            ("i", Json::from(-2i64)),
+            ("t", Json::from(true)),
+            ("s", Json::from("x".to_string())),
+            ("map", Json::from(&counters)),
+        ]);
+        assert_eq!(
+            v.render(),
+            r#"{"n":18446744073709551615,"i":-2,"t":true,"s":"x","map":{"a":1,"b":2}}"#
+        );
+        let literal = crate::obj! {
+            "n": u64::MAX, "i": -2i64, "t": true, "s": "x".to_string(), "map": &counters,
+        };
+        assert_eq!(literal, v, "obj! builds the same ordered object");
     }
 
     #[test]

@@ -1,7 +1,10 @@
-//! **meek-telemetry** — the observability layer of the MEEK
+//! **meek-telemetry** — the observability and export layer of the MEEK
 //! reproduction: a deterministic metrics registry plus a host-time
-//! span profiler, and the [`Observer`](meek_core::sim::Observer)
-//! consumer that feeds the registry from live runs.
+//! span profiler, the [`Observer`](meek_core::sim::Observer)s that
+//! export live runs ([`MetricsObserver`] feeds the registry,
+//! [`JsonlEventSink`] writes the event stream), and the workspace's one
+//! JSON reader and writer ([`json`]): every JSON line the tools emit is
+//! a [`Json`] value rendered by [`Json::render`].
 //!
 //! Two strictly separated time domains:
 //!
@@ -20,9 +23,11 @@
 //! The [`Registry::render_prom`] Prometheus text exposition serves
 //! scrape-style consumers (`meek-serve metrics --prom`).
 
+pub mod json;
 pub mod observer;
 pub mod prof;
 pub mod registry;
 
-pub use observer::MetricsObserver;
+pub use json::Json;
+pub use observer::{event_json, JsonlEventSink, MetricsObserver};
 pub use registry::{bucket, bucket_bound, Hist, Registry, BUCKETS};

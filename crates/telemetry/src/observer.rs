@@ -1,5 +1,7 @@
-//! [`MetricsObserver`]: the [`Observer`] that turns the sim's events
-//! and samples into [`Registry`] distributions.
+//! The observers that export a run: [`MetricsObserver`] turns the
+//! sim's events and samples into [`Registry`] distributions, and
+//! [`JsonlEventSink`] writes each event as one JSON line
+//! ([`event_json`]).
 //!
 //! Everything recorded here is sim-domain (cycles, commits, counts) —
 //! no host time — so a registry accumulated over a run, rendered with
@@ -33,10 +35,12 @@
 //! | `bigcore_issue_examined_total` | counter | issue-queue entries the big core's issue stage examined |
 //! | `ipc_milli` | hist | committed×1000 / app-cycles per run |
 
+use crate::json::Json;
 use crate::registry::Registry;
 use meek_core::sim::{Observer, SimEvent, TickSample};
 use meek_core::RunReport;
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 
 /// A metrics-collecting observer: attach it with
 /// `SimBuilder::observe(&mut metrics)` and read the [`Registry`] after
@@ -158,5 +162,176 @@ impl Observer for MetricsObserver {
 
     fn wants_sample_at(&self, cycle: u64) -> bool {
         cycle.is_multiple_of(self.stride)
+    }
+}
+
+/// Renders one event as a flat, stable JSON object — the line format
+/// of [`JsonlEventSink`] and `meek-campaign --trace`.
+pub fn event_json(ev: &SimEvent) -> Json {
+    event_line(Vec::new(), ev)
+}
+
+/// The `lead` members followed by the event's name and fields.
+fn event_line(mut members: Vec<(String, Json)>, ev: &SimEvent) -> Json {
+    let fields: Vec<(&str, Json)> = match *ev {
+        SimEvent::SegmentOpened { seg, checker, cycle } => {
+            vec![("seg", seg.into()), ("checker", checker.into()), ("cycle", cycle.into())]
+        }
+        SimEvent::SegmentClosed { seg, pass, cycle } => {
+            vec![("seg", seg.into()), ("pass", pass.into()), ("cycle", cycle.into())]
+        }
+        SimEvent::FaultInjected { site, seg, cycle } => {
+            vec![("site", site.name().into()), ("seg", seg.into()), ("cycle", cycle.into())]
+        }
+        SimEvent::FaultDetected { ref record } => vec![
+            ("site", record.site.name().into()),
+            ("injected_cycle", record.injected_cycle.into()),
+            ("detected_cycle", record.detected_cycle.into()),
+            ("latency_ns", Json::fixed(record.latency_ns, 3)),
+            ("seg", record.seg.into()),
+        ],
+        SimEvent::RollbackStarted { seg, golden, cycle } => {
+            vec![("seg", seg.into()), ("golden", golden.into()), ("cycle", cycle.into())]
+        }
+        SimEvent::RollbackCompleted { seg, cycle } => {
+            vec![("seg", seg.into()), ("cycle", cycle.into())]
+        }
+    };
+    members.push(("event".into(), ev.name().into()));
+    members.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    Json::Obj(members)
+}
+
+/// Serialises every event as one JSON line ([`event_json`]) — the
+/// observer behind `meek-campaign --trace`. The first write error is
+/// latched and stops the sink, so a full disk cannot silently truncate
+/// a trace: [`JsonlEventSink::into_inner`] returns it.
+pub struct JsonlEventSink<W: Write + Send> {
+    out: W,
+    /// Fields that lead every line (e.g. `workload` and `shard`) —
+    /// context for traces that interleave many runs in one file.
+    context: Vec<(String, Json)>,
+    error: Option<io::Error>,
+}
+
+impl<W: Write + Send> JsonlEventSink<W> {
+    /// A sink writing event lines to `out`, each led by the `context`
+    /// fields (none for a single-run trace).
+    pub fn new<'a>(
+        out: W,
+        context: impl IntoIterator<Item = (&'a str, Json)>,
+    ) -> JsonlEventSink<W> {
+        let context = context.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        JsonlEventSink { out, context, error: None }
+    }
+
+    /// Consumes the sink, returning the writer (or the first latched
+    /// write error).
+    ///
+    /// # Errors
+    ///
+    /// The first error a write or the end-of-run flush returned.
+    pub fn into_inner(self) -> io::Result<W> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.out),
+        }
+    }
+}
+
+impl<W: Write + Send> Observer for JsonlEventSink<W> {
+    fn event(&mut self, ev: &SimEvent) {
+        if self.error.is_some() {
+            return;
+        }
+        let line = event_line(self.context.clone(), ev).render();
+        if let Err(e) = writeln!(self.out, "{line}") {
+            self.error = Some(e);
+        }
+    }
+
+    fn finished(&mut self, _report: &RunReport) {
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
+    }
+
+    fn wants_sample_at(&self, _cycle: u64) -> bool {
+        false // serialises the event stream: never consumes TickSamples
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use meek_core::fault::DetectionRecord;
+    use meek_core::{FaultSite, FaultSpec, Sim};
+    use meek_workloads::{parsec3, Workload};
+
+    #[test]
+    fn jsonl_sink_serialises_the_stream() {
+        let wl = Workload::build(&parsec3()[0], 11);
+        let context = [("shard", Json::from(7u32)), ("workload", Json::from("a \"quoted\" name"))];
+        let mut sink = JsonlEventSink::new(Vec::new(), context);
+        let outcome = Sim::builder(&wl, 6_000)
+            .faults(vec![FaultSpec { arm_at_commit: 2_000, site: FaultSite::MemData, bit: 3 }])
+            .observe(&mut sink)
+            .build()
+            .expect("valid")
+            .run();
+        let bytes = sink.into_inner().expect("an in-memory trace cannot fail");
+        let text = String::from_utf8(bytes).expect("utf8");
+        assert!(!text.is_empty());
+        for line in text.lines() {
+            assert!(line.starts_with("{\"shard\":7,\"workload\":\""), "bad line: {line}");
+            assert!(line.ends_with('}'));
+            // The context value holds quotes; the line still parses.
+            let v = Json::parse(line).expect("every line is one JSON object");
+            assert_eq!(v.get("workload").and_then(Json::as_str), Some("a \"quoted\" name"));
+            assert!(v.get("event").and_then(Json::as_str).is_some(), "{line}");
+        }
+        let opened = text.matches("\"event\":\"segment_opened\"").count() as u64;
+        assert_eq!(opened, outcome.report.verified_segments + outcome.report.failed_segments);
+        assert_eq!(text.matches("\"event\":\"fault_injected\"").count(), 1);
+        fn assert_send<T: Send>() {}
+        assert_send::<JsonlEventSink<Vec<u8>>>();
+    }
+
+    #[test]
+    fn event_json_is_flat_and_stable() {
+        assert_eq!(
+            event_json(&SimEvent::SegmentOpened { seg: 3, checker: 1, cycle: 99 }).render(),
+            "{\"event\":\"segment_opened\",\"seg\":3,\"checker\":1,\"cycle\":99}"
+        );
+        assert_eq!(
+            event_json(&SimEvent::SegmentClosed { seg: 3, pass: false, cycle: 120 }).render(),
+            "{\"event\":\"segment_closed\",\"seg\":3,\"pass\":false,\"cycle\":120}"
+        );
+        assert_eq!(
+            event_json(&SimEvent::FaultInjected { site: FaultSite::MemAddr, seg: 2, cycle: 7 })
+                .render(),
+            "{\"event\":\"fault_injected\",\"site\":\"mem_addr\",\"seg\":2,\"cycle\":7}"
+        );
+        let rec = DetectionRecord {
+            site: FaultSite::RcpRegister,
+            injected_cycle: 10,
+            detected_cycle: 42,
+            latency_ns: 10.0,
+            seg: 2,
+            recovery_cycles: None,
+        };
+        assert_eq!(
+            event_json(&SimEvent::FaultDetected { record: rec }).render(),
+            "{\"event\":\"fault_detected\",\"site\":\"rcp_register\",\"injected_cycle\":10,\
+             \"detected_cycle\":42,\"latency_ns\":10.000,\"seg\":2}"
+        );
+        assert_eq!(
+            event_json(&SimEvent::RollbackStarted { seg: 5, golden: true, cycle: 1 }).render(),
+            "{\"event\":\"rollback_started\",\"seg\":5,\"golden\":true,\"cycle\":1}"
+        );
+        assert_eq!(
+            event_json(&SimEvent::RollbackCompleted { seg: 5, cycle: 2 }).render(),
+            "{\"event\":\"rollback_completed\",\"seg\":5,\"cycle\":2}"
+        );
     }
 }

@@ -13,7 +13,7 @@
 //! array format — load the file at `chrome://tracing` or
 //! <https://ui.perfetto.dev>.
 
-use std::fmt::Write as _;
+use crate::obj;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -89,16 +89,17 @@ pub fn take() -> Vec<SpanEvent> {
 }
 
 /// Renders spans as a Chrome tracing JSON document (complete `"X"`
-/// events, microsecond timestamps, one `tid` row per worker thread).
+/// events, microsecond timestamps, one `tid` row per worker thread),
+/// one event per line.
 pub fn chrome_trace(events: &[SpanEvent]) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
     for (i, ev) in events.iter().enumerate() {
-        let comma = if i + 1 == events.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{},\"ts\":{},\"dur\":{}}}{comma}",
-            ev.name, ev.tid, ev.start_us, ev.dur_us
-        );
+        let line = obj! {
+            "name": ev.name, "ph": "X", "pid": 0u64, "tid": ev.tid, "ts": ev.start_us,
+            "dur": ev.dur_us,
+        };
+        out.push_str(&line.render());
+        out.push_str(if i + 1 == events.len() { "\n" } else { ",\n" });
     }
     out.push_str("]}\n");
     out
