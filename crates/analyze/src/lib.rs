@@ -287,6 +287,17 @@ impl AnalysisReport {
     pub fn clean(&self) -> bool {
         self.violations.is_empty() && self.guaranteed_trap.is_none()
     }
+
+    /// The verdict in words: `clean`, the violation count, a guaranteed
+    /// trap, or both findings.
+    pub fn verdict(&self) -> String {
+        match (self.violations.len(), self.guaranteed_trap.is_some()) {
+            (0, false) => "clean".into(),
+            (0, true) => "guaranteed trap".into(),
+            (n, false) => format!("{n} violation(s)"),
+            (n, true) => format!("{n} violation(s) and a guaranteed trap"),
+        }
+    }
 }
 
 impl fmt::Display for AnalysisReport {
@@ -317,13 +328,9 @@ impl fmt::Display for AnalysisReport {
         if let Some(t) = &self.guaranteed_trap {
             writeln!(f, "  {t}")?;
         }
-        if self.violations.is_empty() && self.guaranteed_trap.is_none() {
-            writeln!(f, "  verdict: clean")?;
-        } else {
-            writeln!(f, "  verdict: {} violation(s)", self.violations.len())?;
-            for v in &self.violations {
-                writeln!(f, "    {v}")?;
-            }
+        writeln!(f, "  verdict: {}", self.verdict())?;
+        for v in &self.violations {
+            writeln!(f, "    {v}")?;
         }
         Ok(())
     }

@@ -150,6 +150,21 @@ fn running_off_the_code_is_forecast_only_when_the_exit_is_elsewhere() {
 }
 
 #[test]
+fn the_verdict_line_names_a_guaranteed_trap() {
+    let prog = [Inst::Lui { rd: Reg::X10, imm: -1 }];
+    let mut spec = ProgramSpec::bare("t", CODE);
+    assert!(report(&prog, &spec).to_string().ends_with("  verdict: clean\n"));
+
+    spec.exit = ExitModel::HaltPc(meek_isa::HALT_PC);
+    let text = report(&prog, &spec).to_string();
+    assert!(text.contains("  guaranteed trap: fetch at 0x1004 after 1 retired (from [0])\n"));
+    assert!(text.ends_with("  verdict: guaranteed trap\n"), "{text}");
+
+    let text = analyze_words(&[0u32], &ProgramSpec::bare("t", CODE)).to_string();
+    assert!(text.contains("  verdict: 1 violation(s) and a guaranteed trap\n"), "{text}");
+}
+
+#[test]
 fn mapped_spans_suppress_wild_jump_forecasts() {
     let prog = [
         Inst::Lui { rd: Reg::X5, imm: 0x400 },

@@ -9,7 +9,7 @@
 //! pair's performance equals one scaled core's.
 
 use meek_area::ea_lockstep_scale;
-use meek_bigcore::{BigCore, BigCoreConfig, NullHook};
+use meek_bigcore::{BigCore, BigCoreConfig};
 use meek_workloads::Workload;
 
 /// The scaled-core configuration whose duplicated area matches a MEEK
@@ -22,18 +22,10 @@ pub fn ea_lockstep_config(n_little: usize) -> BigCoreConfig {
 /// (The comparator checks pins every cycle; detection latency is one
 /// cycle and timing equals the scaled core's.)
 pub fn run_ea_lockstep(n_little: usize, workload: &Workload, max_insts: u64) -> u64 {
-    let cfg = ea_lockstep_config(n_little);
-    let mut big = BigCore::new(cfg);
+    let mut big = BigCore::new(ea_lockstep_config(n_little));
     big.prewarm_icache(workload.entry(), 4 * workload.static_len as u64);
     let mut run = workload.run(max_insts);
-    let mut hook = NullHook;
-    let mut now = 0u64;
-    while !big.is_drained() {
-        let mut oracle = || run.next_retired();
-        big.tick(now, &mut oracle, &mut hook);
-        now += 1;
-    }
-    now
+    big.run_to_drain(&mut || run.next_retired())
 }
 
 #[cfg(test)]
@@ -41,18 +33,11 @@ mod tests {
     use super::*;
     use meek_workloads::parsec3;
 
-    fn run_vanilla(cfg: &BigCoreConfig, wl: &Workload, max_insts: u64) -> u64 {
-        let mut big = BigCore::new(*cfg);
+    fn run_vanilla(wl: &Workload, max_insts: u64) -> u64 {
+        let mut big = BigCore::new(BigCoreConfig::sonic_boom());
         big.prewarm_icache(wl.entry(), 4 * wl.static_len as u64);
         let mut run = wl.run(max_insts);
-        let mut hook = NullHook;
-        let mut now = 0u64;
-        while !big.is_drained() {
-            let mut oracle = || run.next_retired();
-            big.tick(now, &mut oracle, &mut hook);
-            now += 1;
-        }
-        now
+        big.run_to_drain(&mut || run.next_retired())
     }
 
     #[test]
@@ -67,7 +52,7 @@ mod tests {
     #[test]
     fn lockstep_slower_than_vanilla() {
         let wl = Workload::build(&parsec3()[0], 3);
-        let vanilla = run_vanilla(&BigCoreConfig::sonic_boom(), &wl, 12_000);
+        let vanilla = run_vanilla(&wl, 12_000);
         let lockstep = run_ea_lockstep(4, &wl, 12_000);
         assert!(
             lockstep > vanilla,

@@ -15,7 +15,7 @@
 //! freqmine; the harness skips those via
 //! [`BenchmarkProfile::nzdc_compilable`](meek_workloads::BenchmarkProfile).
 
-use meek_bigcore::{BigCore, BigCoreConfig, NullHook};
+use meek_bigcore::{BigCore, BigCoreConfig};
 use meek_isa::inst::{AluImmOp, AluOp, BranchOp, ExecClass, Inst};
 use meek_isa::{Reg, Retired};
 use meek_workloads::Workload;
@@ -223,14 +223,8 @@ pub fn run_nzdc(cfg: &BigCoreConfig, workload: &Workload, max_insts: u64) -> (u6
     big.prewarm_icache(workload.entry(), 8 * workload.static_len as u64);
     let mut run = workload.run(max_insts);
     let mut stream = NzdcStream::new(move || run.next_retired());
-    let mut hook = NullHook;
-    let mut now = 0u64;
-    while !big.is_drained() {
-        let mut oracle = || stream.next_retired();
-        big.tick(now, &mut oracle, &mut hook);
-        now += 1;
-    }
-    (now, stream.expansion())
+    let cycles = big.run_to_drain(&mut || stream.next_retired());
+    (cycles, stream.expansion())
 }
 
 #[cfg(test)]
@@ -255,14 +249,7 @@ mod tests {
         let mut big = BigCore::new(cfg);
         big.prewarm_icache(wl.entry(), 4 * wl.static_len as u64);
         let mut run = wl.run(10_000);
-        let mut hook = NullHook;
-        let mut now = 0u64;
-        while !big.is_drained() {
-            let mut oracle = || run.next_retired();
-            big.tick(now, &mut oracle, &mut hook);
-            now += 1;
-        }
-        let vanilla = now;
+        let vanilla = big.run_to_drain(&mut || run.next_retired());
         let (nzdc, _) = run_nzdc(&cfg, &wl, 10_000);
         assert!(nzdc > vanilla, "nzdc ({nzdc}) must be slower than vanilla ({vanilla})");
     }

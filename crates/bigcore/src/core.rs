@@ -375,6 +375,19 @@ impl BigCore {
         committed
     }
 
+    /// Runs the core from cycle 0 until it drains `oracle`, with no
+    /// commit hook: the vanilla core, the denominator of every slowdown
+    /// figure. The caller builds and prewarms the core. Returns the
+    /// cycle count.
+    pub fn run_to_drain(&mut self, oracle: &mut dyn FnMut() -> Option<Retired>) -> u64 {
+        let mut now = 0;
+        while !self.is_drained() {
+            self.tick(now, oracle, &mut NullHook);
+            now += 1;
+        }
+        now
+    }
+
     fn commit<H: CommitHook>(&mut self, now: u64, hook: &mut H) -> u32 {
         let mut committed = 0;
         for lane in 0..self.cfg.width as usize {

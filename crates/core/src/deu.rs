@@ -62,8 +62,6 @@ struct OwedSrcp {
 /// queue.
 #[derive(Debug, Clone)]
 pub struct DeuState {
-    /// Checking capacity (toggled by `b.check`).
-    pub enabled: bool,
     shadow: RegCheckpoint,
     /// Commit-order CSR shadow (RCPs exclude CSRs; recovery rollback
     /// must restore them, so the DEU tracks CSR write side-effects the
@@ -112,7 +110,6 @@ impl DeuState {
         let total_words = RegCheckpoint::WORDS as u32;
         let chunks = total_words.div_ceil(payload_words) as u8;
         DeuState {
-            enabled: true,
             shadow: initial,
             shadow_csrs: BTreeMap::new(),
             committed_total: 0,
@@ -416,10 +413,6 @@ impl DeuHook<'_> {
 
 impl CommitHook for DeuHook<'_> {
     fn on_commit(&mut self, lane: usize, ret: &Retired, now: u64) -> CommitDecision {
-        if !self.deu.enabled {
-            self.update_shadow(ret);
-            return CommitDecision::Proceed;
-        }
         if self.deu.boundary_due() {
             if let Some(stall) = self.handle_boundary(now) {
                 return stall;
@@ -590,7 +583,7 @@ mod tests {
         // Segment 1's verdict frees the checker.
         rig.seg_mgr.finish(1, true);
         rig.littles[0].reset();
-        rig.littles[0].seed_carried_srcp(carried, RegCheckpoint::zeroed(0x1004), 3);
+        rig.littles[0].seed_carried_srcp(carried, RegCheckpoint::zeroed(0x1004));
         let load = fake_retired(0x1008, mem(0x8008), false);
         assert_eq!(rig.hook().on_commit(0, &load, 3), CommitDecision::Proceed);
         assert_eq!(rig.seg_mgr.checker_of(2), Some(0));
@@ -610,19 +603,6 @@ mod tests {
         rig.hook().on_commit(0, &r, 0);
         assert_eq!(rig.deu.shadow.x[1], 7);
         assert_eq!(rig.deu.shadow.pc, 0x1004);
-    }
-
-    #[test]
-    fn disabled_deu_is_transparent() {
-        let mut rig = Rig::new(1, 1, 1);
-        rig.deu.enabled = false;
-        for i in 0..100 {
-            let mem = Some(meek_isa::MemAccess { addr: 0x8000, size: 8, data: 0, is_store: true });
-            let r = fake_retired(0x1000 + i * 4, mem, false);
-            assert_eq!(rig.hook().on_commit(0, &r, i), CommitDecision::Proceed);
-        }
-        assert_eq!(rig.deu.rcps, 0);
-        assert_eq!(rig.deu.runtime_packets, 0);
     }
 
     #[test]

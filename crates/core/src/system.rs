@@ -7,10 +7,10 @@ use crate::fault::{FaultInjector, FaultSite, FaultSpec};
 use crate::report::{RunReport, StallBreakdown};
 use crate::segments::SegmentManager;
 use crate::sim::SimEvent;
-use meek_bigcore::{BigCore, BigCoreConfig, NullHook};
+use meek_bigcore::{BigCore, BigCoreConfig};
 use meek_fabric::{DcBufferConfig, DestMask, Fabric};
 use meek_isa::{ArchState, SparseMemory};
-use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig};
+use meek_littlecore::{LittleCore, LittleCoreConfig, SegmentVerdict};
 use meek_recover::{RecoveryManager, RecoveryPolicy};
 use meek_workloads::{Workload, WorkloadRun};
 
@@ -168,7 +168,6 @@ impl MeekSystem {
         let mut seg_mgr = SegmentManager::new();
         let first = seg_mgr.try_open(1, &mut littles).expect("a little core is idle at boot");
         littles[first].seed_initial_checkpoint(initial_cp);
-        deu.enabled = true;
         MeekSystem {
             cfg,
             big,
@@ -305,9 +304,7 @@ impl MeekSystem {
         if now.is_multiple_of(2) {
             let tl = now / 2;
             for lc in &mut self.littles {
-                if let Some(CheckerEvent::SegmentVerified { seg, pass, .. }) =
-                    lc.tick_check(tl, &self.image)
-                {
+                if let (_, Some(SegmentVerdict { seg, pass, .. })) = lc.check(tl, &self.image, tl) {
                     self.seg_mgr.finish(seg, pass);
                     self.events.push(SimEvent::SegmentClosed { seg, pass, cycle: now });
                     if pass {
@@ -416,7 +413,7 @@ impl MeekSystem {
             .seg_mgr
             .try_open(target.seg, &mut self.littles)
             .expect("every checker is idle right after the squash");
-        self.littles[checker].seed_carried_srcp(target.seg.wrapping_sub(1), target.cp, now / 2);
+        self.littles[checker].seed_carried_srcp(target.seg.wrapping_sub(1), target.cp);
         self.injector.on_rollback(target.seg);
         self.injector.suppressed = golden;
         // The application is no longer "done": it has re-execution
@@ -426,8 +423,7 @@ impl MeekSystem {
 
     /// Emits the final checkpoint once the program has fully committed.
     fn finalize(&mut self, now: u64) {
-        if self.deu.finalized || !self.deu.enabled {
-            self.deu.finalized = true;
+        if self.deu.finalized {
             return;
         }
         let MeekSystem { littles, fabric, deu, seg_mgr, injector, recover, .. } = self;
@@ -531,14 +527,7 @@ pub fn run_vanilla(cfg: &BigCoreConfig, workload: &Workload, max_insts: u64) -> 
     let mut big = BigCore::new(*cfg);
     big.prewarm_icache(workload.entry(), 4 * workload.static_len as u64);
     let mut run = workload.run(max_insts);
-    let mut hook = NullHook;
-    let mut now = 0u64;
-    while !big.is_drained() {
-        let mut oracle = || run.next_retired();
-        big.tick(now, &mut oracle, &mut hook);
-        now += 1;
-    }
-    now
+    big.run_to_drain(&mut || run.next_retired())
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use meek_fabric::{DestMask, Packet, PacketSink, Payload};
 use meek_isa::disasm::{disasm_window, disasm_word};
 use meek_isa::state::RegCheckpoint;
 use meek_isa::{step_predecoded, ArchState, Retired, Trap};
-use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig, MismatchKind};
+use meek_littlecore::{LittleCore, LittleCoreConfig, MismatchKind, SegmentVerdict};
 use meek_telemetry::prof;
 use meek_workloads::Workload;
 use std::fmt;
@@ -326,7 +326,7 @@ fn replay_lockstep(
         now = resumed_at + 1;
         let in_seg = checker.core.stats().replayed_insts - replayed_before;
         match ev {
-            Some(CheckerEvent::SegmentVerified { seg: vseg, pass, mismatch }) => {
+            Some(SegmentVerdict { seg: vseg, pass, mismatch }) => {
                 if !pass {
                     // The failing comparison is the last replayed
                     // instruction (LSL mismatches) or the segment end
@@ -340,7 +340,7 @@ fn replay_lockstep(
                     });
                 }
             }
-            _ => return Err(Divergence::ReplayStuck { seg, replayed: in_seg }),
+            None => return Err(Divergence::ReplayStuck { seg, replayed: in_seg }),
         }
     }
     Ok(n_segs as u32)
@@ -372,9 +372,10 @@ impl<'w> Checker<'w> {
     /// `window` at cycle `now` — the memory record at window index
     /// `corrupt.0` with the corrupted `(addr, data)` instead — then the
     /// end checkpoint `ercp`, and replays the segment. With the whole
-    /// record window already in the LSL, the batched fast path consumes
-    /// it in one call. Returns the cycle the core resumes at and its
-    /// verdict, `None` if it starved or overran its deadline.
+    /// record window already in the LSL, one far-deadline
+    /// [`LittleCore::check`] consumes it. Returns the cycle the core
+    /// resumes at and its verdict, `None` if it starved or overran its
+    /// deadline.
     pub(crate) fn check(
         &mut self,
         seg: u32,
@@ -382,7 +383,7 @@ impl<'w> Checker<'w> {
         corrupt: Option<(usize, u64, u64)>,
         ercp: RegCheckpoint,
         now: u64,
-    ) -> (u64, Option<CheckerEvent>) {
+    ) -> (u64, Option<SegmentVerdict>) {
         self.core.assign(seg);
         let mut send = |payload| {
             let packet =
@@ -405,7 +406,7 @@ impl<'w> Checker<'w> {
         }
         let inst_count = window.len() as u64;
         send(Payload::RcpEnd { seg, inst_count, cp: Box::new(ercp) });
-        self.core.check_burst(now, self.wl.image(), now + 400 * inst_count + 50_000)
+        self.core.check(now, self.wl.image(), now + 400 * inst_count + 50_000)
     }
 }
 

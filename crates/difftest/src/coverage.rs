@@ -25,7 +25,7 @@
 use crate::cosim::{Checker, GoldenRun};
 use meek_core::{CorruptedField, FaultSite, FaultSpec, MaskRecord, RunError, RunReport, Sim};
 use meek_isa::state::RegCheckpoint;
-use meek_littlecore::CheckerEvent;
+use meek_littlecore::SegmentVerdict;
 use meek_telemetry::prof;
 use meek_workloads::Workload;
 use rand::rngs::SmallRng;
@@ -311,15 +311,15 @@ fn replay_twin(
     let ercp = if end == golden.trace.len() { golden.final_cp } else { state_at(golden, wl, end) };
     let (_, ev) = Checker::new(wl, srcp).check(1, &golden.trace[start..end], corrupt, ercp, 0);
     match ev {
-        Some(CheckerEvent::SegmentVerified { pass: true, .. }) => FaultOutcome::MaskedProvenBenign,
-        Some(CheckerEvent::SegmentVerified { mismatch, .. }) => FaultOutcome::Escaped {
+        Some(SegmentVerdict { pass: true, .. }) => FaultOutcome::MaskedProvenBenign,
+        Some(SegmentVerdict { mismatch, .. }) => FaultOutcome::Escaped {
             reason: format!(
                 "replay twin caught the masked corruption as {:?} — the checkers \
                  should have: {mask:?}",
                 mismatch.expect("failed segment carries a mismatch")
             ),
         },
-        _ => FaultOutcome::Escaped {
+        None => FaultOutcome::Escaped {
             reason: format!("replay twin made no progress with the corruption: {mask:?}"),
         },
     }

@@ -16,7 +16,7 @@
 //! `MEEK_REGEN_GOLDEN=1 cargo test -p meek-difftest --test fingerprint`
 //! and explain the diff.
 
-use meek_bigcore::{BigCore, BigCoreStats, NullHook};
+use meek_bigcore::{BigCore, BigCoreStats};
 use meek_core::{
     run_vanilla, FabricKind, FaultSite, FaultSpec, MeekConfig, RecoveryPolicy, RunReport, Sim,
 };
@@ -111,11 +111,7 @@ fn vanilla(wl: &Workload, insts: u64) -> BigCoreStats {
     let mut big = BigCore::new(MeekConfig::default().big);
     big.prewarm_icache(wl.entry(), 4 * wl.static_len as u64);
     let mut run = wl.run(insts);
-    let mut now = 0u64;
-    while !big.is_drained() {
-        big.tick(now, &mut || run.next_retired(), &mut NullHook);
-        now += 1;
-    }
+    big.run_to_drain(&mut || run.next_retired());
     big.stats()
 }
 

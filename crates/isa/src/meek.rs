@@ -18,16 +18,6 @@
 use crate::reg::Reg;
 use std::fmt;
 
-/// Operational mode of a little core, set by `l.mode` (Fig. 2 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CoreMode {
-    /// Running ordinary application threads; memory goes to the cache.
-    #[default]
-    Application,
-    /// Running a checker thread; memory results come from the LSL.
-    Check,
-}
-
 /// A decoded MEEK-ISA instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MeekOp {

@@ -17,12 +17,12 @@
 //! register corruptions are caught at the ERCP comparison.
 
 use crate::config::LittleCoreConfig;
-use crate::lsl::{release_status_chunks, LoadStoreLog, RuntimeRecord, StatusRecord};
+use crate::lsl::{LoadStoreLog, RuntimeRecord, StatusRecord};
 use meek_fabric::{Packet, PacketKind, PacketSink};
 use meek_isa::exec;
 use meek_isa::inst::{ExecClass, Inst};
 use meek_isa::state::{CheckpointMismatch, RegCheckpoint};
-use meek_isa::{decode, ArchState, Bus, PreDecoded, SparseMemory};
+use meek_isa::{decode, ArchState, Bus, PreDecoded, Reg, SparseMemory};
 use meek_mem::MemHierarchy;
 use std::sync::Arc;
 
@@ -55,23 +55,15 @@ pub enum MismatchKind {
     Register(CheckpointMismatch),
 }
 
-/// Events reported by the checker to the system/OS layer.
+/// The checker's verdict on one segment (`l.rslt`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckerEvent {
-    /// Replay of a segment has begun (SRCP applied).
-    SegmentStarted {
-        /// Segment id.
-        seg: u32,
-    },
-    /// A segment finished verification.
-    SegmentVerified {
-        /// Segment id.
-        seg: u32,
-        /// `true` if every comparison matched.
-        pass: bool,
-        /// First divergence observed, if any.
-        mismatch: Option<MismatchKind>,
-    },
+pub struct SegmentVerdict {
+    /// Segment id.
+    pub seg: u32,
+    /// `true` if every comparison matched.
+    pub pass: bool,
+    /// First divergence observed, if any.
+    pub mismatch: Option<MismatchKind>,
 }
 
 /// Stall/activity accounting for one little core.
@@ -111,9 +103,7 @@ enum Phase {
     Compare { remaining: u64, result: Option<MismatchKind> },
 }
 
-/// Outcome of one replay-phase step, shared between the cycle-accurate
-/// [`LittleCore::tick_check`] driver and the batched
-/// [`LittleCore::check_burst`] fast path.
+/// Outcome of one replay-phase step.
 enum StepResult {
     /// An instruction issued (or an I-cache miss stalled the fetch);
     /// `busy_until` has been advanced past the cost.
@@ -123,15 +113,17 @@ enum StepResult {
     /// The segment boundary was reached; the phase is now `Compare`
     /// with the comparison result already latched.
     ToCompare,
-    /// Replay detected a divergence and closed the segment.
-    Done(CheckerEvent),
+    /// Replay diverged from the log; the segment fails without an ERCP
+    /// comparison.
+    Diverged(MismatchKind),
 }
 
 /// One little core with MSU and LSL, running a checker thread.
 ///
-/// The core is driven by the system at the little-clock rate via
-/// [`LittleCore::tick_check`]; forwarded packets arrive in [`LittleCore::lsl`]
-/// through the fabric's `PacketSink` interface.
+/// [`LittleCore::check`] drives the checker, one little-core cycle at a
+/// time in the system or a whole segment at a time in the oracles;
+/// forwarded packets arrive in [`LittleCore::lsl`] through the fabric's
+/// `PacketSink` interface.
 #[derive(Debug, Clone)]
 pub struct LittleCore {
     /// Core id (the index the fabric's `DestMask` refers to).
@@ -151,11 +143,9 @@ pub struct LittleCore {
     ercp: Option<StatusRecord>,
     /// Replay progress within the current segment.
     replayed: u64,
-    /// Fabric chunking (how many status chunks one checkpoint occupies).
-    chunks_per_cp: usize,
     /// Destination register of the previous instruction if it was a load
     /// (for the load-use bubble).
-    last_load_dest: Option<meek_isa::Reg>,
+    last_load_dest: Option<Reg>,
     /// Little-cycle until which the pipeline is busy.
     busy_until: u64,
     stats: LittleCoreStats,
@@ -171,12 +161,13 @@ pub struct LittleCore {
 }
 
 impl LittleCore {
-    /// Creates an idle little core.
+    /// Creates an idle little core whose LSL receives checkpoints in
+    /// `chunks_per_cp` fabric chunks each.
     pub fn new(id: usize, cfg: LittleCoreConfig, chunks_per_cp: usize) -> LittleCore {
         LittleCore {
             id,
             cfg,
-            lsl: LoadStoreLog::new(cfg.lsl),
+            lsl: LoadStoreLog::new(cfg.lsl, chunks_per_cp),
             hier: MemHierarchy::new(cfg.hierarchy),
             arch: ArchState::new(0),
             phase: Phase::WaitSrcp,
@@ -184,7 +175,6 @@ impl LittleCore {
             carried_srcp: None,
             ercp: None,
             replayed: 0,
-            chunks_per_cp,
             last_load_dest: None,
             busy_until: 0,
             stats: LittleCoreStats::default(),
@@ -195,8 +185,8 @@ impl LittleCore {
 
     /// Installs a pre-decoded view of the program image, replacing
     /// per-instruction word decode in the replay loop with table
-    /// lookups. The table must describe the same code `tick_check`'s
-    /// `imem` holds.
+    /// lookups. The table must describe the same code `check`'s `imem`
+    /// holds.
     pub fn install_predecode(&mut self, pd: Arc<PreDecoded>) {
         self.predecoded = Some(pd);
     }
@@ -211,11 +201,6 @@ impl LittleCore {
             self.arch.set_csr(addr, v);
         }
         self.initial_csrs = Some(csrs);
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LittleCoreConfig {
-        &self.cfg
     }
 
     /// Accumulated statistics.
@@ -264,165 +249,102 @@ impl LittleCore {
         self.replayed
     }
 
-    /// Advances the checker by one little-core cycle.
+    /// Runs the checker from little-cycle `now` through `deadline`: the
+    /// only entry point of the segment protocol (wait for the SRCP,
+    /// apply it, replay against the LSL, compare the ERCP). `imem` is
+    /// the shared read-only program image.
     ///
-    /// `imem` is the shared read-only program image. Returns an event when
-    /// a segment starts or finishes.
-    pub fn tick_check(&mut self, now: u64, imem: &SparseMemory) -> Option<CheckerEvent> {
-        if now < self.busy_until {
-            return None;
-        }
-        let seg = self.assignment?;
-        match &mut self.phase {
-            Phase::WaitSrcp => {
-                // SRCP of segment n is checkpoint n-1 (carried over when
-                // this core verified the previous segment).
-                while self.lsl.peek_status().is_some_and(|r| r.seg < seg - 1) {
-                    self.lsl.pop_status();
-                    release_status_chunks(&mut self.lsl, self.chunks_per_cp);
-                }
-                let srcp = if self.carried_srcp.as_ref().map(|r| r.seg) == Some(seg - 1) {
-                    self.carried_srcp.take()
-                } else if self.lsl.peek_status().map(|r| r.seg) == Some(seg - 1) {
-                    let rec = self.lsl.pop_status();
-                    release_status_chunks(&mut self.lsl, self.chunks_per_cp);
-                    rec
-                } else {
-                    None
-                };
-                match srcp {
-                    Some(rec) => {
-                        self.arch.apply_checkpoint(&rec.cp);
-                        self.phase = Phase::Apply { remaining: self.cfg.apply_latency };
-                    }
-                    None => {
-                        self.stats.wait_data_cycles += 1;
-                    }
-                }
-                None
-            }
-            Phase::Apply { remaining } => {
-                self.stats.apply_cycles += 1;
-                *remaining -= 1;
-                if *remaining == 0 {
-                    self.phase = Phase::Replay;
-                    self.last_load_dest = None;
-                    return Some(CheckerEvent::SegmentStarted { seg });
-                }
-                None
-            }
-            Phase::Replay => match self.replay_step(now, seg, imem) {
-                StepResult::Done(ev) => Some(ev),
-                StepResult::Starved => {
-                    self.stats.wait_data_cycles += 1;
-                    None
-                }
-                StepResult::Busy | StepResult::ToCompare => None,
-            },
-            Phase::Compare { remaining, result } => {
-                self.stats.compare_cycles += 1;
-                *remaining -= 1;
-                if *remaining == 0 {
-                    let mismatch = *result;
-                    Some(self.finish_segment(seg, mismatch))
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Batched replay: advances the checker from `now` until the current
-    /// segment closes, the LSL starves, or `deadline` passes — consuming
-    /// whole record windows per call instead of one record per tick,
-    /// which amortizes the per-record phase dispatch and LSL lookups.
+    /// An `Apply` or `Compare` countdown spends at most the cycles left
+    /// before `deadline`, so a call with `deadline == now` advances
+    /// exactly one cycle. The system drives its checkers that way,
+    /// because their per-cycle LSL occupancy is what the fabric's
+    /// backpressure observes. The oracles pre-deliver a whole segment
+    /// into the LSL and pass a far deadline instead: one call then
+    /// fast-forwards countdowns and busy windows until the segment
+    /// closes or the LSL starves, with the same verdict, statistics
+    /// and architectural effects as the per-cycle drive.
     ///
-    /// This is the oracle drivers' fast path (the lock-step cosim way
-    /// and the coverage prover's replay twin): every forwarded packet is
-    /// pre-delivered into the LSL before the call, and the cycle values
-    /// are driver bookkeeping rather than measured artifacts, so the
-    /// `Apply`/`Compare` countdowns and inter-instruction busy cycles
-    /// are fast-forwarded instead of ticked and `SegmentStarted` events
-    /// are coalesced away. The verdict event — segment id, pass flag,
-    /// mismatch kind — is exactly what [`LittleCore::tick_check`] would
-    /// deliver, as is every architectural side effect. In-system cores
-    /// keep the cycle-accurate `tick_check` driver: their per-cycle LSL
-    /// occupancy is what the fabric's backpressure (and thus the whole
-    /// timing model) observes.
-    ///
-    /// Returns `(cycle, verdict)`: the little-cycle the core is next
-    /// runnable at, and the segment verdict if one was reached.
-    /// `(cycle, None)` means the core starved (no SRCP, no run-time
-    /// record, or no assignment) or overran `deadline`.
-    pub fn check_burst(
+    /// Returns the little-cycle the core is next runnable at, and the
+    /// segment's verdict if one was reached (the returned cycle is then
+    /// the one after it). No verdict means the core starved (no SRCP,
+    /// no run-time record, or no assignment) or reached `deadline`.
+    pub fn check(
         &mut self,
         now: u64,
         imem: &SparseMemory,
         deadline: u64,
-    ) -> (u64, Option<CheckerEvent>) {
+    ) -> (u64, Option<SegmentVerdict>) {
         let mut vnow = now.max(self.busy_until);
         let Some(seg) = self.assignment else {
             return (vnow, None);
         };
-        while vnow <= deadline {
+        let verdict = loop {
+            if vnow > deadline {
+                break None;
+            }
+            // The cycles a countdown may spend in this call; saturating,
+            // so a `u64::MAX` deadline cannot overflow.
+            let budget = (deadline - vnow).saturating_add(1);
             match &mut self.phase {
                 Phase::WaitSrcp => {
-                    while self.lsl.peek_status().is_some_and(|r| r.seg < seg - 1) {
-                        self.lsl.pop_status();
-                        release_status_chunks(&mut self.lsl, self.chunks_per_cp);
-                    }
-                    let srcp = if self.carried_srcp.as_ref().map(|r| r.seg) == Some(seg - 1) {
-                        self.carried_srcp.take()
-                    } else if self.lsl.peek_status().map(|r| r.seg) == Some(seg - 1) {
-                        let rec = self.lsl.pop_status();
-                        release_status_chunks(&mut self.lsl, self.chunks_per_cp);
-                        rec
-                    } else {
-                        None
+                    let Some(srcp) = self.take_srcp(seg) else {
+                        self.stats.wait_data_cycles += 1;
+                        vnow += 1;
+                        break None;
                     };
-                    match srcp {
-                        Some(rec) => {
-                            self.arch.apply_checkpoint(&rec.cp);
-                            self.phase = Phase::Apply { remaining: self.cfg.apply_latency };
-                            vnow += 1;
-                        }
-                        None => {
-                            self.stats.wait_data_cycles += 1;
-                            self.busy_until = vnow;
-                            return (vnow, None);
-                        }
-                    }
+                    self.arch.apply_checkpoint(&srcp.cp);
+                    self.phase = Phase::Apply { remaining: self.cfg.apply_latency };
+                    vnow += 1;
                 }
                 Phase::Apply { remaining } => {
-                    self.stats.apply_cycles += *remaining;
-                    vnow += *remaining;
-                    self.phase = Phase::Replay;
-                    self.last_load_dest = None;
-                }
-                Phase::Compare { remaining, result } => {
-                    self.stats.compare_cycles += *remaining;
-                    vnow += *remaining;
-                    let mismatch = *result;
-                    let ev = self.finish_segment(seg, mismatch);
-                    self.busy_until = vnow;
-                    return (vnow, Some(ev));
+                    let spent = budget.min(*remaining);
+                    *remaining -= spent;
+                    self.stats.apply_cycles += spent;
+                    vnow += spent;
+                    if *remaining == 0 {
+                        self.phase = Phase::Replay;
+                        self.last_load_dest = None;
+                    }
                 }
                 Phase::Replay => match self.replay_step(vnow, seg, imem) {
                     StepResult::Busy => vnow = self.busy_until,
                     StepResult::Starved => {
                         self.stats.wait_data_cycles += 1;
-                        self.busy_until = vnow;
-                        return (vnow, None);
+                        vnow += 1;
+                        break None;
                     }
                     StepResult::ToCompare => vnow += 1,
-                    StepResult::Done(ev) => {
-                        self.busy_until = vnow;
-                        return (vnow, Some(ev));
+                    StepResult::Diverged(kind) => {
+                        vnow += 1;
+                        break Some(self.finish_segment(seg, Some(kind)));
                     }
                 },
+                Phase::Compare { remaining, result } => {
+                    let spent = budget.min(*remaining);
+                    *remaining -= spent;
+                    self.stats.compare_cycles += spent;
+                    vnow += spent;
+                    if *remaining == 0 {
+                        let mismatch = *result;
+                        break Some(self.finish_segment(seg, mismatch));
+                    }
+                }
             }
+        };
+        self.busy_until = vnow;
+        (vnow, verdict)
+    }
+
+    /// The SRCP of segment `seg`, which is checkpoint `seg - 1`: carried
+    /// over when this core verified segment `seg - 1`, else taken from
+    /// the LSL. Stale checkpoints are dropped first either way.
+    fn take_srcp(&mut self, seg: u32) -> Option<StatusRecord> {
+        self.lsl.drop_stale_status(seg - 1);
+        if self.carries(seg - 1) {
+            self.carried_srcp.take()
+        } else {
+            self.lsl.take_status(seg - 1)
         }
-        (vnow, None)
     }
 
     /// The Mini-Decoder: the `(raw, decoded)` pair for the current PC,
@@ -437,55 +359,24 @@ impl LittleCore {
         (raw, decode(raw).ok())
     }
 
-    /// Ensures the ERCP for `seg` is popped into `self.ercp`.
-    fn take_ercp(&mut self, seg: u32) -> bool {
-        if self.ercp.as_ref().map(|r| r.seg) == Some(seg) {
-            return true;
-        }
-        while self.lsl.peek_status().is_some_and(|r| r.seg < seg) {
-            self.lsl.pop_status();
-            release_status_chunks(&mut self.lsl, self.chunks_per_cp);
-        }
-        if self.lsl.peek_status().map(|r| r.seg) == Some(seg) {
-            let rec = self.lsl.pop_status();
-            release_status_chunks(&mut self.lsl, self.chunks_per_cp);
-            self.ercp = rec;
-            return true;
-        }
-        false
-    }
-
     fn replay_step(&mut self, now: u64, seg: u32, imem: &SparseMemory) -> StepResult {
         // Do we know the segment length yet?
-        let end = if self.take_ercp(seg) {
-            Some(self.ercp.as_ref().expect("ercp present").inst_count)
-        } else {
-            None
-        };
-        if let Some(end) = end {
-            if self.replayed >= end {
-                self.phase = Phase::Compare {
-                    remaining: self.cfg.compare_latency,
-                    result: self.compare_ercp(),
-                };
-                return StepResult::ToCompare;
-            }
+        if self.ercp.is_none() {
+            self.ercp = self.lsl.take_status(seg);
         }
-        // Drop stale records from segments this core abandoned after a
-        // detection (they may still have been in flight through the
-        // fabric when the segment finished).
-        while self.lsl.peek_runtime().is_some_and(|r| r.seg() < seg) {
-            self.lsl.pop_runtime();
+        let end = self.ercp.as_ref().map(|r| r.inst_count);
+        if end.is_some_and(|end| self.replayed >= end) {
+            self.phase =
+                Phase::Compare { remaining: self.cfg.compare_latency, result: self.compare_ercp() };
+            return StepResult::ToCompare;
         }
+        self.lsl.drop_stale_runtime(seg);
         // Without the ERCP we may only replay while the next run-time
         // record provably belongs to this segment — this keeps the
         // checker behind the main thread (the paper's deadlock fix) and
         // prevents overrunning the unknown segment boundary.
-        if end.is_none() {
-            match self.lsl.peek_runtime() {
-                Some(rec) if rec.seg() == seg => {}
-                _ => return StepResult::Starved,
-            }
+        if end.is_none() && self.lsl.peek_runtime().is_none_or(|r| r.seg() != seg) {
+            return StepResult::Starved;
         }
         // Fetch through the 4 KB I-cache.
         let fetch = self.hier.inst_fetch(self.arch.pc, now);
@@ -499,9 +390,7 @@ impl LittleCore {
         }
         let (raw, decoded) = self.fetch_decoded(imem);
         let Some(inst) = decoded else {
-            return StepResult::Done(
-                self.detect(seg, MismatchKind::ReplayTrap { pc: self.arch.pc, word: raw }),
-            );
+            return StepResult::Diverged(MismatchKind::ReplayTrap { pc: self.arch.pc, word: raw });
         };
         // Structural timing: issue cost in cycles beyond this one.
         let mut extra = 0u64;
@@ -552,7 +441,7 @@ impl LittleCore {
                 // begins on the next cycle.
                 StepResult::Busy
             }
-            Err(kind) => StepResult::Done(self.detect(seg, kind)),
+            Err(kind) => StepResult::Diverged(kind),
         }
     }
 
@@ -560,133 +449,88 @@ impl LittleCore {
     fn replay_inst(&mut self, seg: u32, inst: Inst, raw: u32) -> Result<bool, MismatchKind> {
         let pc = self.arch.pc;
         match inst {
-            Inst::Load { op, rd, rs1, offset } => {
-                let size = op.size();
-                let addr = self.arch.x(rs1).wrapping_add(offset as i64 as u64) & !(size as u64 - 1);
-                let rec = self.next_mem_record(seg)?;
-                let (raddr, rsize, rdata, rstore) = rec;
-                if rstore {
-                    return Err(MismatchKind::RecordType);
+            Inst::Load { rs1, offset, .. } | Inst::Fld { rs1, offset, .. } => {
+                let size = if let Inst::Load { op, .. } = inst { op.size() } else { 8 };
+                let data = self.replay_access(seg, rs1, offset, size, None)?;
+                match inst {
+                    Inst::Load { rd, .. } => self.arch.set_x(rd, data),
+                    Inst::Fld { rd, .. } => self.arch.set_f(rd, data),
+                    _ => unreachable!("matched a load"),
                 }
-                if rsize != size {
-                    return Err(MismatchKind::AccessSize);
-                }
-                if raddr != addr {
-                    return Err(MismatchKind::LoadAddr);
-                }
-                self.arch.set_x(rd, rdata);
-                self.arch.pc = pc.wrapping_add(4);
-                Ok(false)
             }
-            Inst::Fld { rd, rs1, offset } => {
-                let addr = self.arch.x(rs1).wrapping_add(offset as i64 as u64) & !7;
-                let (raddr, rsize, rdata, rstore) = self.next_mem_record(seg)?;
-                if rstore {
-                    return Err(MismatchKind::RecordType);
-                }
-                if rsize != 8 {
-                    return Err(MismatchKind::AccessSize);
-                }
-                if raddr != addr {
-                    return Err(MismatchKind::LoadAddr);
-                }
-                self.arch.set_f(rd, rdata);
-                self.arch.pc = pc.wrapping_add(4);
-                Ok(false)
-            }
-            Inst::Store { op, rs1, rs2, offset } => {
-                let size = op.size();
-                let addr = self.arch.x(rs1).wrapping_add(offset as i64 as u64) & !(size as u64 - 1);
-                let mask = if size == 8 { u64::MAX } else { (1u64 << (8 * size)) - 1 };
-                let data = self.arch.x(rs2) & mask;
-                let (raddr, rsize, rdata, rstore) = self.next_mem_record(seg)?;
-                if !rstore {
-                    return Err(MismatchKind::RecordType);
-                }
-                if rsize != size {
-                    return Err(MismatchKind::AccessSize);
-                }
-                if raddr != addr {
-                    return Err(MismatchKind::StoreAddr);
-                }
-                if rdata != data {
-                    return Err(MismatchKind::StoreData);
-                }
-                self.arch.pc = pc.wrapping_add(4);
-                Ok(false)
-            }
-            Inst::Fsd { rs1, rs2, offset } => {
-                let addr = self.arch.x(rs1).wrapping_add(offset as i64 as u64) & !7;
-                let data = self.arch.f(rs2);
-                let (raddr, rsize, rdata, rstore) = self.next_mem_record(seg)?;
-                if !rstore {
-                    return Err(MismatchKind::RecordType);
-                }
-                if rsize != 8 {
-                    return Err(MismatchKind::AccessSize);
-                }
-                if raddr != addr {
-                    return Err(MismatchKind::StoreAddr);
-                }
-                if rdata != data {
-                    return Err(MismatchKind::StoreData);
-                }
-                self.arch.pc = pc.wrapping_add(4);
-                Ok(false)
-            }
-            Inst::Csr { op, rd, rs1: _, csr } => {
-                // Non-repeatable: take the logged value (paper footnote 1).
-                while self.lsl.peek_runtime().is_some_and(|r| r.seg() < seg) {
-                    self.lsl.pop_runtime();
-                }
-                match self.lsl.pop_runtime() {
-                    Some(RuntimeRecord::Csr { seg: rseg, addr, data }) => {
-                        if rseg != seg {
-                            return Err(MismatchKind::RecordType);
-                        }
-                        if addr != csr {
-                            return Err(MismatchKind::CsrAddr);
-                        }
-                        // Only the read value is architecturally visible to
-                        // the replay; the write side-effect is re-applied to
-                        // the local CSR file for completeness.
-                        let _ = op;
-                        self.arch.set_csr(csr, data);
-                        self.arch.set_x(rd, data);
-                        self.arch.pc = pc.wrapping_add(4);
-                        Ok(false)
+            Inst::Store { rs1, offset, .. } | Inst::Fsd { rs1, offset, .. } => {
+                let (size, data) = match inst {
+                    Inst::Store { op, rs2, .. } => {
+                        let size = op.size();
+                        let mask = if size == 8 { u64::MAX } else { (1u64 << (8 * size)) - 1 };
+                        (size, self.arch.x(rs2) & mask)
                     }
-                    Some(_) => Err(MismatchKind::RecordType),
-                    None => Err(MismatchKind::RecordType),
+                    Inst::Fsd { rs2, .. } => (8, self.arch.f(rs2)),
+                    _ => unreachable!("matched a store"),
+                };
+                self.replay_access(seg, rs1, offset, size, Some(data))?;
+            }
+            Inst::Csr { rd, csr, .. } => {
+                // Non-repeatable: take the logged value (paper footnote 1).
+                let RuntimeRecord::Csr { addr, data, .. } = self.next_record(seg)? else {
+                    return Err(MismatchKind::RecordType);
+                };
+                if addr != csr {
+                    return Err(MismatchKind::CsrAddr);
                 }
+                // Only the read value is architecturally visible to the
+                // replay; the write side-effect is re-applied to the
+                // local CSR file for completeness.
+                self.arch.set_csr(csr, data);
+                self.arch.set_x(rd, data);
             }
             _ => {
                 // Repeatable instructions replay functionally; they cannot
                 // touch memory (Load/Store/Csr handled above).
-                let mut no_mem = NoMem;
-                let before = self.arch.pc;
-                let r = exec::execute(&mut self.arch, &mut no_mem, pc, raw, inst);
-                debug_assert_eq!(before, pc);
-                Ok(r.branch.is_some_and(|b| b.taken))
+                let r = exec::execute(&mut self.arch, &mut NoMem, pc, raw, inst);
+                return Ok(r.branch.is_some_and(|b| b.taken));
             }
         }
+        self.arch.pc = pc.wrapping_add(4);
+        Ok(false)
     }
 
-    fn next_mem_record(&mut self, seg: u32) -> Result<(u64, u8, u64, bool), MismatchKind> {
-        while self.lsl.peek_runtime().is_some_and(|r| r.seg() < seg) {
-            self.lsl.pop_runtime();
+    /// Pops the next run-time record, which must belong to `seg`.
+    fn next_record(&mut self, seg: u32) -> Result<RuntimeRecord, MismatchKind> {
+        self.lsl.pop_runtime().filter(|r| r.seg() == seg).ok_or(MismatchKind::RecordType)
+    }
+
+    /// Matches a replayed `size`-byte access at `rs1 + offset` against
+    /// the next memory record of `seg`: a load when `store` is `None`,
+    /// else a store whose payload must equal the logged data. Returns
+    /// the logged data.
+    fn replay_access(
+        &mut self,
+        seg: u32,
+        rs1: Reg,
+        offset: i32,
+        size: u8,
+        store: Option<u64>,
+    ) -> Result<u64, MismatchKind> {
+        let addr = self.arch.x(rs1).wrapping_add(offset as i64 as u64) & !(size as u64 - 1);
+        let RuntimeRecord::Mem { addr: raddr, size: rsize, data, is_store, .. } =
+            self.next_record(seg)?
+        else {
+            return Err(MismatchKind::RecordType);
+        };
+        if is_store != store.is_some() {
+            return Err(MismatchKind::RecordType);
         }
-        match self.lsl.pop_runtime() {
-            Some(RuntimeRecord::Mem { seg: rseg, addr, size, data, is_store }) => {
-                if rseg != seg {
-                    Err(MismatchKind::RecordType)
-                } else {
-                    Ok((addr, size, data, is_store))
-                }
-            }
-            Some(RuntimeRecord::Csr { .. }) => Err(MismatchKind::RecordType),
-            None => Err(MismatchKind::RecordType),
+        if rsize != size {
+            return Err(MismatchKind::AccessSize);
         }
+        if raddr != addr {
+            return Err(if is_store { MismatchKind::StoreAddr } else { MismatchKind::LoadAddr });
+        }
+        if store.is_some_and(|payload| payload != data) {
+            return Err(MismatchKind::StoreData);
+        }
+        Ok(data)
     }
 
     fn compare_ercp(&self) -> Option<MismatchKind> {
@@ -695,12 +539,7 @@ impl LittleCore {
         ercp.cp.first_mismatch(&ours).map(MismatchKind::Register)
     }
 
-    /// Immediate detection during replay (LSL comparison).
-    fn detect(&mut self, seg: u32, kind: MismatchKind) -> CheckerEvent {
-        self.finish_segment(seg, Some(kind))
-    }
-
-    fn finish_segment(&mut self, seg: u32, mismatch: Option<MismatchKind>) -> CheckerEvent {
+    fn finish_segment(&mut self, seg: u32, mismatch: Option<MismatchKind>) -> SegmentVerdict {
         self.stats.segments_checked += 1;
         if mismatch.is_some() {
             self.stats.mismatches += 1;
@@ -716,7 +555,7 @@ impl LittleCore {
         self.assignment = None;
         self.replayed = 0;
         self.phase = Phase::WaitSrcp;
-        CheckerEvent::SegmentVerified { seg, pass: mismatch.is_none(), mismatch }
+        SegmentVerdict { seg, pass: mismatch.is_none(), mismatch }
     }
 
     /// Warms the code image into the shared cache levels (the big core
@@ -738,7 +577,7 @@ impl LittleCore {
     /// program's initial architectural state, synthesised by the OS at
     /// `b.hook` time rather than forwarded through the fabric).
     pub fn seed_initial_checkpoint(&mut self, cp: RegCheckpoint) {
-        self.seed_carried_srcp(0, cp, 0);
+        self.seed_carried_srcp(0, cp);
     }
 
     /// Seeds checkpoint `prev_seg` (the SRCP of segment `prev_seg + 1`)
@@ -746,64 +585,13 @@ impl LittleCore {
     /// by the recovery subsystem when a rollback re-opens a segment
     /// whose start checkpoint is pinned in the big core's checkpoint
     /// store rather than resident in any LSL.
-    pub fn seed_carried_srcp(&mut self, prev_seg: u32, cp: RegCheckpoint, now: u64) {
-        self.carried_srcp =
-            Some(StatusRecord { seg: prev_seg, inst_count: 0, cp, arrived_at: now });
+    pub fn seed_carried_srcp(&mut self, prev_seg: u32, cp: RegCheckpoint) {
+        self.carried_srcp = Some(StatusRecord { seg: prev_seg, inst_count: 0, cp });
     }
 
-    /// Executes one instruction of an ordinary application thread — the
-    /// core's *application mode* (paper Fig. 4): memory goes through the
-    /// private caches rather than the LSL, exactly as on an unmodified
-    /// Rocket. The scheduler flips between this and
-    /// [`LittleCore::tick_check`] with `l.mode` (Algorithm 2).
-    ///
-    /// Returns the retired instruction once its timing completes, or
-    /// `None` on a stall cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns the architectural trap if the thread executes an illegal
-    /// instruction.
-    pub fn tick_application(
-        &mut self,
-        now: u64,
-        st: &mut ArchState,
-        mem: &mut SparseMemory,
-    ) -> Result<Option<meek_isa::Retired>, meek_isa::Trap> {
-        if now < self.busy_until {
-            return Ok(None);
-        }
-        let fetch = self.hier.inst_fetch(st.pc, now);
-        if fetch.ready_at > now + 1 {
-            self.stats.icache_stall_cycles += fetch.ready_at - now - 1;
-            self.busy_until = fetch.ready_at - 1;
-            return Ok(None);
-        }
-        let ret = exec::step(st, mem)?;
-        let mut extra = 0u64;
-        match ret.class {
-            ExecClass::IntDiv => extra += self.cfg.div_latency() - 1,
-            ExecClass::IntMul => extra += self.cfg.mul_latency - 1,
-            ExecClass::FpDiv => extra += self.cfg.fdiv_latency - 1,
-            ExecClass::FpAdd | ExecClass::FpMul => extra += self.cfg.fp_issue_cost() - 1,
-            ExecClass::Load | ExecClass::Store => {
-                if let Some(m) = ret.mem {
-                    let o = self.hier.data_access(m.addr, meek_mem::AccessKind::Read, now);
-                    extra += o.ready_at.saturating_sub(now + 1);
-                }
-            }
-            _ => {}
-        }
-        if ret.branch.is_some_and(|b| b.taken) {
-            extra += self.cfg.branch_penalty;
-        }
-        self.stats.busy_cycles += 1 + extra;
-        self.busy_until = now + 1 + extra;
-        Ok(Some(ret))
-    }
-
-    /// Resets core state for reuse by the scheduler (mode switch to
-    /// application mode and back clears the LSL reservation).
+    /// Resets the checker for reuse by the scheduler: the LSL, the
+    /// private L1 and the segment state are cleared (a recovery rollback
+    /// squashes every checker this way before re-opening a segment).
     pub fn reset(&mut self) {
         self.lsl.clear();
         self.hier.flush_l1();
@@ -856,7 +644,6 @@ mod tests {
     use meek_fabric::{DestMask, Packet, PacketSink, Payload};
     use meek_isa::encode;
     use meek_isa::inst::{AluImmOp, AluOp, BranchOp, LoadOp, StoreOp};
-    use meek_isa::Reg;
 
     const CHUNKS: usize = 17;
 
@@ -922,15 +709,37 @@ mod tests {
         );
     }
 
-    fn run_to_event(core: &mut LittleCore, imem: &SparseMemory, limit: u64) -> (CheckerEvent, u64) {
+    /// A core assigned segment 1 from `srcp`, with `pkts` and the ERCP
+    /// of `inst_count` instructions already in its LSL.
+    fn loaded_core(
+        srcp: RegCheckpoint,
+        pkts: &[Packet],
+        inst_count: u64,
+        ercp: RegCheckpoint,
+    ) -> LittleCore {
+        let mut core = make_core();
+        core.seed_initial_checkpoint(srcp);
+        core.assign(1);
+        for p in pkts {
+            core.lsl.deliver(p.clone(), 0);
+        }
+        deliver_ercp(&mut core, 1, inst_count, ercp);
+        core
+    }
+
+    /// Drives `core` one cycle per call from cycle 0; returns the verdict
+    /// and the cycle it was reached in.
+    fn run_to_event(
+        core: &mut LittleCore,
+        imem: &SparseMemory,
+        limit: u64,
+    ) -> (SegmentVerdict, u64) {
         for now in 0..limit {
-            if let Some(ev) = core.tick_check(now, imem) {
-                if matches!(ev, CheckerEvent::SegmentVerified { .. }) {
-                    return (ev, now);
-                }
+            if let (_, Some(verdict)) = core.check(now, imem, now) {
+                return (verdict, now);
             }
         }
-        panic!("no verification event within {limit} cycles");
+        panic!("no verdict within {limit} cycles");
     }
 
     fn test_program() -> Vec<Inst> {
@@ -950,18 +759,22 @@ mod tests {
     /// The branch at index 5 skips index 6, so 7 instructions execute.
     const EXECUTED: u64 = 7;
 
+    /// Flips bit `bit` of the first logged store's data.
+    fn corrupt_store_data(pkts: &mut [Packet], bit: u32) {
+        for p in pkts {
+            if let Payload::Mem { data, is_store: true, .. } = &mut p.payload {
+                *data ^= 1 << bit;
+                break;
+            }
+        }
+    }
+
     #[test]
     fn clean_replay_passes() {
         let (imem, srcp, pkts, ercp) = golden_run(&test_program());
-        let mut core = make_core();
-        core.seed_initial_checkpoint(srcp);
-        core.assign(1);
-        for p in pkts {
-            core.lsl.deliver(p, 0);
-        }
-        deliver_ercp(&mut core, 1, EXECUTED, ercp);
-        let (ev, _) = run_to_event(&mut core, &imem, 10_000);
-        assert_eq!(ev, CheckerEvent::SegmentVerified { seg: 1, pass: true, mismatch: None });
+        let mut core = loaded_core(srcp, &pkts, EXECUTED, ercp);
+        let (verdict, _) = run_to_event(&mut core, &imem, 10_000);
+        assert_eq!(verdict, SegmentVerdict { seg: 1, pass: true, mismatch: None });
         assert_eq!(core.stats().replayed_insts, EXECUTED);
         assert_eq!(core.stats().mismatches, 0);
     }
@@ -976,23 +789,12 @@ mod tests {
                 break;
             }
         }
-        let mut core = make_core();
-        core.seed_initial_checkpoint(srcp);
-        core.assign(1);
-        for p in pkts {
-            core.lsl.deliver(p, 0);
-        }
-        deliver_ercp(&mut core, 1, EXECUTED, ercp);
-        let (ev, _) = run_to_event(&mut core, &imem, 10_000);
-        match ev {
-            CheckerEvent::SegmentVerified { pass, mismatch, .. } => {
-                assert!(!pass);
-                // The corrupted x2 propagates into x3, stored at offset 8:
-                // detected as StoreData in the LSL, before the ERCP.
-                assert_eq!(mismatch, Some(MismatchKind::StoreData));
-            }
-            ev => panic!("unexpected event {ev:?}"),
-        }
+        let mut core = loaded_core(srcp, &pkts, EXECUTED, ercp);
+        let (verdict, _) = run_to_event(&mut core, &imem, 10_000);
+        assert!(!verdict.pass);
+        // The corrupted x2 propagates into x3, stored at offset 8:
+        // detected as StoreData in the LSL, before the ERCP.
+        assert_eq!(verdict.mismatch, Some(MismatchKind::StoreData));
     }
 
     #[test]
@@ -1004,43 +806,22 @@ mod tests {
                 break;
             }
         }
-        let mut core = make_core();
-        core.seed_initial_checkpoint(srcp);
-        core.assign(1);
-        for p in pkts {
-            core.lsl.deliver(p, 0);
-        }
-        deliver_ercp(&mut core, 1, EXECUTED, ercp);
-        let (ev, _) = run_to_event(&mut core, &imem, 10_000);
-        assert!(matches!(
-            ev,
-            CheckerEvent::SegmentVerified {
-                pass: false,
-                mismatch: Some(MismatchKind::StoreAddr),
-                ..
-            }
-        ));
+        let mut core = loaded_core(srcp, &pkts, EXECUTED, ercp);
+        let (verdict, _) = run_to_event(&mut core, &imem, 10_000);
+        assert!(!verdict.pass);
+        assert_eq!(verdict.mismatch, Some(MismatchKind::StoreAddr));
     }
 
     #[test]
     fn corrupted_ercp_register_detected_at_compare() {
         let (imem, srcp, pkts, mut ercp) = golden_run(&test_program());
         ercp.x[3] ^= 0x8000; // corrupt forwarded status data
-        let mut core = make_core();
-        core.seed_initial_checkpoint(srcp);
-        core.assign(1);
-        for p in pkts {
-            core.lsl.deliver(p, 0);
-        }
-        deliver_ercp(&mut core, 1, EXECUTED, ercp);
-        let (ev, _) = run_to_event(&mut core, &imem, 10_000);
+        let mut core = loaded_core(srcp, &pkts, EXECUTED, ercp);
+        let (verdict, _) = run_to_event(&mut core, &imem, 10_000);
+        assert!(!verdict.pass);
         assert!(matches!(
-            ev,
-            CheckerEvent::SegmentVerified {
-                pass: false,
-                mismatch: Some(MismatchKind::Register(CheckpointMismatch::X { index: 3, .. })),
-                ..
-            }
+            verdict.mismatch,
+            Some(MismatchKind::Register(CheckpointMismatch::X { index: 3, .. }))
         ));
     }
 
@@ -1053,7 +834,7 @@ mod tests {
         // Run 100 cycles with no data: the core applies the SRCP then
         // waits (it cannot replay ahead of the log).
         for now in 0..100 {
-            core.tick_check(now, &imem);
+            core.check(now, &imem, now);
         }
         assert!(core.stats().wait_data_cycles > 0);
         assert_eq!(core.stats().replayed_insts, 0, "must not run ahead of the log");
@@ -1061,15 +842,8 @@ mod tests {
             core.lsl.deliver(p, 100);
         }
         deliver_ercp(&mut core, 1, EXECUTED, ercp);
-        let mut done = false;
-        for now in 100..10_000 {
-            if let Some(CheckerEvent::SegmentVerified { pass, .. }) = core.tick_check(now, &imem) {
-                assert!(pass);
-                done = true;
-                break;
-            }
-        }
-        assert!(done);
+        let verdict = (100..10_000).find_map(|now| core.check(now, &imem, now).1);
+        assert_eq!(verdict.map(|v| v.pass), Some(true));
     }
 
     #[test]
@@ -1102,64 +876,52 @@ mod tests {
         );
     }
 
-    /// Drives a prepared core with the batched fast path instead of the
-    /// per-cycle driver.
-    fn burst_to_event(core: &mut LittleCore, imem: &SparseMemory, limit: u64) -> CheckerEvent {
-        let (_, ev) = core.check_burst(0, imem, limit);
-        ev.expect("burst must reach a verdict")
-    }
-
     #[test]
     fn burst_verdict_matches_ticked_replay() {
-        // The batched fast path must reach exactly the verdict (and the
-        // same per-instruction work) the cycle-accurate driver does.
+        // One far-deadline call must reach exactly the verdict, the
+        // statistics and the timing of the per-cycle drive, whichever
+        // way the segment closes: a clean pass, a store mismatch caught
+        // during replay, or a register mismatch at the ERCP comparison.
         let (imem, srcp, pkts, ercp) = golden_run(&test_program());
-        let prepare = |pkts: &[Packet]| {
-            let mut core = make_core();
-            core.seed_initial_checkpoint(srcp);
-            core.assign(1);
-            for p in pkts {
-                core.lsl.deliver(p.clone(), 0);
-            }
-            deliver_ercp(&mut core, 1, EXECUTED, ercp);
-            core
-        };
-        let mut ticked = prepare(&pkts);
-        let (ticked_ev, _) = run_to_event(&mut ticked, &imem, 10_000);
-        let mut burst = prepare(&pkts);
-        let burst_ev = burst_to_event(&mut burst, &imem, 10_000);
-        assert_eq!(burst_ev, ticked_ev);
-        assert_eq!(burst.stats().replayed_insts, ticked.stats().replayed_insts);
-        assert_eq!(burst.stats().segments_checked, ticked.stats().segments_checked);
-        assert_eq!(burst.stats().mismatches, 0);
-        assert!(burst.is_idle());
+        let mut store_fault = pkts.clone();
+        corrupt_store_data(&mut store_fault, 9);
+        let mut bad_ercp = ercp;
+        bad_ercp.x[3] ^= 0x8000;
+        let inputs = [
+            (&pkts, ercp, None),
+            (&store_fault, ercp, Some(MismatchKind::StoreData)),
+            (
+                &pkts,
+                bad_ercp,
+                Some(MismatchKind::Register(CheckpointMismatch::X {
+                    index: 3,
+                    expected: bad_ercp.x[3],
+                    actual: ercp.x[3],
+                })),
+            ),
+        ];
+        for (records, ercp, mismatch) in inputs {
+            let mut ticked = loaded_core(srcp, records, EXECUTED, ercp);
+            let (ticked_verdict, at) = run_to_event(&mut ticked, &imem, 10_000);
+            let mut burst = loaded_core(srcp, records, EXECUTED, ercp);
+            let (next, burst_verdict) = burst.check(0, &imem, u64::MAX);
+            assert_eq!(ticked_verdict.mismatch, mismatch);
+            assert_eq!(burst_verdict, Some(ticked_verdict));
+            assert_eq!(burst.stats(), ticked.stats());
+            assert_eq!(next, at + 1, "the call returns the cycle after the verdict");
+            assert!(burst.is_idle());
+        }
     }
 
     #[test]
     fn burst_detects_corruption_like_ticked_replay() {
         let (imem, srcp, mut pkts, ercp) = golden_run(&test_program());
-        for p in &mut pkts {
-            if let Payload::Mem { data, is_store: true, .. } = &mut p.payload {
-                *data ^= 1 << 9;
-                break;
-            }
-        }
-        let mut core = make_core();
-        core.seed_initial_checkpoint(srcp);
-        core.assign(1);
-        for p in pkts {
-            core.lsl.deliver(p, 0);
-        }
-        deliver_ercp(&mut core, 1, EXECUTED, ercp);
-        let ev = burst_to_event(&mut core, &imem, 10_000);
-        assert!(matches!(
-            ev,
-            CheckerEvent::SegmentVerified {
-                pass: false,
-                mismatch: Some(MismatchKind::StoreData),
-                ..
-            }
-        ));
+        corrupt_store_data(&mut pkts, 9);
+        let mut core = loaded_core(srcp, &pkts, EXECUTED, ercp);
+        let (_, verdict) = core.check(0, &imem, 10_000);
+        let verdict = verdict.expect("the call reaches a verdict");
+        assert!(!verdict.pass);
+        assert_eq!(verdict.mismatch, Some(MismatchKind::StoreData));
     }
 
     #[test]
@@ -1168,50 +930,38 @@ mod tests {
         let mut core = make_core();
         core.seed_initial_checkpoint(srcp);
         core.assign(1);
-        // No run-time records delivered: the burst applies the SRCP and
+        // No run-time records delivered: the call applies the SRCP and
         // then starves instead of running ahead of the log.
-        let (resume_at, ev) = core.check_burst(0, &imem, 10_000);
-        assert_eq!(ev, None);
+        let (resume_at, verdict) = core.check(0, &imem, 10_000);
+        assert_eq!(verdict, None);
         assert_eq!(core.stats().replayed_insts, 0, "must not run ahead of the log");
         for p in pkts {
             core.lsl.deliver(p, resume_at);
         }
         deliver_ercp(&mut core, 1, EXECUTED, ercp);
-        let (_, ev) = core.check_burst(resume_at, &imem, resume_at + 10_000);
-        assert_eq!(ev, Some(CheckerEvent::SegmentVerified { seg: 1, pass: true, mismatch: None }));
+        let (_, verdict) = core.check(resume_at, &imem, resume_at + 10_000);
+        assert_eq!(verdict, Some(SegmentVerdict { seg: 1, pass: true, mismatch: None }));
         assert_eq!(core.stats().replayed_insts, EXECUTED);
     }
 
     #[test]
     fn burst_carries_srcp_across_segments() {
         let (imem, srcp, pkts, ercp) = golden_run(&test_program());
-        let mut core = make_core();
-        core.seed_initial_checkpoint(srcp);
-        core.assign(1);
-        for p in pkts {
-            core.lsl.deliver(p, 0);
-        }
-        deliver_ercp(&mut core, 1, EXECUTED, ercp);
-        let (t, ev) = core.check_burst(0, &imem, 10_000);
-        assert!(matches!(ev, Some(CheckerEvent::SegmentVerified { seg: 1, pass: true, .. })));
+        let mut core = loaded_core(srcp, &pkts, EXECUTED, ercp);
+        let (t, verdict) = core.check(0, &imem, 10_000);
+        assert!(matches!(verdict, Some(SegmentVerdict { seg: 1, pass: true, .. })));
         // Segment 2: empty segment ending in the same state, verified
         // off the carried ERCP-as-SRCP.
         core.assign(2);
         deliver_ercp(&mut core, 2, 0, ercp);
-        let (_, ev) = core.check_burst(t, &imem, t + 1_000);
-        assert!(matches!(ev, Some(CheckerEvent::SegmentVerified { seg: 2, pass: true, .. })));
+        let (_, verdict) = core.check(t, &imem, t + 1_000);
+        assert!(matches!(verdict, Some(SegmentVerdict { seg: 2, pass: true, .. })));
     }
 
     #[test]
     fn reassignment_after_completion() {
         let (imem, srcp, pkts, ercp) = golden_run(&test_program());
-        let mut core = make_core();
-        core.seed_initial_checkpoint(srcp);
-        core.assign(1);
-        for p in pkts {
-            core.lsl.deliver(p, 0);
-        }
-        deliver_ercp(&mut core, 1, EXECUTED, ercp);
+        let mut core = loaded_core(srcp, &pkts, EXECUTED, ercp);
         let (_, t) = run_to_event(&mut core, &imem, 10_000);
         assert!(core.is_idle());
         // The ERCP of segment 1 was carried as the SRCP of segment 2.
@@ -1219,103 +969,11 @@ mod tests {
         // Provide segment 2: empty segment (0 instructions) ending in the
         // same state.
         deliver_ercp(&mut core, 2, 0, ercp);
-        let mut done = false;
-        for now in (t + 1)..(t + 1000) {
-            if let Some(CheckerEvent::SegmentVerified { seg: 2, pass, .. }) =
-                core.tick_check(now, &imem)
-            {
-                assert!(pass);
-                done = true;
-                break;
-            }
-        }
-        assert!(done, "second segment must verify using the carried SRCP");
-    }
-}
-
-#[cfg(test)]
-mod app_mode_tests {
-    use super::*;
-    use meek_isa::encode;
-    use meek_isa::inst::{AluImmOp, Inst, LoadOp, MulDivOp};
-    use meek_isa::Reg;
-
-    fn run_app(insts: &[Inst], cfg: LittleCoreConfig) -> (u64, ArchState) {
-        let words: Vec<u32> = insts.iter().map(encode).collect();
-        let mut mem = SparseMemory::new();
-        mem.load_program(0x1000, &words);
-        let mut st = ArchState::new(0x1000);
-        st.set_x(Reg::X5, 0x8000);
-        let mut core = LittleCore::new(0, cfg, 17);
-        core.prewarm_code(0x1000, 4 * words.len() as u64);
-        let end = 0x1000 + 4 * words.len() as u64;
-        let mut now = 0u64;
-        while st.pc < end {
-            core.tick_application(now, &mut st, &mut mem).expect("no trap");
-            now += 1;
-            assert!(now < 1_000_000, "application run diverged");
-        }
-        (now, st)
-    }
-
-    #[test]
-    fn application_mode_executes_correctly() {
-        let (cycles, st) = run_app(
-            &[
-                Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X1, rs1: Reg::X0, imm: 5 },
-                Inst::AluImm { op: AluImmOp::Addi, rd: Reg::X2, rs1: Reg::X1, imm: 7 },
-                Inst::Load { op: LoadOp::Ld, rd: Reg::X3, rs1: Reg::X5, offset: 0 },
-            ],
-            LittleCoreConfig::optimized(),
+        let verdict = ((t + 1)..(t + 1000)).find_map(|now| core.check(now, &imem, now).1);
+        assert_eq!(
+            verdict,
+            Some(SegmentVerdict { seg: 2, pass: true, mismatch: None }),
+            "second segment must verify using the carried SRCP"
         );
-        assert_eq!(st.x(Reg::X2), 12);
-        assert!(cycles >= 3);
-    }
-
-    #[test]
-    fn application_divides_cost_more_on_default_rocket() {
-        let prog: Vec<Inst> = std::iter::once(Inst::AluImm {
-            op: AluImmOp::Addi,
-            rd: Reg::X1,
-            rs1: Reg::X0,
-            imm: 100,
-        })
-        .chain((0..16).map(|_| Inst::MulDiv {
-            op: MulDivOp::Div,
-            rd: Reg::X2,
-            rs1: Reg::X1,
-            rs2: Reg::X1,
-        }))
-        .collect();
-        let (opt, _) = run_app(&prog, LittleCoreConfig::optimized());
-        let (def, _) = run_app(&prog, LittleCoreConfig::default_rocket());
-        assert!(def > opt + 16 * 40, "1-bit divider must dominate ({def} vs {opt})");
-    }
-
-    #[test]
-    fn application_memory_pays_cache_latency() {
-        // A cold scattered load must cost more than an L1 hit.
-        let mut mem = SparseMemory::new();
-        let prog = [
-            encode(&Inst::Load { op: LoadOp::Ld, rd: Reg::X1, rs1: Reg::X5, offset: 0 }),
-            encode(&Inst::Load { op: LoadOp::Ld, rd: Reg::X2, rs1: Reg::X5, offset: 0 }),
-        ];
-        mem.load_program(0x1000, &prog);
-        let mut st = ArchState::new(0x1000);
-        st.set_x(Reg::X5, 0x20_0000);
-        let mut core = LittleCore::new(0, LittleCoreConfig::optimized(), 17);
-        core.prewarm_code(0x1000, 8);
-        let mut now = 0u64;
-        let mut retired_at = Vec::new();
-        while st.pc < 0x1008 {
-            if let Some(r) = core.tick_application(now, &mut st, &mut mem).expect("no trap") {
-                retired_at.push((r.pc, now));
-            }
-            now += 1;
-            assert!(now < 100_000);
-        }
-        // The first (cold) load's shadow is visible as a gap before the
-        // second finishes.
-        assert!(now > 20, "cold load should stall the pipeline ({now})");
     }
 }

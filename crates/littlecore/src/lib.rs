@@ -2,12 +2,14 @@
 //! upgraded with the **Mode Switch Unit** (MSU) and the **Load-Store Log**
 //! (LSL) so it can run checker threads (paper §III-C, Fig. 4).
 //!
-//! In *application* mode the core behaves like an ordinary in-order CPU
-//! with its private 4 KB L1 caches. In *check* mode the MSU has applied a
-//! Start Register Checkpoint (SRCP) to the architectural registers and
-//! the Memory-Access stage is multiplexed onto the LSL: loads return the
-//! logged data, stores are compared against the logged address and value,
-//! and the segment ends with an End-RCP register-file comparison.
+//! The model is the core in *check* mode: the MSU has applied a Start
+//! Register Checkpoint (SRCP) to the architectural registers and the
+//! Memory-Access stage is multiplexed onto the LSL, so loads return the
+//! logged data, stores are compared against the logged address and
+//! value, and the segment ends with an End-RCP register-file comparison.
+//! [`LittleCore::check`] is the only entry point of that protocol: the
+//! system calls it once per little-core cycle, the oracles once per
+//! segment.
 //!
 //! Timing follows a classic 5-stage in-order pipeline: CPI 1 plus
 //! structural stalls (iterative divider, FPU pipeline depth, load-use
@@ -19,6 +21,6 @@ pub mod config;
 pub mod core;
 pub mod lsl;
 
-pub use crate::core::{CheckerEvent, LittleCore, LittleCoreStats, MismatchKind};
+pub use crate::core::{LittleCore, LittleCoreStats, MismatchKind, SegmentVerdict};
 pub use config::{LittleCoreConfig, LslConfig};
 pub use lsl::{LoadStoreLog, RuntimeRecord, StatusRecord};

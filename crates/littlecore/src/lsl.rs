@@ -57,39 +57,30 @@ pub struct StatusRecord {
     pub inst_count: u64,
     /// The checkpoint.
     pub cp: RegCheckpoint,
-    /// Big-core cycle at which the final chunk arrived.
-    pub arrived_at: u64,
 }
 
 /// The Load-Store Log.
 #[derive(Debug, Clone)]
 pub struct LoadStoreLog {
     cfg: LslConfig,
+    /// Status-way chunks one checkpoint occupies (the fabric's chunking).
+    chunks_per_cp: usize,
     runtime: VecDeque<RuntimeRecord>,
     status_chunks: usize,
     status: VecDeque<StatusRecord>,
-    /// Total packets delivered into this LSL.
-    pub delivered: u64,
-    /// High-water mark of the run-time way.
-    pub peak_runtime: usize,
 }
 
 impl LoadStoreLog {
-    /// Creates an empty log.
-    pub fn new(cfg: LslConfig) -> LoadStoreLog {
+    /// Creates an empty log whose checkpoints arrive in `chunks_per_cp`
+    /// status chunks each.
+    pub fn new(cfg: LslConfig, chunks_per_cp: usize) -> LoadStoreLog {
         LoadStoreLog {
             cfg,
+            chunks_per_cp,
             runtime: VecDeque::new(),
             status_chunks: 0,
             status: VecDeque::new(),
-            delivered: 0,
-            peak_runtime: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LslConfig {
-        &self.cfg
     }
 
     /// Entries currently in the run-time way.
@@ -117,20 +108,41 @@ impl LoadStoreLog {
         self.runtime.front()
     }
 
-    /// Pops the next assembled checkpoint.
-    pub fn pop_status(&mut self) -> Option<StatusRecord> {
-        let r = self.status.pop_front();
-        if r.is_some() {
-            // Free the chunks this checkpoint occupied (accounted at
-            // RcpEnd arrival as `total` chunks).
-            // Chunk accounting is decremented as chunks are retired below.
+    /// Drops the run-time records of segments before `seg`: a checker
+    /// that abandoned a segment after a detection leaves the rest of its
+    /// log behind, and records may still have been in flight through the
+    /// fabric when the segment finished.
+    pub fn drop_stale_runtime(&mut self, seg: u32) {
+        while self.runtime.front().is_some_and(|r| r.seg() < seg) {
+            self.runtime.pop_front();
         }
-        r
     }
 
-    /// Peeks the next assembled checkpoint.
-    pub fn peek_status(&self) -> Option<&StatusRecord> {
-        self.status.front()
+    /// Pops the next assembled checkpoint and frees the status-way
+    /// chunks it occupied.
+    pub fn pop_status(&mut self) -> Option<StatusRecord> {
+        let rec = self.status.pop_front()?;
+        self.status_chunks = self.status_chunks.saturating_sub(self.chunks_per_cp);
+        Some(rec)
+    }
+
+    /// Drops every assembled checkpoint of a segment before `seg`: the
+    /// checker no longer needs it as an SRCP or an ERCP.
+    pub fn drop_stale_status(&mut self, seg: u32) {
+        while self.status.front().is_some_and(|r| r.seg < seg) {
+            self.pop_status();
+        }
+    }
+
+    /// Takes checkpoint `seg` once the stale ones before it are dropped,
+    /// if it has been assembled.
+    pub fn take_status(&mut self, seg: u32) -> Option<StatusRecord> {
+        self.drop_stale_status(seg);
+        if self.status.front()?.seg == seg {
+            self.pop_status()
+        } else {
+            None
+        }
     }
 
     /// Drops everything (MSU reset on mode switch / reallocation).
@@ -149,16 +161,13 @@ impl PacketSink for LoadStoreLog {
         }
     }
 
-    fn deliver(&mut self, pkt: Packet, now: u64) {
-        self.delivered += 1;
+    fn deliver(&mut self, pkt: Packet, _now: u64) {
         match pkt.payload {
             Payload::Mem { seg, addr, size, data, is_store } => {
                 self.runtime.push_back(RuntimeRecord::Mem { seg, addr, size, data, is_store });
-                self.peak_runtime = self.peak_runtime.max(self.runtime.len());
             }
             Payload::Csr { seg, addr, data } => {
                 self.runtime.push_back(RuntimeRecord::Csr { seg, addr, data });
-                self.peak_runtime = self.peak_runtime.max(self.runtime.len());
             }
             Payload::RcpChunk { .. } => {
                 self.status_chunks += 1;
@@ -167,25 +176,19 @@ impl PacketSink for LoadStoreLog {
                 // The in-flight chunks of this checkpoint are consumed by
                 // the assembly; the assembled record takes their place
                 // until applied.
-                self.status.push_back(StatusRecord { seg, inst_count, cp: *cp, arrived_at: now });
+                self.status.push_back(StatusRecord { seg, inst_count, cp: *cp });
                 self.status_chunks += 1;
             }
         }
     }
 }
 
-/// Frees the status-way chunks of a consumed checkpoint.
-///
-/// Kept as a free function so the checker (which knows the fabric's
-/// chunking) can release capacity when it applies a checkpoint.
-pub fn release_status_chunks(lsl: &mut LoadStoreLog, chunks: usize) {
-    lsl.status_chunks = lsl.status_chunks.saturating_sub(chunks);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use meek_fabric::DestMask;
+
+    const CHUNKS: usize = 17;
 
     fn mem_packet(seq: u64, addr: u64, data: u64, is_store: bool) -> Packet {
         Packet {
@@ -209,9 +212,25 @@ mod tests {
         }
     }
 
+    /// Delivers checkpoint `seg` as its `CHUNKS` status chunks.
+    fn deliver_checkpoint(lsl: &mut LoadStoreLog, seg: u32, inst_count: u64) {
+        for c in 0..CHUNKS as u8 - 1 {
+            lsl.deliver(
+                Packet {
+                    seq: c as u64,
+                    dest: DestMask::single(0),
+                    payload: Payload::RcpChunk { seg, chunk: c, total: CHUNKS as u8 },
+                    created_at: 0,
+                },
+                0,
+            );
+        }
+        lsl.deliver(rcp_end(CHUNKS as u64 - 1, seg, inst_count), 0);
+    }
+
     #[test]
     fn runtime_fifo_order() {
-        let mut lsl = LoadStoreLog::new(LslConfig::default());
+        let mut lsl = LoadStoreLog::new(LslConfig::default(), CHUNKS);
         lsl.deliver(mem_packet(0, 0x10, 1, false), 0);
         lsl.deliver(mem_packet(1, 0x18, 2, true), 0);
         assert_eq!(lsl.runtime_len(), 2);
@@ -229,7 +248,7 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let mut lsl =
-            LoadStoreLog::new(LslConfig { runtime_capacity: 2, status_capacity_chunks: 1 });
+            LoadStoreLog::new(LslConfig { runtime_capacity: 2, status_capacity_chunks: 1 }, CHUNKS);
         assert!(lsl.can_accept(PacketKind::Runtime));
         lsl.deliver(mem_packet(0, 0, 0, false), 0);
         lsl.deliver(mem_packet(1, 8, 0, false), 0);
@@ -241,7 +260,7 @@ mod tests {
 
     #[test]
     fn checkpoint_assembly() {
-        let mut lsl = LoadStoreLog::new(LslConfig::default());
+        let mut lsl = LoadStoreLog::new(LslConfig::default(), CHUNKS);
         for c in 0..16 {
             lsl.deliver(
                 Packet {
@@ -258,14 +277,35 @@ mod tests {
         let rec = lsl.pop_status().expect("assembled");
         assert_eq!(rec.seg, 3);
         assert_eq!(rec.inst_count, 555);
-        assert_eq!(rec.arrived_at, 99);
-        release_status_chunks(&mut lsl, 17);
+        assert!(lsl.is_empty(), "popping the checkpoint freed its chunks");
+    }
+
+    #[test]
+    fn popping_a_checkpoint_frees_its_chunks() {
+        let cfg = LslConfig { status_capacity_chunks: CHUNKS, ..LslConfig::default() };
+        let mut lsl = LoadStoreLog::new(cfg, CHUNKS);
+        deliver_checkpoint(&mut lsl, 1, 10);
+        assert!(!lsl.can_accept(PacketKind::Status), "one checkpoint fills the status way");
+        assert_eq!(lsl.pop_status().map(|r| r.seg), Some(1));
+        assert!(lsl.can_accept(PacketKind::Status), "the freed chunks admit a new one");
+        assert_eq!(lsl.pop_status(), None);
+    }
+
+    #[test]
+    fn take_status_drops_stale_checkpoints_first() {
+        let mut lsl = LoadStoreLog::new(LslConfig::default(), CHUNKS);
+        for seg in [1, 2, 4] {
+            deliver_checkpoint(&mut lsl, seg, 10);
+        }
+        assert_eq!(lsl.take_status(3), None, "checkpoint 3 never arrived");
+        assert_eq!(lsl.status_len(), 1, "checkpoints 1 and 2 were dropped as stale");
+        assert_eq!(lsl.take_status(4).map(|r| r.seg), Some(4));
         assert!(lsl.is_empty());
     }
 
     #[test]
     fn clear_resets_everything() {
-        let mut lsl = LoadStoreLog::new(LslConfig::default());
+        let mut lsl = LoadStoreLog::new(LslConfig::default(), CHUNKS);
         lsl.deliver(mem_packet(0, 0, 0, false), 0);
         lsl.deliver(rcp_end(1, 0, 1), 0);
         lsl.clear();
@@ -276,7 +316,7 @@ mod tests {
 
     #[test]
     fn csr_records_flow_through_runtime_way() {
-        let mut lsl = LoadStoreLog::new(LslConfig::default());
+        let mut lsl = LoadStoreLog::new(LslConfig::default(), CHUNKS);
         lsl.deliver(
             Packet {
                 seq: 0,

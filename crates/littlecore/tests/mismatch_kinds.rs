@@ -10,7 +10,7 @@ use meek_fabric::{DestMask, Packet, PacketSink, Payload};
 use meek_isa::inst::{AluImmOp, AluOp, CsrOp, Inst, LoadOp, StoreOp};
 use meek_isa::state::{CheckpointMismatch, RegCheckpoint};
 use meek_isa::{encode, exec, ArchState, Bus, Reg, SparseMemory};
-use meek_littlecore::{CheckerEvent, LittleCore, LittleCoreConfig, MismatchKind};
+use meek_littlecore::{LittleCore, LittleCoreConfig, MismatchKind};
 
 const CHUNKS: usize = 17;
 const SEG: u32 = 1;
@@ -102,14 +102,12 @@ fn replay_with(corrupt: impl FnOnce(&mut GoldenParts)) -> MismatchKind {
         0,
     );
     for now in 0..100_000 {
-        if let Some(CheckerEvent::SegmentVerified { pass, mismatch, .. }) =
-            core.tick_check(now, &parts.imem)
-        {
-            assert!(!pass, "corruption must not verify clean");
-            return mismatch.expect("failed segment carries a mismatch");
+        if let (_, Some(verdict)) = core.check(now, &parts.imem, now) {
+            assert!(!verdict.pass, "corruption must not verify clean");
+            return verdict.mismatch.expect("failed segment carries a mismatch");
         }
     }
-    panic!("no verification event");
+    panic!("no verdict");
 }
 
 fn corrupt_mem<F: FnMut(&mut u64, &mut u8, &mut u64, bool)>(parts: &mut GoldenParts, mut f: F) {
@@ -139,13 +137,12 @@ fn sanity_clean_replay_passes() {
         0,
     );
     for now in 0..100_000 {
-        if let Some(CheckerEvent::SegmentVerified { pass, .. }) = core.tick_check(now, &parts.imem)
-        {
-            assert!(pass, "uncorrupted replay must pass");
+        if let (_, Some(verdict)) = core.check(now, &parts.imem, now) {
+            assert!(verdict.pass, "uncorrupted replay must pass");
             return;
         }
     }
-    panic!("no verification event");
+    panic!("no verdict");
 }
 
 #[test]

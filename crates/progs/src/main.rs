@@ -121,9 +121,7 @@ fn cmd_asm(rest: &[String]) -> Result<(), Error> {
         let report = meek_progs::analyze_program(&prog);
         print!("{report}");
         if !report.clean() {
-            let trap = if report.guaranteed_trap.is_some() { " and a guaranteed trap" } else { "" };
-            let n = report.violations.len();
-            return Err(format!("{path}: {n} static violation(s){trap}").into());
+            return Err(format!("{path}: {}", report.verdict()).into());
         }
     }
     Ok(())

@@ -66,7 +66,7 @@ fn lint_fails_on_a_forecast_trap() {
     let out = progs(&["asm", path.to_str().unwrap(), "--lint"]);
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(stdout.contains("guaranteed trap: fetch at 0x1004 after 1 retired"), "{stdout}");
-    assert!(!stdout.contains("verdict: clean"), "{stdout}");
+    assert!(stdout.contains("verdict: guaranteed trap\n"), "{stdout}");
     let stderr = assert_error(&out, 1);
     assert!(stderr.contains("guaranteed trap"), "{stderr}");
     let _ = std::fs::remove_file(path);

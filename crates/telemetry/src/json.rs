@@ -223,20 +223,24 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         Some(b'{') => parse_obj(bytes, pos),
         Some(b'[') => parse_arr(bytes, pos),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
-        Some(_) => parse_digits(bytes, pos),
+        Some(b'-' | b'0'..=b'9') => parse_digits(bytes, pos),
+        Some(_) => parse_lit(bytes, pos),
     }
 }
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
+/// `true`, `false` or `null`; any other text starts with a character
+/// no JSON value starts with.
+fn parse_lit(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+    for (lit, value) in
+        [("true", Json::Bool(true)), ("false", Json::Bool(false)), ("null", Json::Null)]
+    {
+        if bytes[*pos..].starts_with(lit.as_bytes()) {
+            *pos += lit.len();
+            return Ok(value);
+        }
     }
+    let c = String::from_utf8_lossy(&bytes[*pos..]).chars().next().expect("a byte is left");
+    Err(format!("unexpected character `{c}` at byte {pos}", pos = *pos))
 }
 
 /// A number, kept as its digits so `u64` seeds survive exactly.
@@ -440,6 +444,16 @@ mod tests {
     fn whitespace_tolerant() {
         let v = Json::parse(" { \"k\" : [ 1 , 2 ] } ").unwrap();
         assert_eq!(v.get("k").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn an_unexpected_character_is_named_with_its_byte() {
+        for (bad, c, at) in
+            [("not json", 'n', 0), ("xyz", 'x', 0), ("tru", 't', 0), ("{\"a\":nul}", 'n', 5)]
+        {
+            let want = format!("unexpected character `{c}` at byte {at}");
+            assert_eq!(Json::parse(bad), Err(want), "`{bad}`");
+        }
     }
 
     #[test]
