@@ -11,7 +11,7 @@
 //! threads) and the numbers are identical whatever the thread count.
 
 use meek_bench::{banner, executor, fault_count, write_csv};
-use meek_campaign::{run_campaign, AggregateSink, CampaignSpec, RecordSink};
+use meek_campaign::{run_campaign, CampaignSpec};
 use meek_workloads::parsec3;
 use std::time::Instant;
 
@@ -31,24 +31,21 @@ fn main() {
         ),
     );
     let started = Instant::now();
-    let mut agg = AggregateSink::new();
-    let summary = {
-        let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut agg];
-        run_campaign(&spec, &ex, &mut sinks).expect("campaign I/O cannot fail in-memory")
-    };
+    let summary = run_campaign(&spec, &ex, |_| Ok(())).expect("the default config is valid");
     let mut rows = Vec::new();
     println!(
         "{:<14} {:>6} {:>7} {:>7} {:>8} {:>9} {:>9} {:>8}",
         "benchmark", "inj", "det", "masked", "pending", "mean(ns)", "max(ns)", "<3us"
     );
-    for (name, stats) in agg.per_workload() {
+    for (name, stats) in &summary.per_workload {
+        let c = &stats.counts;
         println!(
             "{:<14} {:>6} {:>7} {:>7} {:>8} {:>9.1} {:>9.1} {:>7.2}%",
             name,
-            stats.faults,
-            stats.detected,
-            stats.masked,
-            stats.pending,
+            c.faults,
+            c.detected,
+            c.masked,
+            c.pending,
             stats.mean_ns(),
             stats.max_ns(),
             stats.fraction_under(3000.0) * 100.0
@@ -58,8 +55,8 @@ fn main() {
             rows.push(format!("{},{},{:.4}", name, (b as f64 + 0.5) * BUCKET_NS, density));
         }
     }
-    let overall = agg.overall();
-    println!("\ntotal samples: {}", overall.detected);
+    let overall = &summary.overall;
+    println!("\ntotal samples: {}", overall.counts.detected);
     println!("overall mean: {:.1} ns (paper: < 1 us)", overall.mean_ns());
     println!(
         "99.9th percentile: {:.1} ns (paper: 3 us covers > 99.9%)",
@@ -72,10 +69,10 @@ fn main() {
     );
     println!(
         "campaign: {} faults across {} shards in {:.2?} ({:.0} faults/s)",
-        summary.faults,
+        overall.counts.faults,
         summary.shards,
         started.elapsed(),
-        summary.faults as f64 / started.elapsed().as_secs_f64().max(1e-9)
+        overall.counts.faults as f64 / started.elapsed().as_secs_f64().max(1e-9)
     );
     write_csv("fig7_latency.csv", "benchmark,bucket_center_ns,density", &rows);
 }

@@ -50,11 +50,6 @@ impl Executor {
         self
     }
 
-    /// The configured streaming window (`0` = unbounded).
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Worker count.
     pub fn threads(&self) -> usize {
         self.threads

@@ -6,34 +6,40 @@
 //! Running those serially is the harness bottleneck, not the simulator:
 //! every fault is an independent simulation. This crate turns a
 //! campaign into a grid of self-contained *shards* (workload ×
-//! fault-batch), runs them on a work-stealing thread pool, and streams
-//! the resulting [`DetectionRecord`]s through pluggable sinks — with
-//! three properties the serial loops never had:
+//! fault-batch), runs them on a work-stealing thread pool, and hands
+//! each shard's [`ShardResult`] (its [`DetectionRecord`]s, counters and
+//! optional trace, samples and metrics) to one caller closure, where the
+//! shard renders itself. Three properties the serial loops never had:
 //!
 //! * **Determinism**: per-shard RNG streams are derived from the
 //!   campaign seed, and results are re-sequenced into shard order
-//!   before they reach a sink, so output is byte-identical at
+//!   before the caller sees them, so output is byte-identical at
 //!   `--threads 1` and `--threads 16`.
 //! * **Build sharing**: workload programs are synthesised once per
 //!   benchmark in a [`WorkloadCache`] and shared by `Arc`, so codegen
 //!   cost is O(benchmarks) instead of O(faults).
-//! * **Streaming**: sinks see each shard's records as soon as the
+//! * **Streaming**: the caller gets each shard's result as soon as the
 //!   ordered prefix completes, not at campaign end.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use meek_campaign::{run_campaign, AggregateSink, CampaignSpec, Executor, RecordSink};
+//! use meek_campaign::{run_campaign, CampaignSpec, Executor};
 //! use meek_workloads::parsec3;
 //!
 //! let mut spec = CampaignSpec::new(vec![parsec3()[0].clone()], 4, 0xF00D);
 //! spec.faults_per_shard = 2;
-//! let mut agg = AggregateSink::new();
-//! let summary = {
-//!     let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut agg];
-//!     run_campaign(&spec, &Executor::new(2), &mut sinks).unwrap()
-//! };
-//! assert_eq!(summary.detected + summary.masked as usize + summary.pending, 4);
+//! let mut csv = Vec::new();
+//! let summary = run_campaign(&spec, &Executor::new(2), |shard| {
+//!     // The header leads the first row of the file.
+//!     let header = csv.is_empty();
+//!     shard.write_records_csv(&mut csv, header)
+//! })
+//! .unwrap();
+//! let total = &summary.overall.counts;
+//! assert_eq!(total.detected + total.masked as usize + total.pending, 4);
+//! let rows = String::from_utf8(csv).unwrap().lines().count();
+//! assert_eq!(rows, if total.detected > 0 { total.detected + 1 } else { 0 });
 //! ```
 //!
 //! A [`CampaignJob`] is the campaign as its front ends name it: the
@@ -56,12 +62,11 @@ pub mod seed;
 pub mod sink;
 pub mod spec;
 
-pub use engine::{run_campaign, run_shard, CampaignSummary, ShardResult};
+pub use engine::{run_campaign, run_shard, CampaignSummary};
 pub use executor::Executor;
 pub use job::CampaignJob;
 pub use seed::{fnv1a, parse_seed, splitmix};
-pub use sink::{
-    AggregateSink, CampaignRecord, CsvSink, JsonlSink, LatencyStats, MetricsSink, RecordSink,
-    SampleSink, ShardSummary, TraceSink,
-};
+pub use sink::{CampaignRecord, LatencyStats, ShardResult, ShardSummary};
+#[doc(hidden)]
+pub use sink::{CsvSink, RecordSink};
 pub use spec::{resolve_suite, CampaignSpec, CampaignWorkload, ShardSpec};

@@ -11,10 +11,8 @@
 //! latency stats), and prints the paper-style summary table.
 
 use meek_campaign::cli::{self, CliError, Flags};
-use meek_campaign::{
-    run_campaign, AggregateSink, CampaignJob, CampaignSpec, CsvSink, Executor, JsonlSink,
-    MetricsSink, RecordSink, SampleSink, TraceSink,
-};
+use meek_campaign::{run_campaign, CampaignJob, CampaignSpec, Executor};
+use meek_telemetry::Registry;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -183,12 +181,14 @@ fn run(args: &Args) -> Result<(), CliError> {
     let csv_path = matches!(format, "csv" | "both").then(|| args.out.join("campaign_records.csv"));
     let jsonl_path =
         matches!(format, "jsonl" | "both").then(|| args.out.join("campaign_records.jsonl"));
-    let mut agg = AggregateSink::new();
-    let mut csv = csv_path.as_deref().map(create).transpose()?.map(CsvSink::new);
-    let mut jsonl = jsonl_path.as_deref().map(create).transpose()?.map(JsonlSink::new);
-    let mut trace = args.trace.as_deref().map(create).transpose()?.map(TraceSink::new);
-    let mut sample = args.sample.as_deref().map(create).transpose()?.map(SampleSink::new);
-    let mut metrics = args.metrics.as_deref().map(create).transpose()?.map(MetricsSink::new);
+    let mut csv = csv_path.as_deref().map(create).transpose()?;
+    let mut jsonl = jsonl_path.as_deref().map(create).transpose()?;
+    let mut trace = args.trace.as_deref().map(create).transpose()?;
+    let mut sample = args.sample.as_deref().map(create).transpose()?;
+    let mut metrics = args.metrics.as_deref().map(create).transpose()?;
+    let mut merged = Registry::new();
+    // Each CSV file's header leads its first row.
+    let (mut csv_headed, mut sample_headed) = (false, false);
 
     let n_workloads = spec.workloads.len();
     println!(
@@ -200,15 +200,30 @@ fn run(args: &Args) -> Result<(), CliError> {
         spec.seed
     );
     let started = Instant::now();
-    let summary = {
-        let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut agg];
-        sinks.extend(csv.as_mut().map(|s| s as &mut dyn RecordSink));
-        sinks.extend(jsonl.as_mut().map(|s| s as &mut dyn RecordSink));
-        sinks.extend(trace.as_mut().map(|s| s as &mut dyn RecordSink));
-        sinks.extend(sample.as_mut().map(|s| s as &mut dyn RecordSink));
-        sinks.extend(metrics.as_mut().map(|s| s as &mut dyn RecordSink));
-        run_campaign(&spec, &executor, &mut sinks)?
-    };
+    let summary = run_campaign(&spec, &executor, |shard| {
+        if let Some(out) = &mut csv {
+            shard.write_records_csv(out, !csv_headed)?;
+            csv_headed |= !shard.records.is_empty();
+        }
+        if let Some(out) = &mut jsonl {
+            shard.write_records_jsonl(out)?;
+        }
+        if let Some(out) = &mut trace {
+            out.write_all(&shard.trace)?;
+        }
+        if let Some(out) = &mut sample {
+            shard.write_samples_csv(out, !sample_headed)?;
+            sample_headed |= !shard.samples.is_empty();
+        }
+        merged.merge(&shard.metrics);
+        Ok(())
+    })?;
+    if let Some(out) = &mut metrics {
+        out.write_all(merged.render().as_bytes())?;
+    }
+    for out in [&mut csv, &mut jsonl, &mut trace, &mut sample, &mut metrics].into_iter().flatten() {
+        out.flush()?;
+    }
     let wall = started.elapsed();
 
     if !args.quiet {
@@ -216,13 +231,13 @@ fn run(args: &Args) -> Result<(), CliError> {
             "\n{:<14} {:>7} {:>7} {:>7} {:>9} {:>9} {:>9} {:>8}",
             "benchmark", "inj", "det", "masked", "mean(ns)", "p99(ns)", "max(ns)", "<3us"
         );
-        for (name, stats) in agg.per_workload() {
+        for (name, stats) in &summary.per_workload {
             println!(
                 "{:<14} {:>7} {:>7} {:>7} {:>9.1} {:>9.1} {:>9.1} {:>7.2}%",
                 name,
-                stats.faults,
-                stats.detected,
-                stats.masked,
+                stats.counts.faults,
+                stats.counts.detected,
+                stats.counts.masked,
                 stats.mean_ns(),
                 stats.percentile_ns(0.99),
                 stats.max_ns(),
@@ -230,16 +245,17 @@ fn run(args: &Args) -> Result<(), CliError> {
             );
         }
     }
-    let overall = agg.overall();
+    let overall = &summary.overall;
+    let total = &overall.counts;
     println!(
         "\ntotal: {} injected, {} detected, {} masked, {} pending",
-        summary.faults, summary.detected, summary.masked, summary.pending
+        total.faults, total.detected, total.masked, total.pending
     );
     if args.job.recover {
         println!(
             "recovery: {} rollback(s), {} episode(s) recovered, {} unrecovered, \
              storage high-water {} byte(s)",
-            summary.rollbacks, summary.recovered, summary.unrecovered, summary.storage_bytes_hwm
+            total.rollbacks, total.recovered, total.unrecovered, total.storage_bytes_hwm
         );
     }
     println!(
@@ -253,12 +269,12 @@ fn run(args: &Args) -> Result<(), CliError> {
     println!(
         "simulated {} cycles / {} insts across {} shards ({} program build(s)) in {:.2?} \
          ({:.0} faults/s)",
-        summary.sim_cycles,
-        summary.committed,
+        total.cycles,
+        total.committed,
         summary.shards,
         summary.workloads_built,
         wall,
-        summary.faults as f64 / wall.as_secs_f64().max(1e-9)
+        total.faults as f64 / wall.as_secs_f64().max(1e-9)
     );
 
     // Per-workload summary CSV.
@@ -268,15 +284,15 @@ fn run(args: &Args) -> Result<(), CliError> {
         f,
         "workload,faults,detected,masked,pending,mean_ns,p50_ns,p99_ns,p999_ns,max_ns,frac_under_3us"
     )?;
-    for (name, s) in agg.per_workload() {
+    for (name, s) in &summary.per_workload {
         writeln!(
             f,
             "{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.5}",
             name,
-            s.faults,
-            s.detected,
-            s.masked,
-            s.pending,
+            s.counts.faults,
+            s.counts.detected,
+            s.counts.masked,
+            s.counts.pending,
             s.mean_ns(),
             s.percentile_ns(0.50),
             s.percentile_ns(0.99),

@@ -1,7 +1,8 @@
-//! Pluggable campaign output: every detection streams through a set of
-//! [`RecordSink`]s as its shard's results are re-sequenced into
-//! deterministic order — CSV and JSON-lines writers for offline
-//! analysis, and an in-memory aggregator for latency percentiles.
+//! Campaign output: what one shard produces ([`ShardResult`]) and how
+//! it renders — detections as CSV rows or JSON lines, the occupancy
+//! series as CSV — plus the one fold of shard counters
+//! ([`ShardSummary::add`]) behind the campaign totals, the per-workload
+//! latency table ([`LatencyStats`]) and `meek-serve`'s job counters.
 
 use meek_core::fault::DetectionRecord;
 use meek_telemetry::{obj, Json, Registry};
@@ -58,8 +59,9 @@ impl CampaignRecord {
     }
 }
 
-/// Per-shard roll-up delivered to sinks after the shard's records.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One shard's counters. Folded with [`ShardSummary::add`], the same
+/// struct holds a workload's or a whole campaign's totals.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardSummary {
     /// Benchmark name.
     pub workload: &'static str,
@@ -95,178 +97,133 @@ pub struct ShardSummary {
     pub storage_bytes_hwm: u64,
 }
 
-/// Receives campaign results in deterministic (shard, record) order.
+impl ShardSummary {
+    /// Folds `other`'s counters into these: every count adds up, and the
+    /// storage high-water mark keeps the larger. `workload` and `shard`
+    /// are left as they are.
+    pub fn add(&mut self, other: &ShardSummary) {
+        self.faults += other.faults;
+        self.detected += other.detected;
+        self.masked += other.masked;
+        self.pending += other.pending;
+        self.verified_segments += other.verified_segments;
+        self.failed_segments += other.failed_segments;
+        self.cycles += other.cycles;
+        self.committed += other.committed;
+        self.rollbacks += other.rollbacks;
+        self.recovered += other.recovered;
+        self.unrecovered += other.unrecovered;
+        self.storage_bytes_hwm = self.storage_bytes_hwm.max(other.storage_bytes_hwm);
+    }
+
+    /// The counters as `(field name, value)` pairs — a `meek-serve`
+    /// campaign job's counters.
+    pub fn counters(&self) -> [(&'static str, u64); 12] {
+        [
+            ("faults", self.faults as u64),
+            ("detected", self.detected as u64),
+            ("masked", self.masked),
+            ("pending", self.pending as u64),
+            ("verified_segments", self.verified_segments),
+            ("failed_segments", self.failed_segments),
+            ("cycles", self.cycles),
+            ("committed", self.committed),
+            ("rollbacks", self.rollbacks),
+            ("recovered", self.recovered),
+            ("unrecovered", self.unrecovered),
+            ("storage_bytes_hwm", self.storage_bytes_hwm),
+        ]
+    }
+
+    /// Inverse of [`ShardSummary::counters`]: a counter missing from
+    /// `counters` reads 0, and `workload` and `shard` stay blank.
+    pub fn from_counters(counters: &BTreeMap<String, u64>) -> ShardSummary {
+        let get = |name: &str| counters.get(name).copied().unwrap_or(0);
+        ShardSummary {
+            faults: get("faults") as usize,
+            detected: get("detected") as usize,
+            masked: get("masked"),
+            pending: get("pending") as usize,
+            verified_segments: get("verified_segments"),
+            failed_segments: get("failed_segments"),
+            cycles: get("cycles"),
+            committed: get("committed"),
+            rollbacks: get("rollbacks"),
+            recovered: get("recovered"),
+            unrecovered: get("unrecovered"),
+            storage_bytes_hwm: get("storage_bytes_hwm"),
+            ..ShardSummary::default()
+        }
+    }
+}
+
+/// Result of one shard's simulation: its detections, its counters, and
+/// the optional trace, sample and metrics channels. A campaign hands
+/// these out in shard order; `meek-serve` gets them from
+/// [`crate::run_shard`] one by one. Either way a shard renders itself,
+/// so every front end writes the same bytes.
+#[derive(Debug, Clone)]
+pub struct ShardResult {
+    /// Detection records in injection order.
+    pub records: Vec<CampaignRecord>,
+    /// The shard's summary counters.
+    pub summary: ShardSummary,
+    /// Serialised JSONL event trace (empty when tracing is off).
+    pub trace: Vec<u8>,
+    /// The occupancy time series as CSV rows without a header (empty
+    /// when sampling is off).
+    pub samples: Vec<u8>,
+    /// The shard's metrics registry (empty when metrics collection is
+    /// off).
+    pub metrics: Registry,
+}
+
+impl ShardResult {
+    /// Writes the detections as CSV rows, led by
+    /// [`CampaignRecord::CSV_HEADER`] when `header` is set and there is a
+    /// first row. A caller asks for the header until its file holds one.
+    pub fn write_records_csv(&self, out: &mut impl Write, header: bool) -> io::Result<()> {
+        if header && !self.records.is_empty() {
+            writeln!(out, "{}", CampaignRecord::CSV_HEADER)?;
+        }
+        self.records.iter().try_for_each(|r| writeln!(out, "{}", r.csv_row()))
+    }
+
+    /// Writes the detections as JSON lines.
+    pub fn write_records_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
+        self.records.iter().try_for_each(|r| writeln!(out, "{}", r.json_line()))
+    }
+
+    /// Writes the occupancy series as CSV rows, led by their header when
+    /// `header` is set and there is a first row.
+    pub fn write_samples_csv(&self, out: &mut impl Write, header: bool) -> io::Result<()> {
+        if header && !self.samples.is_empty() {
+            writeln!(
+                out,
+                "workload,shard,cycle,rob_occupancy,fabric_depth,littles_idle,lsl_occupancy"
+            )?;
+        }
+        out.write_all(&self.samples)
+    }
+}
+
+/// Receives records one at a time. Kept with [`CsvSink`] only for the
+/// benchmark harness; a campaign renders through [`ShardResult`].
+#[doc(hidden)]
 pub trait RecordSink {
-    /// Called once per detection, in shard order then injection order.
+    /// Called once per detection.
     fn on_record(&mut self, rec: &CampaignRecord) -> io::Result<()>;
 
-    /// Called once per shard (before [`RecordSink::on_shard`]) with
-    /// the shard's serialised JSONL event trace — complete lines, each
-    /// already carrying `workload`/`shard` context fields. Empty when
-    /// event tracing is off. Most sinks ignore it; [`TraceSink`]
-    /// writes it through.
-    fn on_trace(&mut self, _jsonl: &[u8]) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// Called once per shard (before [`RecordSink::on_shard`]) with the
-    /// shard's occupancy time series as CSV rows
-    /// `workload,shard,cycle,rob_occupancy,fabric_depth,littles_idle,lsl_occupancy`.
-    /// Empty when sampling is off. Most sinks ignore it; [`SampleSink`]
-    /// writes it through.
-    fn on_samples(&mut self, _csv: &[u8]) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// Called once per shard (before [`RecordSink::on_shard`]) with the
-    /// shard's metrics registry, empty when metrics collection is off.
-    /// Most sinks ignore it; [`MetricsSink`] merges the registries in
-    /// call (= shard) order.
-    fn on_metrics(&mut self, _shard: &Registry) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// Called once per shard, after all its records.
+    /// Called once per shard, after its records.
     fn on_shard(&mut self, _summary: &ShardSummary) -> io::Result<()> {
         Ok(())
     }
-
-    /// Called once, after every shard.
-    fn finish(&mut self) -> io::Result<()> {
-        Ok(())
-    }
 }
 
-/// Streams the structured per-shard event traces (`--trace`): one JSON
-/// line per [`meek_core::SimEvent`], in deterministic shard order —
-/// the typed replacement for the old debug-string diagnostics.
-pub struct TraceSink<W: Write> {
-    out: W,
-}
-
-impl<W: Write> TraceSink<W> {
-    /// A trace sink writing to `out`.
-    pub fn new(out: W) -> TraceSink<W> {
-        TraceSink { out }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> RecordSink for TraceSink<W> {
-    fn on_record(&mut self, _rec: &CampaignRecord) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn on_trace(&mut self, jsonl: &[u8]) -> io::Result<()> {
-        self.out.write_all(jsonl)
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-}
-
-/// Streams the per-shard occupancy time series (`--sample`): CSV rows
-/// `workload,shard,cycle,rob_occupancy,fabric_depth,littles_idle,lsl_occupancy`
-/// in deterministic shard order — the data behind ROB-occupancy /
-/// fabric-depth time-series figures and the adaptive-checking load
-/// signal.
-pub struct SampleSink<W: Write> {
-    out: W,
-    wrote_header: bool,
-}
-
-impl<W: Write> SampleSink<W> {
-    /// A sample sink writing to `out`.
-    pub fn new(out: W) -> SampleSink<W> {
-        SampleSink { out, wrote_header: false }
-    }
-
-    /// A sample sink appending to a writer that already holds the CSV
-    /// header — the resume path, where earlier shards' output survived
-    /// a restart and the header must not repeat.
-    pub fn resuming(out: W) -> SampleSink<W> {
-        SampleSink { out, wrote_header: true }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> RecordSink for SampleSink<W> {
-    fn on_record(&mut self, _rec: &CampaignRecord) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn on_samples(&mut self, csv: &[u8]) -> io::Result<()> {
-        if csv.is_empty() {
-            return Ok(());
-        }
-        if !self.wrote_header {
-            writeln!(
-                self.out,
-                "workload,shard,cycle,rob_occupancy,fabric_depth,littles_idle,lsl_occupancy"
-            )?;
-            self.wrote_header = true;
-        }
-        self.out.write_all(csv)
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-}
-
-/// Merges the per-shard metrics registries (`--metrics`) and writes the
-/// merged [`Registry::render`] text once at [`RecordSink::finish`].
-/// Registries arrive in deterministic shard order and
-/// [`Registry::merge`] is integer-only, so the merged output is
-/// byte-identical at any thread count.
-pub struct MetricsSink<W: Write> {
-    out: W,
-    merged: Registry,
-}
-
-impl<W: Write> MetricsSink<W> {
-    /// A metrics sink writing the merged registry to `out`.
-    pub fn new(out: W) -> MetricsSink<W> {
-        MetricsSink { out, merged: Registry::new() }
-    }
-
-    /// The merge state accumulated so far.
-    pub fn registry(&self) -> &Registry {
-        &self.merged
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> RecordSink for MetricsSink<W> {
-    fn on_record(&mut self, _rec: &CampaignRecord) -> io::Result<()> {
-        Ok(())
-    }
-
-    fn on_metrics(&mut self, shard: &Registry) -> io::Result<()> {
-        self.merged.merge(shard);
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.out.write_all(self.merged.render().as_bytes())?;
-        self.out.flush()
-    }
-}
-
-/// Streams records as CSV (header written lazily before the first row).
+/// Streams records as CSV, the header written before the first row:
+/// the bytes of [`ShardResult::write_records_csv`] over a whole
+/// campaign.
+#[doc(hidden)]
 pub struct CsvSink<W: Write> {
     out: W,
     wrote_header: bool,
@@ -276,13 +233,6 @@ impl<W: Write> CsvSink<W> {
     /// A CSV sink writing to `out`.
     pub fn new(out: W) -> CsvSink<W> {
         CsvSink { out, wrote_header: false }
-    }
-
-    /// A CSV sink appending to a writer that already holds the header —
-    /// the resume path, where earlier shards' output survived a restart
-    /// and the header must not repeat.
-    pub fn resuming(out: W) -> CsvSink<W> {
-        CsvSink { out, wrote_header: true }
     }
 
     /// Consumes the sink, returning the writer.
@@ -299,57 +249,16 @@ impl<W: Write> RecordSink for CsvSink<W> {
         }
         writeln!(self.out, "{}", rec.csv_row())
     }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
 }
 
-/// Streams records as JSON-lines.
-pub struct JsonlSink<W: Write> {
-    out: W,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// A JSON-lines sink writing to `out`.
-    pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink { out }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> RecordSink for JsonlSink<W> {
-    fn on_record(&mut self, rec: &CampaignRecord) -> io::Result<()> {
-        writeln!(self.out, "{}", rec.json_line())
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-}
-
-/// Latency statistics for one workload (or the whole campaign).
-#[derive(Debug, Clone, Default)]
+/// Counters and detection latencies for one workload (or the whole
+/// campaign), as [`crate::CampaignSummary`] reports them.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyStats {
+    /// The shards' counters, folded with [`ShardSummary::add`]
+    /// (`workload` and `shard` stay blank).
+    pub counts: ShardSummary,
     latencies_ns: Vec<f64>,
-    /// Faults detected.
-    pub detected: usize,
-    /// Faults masked (candidate segments verified clean).
-    pub masked: u64,
-    /// Faults with no verdict when their shard drained.
-    pub pending: usize,
-    /// Faults queued.
-    pub faults: usize,
-    /// Recovery rollbacks executed.
-    pub rollbacks: u64,
-    /// Failure episodes fully recovered.
-    pub recovered: u64,
-    /// Failure episodes the recovery policy abandoned.
-    pub unrecovered: u64,
 }
 
 impl LatencyStats {
@@ -366,8 +275,7 @@ impl LatencyStats {
         self.latencies_ns.iter().cloned().fold(0.0, f64::max)
     }
 
-    /// Latency percentile `p` in `[0, 1]` (0 if no detections); assumes
-    /// `finalize` sorted the samples.
+    /// Latency percentile `p` in `[0, 1]` (0 if no detections).
     pub fn percentile_ns(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "percentile {p} out of [0, 1]");
         if self.latencies_ns.is_empty() {
@@ -399,79 +307,20 @@ impl LatencyStats {
         hist.into_iter().map(|h| h as f64 / n).collect()
     }
 
-    /// The raw (sorted, after finalize) latency samples.
+    /// The raw latency samples, sorted.
     pub fn latencies_ns(&self) -> &[f64] {
         &self.latencies_ns
     }
 
-    fn finalize(&mut self) {
+    /// Folds in one shard: its counters and its detections' latencies.
+    pub(crate) fn add(&mut self, shard: &ShardResult) {
+        self.counts.add(&shard.summary);
+        self.latencies_ns.extend(shard.records.iter().map(|r| r.detection.latency_ns));
+    }
+
+    /// Sorts the samples; the percentiles read them sorted.
+    pub(crate) fn finalize(&mut self) {
         self.latencies_ns.sort_by(f64::total_cmp);
-    }
-}
-
-/// In-memory aggregation: per-workload and campaign-wide latency
-/// distributions, detection and mask counts.
-#[derive(Debug, Default)]
-pub struct AggregateSink {
-    per_workload: BTreeMap<&'static str, LatencyStats>,
-    overall: LatencyStats,
-    finished: bool,
-}
-
-impl AggregateSink {
-    /// An empty aggregator.
-    pub fn new() -> AggregateSink {
-        AggregateSink::default()
-    }
-
-    /// Per-workload stats, keyed by benchmark name (call after the
-    /// campaign finishes).
-    pub fn per_workload(&self) -> &BTreeMap<&'static str, LatencyStats> {
-        assert!(self.finished, "aggregate read before finish()");
-        &self.per_workload
-    }
-
-    /// Campaign-wide stats (call after the campaign finishes).
-    pub fn overall(&self) -> &LatencyStats {
-        assert!(self.finished, "aggregate read before finish()");
-        &self.overall
-    }
-}
-
-impl RecordSink for AggregateSink {
-    fn on_record(&mut self, rec: &CampaignRecord) -> io::Result<()> {
-        let l = rec.detection.latency_ns;
-        self.per_workload.entry(rec.workload).or_default().latencies_ns.push(l);
-        self.overall.latencies_ns.push(l);
-        Ok(())
-    }
-
-    fn on_shard(&mut self, s: &ShardSummary) -> io::Result<()> {
-        let w = self.per_workload.entry(s.workload).or_default();
-        w.detected += s.detected;
-        w.masked += s.masked;
-        w.pending += s.pending;
-        w.faults += s.faults;
-        w.rollbacks += s.rollbacks;
-        w.recovered += s.recovered;
-        w.unrecovered += s.unrecovered;
-        self.overall.detected += s.detected;
-        self.overall.masked += s.masked;
-        self.overall.pending += s.pending;
-        self.overall.faults += s.faults;
-        self.overall.rollbacks += s.rollbacks;
-        self.overall.recovered += s.recovered;
-        self.overall.unrecovered += s.unrecovered;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        for stats in self.per_workload.values_mut() {
-            stats.finalize();
-        }
-        self.overall.finalize();
-        self.finished = true;
-        Ok(())
     }
 }
 
@@ -501,13 +350,26 @@ mod tests {
         r
     }
 
+    fn shard(records: Vec<CampaignRecord>, samples: &str) -> ShardResult {
+        ShardResult {
+            records,
+            summary: ShardSummary::default(),
+            trace: Vec::new(),
+            samples: samples.as_bytes().to_vec(),
+            metrics: Registry::new(),
+        }
+    }
+
     #[test]
     fn csv_is_stable_and_headed() {
-        let mut sink = CsvSink::new(Vec::new());
-        sink.on_record(&rec("mcf", 1, 100.0)).unwrap();
-        sink.on_record(&recovered_rec("mcf", 2, 5_120)).unwrap();
-        sink.finish().unwrap();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let first = shard(vec![rec("mcf", 1, 100.0)], "");
+        let second = shard(vec![recovered_rec("mcf", 2, 5_120)], "");
+        let mut out = Vec::new();
+        shard(Vec::new(), "").write_records_csv(&mut out, true).unwrap();
+        assert!(out.is_empty(), "no header without a row to lead");
+        first.write_records_csv(&mut out, true).unwrap();
+        second.write_records_csv(&mut out, false).unwrap();
+        let text = String::from_utf8(out).unwrap();
         assert_eq!(
             text,
             "workload,shard,site,injected_cycle,detected_cycle,latency_ns,seg,recovered,\
@@ -515,15 +377,34 @@ mod tests {
              mcf,1,mem_data,100,420,100.000,3,0,0\n\
              mcf,2,mem_data,100,420,80.000,3,1,5120\n"
         );
+        // The benchmark harness's sink writes the same bytes.
+        let mut sink = CsvSink::new(Vec::new());
+        for r in first.records.iter().chain(&second.records) {
+            sink.on_record(r).unwrap();
+        }
+        assert_eq!(sink.into_inner(), text.into_bytes());
+    }
+
+    #[test]
+    fn samples_lead_with_their_header_once() {
+        let mut out = Vec::new();
+        shard(Vec::new(), "").write_samples_csv(&mut out, true).unwrap();
+        shard(Vec::new(), "mcf,0,0,1,2,3,4\n").write_samples_csv(&mut out, true).unwrap();
+        shard(Vec::new(), "mcf,1,0,5,6,7,8\n").write_samples_csv(&mut out, false).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "workload,shard,cycle,rob_occupancy,fabric_depth,littles_idle,lsl_occupancy\n\
+             mcf,0,0,1,2,3,4\nmcf,1,0,5,6,7,8\n"
+        );
     }
 
     #[test]
     fn jsonl_is_one_flat_object_per_line() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.on_record(&rec("astar", 0, 62.5)).unwrap();
-        sink.on_record(&recovered_rec("astar", 0, 900)).unwrap();
-        sink.finish().unwrap();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let mut out = Vec::new();
+        shard(vec![rec("astar", 0, 62.5), recovered_rec("astar", 0, 900)], "")
+            .write_records_jsonl(&mut out)
+            .unwrap();
+        let text = String::from_utf8(out).unwrap();
         assert_eq!(
             text,
             "{\"workload\":\"astar\",\"shard\":0,\"site\":\"mem_data\",\
@@ -536,35 +417,59 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_percentiles() {
-        let mut agg = AggregateSink::new();
-        for i in 1..=100 {
-            agg.on_record(&rec("a", 0, i as f64)).unwrap();
-        }
-        agg.on_shard(&ShardSummary {
+    fn the_fold_adds_counts_keeps_the_storage_peak_and_round_trips() {
+        let a = ShardSummary {
             workload: "a",
-            shard: 0,
+            shard: 1,
+            faults: 10,
+            detected: 7,
+            masked: 2,
+            pending: 1,
+            verified_segments: 30,
+            failed_segments: 8,
+            cycles: 9_000,
+            committed: 4_000,
+            rollbacks: 7,
+            recovered: 6,
+            unrecovered: 1,
+            storage_bytes_hwm: 4_096,
+        };
+        let b = ShardSummary { storage_bytes_hwm: 1_024, ..a.clone() };
+        let mut total = ShardSummary::default();
+        total.add(&a);
+        total.add(&b);
+        assert_eq!((total.workload, total.shard), ("", 0), "the fold leaves the identity blank");
+        for ((name, sum), (_, one)) in total.counters().into_iter().zip(a.counters()) {
+            let want = if name == "storage_bytes_hwm" { one } else { 2 * one };
+            assert_eq!(sum, want, "{name}");
+        }
+        let map: BTreeMap<String, u64> =
+            total.counters().into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        assert_eq!(ShardSummary::from_counters(&map), total);
+        assert_eq!(ShardSummary::from_counters(&BTreeMap::new()), ShardSummary::default());
+    }
+
+    #[test]
+    fn aggregate_percentiles() {
+        let mut s = LatencyStats::default();
+        let mut result = shard((1..=100).rev().map(|i| rec("a", 0, i as f64)).collect(), "");
+        result.summary = ShardSummary {
+            workload: "a",
             faults: 110,
             detected: 100,
             masked: 10,
-            pending: 0,
-            verified_segments: 5,
-            failed_segments: 100,
-            cycles: 1,
-            committed: 1,
             rollbacks: 40,
             recovered: 39,
             unrecovered: 1,
-            storage_bytes_hwm: 4096,
-        })
-        .unwrap();
-        agg.finish().unwrap();
-        let s = agg.overall();
-        assert_eq!(s.detected, 100);
-        assert_eq!(s.masked, 10);
-        assert_eq!(s.rollbacks, 40);
-        assert_eq!(s.recovered, 39);
-        assert_eq!(s.unrecovered, 1);
+            ..ShardSummary::default()
+        };
+        s.add(&result);
+        s.finalize();
+        assert_eq!(s.counts.detected, 100);
+        assert_eq!(s.counts.masked, 10);
+        assert_eq!(s.counts.rollbacks, 40);
+        assert_eq!(s.counts.recovered, 39);
+        assert_eq!(s.counts.unrecovered, 1);
         assert!((s.mean_ns() - 50.5).abs() < 1e-9);
         assert_eq!(s.percentile_ns(0.5), 50.0);
         assert_eq!(s.percentile_ns(0.99), 99.0);
@@ -578,10 +483,10 @@ mod tests {
 
     #[test]
     fn empty_aggregate_is_sane() {
-        let mut agg = AggregateSink::new();
-        agg.finish().unwrap();
-        assert_eq!(agg.overall().mean_ns(), 0.0);
-        assert_eq!(agg.overall().percentile_ns(0.999), 0.0);
-        assert_eq!(agg.overall().fraction_under(3000.0), 1.0);
+        let mut s = LatencyStats::default();
+        s.finalize();
+        assert_eq!(s.mean_ns(), 0.0);
+        assert_eq!(s.percentile_ns(0.999), 0.0);
+        assert_eq!(s.fraction_under(3000.0), 1.0);
     }
 }

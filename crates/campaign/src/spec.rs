@@ -68,26 +68,24 @@ pub struct CampaignSpec {
     /// arm points all derive from it.
     pub seed: u64,
     /// When `true`, every shard's run attaches the JSONL event
-    /// observer and streams its structured event trace (segment opens,
-    /// verdicts, injections, detections, rollbacks) to the sinks'
-    /// trace channel — the diagnostics path for campaign failures.
-    /// Trace output is re-sequenced into shard order like every other
-    /// sink, so it stays byte-identical at any thread count.
+    /// observer and keeps its structured event trace (segment opens,
+    /// verdicts, injections, detections, rollbacks) in
+    /// [`crate::ShardResult::trace`] — the diagnostics path for campaign
+    /// failures. Shards arrive in shard order, so the concatenated trace
+    /// stays byte-identical at any thread count.
     pub trace_events: bool,
     /// When non-zero, every shard's run attaches a
     /// [`meek_core::SamplingObserver`] keeping every `sample_stride`-th
-    /// cycle's ROB-occupancy / fabric-depth sample, and streams the
-    /// per-shard CSV time series to the sinks' sample channel
-    /// (`meek-campaign --sample`). Re-sequenced into shard order like
-    /// every other sink. `0` disables sampling.
+    /// cycle's ROB-occupancy / fabric-depth sample, and keeps the
+    /// per-shard CSV time series in [`crate::ShardResult::samples`]
+    /// (`meek-campaign --sample`). `0` disables sampling.
     pub sample_stride: u64,
     /// When `true`, every shard's run attaches a
-    /// [`meek_telemetry::MetricsObserver`] and ships its rendered
-    /// registry (detection-latency histograms by site, verdict counts,
-    /// occupancy distributions, …) to the sinks' metrics channel
-    /// (`meek-campaign --metrics`). Registries are merged in shard
-    /// order, so the merged output is byte-identical at any thread
-    /// count. Occupancy histograms sample on the [`Self::sample_stride`]
+    /// [`meek_telemetry::MetricsObserver`] and keeps its registry
+    /// (detection-latency histograms by site, verdict counts,
+    /// occupancy distributions, …) in [`crate::ShardResult::metrics`]
+    /// (`meek-campaign --metrics`). Registries merge in shard order, so
+    /// the merged output is byte-identical at any thread count. Occupancy histograms sample on the [`Self::sample_stride`]
     /// grid when sampling is on, else every
     /// [`DEFAULT_METRICS_STRIDE`]-th cycle.
     pub metrics: bool,

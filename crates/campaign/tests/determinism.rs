@@ -3,10 +3,7 @@
 //! `--threads 8`, and re-running a spec must reproduce a prior
 //! campaign exactly.
 
-use meek_campaign::{
-    run_campaign, AggregateSink, CampaignSpec, CampaignSummary, CsvSink, Executor, JsonlSink,
-    RecordSink, SampleSink, TraceSink,
-};
+use meek_campaign::{run_campaign, CampaignSpec, CampaignSummary, Executor};
 use meek_workloads::parsec3;
 
 /// Two benchmarks, three shards each — enough to exercise cross-thread
@@ -21,43 +18,51 @@ fn spec() -> CampaignSpec {
     spec
 }
 
-fn run_with_threads(threads: usize) -> (CampaignSummary, Vec<u8>, Vec<u8>, AggregateSink) {
-    let mut csv = CsvSink::new(Vec::new());
-    let mut jsonl = JsonlSink::new(Vec::new());
-    let mut agg = AggregateSink::new();
-    let summary = {
-        let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut csv, &mut jsonl, &mut agg];
-        run_campaign(&spec(), &Executor::new(threads), &mut sinks).expect("campaign runs")
-    };
-    (summary, csv.into_inner(), jsonl.into_inner(), agg)
+/// A campaign's output files, rendered as `meek-campaign` writes them.
+#[derive(Debug, Default, PartialEq)]
+struct Files {
+    csv: Vec<u8>,
+    jsonl: Vec<u8>,
+    trace: Vec<u8>,
+    samples: Vec<u8>,
+}
+
+fn run(spec: &CampaignSpec, threads: usize) -> (CampaignSummary, Files) {
+    let mut f = Files::default();
+    let summary = run_campaign(spec, &Executor::new(threads), |shard| {
+        let header = f.csv.is_empty();
+        shard.write_records_csv(&mut f.csv, header)?;
+        shard.write_records_jsonl(&mut f.jsonl)?;
+        f.trace.extend_from_slice(&shard.trace);
+        let header = f.samples.is_empty();
+        shard.write_samples_csv(&mut f.samples, header)
+    })
+    .expect("campaign runs");
+    (summary, f)
 }
 
 #[test]
 fn one_thread_and_eight_threads_produce_identical_records() {
-    let (s1, csv1, jsonl1, agg1) = run_with_threads(1);
-    let (s8, csv8, jsonl8, agg8) = run_with_threads(8);
+    let (s1, f1) = run(&spec(), 1);
+    let (s8, f8) = run(&spec(), 8);
 
-    assert_eq!(s1, s8, "campaign summaries must match across thread counts");
-    assert_eq!(csv1, csv8, "CSV byte streams must be identical");
-    assert_eq!(jsonl1, jsonl8, "JSONL byte streams must be identical");
-    assert_eq!(
-        agg1.overall().latencies_ns(),
-        agg8.overall().latencies_ns(),
-        "latency samples must be identical"
-    );
+    assert_eq!(s1, s8, "campaign summaries, latency samples included, must match");
+    assert_eq!(f1.csv, f8.csv, "CSV byte streams must be identical");
+    assert_eq!(f1.jsonl, f8.jsonl, "JSONL byte streams must be identical");
 
     // The campaign actually did something worth comparing.
-    assert_eq!(s1.faults, 24);
-    assert!(s1.detected > 0, "no detections: {s1:?}");
-    assert!(!csv1.is_empty());
+    assert_eq!(s1.overall.counts.faults, 24);
+    assert!(s1.overall.counts.detected > 0, "no detections: {s1:?}");
+    assert_eq!(s1.overall.latencies_ns().len(), s1.overall.counts.detected);
+    assert!(!f1.csv.is_empty());
 }
 
 #[test]
 fn rerunning_the_same_spec_reproduces_the_campaign() {
-    let (a, csv_a, _, _) = run_with_threads(3);
-    let (b, csv_b, _, _) = run_with_threads(3);
+    let (a, files_a) = run(&spec(), 3);
+    let (b, files_b) = run(&spec(), 3);
     assert_eq!(a, b);
-    assert_eq!(csv_a, csv_b);
+    assert_eq!(files_a, files_b);
 }
 
 #[test]
@@ -66,25 +71,17 @@ fn recovery_campaign_is_thread_count_invariant() {
     // loop in play: rollbacks re-execute instructions, annotate
     // detections with recovery latencies, and none of it may depend on
     // worker scheduling.
-    let run = |threads: usize| {
-        let mut spec = spec();
-        spec.config = meek_core::MeekConfig::with_recovery(4, meek_core::RecoveryPolicy::enabled());
-        let mut csv = CsvSink::new(Vec::new());
-        let mut jsonl = JsonlSink::new(Vec::new());
-        let summary = {
-            let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut csv, &mut jsonl];
-            run_campaign(&spec, &Executor::new(threads), &mut sinks).expect("campaign runs")
-        };
-        (summary, csv.into_inner(), jsonl.into_inner())
-    };
-    let (s1, csv1, jsonl1) = run(1);
-    let (s8, csv8, jsonl8) = run(8);
+    let mut spec = spec();
+    spec.config = meek_core::MeekConfig::with_recovery(4, meek_core::RecoveryPolicy::enabled());
+    let (s1, f1) = run(&spec, 1);
+    let (s8, f8) = run(&spec, 8);
     assert_eq!(s1, s8);
-    assert_eq!(csv1, csv8, "recovery CSV must be byte-identical across thread counts");
-    assert_eq!(jsonl1, jsonl8);
-    assert!(s1.rollbacks > 0, "the campaign must actually recover something: {s1:?}");
-    assert_eq!(s1.unrecovered, 0);
-    let text = String::from_utf8(csv1).unwrap();
+    assert_eq!(f1.csv, f8.csv, "recovery CSV must be byte-identical across thread counts");
+    assert_eq!(f1.jsonl, f8.jsonl);
+    let c = &s1.overall.counts;
+    assert!(c.rollbacks > 0, "the campaign must actually recover something: {s1:?}");
+    assert_eq!(c.unrecovered, 0);
+    let text = String::from_utf8(f1.csv).unwrap();
     assert!(
         text.lines().next().unwrap().ends_with("recovered,recovery_cycles"),
         "records must carry the recovery-latency columns"
@@ -106,23 +103,14 @@ fn recovery_campaign_is_thread_count_invariant() {
 fn event_trace_is_thread_count_invariant() {
     // `--trace` attaches the JSONL event observer to every shard; the
     // re-sequenced global trace must obey the same byte-identity
-    // contract as the record sinks.
-    let run = |threads: usize| {
-        let mut spec = spec();
-        spec.trace_events = true;
-        let mut trace = TraceSink::new(Vec::new());
-        let mut csv = CsvSink::new(Vec::new());
-        {
-            let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut trace, &mut csv];
-            run_campaign(&spec, &Executor::new(threads), &mut sinks).expect("campaign runs");
-        }
-        (trace.into_inner(), csv.into_inner())
-    };
-    let (t1, csv1) = run(1);
-    let (t8, csv8) = run(8);
-    assert_eq!(t1, t8, "event trace must be byte-identical across thread counts");
-    assert_eq!(csv1, csv8);
-    let text = String::from_utf8(t1).unwrap();
+    // contract as the record files.
+    let mut traced = spec();
+    traced.trace_events = true;
+    let (_, f1) = run(&traced, 1);
+    let (_, f8) = run(&traced, 8);
+    assert_eq!(f1.trace, f8.trace, "event trace must be byte-identical across thread counts");
+    assert_eq!(f1.csv, f8.csv);
+    let text = String::from_utf8(f1.trace).unwrap();
     assert!(!text.is_empty(), "tracing was enabled: the trace must not be empty");
     for line in text.lines() {
         assert!(
@@ -136,14 +124,7 @@ fn event_trace_is_thread_count_invariant() {
     assert!(text.contains("\"event\":\"fault_detected\""));
     assert!(text.contains("\"event\":\"segment_closed\""));
     // Tracing must not perturb the simulation itself.
-    let mut spec_untraced = spec();
-    spec_untraced.trace_events = false;
-    let mut csv_untraced = CsvSink::new(Vec::new());
-    {
-        let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut csv_untraced];
-        run_campaign(&spec_untraced, &Executor::new(4), &mut sinks).expect("campaign runs");
-    }
-    assert_eq!(csv1, csv_untraced.into_inner(), "tracing must not change the records");
+    assert_eq!(f1.csv, run(&spec(), 4).1.csv, "tracing must not change the records");
 }
 
 #[test]
@@ -151,22 +132,13 @@ fn occupancy_samples_are_thread_count_invariant() {
     // `--sample` attaches the per-cycle SamplingObserver to every
     // shard; the re-sequenced time series obeys the same byte-identity
     // contract, and must not perturb the records.
-    let run = |threads: usize| {
-        let mut spec = spec();
-        spec.sample_stride = 32;
-        let mut samples = SampleSink::new(Vec::new());
-        let mut csv = CsvSink::new(Vec::new());
-        {
-            let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut samples, &mut csv];
-            run_campaign(&spec, &Executor::new(threads), &mut sinks).expect("campaign runs");
-        }
-        (samples.into_inner(), csv.into_inner())
-    };
-    let (s1, csv1) = run(1);
-    let (s8, csv8) = run(8);
-    assert_eq!(s1, s8, "sample series must be byte-identical across thread counts");
-    assert_eq!(csv1, csv8);
-    let text = String::from_utf8(s1).unwrap();
+    let mut sampled = spec();
+    sampled.sample_stride = 32;
+    let (_, f1) = run(&sampled, 1);
+    let (_, f8) = run(&sampled, 8);
+    assert_eq!(f1.samples, f8.samples, "sample series must be byte-identical across threads");
+    assert_eq!(f1.csv, f8.csv);
+    let text = String::from_utf8(f1.samples).unwrap();
     let mut lines = text.lines();
     assert_eq!(
         lines.next(),
@@ -186,12 +158,7 @@ fn occupancy_samples_are_thread_count_invariant() {
     assert!(saw_rob, "the ROB must fill at some sampled cycle");
     assert!(saw_fabric, "the fabric must queue packets at some sampled cycle");
     // Sampling must not change the simulation itself.
-    let mut unsampled = CsvSink::new(Vec::new());
-    {
-        let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut unsampled];
-        run_campaign(&spec(), &Executor::new(4), &mut sinks).expect("campaign runs");
-    }
-    assert_eq!(csv1, unsampled.into_inner(), "sampling must not change the records");
+    assert_eq!(f1.csv, run(&spec(), 4).1.csv, "sampling must not change the records");
 }
 
 #[test]
@@ -199,13 +166,9 @@ fn different_seeds_produce_different_campaigns() {
     let base = spec();
     let mut reseeded = spec();
     reseeded.seed ^= 0xFFFF;
-    let run = |s: &CampaignSpec| {
-        let mut csv = CsvSink::new(Vec::new());
-        {
-            let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut csv];
-            run_campaign(s, &Executor::new(4), &mut sinks).expect("campaign runs");
-        }
-        csv.into_inner()
-    };
-    assert_ne!(run(&base), run(&reseeded), "the seed must actually steer the campaign");
+    assert_ne!(
+        run(&base, 4).1.csv,
+        run(&reseeded, 4).1.csv,
+        "the seed must actually steer the campaign"
+    );
 }

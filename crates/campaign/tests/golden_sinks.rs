@@ -1,15 +1,17 @@
-//! Golden-file tests for the campaign sinks: byte-exact CSV and
-//! JSON-lines output for a fixed, synthetic record stream.
+//! Golden-file tests for the campaign output: byte-exact CSV and
+//! JSON-lines records, as [`ShardResult`] renders them, for a fixed,
+//! synthetic stream of shards.
 //!
 //! Campaign output is consumed by offline tooling and compared across
 //! runs by the determinism CI job; a formatting drift (column order, a
 //! float precision change, a forgotten header) silently invalidates
 //! both. These tests pin the exact bytes without simulating anything —
-//! the record stream is synthesized from a fixed seed, so a sink
+//! the record stream is synthesized from a fixed seed, so a rendering
 //! regression is caught in milliseconds, not after a full campaign.
 
-use meek_campaign::{AggregateSink, CampaignRecord, CsvSink, JsonlSink, RecordSink, ShardSummary};
+use meek_campaign::{CampaignRecord, ShardResult, ShardSummary};
 use meek_core::fault::{DetectionRecord, FaultSite};
+use meek_telemetry::Registry;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,12 +21,12 @@ const GOLDEN_JSONL: &str = include_str!("golden/records.jsonl");
 /// A fixed synthetic campaign: three workloads, two shards each, a
 /// handful of detections per shard — every field driven by one seeded
 /// stream so the bytes are reproducible forever.
-fn synthetic_stream() -> (Vec<CampaignRecord>, Vec<ShardSummary>) {
+fn synthetic_stream() -> Vec<ShardResult> {
     let mut rng = SmallRng::seed_from_u64(0x60_1D);
-    let mut records = Vec::new();
     let mut shards = Vec::new();
     for workload in ["blackscholes", "mcf", "swaptions"] {
         for shard in 0..2u32 {
+            let mut records = Vec::new();
             let detections = rng.gen_range(2..5usize);
             let mut recovered = 0u64;
             for _ in 0..detections {
@@ -42,11 +44,7 @@ fn synthetic_stream() -> (Vec<CampaignRecord>, Vec<ShardSummary>) {
                     workload,
                     shard,
                     detection: DetectionRecord {
-                        site: match rng.gen_range(0..3) {
-                            0 => FaultSite::MemAddr,
-                            1 => FaultSite::MemData,
-                            _ => FaultSite::RcpRegister,
-                        },
+                        site: FaultSite::ALL[rng.gen_range(0..3)],
                         injected_cycle,
                         detected_cycle: injected_cycle + delta,
                         latency_ns: delta as f64 * 0.3125,
@@ -55,7 +53,7 @@ fn synthetic_stream() -> (Vec<CampaignRecord>, Vec<ShardSummary>) {
                     },
                 });
             }
-            shards.push(ShardSummary {
+            let summary = ShardSummary {
                 workload,
                 shard,
                 faults: detections + 1,
@@ -70,25 +68,31 @@ fn synthetic_stream() -> (Vec<CampaignRecord>, Vec<ShardSummary>) {
                 recovered,
                 unrecovered: 0,
                 storage_bytes_hwm: rng.gen_range(10_000..200_000u64),
-            });
+            };
+            let (trace, samples, metrics) = (Vec::new(), Vec::new(), Registry::new());
+            shards.push(ShardResult { records, summary, trace, samples, metrics });
         }
     }
-    (records, shards)
+    shards
 }
 
-fn drive(sink: &mut dyn RecordSink) {
-    let (records, shards) = synthetic_stream();
-    let mut by_shard = records.iter().peekable();
-    for s in &shards {
-        while let Some(r) = by_shard.peek() {
-            if (r.workload, r.shard) != (s.workload, s.shard) {
-                break;
-            }
-            sink.on_record(by_shard.next().unwrap()).unwrap();
-        }
-        sink.on_shard(s).unwrap();
+/// The records CSV of the synthetic campaign, as `meek-campaign` writes it.
+fn render_csv() -> Vec<u8> {
+    let mut out = Vec::new();
+    for shard in synthetic_stream() {
+        let header = out.is_empty();
+        shard.write_records_csv(&mut out, header).unwrap();
     }
-    sink.finish().unwrap();
+    out
+}
+
+/// The records JSON lines of the synthetic campaign.
+fn render_jsonl() -> Vec<u8> {
+    let mut out = Vec::new();
+    for shard in synthetic_stream() {
+        shard.write_records_jsonl(&mut out).unwrap();
+    }
+    out
 }
 
 /// Regenerates the golden files after an *intentional* format change:
@@ -99,27 +103,19 @@ fn regenerate_golden_files_when_asked() {
         return;
     }
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
-    let mut csv = CsvSink::new(Vec::new());
-    drive(&mut csv);
-    std::fs::write(format!("{dir}/records.csv"), csv.into_inner()).unwrap();
-    let mut jsonl = JsonlSink::new(Vec::new());
-    drive(&mut jsonl);
-    std::fs::write(format!("{dir}/records.jsonl"), jsonl.into_inner()).unwrap();
+    std::fs::write(format!("{dir}/records.csv"), render_csv()).unwrap();
+    std::fs::write(format!("{dir}/records.jsonl"), render_jsonl()).unwrap();
 }
 
 #[test]
 fn csv_sink_matches_golden_bytes() {
-    let mut sink = CsvSink::new(Vec::new());
-    drive(&mut sink);
-    let text = String::from_utf8(sink.into_inner()).unwrap();
+    let text = String::from_utf8(render_csv()).unwrap();
     assert_eq!(text, GOLDEN_CSV, "CSV byte format drifted from tests/golden/records.csv");
 }
 
 #[test]
 fn jsonl_sink_matches_golden_bytes() {
-    let mut sink = JsonlSink::new(Vec::new());
-    drive(&mut sink);
-    let text = String::from_utf8(sink.into_inner()).unwrap();
+    let text = String::from_utf8(render_jsonl()).unwrap();
     assert_eq!(text, GOLDEN_JSONL, "JSONL byte format drifted from tests/golden/records.jsonl");
 }
 
@@ -153,15 +149,17 @@ fn jsonl_lines_parse_as_flat_json_objects() {
 }
 
 #[test]
-fn aggregate_sink_tallies_the_synthetic_stream() {
-    let mut agg = AggregateSink::new();
-    drive(&mut agg);
-    let (records, shards) = synthetic_stream();
-    let overall = agg.overall();
-    assert_eq!(overall.detected, records.len());
-    assert_eq!(overall.faults, shards.iter().map(|s| s.faults).sum::<usize>());
-    assert_eq!(overall.masked, shards.len() as u64);
-    assert_eq!(agg.per_workload().len(), 3);
-    assert!(overall.mean_ns() > 0.0);
-    assert!(overall.percentile_ns(1.0) >= overall.percentile_ns(0.5));
+fn shard_fold_tallies_the_synthetic_stream() {
+    let shards = synthetic_stream();
+    let mut total = ShardSummary::default();
+    for shard in &shards {
+        total.add(&shard.summary);
+    }
+    let records: usize = shards.iter().map(|s| s.records.len()).sum();
+    assert_eq!(total.detected, records);
+    assert_eq!(total.faults, records + shards.len(), "one masked fault per shard");
+    assert_eq!(total.masked, shards.len() as u64);
+    let peak = shards.iter().map(|s| s.summary.storage_bytes_hwm).max().unwrap();
+    assert_eq!(total.storage_bytes_hwm, peak, "the storage high-water mark is a peak, not a sum");
+    assert_eq!(total.cycles, shards.iter().map(|s| s.summary.cycles).sum::<u64>(), "cycles add up");
 }

@@ -38,20 +38,22 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
-    /// Inverse of [`FaultSite::name`] — lives beside it so adding a
-    /// variant forces both mappings to be updated together.
+    /// Every site, in declaration order.
+    pub const ALL: [FaultSite; 5] = [
+        FaultSite::MemAddr,
+        FaultSite::MemData,
+        FaultSite::RcpRegister,
+        FaultSite::LsqParity,
+        FaultSite::CacheData,
+    ];
+
+    /// Inverse of [`FaultSite::name`] (the fuzz corpus `.seed` files
+    /// name sites this way).
     pub fn from_name(name: &str) -> Option<FaultSite> {
-        match name {
-            "mem_addr" => Some(FaultSite::MemAddr),
-            "mem_data" => Some(FaultSite::MemData),
-            "rcp_register" => Some(FaultSite::RcpRegister),
-            "lsq_parity" => Some(FaultSite::LsqParity),
-            "cache_data" => Some(FaultSite::CacheData),
-            _ => None,
-        }
+        FaultSite::ALL.into_iter().find(|site| site.name() == name)
     }
 
-    /// Stable lower-case name — the column/field value every sink
+    /// Stable lower-case name — the column/field value every output
     /// (campaign CSV/JSONL, the sim event stream) writes.
     pub fn name(self) -> &'static str {
         match self {
@@ -179,11 +181,8 @@ pub struct DetectionRecord {
 pub fn random_fault_specs(n: usize, arm_span: u64, rng: &mut SmallRng) -> Vec<FaultSpec> {
     let mut faults = Vec::with_capacity(n);
     for i in 0..n {
-        let site = match rng.gen_range(0..3) {
-            0 => FaultSite::MemAddr,
-            1 => FaultSite::MemData,
-            _ => FaultSite::RcpRegister,
-        };
+        // `ALL[..3]` is memory address, memory data, checkpoint register.
+        let site = FaultSite::ALL[..3][rng.gen_range(0..3)];
         let arm_at = (i as u64 + 1) * arm_span / (n as u64 + 1);
         faults.push(FaultSpec { arm_at_commit: arm_at, site, bit: rng.gen_range(0..64) });
     }
@@ -620,13 +619,7 @@ mod tests {
 
     #[test]
     fn site_names_round_trip() {
-        for site in [
-            FaultSite::MemAddr,
-            FaultSite::MemData,
-            FaultSite::RcpRegister,
-            FaultSite::LsqParity,
-            FaultSite::CacheData,
-        ] {
+        for site in FaultSite::ALL {
             assert_eq!(FaultSite::from_name(site.name()), Some(site));
         }
         assert_eq!(FaultSite::from_name("bogus"), None);

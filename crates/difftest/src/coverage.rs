@@ -80,21 +80,25 @@ pub fn arm_span(executed: u64) -> u64 {
     (executed * 6 / 10).max(1)
 }
 
-/// A per-case fault plan: `n` faults cycling through all five sites —
-/// the three fabric sites of §V-B plus the LSQ parity window and cache
-/// data bits — arm points spread over [`arm_span`].
+/// The order a fault plan cycles through the sites: the three fabric
+/// sites of §V-B, then the LSQ parity window and cache data bits.
+/// [`fault_plan`] and the fuzzer's plan mutation both index it.
+pub const PLAN_SITES: [FaultSite; 5] = [
+    FaultSite::RcpRegister,
+    FaultSite::MemData,
+    FaultSite::MemAddr,
+    FaultSite::LsqParity,
+    FaultSite::CacheData,
+];
+
+/// A per-case fault plan: `n` faults cycling through [`PLAN_SITES`],
+/// arm points spread over [`arm_span`].
 pub fn fault_plan(seed: u64, n: usize, executed: u64) -> Vec<FaultSpec> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xFA_017);
     let span = arm_span(executed);
     (0..n)
         .map(|i| {
-            let site = match i % 5 {
-                0 => FaultSite::RcpRegister,
-                1 => FaultSite::MemData,
-                2 => FaultSite::MemAddr,
-                3 => FaultSite::LsqParity,
-                _ => FaultSite::CacheData,
-            };
+            let site = PLAN_SITES[i % PLAN_SITES.len()];
             FaultSpec { arm_at_commit: rng.gen_range(0..span), site, bit: rng.gen_range(0..64) }
         })
         .collect()

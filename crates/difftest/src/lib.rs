@@ -62,7 +62,7 @@ pub use case::{case_seed, run_case, Case, CaseReport, Suite};
 pub use cosim::{golden_run_in, CosimConfig, CosimVerdict, Divergence, GoldenRun};
 #[doc(hidden)]
 pub use coverage::classify_in;
-pub use coverage::{arm_span, fault_plan, FaultOutcome};
+pub use coverage::{arm_span, fault_plan, FaultOutcome, PLAN_SITES};
 pub use fuzz::{fuzz_program, FuzzConfig, FuzzProgram};
 pub use job::DifftestJob;
 #[doc(hidden)]

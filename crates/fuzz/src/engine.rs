@@ -29,11 +29,11 @@ use crate::mutate;
 use crate::report::FuzzReport;
 use meek_campaign::{splitmix, Executor};
 use meek_core::{
-    validate_config, FabricKind, FaultSite, FaultSpec, MeekConfig, RecoveryPolicy, RunError, Sim,
+    validate_config, FabricKind, FaultSpec, MeekConfig, RecoveryPolicy, RunError, Sim,
 };
 use meek_difftest::{
     arm_span, emit_test, fault_plan, fuzz_program, golden_run_in, minimize, shrink_insts, Case,
-    CosimConfig, FaultOutcome, FuzzConfig, FuzzProgram, GoldenRun,
+    CosimConfig, FaultOutcome, FuzzConfig, FuzzProgram, GoldenRun, PLAN_SITES,
 };
 use meek_isa::{decodable, encode, writes_anchor, Inst};
 use rand::rngs::SmallRng;
@@ -252,15 +252,9 @@ fn random_fabric(rng: &mut SmallRng) -> FabricKind {
 }
 
 /// A fresh random fault spec inside `span` — the plan-mutation
-/// operator's vocabulary (all five sites).
+/// operator's vocabulary (all five sites, drawn from [`PLAN_SITES`]).
 fn random_spec(rng: &mut SmallRng, span: u64) -> FaultSpec {
-    let site = match rng.gen_range(0..5) {
-        0 => FaultSite::RcpRegister,
-        1 => FaultSite::MemData,
-        2 => FaultSite::MemAddr,
-        3 => FaultSite::LsqParity,
-        _ => FaultSite::CacheData,
-    };
+    let site = PLAN_SITES[rng.gen_range(0..PLAN_SITES.len())];
     FaultSpec { arm_at_commit: rng.gen_range(0..span), site, bit: rng.gen_range(0..64) }
 }
 

@@ -10,6 +10,11 @@
 //! byte-identical output: whatever a dying daemon wrote past its last
 //! checkpoint is truncated on resume and recomputed identically.
 //!
+//! A campaign unit is one [`ShardResult`]: the shard renders its
+//! records and samples itself, as it does for `meek-campaign`, and its
+//! counters fold into the job's with [`ShardSummary::add`], so the
+//! spool files and counters equal a batch run's.
+//!
 //! Campaign and difftest units run *concurrently* with a bounded
 //! submit-ahead window (the same backpressure idea as
 //! `meek-campaign --stream-window`): the coordinator never has more
@@ -20,10 +25,8 @@
 
 use crate::proto::{CampaignJob, DifftestJob, FuzzSettings, JobSpec, JobState, JobStatus};
 use crate::sched::PoolHandle;
-use crate::spool::{
-    append_output, read_state, touch_output, truncate_outputs, write_state, JobProgress,
-};
-use meek_campaign::{run_shard, splitmix, CsvSink, RecordSink, SampleSink, ShardResult};
+use crate::spool::{read_state, touch_output, truncate_outputs, write_state, JobProgress};
+use meek_campaign::{run_shard, splitmix, ShardResult, ShardSummary};
 use meek_core::FaultSpec;
 use meek_difftest::{run_case, CaseReport, FaultOutcome, RecoveryVerdict, Suite, Tally};
 use meek_fuzz::{run_fuzz, Corpus, FeatureSet};
@@ -113,11 +116,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
 
 fn bump(counters: &mut BTreeMap<String, u64>, key: &str, delta: u64) {
     *counters.entry(key.to_string()).or_insert(0) += delta;
-}
-
-fn peak(counters: &mut BTreeMap<String, u64>, key: &str, value: u64) {
-    let slot = counters.entry(key.to_string()).or_insert(0);
-    *slot = (*slot).max(value);
 }
 
 /// Loads progress, truncates outputs back to the checkpoint, and
@@ -245,11 +243,11 @@ fn run_campaign_job(job: &CampaignJob, ctx: &JobContext) -> Result<JobState, Str
 }
 
 /// Appends one shard's output to the spool files and advances the
-/// checkpoint. Bytes are rendered through the very sinks the batch CLI
-/// uses (`CsvSink` / `SampleSink`, with their `resuming` variants when
-/// earlier bytes already hold the header), so the concatenation across
-/// units — and across daemon restarts — is byte-identical to a batch
-/// run's files.
+/// checkpoint. The shard renders itself as it does for `meek-campaign`,
+/// each CSV header only into a still-empty file, so the concatenation
+/// across units — and across daemon restarts — is byte-identical to a
+/// batch run's files. The job's counters are the campaign totals, folded
+/// as `meek-campaign` folds them.
 fn commit_shard(
     ctx: &JobContext,
     progress: &mut JobProgress,
@@ -257,48 +255,23 @@ fn commit_shard(
     idx: u64,
     res: &ShardResult,
 ) -> io::Result<()> {
-    let records_off = progress.offsets.get("records.csv").copied().unwrap_or(0);
-    let mut csv =
-        if records_off == 0 { CsvSink::new(Vec::new()) } else { CsvSink::resuming(Vec::new()) };
-    for record in &res.records {
-        csv.on_record(record)?;
-    }
-    csv.finish()?;
-    let bytes = csv.into_inner();
-    append_output(&ctx.dir, "records.csv", &bytes)?;
-    progress.offsets.insert("records.csv".to_string(), records_off + bytes.len() as u64);
-
+    let mut csv = Vec::new();
+    res.write_records_csv(&mut csv, progress.offset("records.csv") == 0)?;
+    progress.append_output(&ctx.dir, "records.csv", &csv)?;
     if spec.trace_events {
-        let off = progress.offsets.get("trace.jsonl").copied().unwrap_or(0);
-        append_output(&ctx.dir, "trace.jsonl", &res.trace)?;
-        progress.offsets.insert("trace.jsonl".to_string(), off + res.trace.len() as u64);
+        progress.append_output(&ctx.dir, "trace.jsonl", &res.trace)?;
     }
     if spec.sample_stride > 0 {
-        let off = progress.offsets.get("samples.csv").copied().unwrap_or(0);
-        let mut sink =
-            if off == 0 { SampleSink::new(Vec::new()) } else { SampleSink::resuming(Vec::new()) };
-        sink.on_samples(&res.samples)?;
-        sink.finish()?;
-        let bytes = sink.into_inner();
-        append_output(&ctx.dir, "samples.csv", &bytes)?;
-        progress.offsets.insert("samples.csv".to_string(), off + bytes.len() as u64);
+        let mut samples = Vec::new();
+        res.write_samples_csv(&mut samples, progress.offset("samples.csv") == 0)?;
+        progress.append_output(&ctx.dir, "samples.csv", &samples)?;
     }
 
-    let s = &res.summary;
+    let mut totals = ShardSummary::from_counters(&progress.counters);
+    totals.add(&res.summary);
     let c = &mut progress.counters;
-    bump(c, "faults", s.faults as u64);
-    bump(c, "detected", s.detected as u64);
-    bump(c, "masked", s.masked);
-    bump(c, "pending", s.pending as u64);
+    c.extend(totals.counters().map(|(name, value)| (name.to_string(), value)));
     bump(c, "records", res.records.len() as u64);
-    bump(c, "verified_segments", s.verified_segments);
-    bump(c, "failed_segments", s.failed_segments);
-    bump(c, "cycles", s.cycles);
-    bump(c, "committed", s.committed);
-    bump(c, "rollbacks", s.rollbacks);
-    bump(c, "recovered", s.recovered);
-    bump(c, "unrecovered", s.unrecovered);
-    peak(c, "storage_bytes_hwm", s.storage_bytes_hwm);
 
     progress.units_done = idx + 1;
     write_state(&ctx.dir, progress)?;
@@ -330,9 +303,9 @@ fn run_difftest_job(job: &DifftestJob, ctx: &JobContext) -> Result<JobState, Str
             Box::new(move || run_difftest_batch(&job, idx))
         },
         |idx, res: BatchResult| {
-            let off = progress.offsets.get("results.jsonl").copied().unwrap_or(0);
-            append_output(&ctx.dir, "results.jsonl", &res.jsonl).map_err(|e| e.to_string())?;
-            progress.offsets.insert("results.jsonl".to_string(), off + res.jsonl.len() as u64);
+            progress
+                .append_output(&ctx.dir, "results.jsonl", &res.jsonl)
+                .map_err(|e| e.to_string())?;
             for (k, v) in &res.deltas {
                 bump(&mut progress.counters, k, *v);
             }
@@ -485,9 +458,9 @@ fn run_fuzz_job(job: &FuzzSettings, chunk: u64, ctx: &JobContext) -> Result<JobS
             "escapes": report.escapes.len(), "divergences": report.divergences.len(),
         };
         let line = format!("{}\n", line.render());
-        let off = progress.offsets.get("results.jsonl").copied().unwrap_or(0);
-        append_output(&ctx.dir, "results.jsonl", line.as_bytes()).map_err(|e| e.to_string())?;
-        progress.offsets.insert("results.jsonl".to_string(), off + line.len() as u64);
+        progress
+            .append_output(&ctx.dir, "results.jsonl", line.as_bytes())
+            .map_err(|e| e.to_string())?;
 
         let c = &mut progress.counters;
         bump(c, "iters", iters);

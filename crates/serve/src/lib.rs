@@ -23,10 +23,14 @@
 //!   work-stealing pool ([`sched`]), so a quick high-priority difftest
 //!   overtakes a week-long campaign without a second daemon.
 //! * **Streaming, deterministic output**: units are re-sequenced into
-//!   deterministic order and appended to per-job spool files through
-//!   the very sinks the batch CLIs use — a socket-submitted campaign's
-//!   `records.csv` is **byte-identical** to `meek-campaign`'s at any
-//!   worker count, which the e2e tests assert.
+//!   deterministic order and appended to per-job spool files. A
+//!   campaign shard renders itself ([`meek_campaign::ShardResult`]) and
+//!   folds its counters ([`meek_campaign::ShardSummary::add`]) exactly as
+//!   `meek-campaign` does, so a socket-submitted campaign's
+//!   `records.csv`, `trace.jsonl` and `samples.csv` are
+//!   **byte-identical** to `meek-campaign`'s files, and its counters
+//!   equal the batch totals, at any worker count, which the e2e tests
+//!   assert.
 //! * **Resumable checkpoints**: after every unit the job's watermark,
 //!   output byte offsets and counters are committed atomically
 //!   ([`spool`]); a restarted daemon truncates un-checkpointed bytes

@@ -61,6 +61,29 @@ impl JobProgress {
         }
     }
 
+    /// The checkpointed byte length of output file `name` (0 before its
+    /// first byte).
+    pub fn offset(&self, name: &str) -> u64 {
+        self.offsets.get(name).copied().unwrap_or(0)
+    }
+
+    /// Appends one unit's bytes to output file `name` in `dir`, syncs
+    /// them to disk (the checkpoint that follows must never point past
+    /// real data), and advances the file's offset.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures.
+    pub fn append_output(&mut self, dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+        if !bytes.is_empty() {
+            let mut f = OpenOptions::new().create(true).append(true).open(dir.join(name))?;
+            f.write_all(bytes)?;
+            f.sync_data()?;
+        }
+        *self.offsets.entry(name.to_string()).or_insert(0) += bytes.len() as u64;
+        Ok(())
+    }
+
     fn to_json(&self) -> String {
         let error = self.state.error().map_or(Json::Null, Json::from);
         obj! {
@@ -257,21 +280,6 @@ pub fn touch_output(dir: &Path, name: &str) -> io::Result<()> {
     OpenOptions::new().create(true).append(true).open(dir.join(name)).map(|_| ())
 }
 
-/// Appends one unit's bytes to an output file and syncs them to disk
-/// (the checkpoint that follows must never point past real data).
-///
-/// # Errors
-///
-/// Propagates filesystem failures.
-pub fn append_output(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
-    if bytes.is_empty() {
-        return Ok(());
-    }
-    let mut f = OpenOptions::new().create(true).append(true).open(dir.join(name))?;
-    f.write_all(bytes)?;
-    f.sync_data()
-}
-
 fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
@@ -368,11 +376,14 @@ mod tests {
             .create_job(&JobSpec::Fuzz { settings: fuzz_defaults(), chunk: FUZZ_CHUNK }, 0)
             .unwrap();
         let dir = spool.job_dir(id);
-        append_output(&dir, "records.csv", b"header\nrow1\nrow2-partial").unwrap();
-        append_output(&dir, "trace.jsonl", b"{}\n{}\n").unwrap();
-        let mut offsets = BTreeMap::new();
-        offsets.insert("records.csv".to_string(), 12); // "header\nrow1\n"
-        truncate_outputs(&dir, &offsets).unwrap();
+        let mut progress = JobProgress::queued();
+        progress.append_output(&dir, "records.csv", b"header\nrow1\n").unwrap();
+        assert_eq!(progress.offset("records.csv"), 12);
+        let checkpoint = progress.offsets.clone();
+        progress.append_output(&dir, "records.csv", b"row2-partial").unwrap();
+        progress.append_output(&dir, "trace.jsonl", b"{}\n{}\n").unwrap();
+        assert_eq!(progress.offset("records.csv"), 24);
+        truncate_outputs(&dir, &checkpoint).unwrap();
         assert_eq!(fs::read(dir.join("records.csv")).unwrap(), b"header\nrow1\n");
         // trace.jsonl had no checkpointed offset: fully discarded.
         assert_eq!(fs::read(dir.join("trace.jsonl")).unwrap(), b"");

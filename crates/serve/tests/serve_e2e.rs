@@ -3,12 +3,12 @@
 //! yield **byte-identical** output to the batch engine at any worker
 //! count — including across a forced mid-job daemon restart.
 //!
-//! The batch reference here is `meek_campaign::run_campaign` driving
-//! the same `CsvSink`/`TraceSink`/`SampleSink` stack the `meek-campaign`
-//! CLI wires to its output files, so equality against it is equality
+//! The batch reference here is `meek_campaign::run_campaign` with each
+//! shard rendering its records, trace and samples as the `meek-campaign`
+//! CLI writes its output files, so equality against it is equality
 //! against the CLI's files modulo the filesystem.
 
-use meek_campaign::{run_campaign, CsvSink, Executor, RecordSink, SampleSink, TraceSink};
+use meek_campaign::{run_campaign, CampaignSummary, Executor};
 use meek_serve::client;
 use meek_serve::daemon::{Daemon, ServeConfig};
 use meek_serve::json::Json;
@@ -17,6 +17,7 @@ use meek_serve::proto::{
 };
 use meek_serve::spool::read_state;
 use meek_serve::Endpoint;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -45,19 +46,36 @@ fn campaign_job() -> CampaignJob {
     }
 }
 
-/// Runs the job through the batch engine into in-memory sinks; the
-/// returned byte vectors are what `meek-campaign` would have written
-/// to `--out` / `--trace` / `--sample` files.
-fn batch_reference(job: &CampaignJob) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+/// The batch run's totals and the bytes `meek-campaign` would have
+/// written to its `--out` / `--trace` / `--sample` files.
+struct Batch {
+    summary: CampaignSummary,
+    files: (Vec<u8>, Vec<u8>, Vec<u8>),
+}
+
+/// Runs the job through the batch engine, rendering into memory.
+fn batch_reference(job: &CampaignJob) -> Batch {
     let spec = job.to_spec().expect("job spec must validate");
-    let mut csv = CsvSink::new(Vec::new());
-    let mut trace = TraceSink::new(Vec::new());
-    let mut samples = SampleSink::new(Vec::new());
-    {
-        let mut sinks: Vec<&mut dyn RecordSink> = vec![&mut csv, &mut trace, &mut samples];
-        run_campaign(&spec, &Executor::new(2), &mut sinks).expect("batch campaign runs");
+    let (mut csv, mut trace, mut samples) = (Vec::new(), Vec::new(), Vec::new());
+    let summary = run_campaign(&spec, &Executor::new(2), |shard| {
+        let header = csv.is_empty();
+        shard.write_records_csv(&mut csv, header)?;
+        trace.extend_from_slice(&shard.trace);
+        let header = samples.is_empty();
+        shard.write_samples_csv(&mut samples, header)
+    })
+    .expect("batch campaign runs");
+    Batch { summary, files: (csv, trace, samples) }
+}
+
+/// Every campaign counter of a finished job equals the batch run's
+/// total: both fold shards with `ShardSummary::add`.
+fn assert_counters_match(counters: &BTreeMap<String, u64>, batch: &CampaignSummary) {
+    let total = &batch.overall.counts;
+    for (name, value) in total.counters() {
+        assert_eq!(counters.get(name), Some(&value), "counter `{name}`");
     }
-    (csv.into_inner(), trace.into_inner(), samples.into_inner())
+    assert_eq!(counters.get("records"), Some(&(total.detected as u64)), "one row per detection");
 }
 
 fn spool_outputs(dir: &Path) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
@@ -80,7 +98,8 @@ fn submit_over_socket(sock: &Path, spec: JobSpec, priority: i64) -> u64 {
 #[test]
 fn socket_campaign_is_byte_identical_to_batch_at_any_worker_count() {
     let job = campaign_job();
-    let (want_csv, want_trace, want_samples) = batch_reference(&job);
+    let batch = batch_reference(&job);
+    let (want_csv, want_trace, want_samples) = &batch.files;
     assert!(!want_csv.is_empty(), "reference campaign must produce records");
     assert!(!want_trace.is_empty(), "reference campaign must produce trace events");
     assert!(!want_samples.is_empty(), "reference campaign must produce samples");
@@ -96,11 +115,12 @@ fn socket_campaign_is_byte_identical_to_batch_at_any_worker_count() {
         let status = daemon.wait(id, WAIT).expect("job finishes in time");
         assert_eq!(status.state, JobState::Done, "workers={workers}");
         assert_eq!(status.counters["faults"], job.faults as u64);
+        assert_counters_match(&status.counters, &batch.summary);
 
         let (csv, trace, samples) = spool_outputs(&daemon.job_dir(id));
-        assert_eq!(csv, want_csv, "records.csv differs at workers={workers}");
-        assert_eq!(trace, want_trace, "trace.jsonl differs at workers={workers}");
-        assert_eq!(samples, want_samples, "samples.csv differs at workers={workers}");
+        assert_eq!(&csv, want_csv, "records.csv differs at workers={workers}");
+        assert_eq!(&trace, want_trace, "trace.jsonl differs at workers={workers}");
+        assert_eq!(&samples, want_samples, "samples.csv differs at workers={workers}");
 
         // `tail` must reproduce the same bytes over the socket.
         let tail = Request::Tail { job: id, channel: Channel::Records, from: 0, follow: false };
@@ -116,7 +136,7 @@ fn socket_campaign_is_byte_identical_to_batch_at_any_worker_count() {
                 eof_offset = v.get("offset").and_then(Json::as_u64);
             }
         }
-        assert_eq!(tailed.as_bytes(), &want_csv[..], "tail mismatch at workers={workers}");
+        assert_eq!(tailed.as_bytes(), want_csv, "tail mismatch at workers={workers}");
         assert_eq!(eof_offset, Some(want_csv.len() as u64));
 
         drop(daemon);
@@ -131,7 +151,8 @@ fn socket_campaign_is_byte_identical_to_batch_at_any_worker_count() {
 #[test]
 fn restart_mid_job_resumes_to_byte_identical_output() {
     let job = campaign_job();
-    let (want_csv, want_trace, want_samples) = batch_reference(&job);
+    let batch = batch_reference(&job);
+    let (want_csv, want_trace, want_samples) = batch.files;
     let spool = scratch("restart");
 
     // First daemon: dies (resumably) after committing 2 of 4 shards.
@@ -153,6 +174,7 @@ fn restart_mid_job_resumes_to_byte_identical_output() {
     let status = daemon_b.wait(id, WAIT).expect("resumed job finishes");
     assert_eq!(status.state, JobState::Done);
     assert_eq!(status.counters["faults"], job.faults as u64);
+    assert_counters_match(&status.counters, &batch.summary);
 
     let (csv, trace, samples) = spool_outputs(&daemon_b.job_dir(id));
     assert_eq!(csv, want_csv, "records.csv differs after restart");
