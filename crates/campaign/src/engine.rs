@@ -115,7 +115,7 @@ pub fn run_shard(spec: &CampaignSpec, cache: &WorkloadCache, shard: &ShardSpec) 
             shard: shard.shard_in_workload,
             faults: n_faults,
             detected: records.len(),
-            masked: report.missed_faults,
+            masked: report.masked_faults.len() as u64,
             pending,
             verified_segments: report.verified_segments,
             failed_segments: report.failed_segments,

@@ -186,8 +186,15 @@ impl DeuState {
 
     /// Streams queued checkpoint chunks into the DC-Buffers. Called once
     /// per big-core cycle; pushes as many chunks as the status FIFOs
-    /// accept this cycle.
-    pub fn pump_transfers(&mut self, fabric: &mut Fabric, injector: &mut FaultInjector, now: u64) {
+    /// accept this cycle. `seg_mgr`'s assignments name the checkers that
+    /// read each checkpoint as it leaves.
+    pub fn pump_transfers(
+        &mut self,
+        fabric: &mut Fabric,
+        injector: &mut FaultInjector,
+        seg_mgr: &SegmentManager,
+        now: u64,
+    ) {
         while !self.transfers.is_empty() {
             // The lane rotates on a refused push too.
             let lane = self.next_lane();
@@ -203,7 +210,7 @@ impl DeuState {
             };
             let mut pkt = Packet { seq: 0, dest: t.dest, payload, created_at: now };
             if is_last {
-                injector.maybe_corrupt(&mut pkt, now, t.seg);
+                injector.maybe_corrupt(&mut pkt, now, t.seg, seg_mgr);
             }
             t.next_chunk += 1;
             if t.next_chunk == t.total {
@@ -387,7 +394,7 @@ impl DeuHook<'_> {
             return Some(CommitDecision::Stall(reason));
         }
         let mut pkt = Packet { seq: 0, dest: DestMask::single(checker), payload, created_at: now };
-        self.injector.maybe_corrupt(&mut pkt, now, seg);
+        self.injector.maybe_corrupt(&mut pkt, now, seg, self.seg_mgr);
         pkt.seq = self.deu.next_seq();
         self.fabric.try_push(lane, pkt).expect("admission checked");
         self.deu.runtime_packets += 1;
@@ -578,7 +585,7 @@ mod tests {
         rig.hook().on_commit(0, &fake_retired(0x1000, mem(0x8000), false), 0);
         rig.hook().on_commit(0, &fake_retired(0x1004, None, false), 1);
         assert_eq!(rig.deu.seg, 2);
-        rig.deu.pump_transfers(&mut rig.fabric, &mut rig.injector, 2);
+        rig.deu.pump_transfers(&mut rig.fabric, &mut rig.injector, &rig.seg_mgr, 2);
         assert!(rig.deu.transfers_drained(), "segment 1's ERCP is on its way");
         // Segment 1's verdict frees the checker.
         rig.seg_mgr.finish(1, true);
@@ -653,7 +660,7 @@ mod tests {
         assert_eq!(rig.deu.rcps, 1);
         assert!(!rig.deu.transfers_drained());
         for now in 2..50 {
-            rig.deu.pump_transfers(&mut rig.fabric, &mut rig.injector, now);
+            rig.deu.pump_transfers(&mut rig.fabric, &mut rig.injector, &rig.seg_mgr, now);
         }
         assert!(rig.deu.transfers_drained());
     }

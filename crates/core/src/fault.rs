@@ -7,7 +7,18 @@
 //! injector flips one bit of a packet as the DEU hands it to the fabric;
 //! the big core's architectural execution is untouched, and the checker
 //! must notice the divergence.
+//!
+//! A fault resolves on the verdicts of its packet's *consumers*: the
+//! segments whose checkers read the flipped bit, taken from the packet's
+//! destination mask and the checker assignment when it enters the
+//! fabric. A run-time record is read by its own segment's checker; a
+//! checkpoint is the ERCP of its segment and the SRCP of the next, for
+//! whichever of the two checkers the mask names. The first failing
+//! consumer verdict is the fault's detection, all consumers passing is
+//! its mask, and a consumer verdict still missing when the run drains
+//! leaves it pending. Verdicts of other segments never touch it.
 
+use crate::segments::SegmentManager;
 use meek_fabric::{Packet, Payload};
 use meek_isa::state::RegCheckpoint;
 use rand::rngs::SmallRng;
@@ -115,9 +126,10 @@ pub enum CorruptedField {
     },
 }
 
-/// An injected fault whose candidate segments all verified clean — the
-/// flipped bit was (apparently) architecturally dead. Distinguished
-/// from *pending* faults (no verdict at all) in [`RunReport`]:
+/// An injected fault whose consumers all verified clean: every checker
+/// that read the flipped bit passed its segment, so the bit was
+/// (apparently) architecturally dead. Distinguished from *pending*
+/// faults (a consumer verdict still missing at drain) in [`RunReport`]:
 /// a masked fault has positive evidence of cleanliness, a pending fault
 /// has none.
 ///
@@ -140,10 +152,11 @@ pub struct MaskRecord {
     /// actually had for this corruption: the fault segment's start for
     /// memory-record faults, the *successor* segment's start (= the
     /// boundary the corrupted checkpoint was cut at) for checkpoint
-    /// faults. Segment boundaries re-seed every checker from the big
-    /// core's clean shadow, so nothing outside this range could ever
-    /// have exposed the flip — an external prover replaying past it
-    /// over-convicts.
+    /// faults, which only their SRCP consumer can mask (a flipped ERCP
+    /// register always fails the compare). Segment boundaries re-seed
+    /// every checker from the big core's clean shadow, so nothing
+    /// outside this range could ever have exposed the flip — an external
+    /// prover replaying past it over-convicts.
     pub surface_start: u64,
     /// One-past-the-end commit index of the detection surface. `None`
     /// when the closing boundary never occurred (the run drained inside
@@ -162,7 +175,8 @@ pub struct DetectionRecord {
     pub detected_cycle: u64,
     /// Detection latency in nanoseconds.
     pub latency_ns: f64,
-    /// Segment in which the fault was detected.
+    /// The consumer segment whose failing verdict detected the fault
+    /// (for a parity-window detection, the segment being extracted).
     pub seg: u32,
     /// Big-core cycles from this detection to the completed recovery
     /// (rollback + re-execution + clean re-verification) it triggered.
@@ -196,8 +210,8 @@ struct InFlight {
     fseg: u32,
     armed_at_commit: u64,
     field: CorruptedField,
-    fseg_passed: bool,
-    next_passed: bool,
+    /// Consumers of the corrupted packet whose verdict is still owed.
+    awaiting: Vec<u32>,
 }
 
 impl InFlight {
@@ -220,17 +234,12 @@ pub struct FaultInjector {
     queue: Vec<FaultSpec>,
     armed: Option<(FaultSpec, u64)>,
     in_flight: Option<InFlight>,
-    /// Faults with positive clean evidence (successor segment verified)
-    /// whose own segment's verdict is still outstanding. They no longer
-    /// occupy the injection pipeline, but a late *fail* verdict for a
-    /// candidate segment upgrades them to a detection — the old
-    /// "unreachable after 4 segments" heuristic silently dropped those
-    /// late detections and misreported them as masked.
-    tentative: Vec<InFlight>,
+    /// Faults ever queued; a rollback's re-queue is not a new fault.
+    queued: usize,
     /// Completed detections.
     pub detections: Vec<DetectionRecord>,
-    /// Faults whose candidate segments all verified *clean*: the flip
-    /// landed on architecturally dead data. The checker never reported
+    /// Faults whose consumers all verified *clean*: the flip landed on
+    /// architecturally dead data. The checker never reported
     /// them, so every entry must be provable benign — the difftest
     /// coverage oracle re-runs the golden program with the recorded
     /// corruption and fails loudly if behaviour diverges.
@@ -258,7 +267,7 @@ impl FaultInjector {
             queue: Vec::new(),
             armed: None,
             in_flight: None,
-            tentative: Vec::new(),
+            queued: 0,
             detections: Vec::new(),
             masked: Vec::new(),
             suppressed: false,
@@ -269,12 +278,24 @@ impl FaultInjector {
         inj
     }
 
-    /// Adds `faults` to the queue, kept sorted so `pop` yields the
-    /// earliest arm point.
+    /// Adds `faults` to the queue as new faults.
     pub(crate) fn enqueue(&mut self, faults: Vec<FaultSpec>) {
+        self.queued += faults.len();
+        self.requeue(faults);
+    }
+
+    /// Puts `faults` back in the queue, kept sorted so `pop` yields the
+    /// earliest arm point.
+    fn requeue(&mut self, faults: Vec<FaultSpec>) {
         self.queue.extend(faults);
         self.queue.sort_by_key(|f| f.arm_at_commit);
         self.queue.reverse();
+    }
+
+    /// Faults ever queued. Each ends exactly once: detected, masked, or
+    /// [unresolved](FaultInjector::unresolved).
+    pub(crate) fn queued(&self) -> usize {
+        self.queued
     }
 
     /// Whether no fault was ever queued: nothing waits to arm, nothing
@@ -282,7 +303,7 @@ impl FaultInjector {
     /// depends on the run is the segment boundaries, which a faulty run
     /// records identically until its first fault arms.
     pub(crate) fn is_fault_free(&self) -> bool {
-        self.unresolved() == 0 && self.detections.is_empty() && self.masked.is_empty()
+        self.queued == 0
     }
 
     /// Records that segment `seg`'s closing boundary fell at commit
@@ -310,7 +331,8 @@ impl FaultInjector {
         }
     }
 
-    /// Whether a fault is currently in flight (awaiting detection).
+    /// Whether a fault is currently in flight (awaiting a consumer's
+    /// verdict).
     pub fn busy(&self) -> bool {
         self.in_flight.is_some()
     }
@@ -320,19 +342,13 @@ impl FaultInjector {
         self.queue.len()
     }
 
-    /// Faults with no verdict yet: still queued, armed but not fired,
-    /// in flight awaiting a segment verdict, or tentatively masked with
-    /// their own segment's verdict outstanding. At end of run
-    /// ([`FaultInjector::resolve_at_drain`]) tentatives settle to
-    /// masked; what remains is what the campaign must report as
-    /// *pending* — typically a tail fault whose corrupted checkpoint
-    /// was the program's last, so no successor segment ever delivered a
-    /// verdict.
+    /// Faults with no outcome yet: still queued, armed but not fired,
+    /// or in flight awaiting a consumer's verdict. At the end of a run
+    /// this is what the campaign reports as *pending* — typically a
+    /// fault that never fired, or a tail fault whose consumer never
+    /// delivered a verdict.
     pub fn unresolved(&self) -> usize {
-        self.queue.len()
-            + self.armed.is_some() as usize
-            + self.in_flight.is_some() as usize
-            + self.tentative.len()
+        self.queue.len() + self.armed.is_some() as usize + self.in_flight.is_some() as usize
     }
 
     /// Drains the `(site, segment, cycle)` log of corruptions that
@@ -358,9 +374,17 @@ impl FaultInjector {
         }
     }
 
-    /// Offers a packet to the injector just before it enters the fabric;
-    /// if a matching fault is armed, one bit is flipped in place.
-    pub fn maybe_corrupt(&mut self, pkt: &mut Packet, now: u64, seg: u32) {
+    /// Offers `pkt`, a packet of segment `seg`, to the injector just
+    /// before it enters the fabric; if a matching fault is armed, one bit
+    /// is flipped in place and the fault waits on the packet's consumers
+    /// as `seg_mgr` assigns their checkers now.
+    pub fn maybe_corrupt(
+        &mut self,
+        pkt: &mut Packet,
+        now: u64,
+        seg: u32,
+        seg_mgr: &SegmentManager,
+    ) {
         if self.suppressed {
             return;
         }
@@ -406,6 +430,8 @@ impl FaultInjector {
             _ => None,
         };
         if let Some(field) = field {
+            let awaiting = consumers(pkt, seg, seg_mgr);
+            debug_assert!(!awaiting.is_empty(), "no checker reads corrupted {pkt:?}");
             self.armed = None;
             self.injection_log.push((f.site, seg, now));
             self.in_flight = Some(InFlight {
@@ -414,8 +440,7 @@ impl FaultInjector {
                 fseg: seg,
                 armed_at_commit,
                 field,
-                fseg_passed: false,
-                next_passed: false,
+                awaiting,
             });
         }
     }
@@ -449,172 +474,106 @@ impl FaultInjector {
     }
 
     /// Squashes injector state for a recovery rollback to `first_seg`:
-    /// a fault whose corrupted packet belonged to a squashed segment
-    /// never got (and can never get) a verdict — its corruption was
-    /// wiped with the segment — so it re-queues and fires again during
-    /// re-execution. Resolved faults (detected or masked) are untouched.
+    /// a fault still owed a verdict by a squashed segment can never get
+    /// it — the rollback wiped its corrupted packet — so it re-queues and
+    /// fires again during re-execution. Resolved faults (detected or
+    /// masked) are untouched.
     pub fn on_rollback(&mut self, first_seg: u32) {
-        let mut requeue = Vec::new();
-        if self.in_flight.as_ref().is_some_and(|fl| fl.fseg >= first_seg) {
-            requeue.push(self.in_flight.take().expect("checked above").spec);
-        }
-        let mut i = 0;
-        while i < self.tentative.len() {
-            if self.tentative[i].fseg >= first_seg {
-                requeue.push(self.tentative.remove(i).spec);
-            } else {
-                i += 1;
-            }
-        }
-        if !requeue.is_empty() {
-            self.enqueue(requeue);
+        if self.in_flight.as_ref().is_some_and(|fl| fl.awaiting.iter().any(|&s| s >= first_seg)) {
+            let spec = self.in_flight.take().expect("checked above").spec;
+            self.requeue(vec![spec]);
         }
         // Boundaries of squashed segments are stale: re-execution will
         // re-record them as the segments re-commit.
         self.seg_end.retain(|&s, _| s < first_seg);
     }
 
-    /// Reports a segment verification result to the injector.
-    ///
-    /// A memory-record fault must be detected while its own segment
-    /// replays; a checkpoint fault is the ERCP of segment `fseg` *and*
-    /// the SRCP of `fseg + 1`, so detection may land in either (segments
-    /// can complete out of order across cores). A fault whose candidate
-    /// segments all verified clean is recorded in
-    /// [`FaultInjector::masked`].
+    /// Reports segment `seg`'s verdict to the injector. It bears on the
+    /// fault in flight only if `seg` is one of its consumers: a fail is
+    /// the fault's detection, and the last consumer passing is its mask
+    /// (recorded in [`FaultInjector::masked`]).
     pub fn on_segment_verified(&mut self, seg: u32, pass: bool, now: u64, ns_per_cycle: f64) {
-        // Tentatively-masked faults first. A tentative's successor
-        // segment has already verified clean (that is how it became
-        // tentative), so the only verdict still owed is its *own*
-        // segment's: a fail upgrades the tentative to a (late)
-        // detection, a clean verdict confirms the mask.
-        if let Some(pos) = self.tentative.iter().position(|fl| seg == fl.fseg) {
-            let fl = self.tentative.remove(pos);
-            if pass {
-                let surface = self.surface_of(fl.spec.site, fl.fseg);
-                self.masked.push(fl.mask_record(surface));
-            } else {
-                let latency_ns = (now - fl.injected) as f64 * ns_per_cycle;
-                self.detections.push(DetectionRecord {
-                    site: fl.spec.site,
-                    injected_cycle: fl.injected,
-                    detected_cycle: now,
-                    latency_ns,
-                    seg,
-                    recovery_cycles: None,
-                });
-                return; // the fail verdict is this fault's detection
-            }
-        }
-        let surface = self.in_flight.as_ref().map(|fl| self.surface_of(fl.spec.site, fl.fseg));
         let Some(fl) = &mut self.in_flight else { return };
-        let surface = surface.expect("computed from the same in-flight fault");
-        if seg < fl.fseg {
+        let Some(i) = fl.awaiting.iter().position(|&s| s == seg) else { return };
+        fl.awaiting.swap_remove(i);
+        if pass && !fl.awaiting.is_empty() {
             return;
         }
-        if !pass {
-            let latency_ns = (now - fl.injected) as f64 * ns_per_cycle;
+        let fl = self.in_flight.take().expect("matched above");
+        if pass {
+            let surface = self.surface_of(fl.spec.site, fl.fseg);
+            self.masked.push(fl.mask_record(surface));
+        } else {
             self.detections.push(DetectionRecord {
                 site: fl.spec.site,
                 injected_cycle: fl.injected,
                 detected_cycle: now,
-                latency_ns,
+                latency_ns: (now - fl.injected) as f64 * ns_per_cycle,
                 seg,
                 recovery_cycles: None,
             });
-            self.in_flight = None;
-            return;
-        }
-        match fl.spec.site {
-            FaultSite::LsqParity => {
-                unreachable!("parity faults detect at forwarding time and are never in flight")
-            }
-            FaultSite::MemAddr | FaultSite::MemData | FaultSite::CacheData => {
-                if seg == fl.fseg {
-                    let rec = fl.mask_record(surface);
-                    self.masked.push(rec);
-                    self.in_flight = None;
-                }
-            }
-            FaultSite::RcpRegister => {
-                if seg == fl.fseg {
-                    fl.fseg_passed = true;
-                } else if seg == fl.fseg + 1 {
-                    fl.next_passed = true;
-                }
-                if fl.next_passed && fl.fseg_passed {
-                    let rec = fl.mask_record(surface);
-                    self.masked.push(rec);
-                    self.in_flight = None;
-                } else if fl.next_passed && seg > fl.fseg + 4 {
-                    // `fseg`'s own verdict can predate the injection (its
-                    // checker may have concluded before the corrupted
-                    // packet existed) — or it may simply be slow. Well
-                    // past the concurrency window, release the pipeline
-                    // but keep the fault *tentative*: if `fseg`'s verdict
-                    // does arrive late, it still settles this fault
-                    // instead of being silently dropped.
-                    let fl = fl.clone();
-                    self.tentative.push(fl);
-                    self.in_flight = None;
-                }
-            }
         }
     }
+}
 
-    /// Delivers end-of-run verdicts for the in-flight fault once no more
-    /// segment verifications can arrive (the system has drained).
-    ///
-    /// Without this, a checkpoint fault whose *successor* segment
-    /// verified clean but whose own segment's verdict predated the
-    /// injection stays `in_flight` forever and is reported as *pending*
-    /// — indistinguishable from a fault that never fired — even though
-    /// the evidence says it was masked. At drain, a fault whose every
-    /// delivered candidate verdict was clean resolves to masked; a fault
-    /// with no verdict at all (e.g. a corrupted final checkpoint with no
-    /// successor segment) stays pending.
-    pub fn resolve_at_drain(&mut self) {
-        // Tentatives whose own-segment verdict never arrived: the clean
-        // successor verdict stands — masked.
-        for fl in std::mem::take(&mut self.tentative) {
-            let surface = self.surface_of(fl.spec.site, fl.fseg);
-            self.masked.push(fl.mask_record(surface));
-        }
-        let Some(fl) = self.in_flight.take() else { return };
-        let masked = match fl.spec.site {
-            FaultSite::LsqParity => {
-                unreachable!("parity faults detect at forwarding time and are never in flight")
-            }
-            // A memory-record fault is judged only by its own segment;
-            // no verdict by drain means the record was never replayed.
-            FaultSite::MemAddr | FaultSite::MemData | FaultSite::CacheData => false,
-            // Either candidate segment verifying clean is positive
-            // evidence: the corrupted ERCP matched the replay, or the
-            // corrupted SRCP replayed to a clean ERCP.
-            FaultSite::RcpRegister => fl.fseg_passed || fl.next_passed,
-        };
-        if masked {
-            let surface = self.surface_of(fl.spec.site, fl.fseg);
-            self.masked.push(fl.mask_record(surface));
-        } else {
-            self.in_flight = Some(fl);
-        }
-    }
+/// The consumers of `pkt`, a packet of segment `seg` entering the fabric:
+/// the segments whose checker, as `seg_mgr` assigns them now, is in the
+/// packet's destination mask. A run-time record can only be read by
+/// `seg`'s checker; a checkpoint is also the SRCP of `seg + 1`.
+fn consumers(pkt: &Packet, seg: u32, seg_mgr: &SegmentManager) -> Vec<u32> {
+    let last = match pkt.payload {
+        Payload::RcpEnd { .. } => seg + 1,
+        _ => seg,
+    };
+    (seg..=last).filter(|&s| seg_mgr.checker_of(s).is_some_and(|c| pkt.dest.contains(c))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use meek_fabric::DestMask;
+    use meek_isa::state::RegCheckpoint;
+    use meek_littlecore::{LittleCore, LittleCoreConfig};
     use rand::SeedableRng;
 
-    fn mem_pkt() -> Packet {
+    /// A segment manager with `segs` open on checkers 0, 1, … in order.
+    fn open(segs: &[u32]) -> SegmentManager {
+        let mut littles: Vec<LittleCore> = (0..segs.len())
+            .map(|i| LittleCore::new(i, LittleCoreConfig::optimized(), 17))
+            .collect();
+        let mut mgr = SegmentManager::new();
+        for &seg in segs {
+            mgr.try_open(seg, &mut littles).expect("an idle checker per segment");
+        }
+        mgr
+    }
+
+    /// A store record of segment `seg` for checker 0.
+    fn mem_pkt(seg: u32) -> Packet {
         Packet {
             seq: 0,
             dest: DestMask::single(0),
-            payload: Payload::Mem { seg: 1, addr: 0x1000, size: 8, data: 0xAB, is_store: true },
+            payload: Payload::Mem { seg, addr: 0x1000, size: 8, data: 0xAB, is_store: true },
             created_at: 0,
         }
+    }
+
+    /// The checkpoint closing segment `seg`, sent to `dest`.
+    fn rcp_pkt(seg: u32, dest: DestMask) -> Packet {
+        Packet {
+            seq: 0,
+            dest,
+            payload: Payload::RcpEnd {
+                seg,
+                inst_count: 100,
+                cp: Box::new(RegCheckpoint::zeroed(0x1000)),
+            },
+            created_at: 0,
+        }
+    }
+
+    fn injector(site: FaultSite, bit: u32) -> FaultInjector {
+        FaultInjector::new(vec![FaultSpec { arm_at_commit: 0, site, bit }])
     }
 
     #[test]
@@ -632,33 +591,30 @@ mod tests {
             site: FaultSite::MemData,
             bit: 3,
         }]);
+        let mgr = open(&[1]);
         inj.advance(5);
-        let mut p = mem_pkt();
-        inj.maybe_corrupt(&mut p, 100, 1);
-        assert_eq!(p, mem_pkt(), "not armed yet");
+        let mut p = mem_pkt(1);
+        inj.maybe_corrupt(&mut p, 100, 1, &mgr);
+        assert_eq!(p, mem_pkt(1), "not armed yet");
         inj.advance(10);
-        inj.maybe_corrupt(&mut p, 100, 1);
+        inj.maybe_corrupt(&mut p, 100, 1, &mgr);
         match p.payload {
             Payload::Mem { data, .. } => assert_eq!(data, 0xAB ^ 8),
             _ => unreachable!(),
         }
         assert!(inj.busy());
         // A second packet is NOT corrupted.
-        let mut q = mem_pkt();
-        inj.maybe_corrupt(&mut q, 101, 1);
-        assert_eq!(q, mem_pkt());
+        let mut q = mem_pkt(1);
+        inj.maybe_corrupt(&mut q, 101, 1, &mgr);
+        assert_eq!(q, mem_pkt(1));
     }
 
     #[test]
     fn latency_recorded_on_detection() {
-        let mut inj = FaultInjector::new(vec![FaultSpec {
-            arm_at_commit: 0,
-            site: FaultSite::MemAddr,
-            bit: 5,
-        }]);
+        let mut inj = injector(FaultSite::MemAddr, 5);
         inj.advance(0);
-        let mut p = mem_pkt();
-        inj.maybe_corrupt(&mut p, 1000, 4);
+        let mut p = mem_pkt(4);
+        inj.maybe_corrupt(&mut p, 1000, 4, &open(&[4]));
         inj.on_segment_verified(4, false, 4200, 0.3125);
         assert_eq!(inj.detections.len(), 1);
         let d = &inj.detections[0];
@@ -671,42 +627,26 @@ mod tests {
 
     #[test]
     fn rcp_fault_may_detect_in_next_segment() {
-        let mut inj = FaultInjector::new(vec![FaultSpec {
-            arm_at_commit: 0,
-            site: FaultSite::RcpRegister,
-            bit: 9,
-        }]);
+        let mut inj = injector(FaultSite::RcpRegister, 9);
         inj.advance(0);
-        let mut p = Packet {
-            seq: 0,
-            dest: DestMask::single(0),
-            payload: Payload::RcpEnd {
-                seg: 3,
-                inst_count: 100,
-                cp: Box::new(meek_isa::state::RegCheckpoint::zeroed(0)),
-            },
-            created_at: 0,
-        };
-        inj.maybe_corrupt(&mut p, 500, 3);
+        // Multicast: segment 3's checker (core 0) reads it as its ERCP,
+        // segment 4's (core 1) as its SRCP.
+        let mut p = rcp_pkt(3, DestMask::single(0).with(1));
+        inj.maybe_corrupt(&mut p, 500, 3, &open(&[3, 4]));
         assert!(inj.busy());
-        // Segment 3 verifies clean (fault was in its ERCP *as forwarded*,
-        // but detection can land in segment 4 whose SRCP it corrupts).
         inj.on_segment_verified(3, true, 600, 0.3125);
-        assert!(inj.busy(), "still awaiting detection in segment 4");
+        assert!(inj.busy(), "still awaiting segment 4, the other consumer");
         inj.on_segment_verified(4, false, 900, 0.3125);
         assert_eq!(inj.detections.len(), 1);
+        assert_eq!(inj.detections[0].seg, 4);
     }
 
     #[test]
     fn masked_mem_fault_records_clean_field() {
-        let mut inj = FaultInjector::new(vec![FaultSpec {
-            arm_at_commit: 0,
-            site: FaultSite::MemData,
-            bit: 2,
-        }]);
+        let mut inj = injector(FaultSite::MemData, 2);
         inj.advance(17);
-        let mut p = mem_pkt();
-        inj.maybe_corrupt(&mut p, 50, 2);
+        let mut p = mem_pkt(2);
+        inj.maybe_corrupt(&mut p, 50, 2, &open(&[2]));
         // Segment 2 verifies clean: the flip landed on dead data.
         inj.on_segment_verified(2, true, 400, 0.3125);
         assert!(!inj.busy());
@@ -722,108 +662,61 @@ mod tests {
     }
 
     #[test]
-    fn rcp_mask_resolves_at_drain_not_pending() {
-        // The latent reporting bug: fseg's verdict predates the
-        // injection, the successor verifies clean, the run drains — the
-        // fault used to stay in_flight forever and count as pending.
-        let mut inj = FaultInjector::new(vec![FaultSpec {
-            arm_at_commit: 0,
-            site: FaultSite::RcpRegister,
-            bit: 11,
-        }]);
+    fn a_checkpoint_only_the_next_segment_reads_masks_on_its_pass() {
+        // Segment 5's checkpoint owed to segment 6's checker (core 1)
+        // alone: segment 5's checker (core 0) never reads this copy.
+        let mut inj = injector(FaultSite::RcpRegister, 11);
         inj.advance(0);
-        let mut p = Packet {
-            seq: 0,
-            dest: DestMask::single(0),
-            payload: Payload::RcpEnd {
-                seg: 5,
-                inst_count: 100,
-                cp: Box::new(meek_isa::state::RegCheckpoint::zeroed(0x1000)),
-            },
-            created_at: 0,
-        };
-        inj.maybe_corrupt(&mut p, 500, 5);
-        // Only the successor's verdict arrives (clean); segment 5's
-        // checker concluded before the corrupted ERCP existed.
+        let mut p = rcp_pkt(5, DestMask::single(1));
+        inj.maybe_corrupt(&mut p, 500, 5, &open(&[5, 6]));
+        // Neither segment 5's verdict nor a later segment's bears on it.
+        inj.on_segment_verified(5, false, 700, 0.3125);
+        inj.on_segment_verified(7, false, 800, 0.3125);
+        assert!(inj.detections.is_empty(), "no consumer failed");
+        assert!(inj.busy());
         inj.on_segment_verified(6, true, 900, 0.3125);
-        assert!(inj.busy(), "no drain yet: still awaiting fseg's (impossible) verdict");
-        assert_eq!(inj.unresolved(), 1);
-        inj.resolve_at_drain();
         assert!(!inj.busy());
-        assert_eq!(inj.unresolved(), 0, "resolved masked, not pending");
+        assert_eq!(inj.unresolved(), 0, "masked at its consumer's pass, not pending");
         assert_eq!(inj.masked.len(), 1);
         match &inj.masked[0].field {
             CorruptedField::Register { index, clean_cp } => {
                 assert_eq!(*index, rcp_register_index(11));
-                assert_eq!(**clean_cp, meek_isa::state::RegCheckpoint::zeroed(0x1000));
+                assert_eq!(**clean_cp, RegCheckpoint::zeroed(0x1000));
             }
             f => panic!("wrong field kind: {f:?}"),
         }
     }
 
     #[test]
-    fn late_fail_verdict_upgrades_tentative_mask_to_detection() {
-        // The lost-detection bug: successor segments verify clean and
-        // race past the concurrency window, then the corrupted
-        // segment's own checker finally fails. The old heuristic had
-        // already written the fault off as masked; now the tentative
-        // record turns the late verdict into a detection.
-        let mut inj = FaultInjector::new(vec![FaultSpec {
-            arm_at_commit: 0,
-            site: FaultSite::RcpRegister,
-            bit: 7,
-        }]);
+    fn a_consumers_late_fail_is_the_detection() {
+        // Segment 10's slow checker reports the corrupted ERCP long after
+        // the SRCP consumer and later segments verified clean.
+        let mut inj = injector(FaultSite::RcpRegister, 7);
         inj.advance(100);
-        let mut p = Packet {
-            seq: 0,
-            dest: DestMask::single(0),
-            payload: Payload::RcpEnd {
-                seg: 10,
-                inst_count: 100,
-                cp: Box::new(meek_isa::state::RegCheckpoint::zeroed(0x1000)),
-            },
-            created_at: 0,
-        };
-        inj.maybe_corrupt(&mut p, 500, 10);
-        inj.on_segment_verified(11, true, 600, 0.3125); // successor clean
-        for seg in 12..=15 {
+        let mut p = rcp_pkt(10, DestMask::single(0).with(1));
+        inj.maybe_corrupt(&mut p, 500, 10, &open(&[10, 11]));
+        for seg in 11..=15 {
             inj.on_segment_verified(seg, true, 600 + seg as u64, 0.3125);
         }
-        assert!(!inj.busy(), "well past the window: pipeline released");
-        assert!(inj.masked.is_empty(), "but not yet declared masked");
-        assert_eq!(inj.unresolved(), 1, "tentative counts as unresolved");
-        // Segment 10's slow checker finally reports the corrupted ERCP.
+        assert!(inj.busy(), "segment 10's verdict is still owed");
+        assert!(inj.masked.is_empty());
         inj.on_segment_verified(10, false, 2_000, 0.3125);
-        assert_eq!(inj.detections.len(), 1, "late fail verdict must become a detection");
+        assert_eq!(inj.detections.len(), 1, "the late fail verdict is the detection");
         assert_eq!(inj.detections[0].seg, 10);
         assert!(inj.masked.is_empty());
         assert_eq!(inj.unresolved(), 0);
     }
 
     #[test]
-    fn tentative_confirms_masked_on_clean_own_verdict() {
-        let mut inj = FaultInjector::new(vec![FaultSpec {
-            arm_at_commit: 0,
-            site: FaultSite::RcpRegister,
-            bit: 7,
-        }]);
+    fn a_checkpoint_masks_once_both_its_consumers_pass() {
+        let mut inj = injector(FaultSite::RcpRegister, 7);
         inj.advance(0);
-        let mut p = Packet {
-            seq: 0,
-            dest: DestMask::single(0),
-            payload: Payload::RcpEnd {
-                seg: 10,
-                inst_count: 100,
-                cp: Box::new(meek_isa::state::RegCheckpoint::zeroed(0x1000)),
-            },
-            created_at: 0,
-        };
-        inj.maybe_corrupt(&mut p, 500, 10);
-        for seg in 11..=15 {
-            inj.on_segment_verified(seg, true, 600, 0.3125);
-        }
+        let mut p = rcp_pkt(10, DestMask::single(0).with(1));
+        inj.maybe_corrupt(&mut p, 500, 10, &open(&[10, 11]));
+        inj.on_segment_verified(11, true, 600, 0.3125);
+        assert!(inj.masked.is_empty(), "segment 10 read it too");
         inj.on_segment_verified(10, true, 2_000, 0.3125);
-        assert_eq!(inj.masked.len(), 1, "own clean verdict confirms the mask");
+        assert_eq!(inj.masked.len(), 1);
         assert!(inj.detections.is_empty());
         assert_eq!(inj.unresolved(), 0);
     }
@@ -836,23 +729,18 @@ mod tests {
             bit: 0,
         }]);
         inj.advance(10);
-        inj.resolve_at_drain();
         assert_eq!(inj.unresolved(), 1, "a fault that never armed is pending, not masked");
         assert!(inj.masked.is_empty());
     }
 
     #[test]
     fn lsq_parity_fault_detects_at_the_window() {
-        let mut inj = FaultInjector::new(vec![FaultSpec {
-            arm_at_commit: 0,
-            site: FaultSite::LsqParity,
-            bit: 13,
-        }]);
+        let mut inj = injector(FaultSite::LsqParity, 13);
         inj.advance(0);
         // The parity fault must not touch forwarded packets…
-        let mut p = mem_pkt();
-        inj.maybe_corrupt(&mut p, 90, 2);
-        assert_eq!(p, mem_pkt());
+        let mut p = mem_pkt(2);
+        inj.maybe_corrupt(&mut p, 90, 2, &open(&[2]));
+        assert_eq!(p, mem_pkt(2));
         // …it strikes at the LSQ parity double-check.
         assert_eq!(inj.lsq_parity_strike(100, 2, 0.3125), Some(13));
         assert!(!inj.busy(), "parity detections never occupy the pipeline");
@@ -866,15 +754,12 @@ mod tests {
 
     #[test]
     fn cache_data_fault_skips_stores_and_strikes_loads() {
-        let mut inj = FaultInjector::new(vec![FaultSpec {
-            arm_at_commit: 0,
-            site: FaultSite::CacheData,
-            bit: 4,
-        }]);
+        let mut inj = injector(FaultSite::CacheData, 4);
+        let mgr = open(&[1]);
         inj.advance(0);
-        let mut store = mem_pkt(); // is_store: true
-        inj.maybe_corrupt(&mut store, 50, 1);
-        assert_eq!(store, mem_pkt(), "stores carry LSQ data, not cache reads");
+        let mut store = mem_pkt(1); // is_store: true
+        inj.maybe_corrupt(&mut store, 50, 1, &mgr);
+        assert_eq!(store, mem_pkt(1), "stores carry LSQ data, not cache reads");
         assert!(!inj.busy());
         let mut load = Packet {
             seq: 1,
@@ -882,7 +767,7 @@ mod tests {
             payload: Payload::Mem { seg: 1, addr: 0x2000, size: 4, data: 0xF0, is_store: false },
             created_at: 0,
         };
-        inj.maybe_corrupt(&mut load, 51, 1);
+        inj.maybe_corrupt(&mut load, 51, 1, &mgr);
         match load.payload {
             Payload::Mem { data, .. } => assert_eq!(data, 0xF0 ^ 0x10),
             _ => unreachable!(),
@@ -895,19 +780,16 @@ mod tests {
 
     #[test]
     fn suppressed_injector_holds_fire() {
-        let mut inj = FaultInjector::new(vec![FaultSpec {
-            arm_at_commit: 0,
-            site: FaultSite::MemData,
-            bit: 1,
-        }]);
+        let mut inj = injector(FaultSite::MemData, 1);
+        let mgr = open(&[1]);
         inj.advance(0);
         inj.suppressed = true;
-        let mut p = mem_pkt();
-        inj.maybe_corrupt(&mut p, 10, 1);
-        assert_eq!(p, mem_pkt(), "golden re-execution must see no corruption");
+        let mut p = mem_pkt(1);
+        inj.maybe_corrupt(&mut p, 10, 1, &mgr);
+        assert_eq!(p, mem_pkt(1), "golden re-execution must see no corruption");
         inj.suppressed = false;
-        inj.maybe_corrupt(&mut p, 11, 1);
-        assert_ne!(p, mem_pkt(), "the armed fault fires once suppression lifts");
+        inj.maybe_corrupt(&mut p, 11, 1, &mgr);
+        assert_ne!(p, mem_pkt(1), "the armed fault fires once suppression lifts");
     }
 
     #[test]
@@ -918,17 +800,18 @@ mod tests {
             bit: 2,
         }]);
         inj.advance(10);
-        let mut p = mem_pkt();
-        inj.maybe_corrupt(&mut p, 100, 5);
+        let mut p = mem_pkt(5);
+        inj.maybe_corrupt(&mut p, 100, 5, &open(&[5]));
         assert!(inj.busy());
         // Rollback to segment 4 squashes segment 5's corrupted packet.
         inj.on_rollback(4);
         assert!(!inj.busy());
         assert_eq!(inj.remaining(), 1, "the fault re-queues and will fire again");
+        assert_eq!(inj.queued(), 1, "a re-queued fault is not a new fault");
         // A rollback *behind* the fault's segment leaves it alone.
         inj.advance(10);
-        let mut q = mem_pkt();
-        inj.maybe_corrupt(&mut q, 200, 6);
+        let mut q = mem_pkt(6);
+        inj.maybe_corrupt(&mut q, 200, 6, &open(&[6]));
         assert!(inj.busy());
         inj.on_rollback(7);
         assert!(inj.busy(), "segment 6 predates the rollback point");

@@ -61,18 +61,14 @@ pub struct RunReport {
     pub stalls: StallBreakdown,
     /// Fault detections recorded by the injector.
     pub detections: Vec<DetectionRecord>,
-    /// Injected faults whose candidate segments all verified clean (the
-    /// flipped bit was architecturally dead). Count of
-    /// [`RunReport::masked_faults`], kept as a plain number for the
-    /// harnesses that only tally.
-    pub missed_faults: u64,
-    /// The masked faults themselves, with the clean pre-flip field each
+    /// Injected faults whose consumers all verified clean (the flipped
+    /// bit was architecturally dead), with the clean pre-flip field each
     /// corruption replaced — enough for an external golden re-run to
     /// prove every mask benign (or expose it as an escape).
     pub masked_faults: Vec<MaskRecord>,
-    /// Injected faults with *no* verdict when the run drained: still
-    /// queued, armed but never fired, or awaiting a verdict that cannot
-    /// come. Disjoint from both detections and masks.
+    /// Injected faults with *no* outcome when the run ended: still
+    /// queued, armed but never fired, or awaiting a consumer verdict
+    /// that never came. Disjoint from both detections and masks.
     pub pending_faults: usize,
     /// RCPs taken.
     pub rcps: u64,

@@ -815,19 +815,19 @@ impl<O: Observer> Sim<O> {
         &mut self.sys
     }
 
-    /// Stops the run as soon as the first fault detection is recorded
-    /// instead of draining the system.
+    /// Stops the run as soon as no fault is unresolved — every queued
+    /// fault is detected or masked — instead of draining the system. A
+    /// run without faults stops before its first cycle.
     ///
     /// This is a fast path for detect-only oracles that consume nothing
-    /// but the first [`DetectionRecord`]: the
-    /// record — site, segment, cycles, `latency_ns` — is complete the
-    /// moment the injector pushes it, so halting there returns an
+    /// but a single fault's [`DetectionRecord`] or
+    /// [`MaskRecord`](crate::fault::MaskRecord): each is complete the
+    /// moment the injector records it, so halting there returns an
     /// identical verdict at a fraction of the simulated cycles. Every
-    /// other report field (cycle counts, stall decomposition, pending
-    /// verdicts) then reflects the truncated run, so callers that read
-    /// beyond `detections` must not use this. Recovery-enabled runs
-    /// should not halt either: recovery annotates the detection after
-    /// the fact.
+    /// other report field (cycle counts, stall decomposition) then
+    /// reflects the truncated run, so callers that read beyond the fault
+    /// outcomes must not use this. Recovery-enabled runs should not halt
+    /// either: recovery annotates the detection after the fact.
     pub fn halt_on_first_detection(mut self) -> Self {
         self.halt_on_first_detection = true;
         self
@@ -835,7 +835,8 @@ impl<O: Observer> Sim<O> {
 
     /// Ticks the run, driving every attached [`Observer`], until at
     /// least `commits` instructions have committed, the system drains,
-    /// or (after [`Sim::halt_on_first_detection`]) a fault is detected.
+    /// or (after [`Sim::halt_on_first_detection`]) every fault has
+    /// resolved.
     /// This is the one loop that ticks a [`MeekSystem`]; stopping it and
     /// calling it again ticks exactly the cycles one call would.
     ///
@@ -845,7 +846,7 @@ impl<O: Observer> Sim<O> {
     /// [`Sim::max_cycles`] without draining.
     pub fn run_to_commit(&mut self, commits: u64) -> Result<(), RunError> {
         while !self.sys.is_complete() && self.sys.committed() < commits {
-            if self.halt_on_first_detection && self.sys.detection_count() > 0 {
+            if self.halt_on_first_detection && self.sys.injector().unresolved() == 0 {
                 break;
             }
             if self.sys.now() >= self.max_cycles {
@@ -876,7 +877,11 @@ impl<O: Observer> Sim<O> {
     }
 
     /// Runs the simulation to drain ([`Sim::run_to_commit`] with no
-    /// commit target) and returns the structured outcome.
+    /// commit target) and returns the structured outcome. A fault whose
+    /// consumer verdict never came is pending in the report.
+    ///
+    /// Debug builds check that every queued fault ends exactly once:
+    /// detected, masked or pending.
     ///
     /// # Errors
     ///
@@ -885,13 +890,14 @@ impl<O: Observer> Sim<O> {
     /// [`Observer::finished`] call.
     pub fn try_run(mut self) -> Result<RunOutcome, RunError> {
         self.run_to_commit(u64::MAX)?;
-        if !(self.halt_on_first_detection && self.sys.detection_count() > 0) {
-            // Settling end-of-run verdicts only makes sense on a drained
-            // system; a halted-on-detection run already has the one
-            // record its caller consumes.
-            self.sys.resolve_drain();
-        }
         let report = self.sys.report();
+        debug_assert_eq!(
+            report.detections.len() + report.masked_faults.len() + report.pending_faults,
+            self.sys.injector().queued(),
+            "a fault did not end exactly once: {:?} {:?}",
+            report.detections,
+            report.masked_faults
+        );
         self.observer.finished(&report);
         Ok(RunOutcome { report, timeline: self.timeline.into_values().collect(), sys: self.sys })
     }
@@ -1202,6 +1208,20 @@ mod tests {
         assert_eq!(full.detections.len(), 1);
         assert_eq!(halted.detections.first(), full.detections.first());
         assert!(halted.cycles <= full.cycles, "{} > {}", halted.cycles, full.cycles);
+    }
+
+    #[test]
+    fn a_halted_run_stops_at_its_mask() {
+        let wl = small_workload();
+        let spec = FaultSpec { arm_at_commit: 3_700, site: FaultSite::CacheData, bit: 5 };
+        let sim =
+            || Sim::builder(&wl, 12_000).faults(vec![spec]).build_unobserved().expect("valid");
+        let full = sim().run().report;
+        let halted = sim().halt_on_first_detection().run().report;
+        assert_eq!(full.masked_faults.len(), 1, "{full:?}");
+        assert_eq!(halted.masked_faults, full.masked_faults);
+        assert_eq!(halted.pending_faults, 0);
+        assert!(halted.cycles < full.cycles, "{} >= {}", halted.cycles, full.cycles);
     }
 
     #[test]

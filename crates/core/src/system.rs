@@ -193,15 +193,6 @@ impl MeekSystem {
         std::mem::take(&mut self.events)
     }
 
-    /// Settles end-of-run fault and recovery verdicts once the system
-    /// has drained: no further segment verdicts can arrive, so the
-    /// in-flight fault is masked if every delivered candidate verdict
-    /// was clean, and the report separates masked from pending faults.
-    pub(crate) fn resolve_drain(&mut self) {
-        self.injector.resolve_at_drain();
-        self.recover.resolve_at_drain();
-    }
-
     /// Liveness context of a [`crate::sim::RunError::Livelock`]: the drain
     /// predicate's inputs plus a per-little-core snapshot (assignment,
     /// idle flag, LSL occupancies, replay progress) — enough to see
@@ -353,7 +344,7 @@ impl MeekSystem {
             self.recover.note_storage(self.run.undo_bytes());
         }
         // DEU background streaming of checkpoint chunks.
-        self.deu.pump_transfers(&mut self.fabric, &mut self.injector, now);
+        self.deu.pump_transfers(&mut self.fabric, &mut self.injector, &self.seg_mgr, now);
         // Fabric moves packets toward the LSLs.
         self.fabric.tick(now, &mut self.littles);
         // Big clock domain.
@@ -459,10 +450,10 @@ impl MeekSystem {
         self.run.memory()
     }
 
-    /// Fault detections recorded so far (cheap; polled per cycle by the
-    /// halt-on-first-detection fast path).
-    pub fn detection_count(&self) -> usize {
-        self.injector.detections.len()
+    /// The fault injector, for the run loop's halt and accounting
+    /// checks.
+    pub(crate) fn injector(&self) -> &FaultInjector {
+        &self.injector
     }
 
     /// Builds the run report at any point.
@@ -484,7 +475,6 @@ impl MeekSystem {
                 little_core: big.stall_little,
             },
             detections: self.injector.detections.clone(),
-            missed_faults: self.injector.masked.len() as u64,
             masked_faults: self.injector.masked.clone(),
             pending_faults: self.injector.unresolved(),
             rcps: self.deu.rcps,
@@ -534,7 +524,7 @@ pub fn run_vanilla(cfg: &BigCoreConfig, workload: &Workload, max_insts: u64) -> 
 mod tests {
     use super::*;
     use crate::fault::{FaultSite, FaultSpec};
-    use crate::sim::Sim;
+    use crate::sim::{Sim, TraceLog};
     use meek_workloads::parsec3;
 
     fn small_workload() -> Workload {
@@ -580,7 +570,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(sys.detection_count(), 0, "cloned before the detection");
+        assert_eq!(sys.injector.unresolved(), 1, "cloned before the detection");
         assert!(sys.fabric_depth() > 0, "the corrupted record is still in a DC-Buffer");
         let report = finish_with_clone(sim);
         assert_eq!(report.detections.len(), 1);
@@ -635,8 +625,8 @@ mod tests {
             .expect("valid")
             .run()
             .report;
-        assert_eq!(report.detections.len(), 1, "missed: {}", report.missed_faults);
-        assert_eq!(report.missed_faults, 0);
+        assert_eq!(report.detections.len(), 1, "masked: {:?}", report.masked_faults);
+        assert!(report.masked_faults.is_empty());
         assert_eq!(report.failed_segments, 1);
         let d = &report.detections[0];
         assert!(d.latency_ns > 0.0);
@@ -726,6 +716,53 @@ mod tests {
         assert_eq!(outcome.final_state(), clean.final_state());
     }
 
+    /// The outcomes of a run: detections, masks and pending faults.
+    fn outcomes(report: &RunReport) -> usize {
+        report.detections.len() + report.masked_faults.len() + report.pending_faults
+    }
+
+    #[test]
+    fn a_fault_requeued_by_a_rollback_still_ends_once() {
+        // A checkpoint barrage dense enough that a fault fires before the
+        // previous detection's rollback executes, which squashes it.
+        let wl = small_workload();
+        let faults = (0..12)
+            .map(|i| FaultSpec {
+                arm_at_commit: 1_000 + i * 300,
+                site: FaultSite::RcpRegister,
+                bit: (i as u32 * 11 + 3) % 48,
+            })
+            .collect();
+        let mut trace = TraceLog::new(0);
+        let report = Sim::builder(&wl, 15_000)
+            .recovery(RecoveryPolicy::enabled())
+            .faults(faults)
+            .observe(&mut trace)
+            .build()
+            .expect("valid")
+            .run()
+            .report;
+        let fired = trace.snapshot().iter().filter(|e| e.name() == "fault_injected").count();
+        assert!(fired > 12, "no rollback re-queued a fault: {fired} injections");
+        assert_eq!(outcomes(&report), 12, "{report:?}");
+    }
+
+    #[test]
+    fn one_checker_ends_each_of_many_faults_once() {
+        let wl = small_workload();
+        let mut rng = rand::SeedableRng::seed_from_u64(0x1C);
+        let faults = crate::fault::random_fault_specs(12, 14_000, &mut rng);
+        let report = Sim::builder(&wl, 15_000)
+            .little_cores(1)
+            .faults(faults)
+            .build()
+            .expect("valid")
+            .run()
+            .report;
+        assert!(report.detections.len() > 1, "{report:?}");
+        assert_eq!(outcomes(&report), 12);
+    }
+
     fn lsq(report: &RunReport) -> u64 {
         report.detections.iter().filter(|d| d.site == FaultSite::LsqParity).count() as u64
     }
@@ -743,7 +780,7 @@ mod tests {
         assert_eq!(report.detections[0].site, FaultSite::LsqParity);
         assert_eq!(report.failed_segments, 0, "parity catches it before any checker sees it");
         assert!(report.big.cycles > 0);
-        assert_eq!(report.missed_faults, 0);
+        assert!(report.masked_faults.is_empty());
     }
 
     #[test]
@@ -756,7 +793,7 @@ mod tests {
             .run()
             .report;
         assert_eq!(
-            report.detections.len() + report.missed_faults as usize,
+            report.detections.len() + report.masked_faults.len(),
             1,
             "a load-data flip is either detected or provably dead: {report:?}"
         );

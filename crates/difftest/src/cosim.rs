@@ -476,12 +476,12 @@ fn system_check(
             ),
         });
     }
-    if !report.detections.is_empty() || report.missed_faults != 0 {
+    if !report.detections.is_empty() || !report.masked_faults.is_empty() {
         return Err(Divergence::System {
             detail: format!(
                 "phantom fault activity: {} detections, {} masked, with no injector",
                 report.detections.len(),
-                report.missed_faults
+                report.masked_faults.len()
             ),
         });
     }

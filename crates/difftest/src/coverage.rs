@@ -145,8 +145,8 @@ pub(crate) fn classify(
             .build_unobserved()
             .expect("coverage configuration is valid")
     };
-    // Detect-only classification consumes nothing but the first
-    // detection record, so the run may halt the moment it lands.
+    // Detect-only classification consumes nothing but the fault's
+    // detection or mask record, so the run may halt once it resolves.
     let halted = |sim: Sim| sim.halt_on_first_detection().try_run().map(|outcome| outcome.report);
     let report = match fork_point(golden, spec, n_little) {
         Some(snapshot) => {

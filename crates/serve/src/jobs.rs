@@ -269,9 +269,7 @@ fn commit_shard(
 
     let mut totals = ShardSummary::from_counters(&progress.counters);
     totals.add(&res.summary);
-    let c = &mut progress.counters;
-    c.extend(totals.counters().map(|(name, value)| (name.to_string(), value)));
-    bump(c, "records", res.records.len() as u64);
+    progress.counters.extend(totals.counters().map(|(name, value)| (name.to_string(), value)));
 
     progress.units_done = idx + 1;
     write_state(&ctx.dir, progress)?;

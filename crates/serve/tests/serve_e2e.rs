@@ -75,7 +75,6 @@ fn assert_counters_match(counters: &BTreeMap<String, u64>, batch: &CampaignSumma
     for (name, value) in total.counters() {
         assert_eq!(counters.get(name), Some(&value), "counter `{name}`");
     }
-    assert_eq!(counters.get("records"), Some(&(total.detected as u64)), "one row per detection");
 }
 
 fn spool_outputs(dir: &Path) -> (Vec<u8>, Vec<u8>, Vec<u8>) {

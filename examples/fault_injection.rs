@@ -54,5 +54,5 @@ fn main() {
     println!("\ndetections: {} / {} faults", lat.len(), n_faults);
     println!("mean latency: {mean:.0} ns (paper: < 1000 ns)");
     println!("worst case:   {max:.0} ns (paper: up to 2700 ns)");
-    println!("missed faults: {}", report.missed_faults);
+    println!("missed faults: {}", report.masked_faults.len());
 }

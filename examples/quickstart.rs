@@ -74,6 +74,6 @@ fn main() {
         count("fault_injected"),
         count("fault_detected")
     );
-    assert_eq!(report.missed_faults, 0);
+    assert!(report.masked_faults.is_empty());
     assert_eq!(count("fault_detected"), 1);
 }

@@ -1,12 +1,14 @@
 //! Result-shape regression tests: the qualitative claims of the paper's
 //! evaluation must hold in the reproduction (DESIGN.md §6). These are
-//! small versions of the Fig. 6/8/9/10 harnesses with assertions instead
-//! of tables.
+//! small versions of the Fig. 6/7/8/9/10 harnesses with assertions
+//! instead of tables.
 
 use meek_core::report::geomean;
-use meek_core::{run_vanilla, FabricKind, MeekConfig, RunReport, Sim};
+use meek_core::{random_fault_specs, run_vanilla, FabricKind, MeekConfig, RunReport, Sim};
 use meek_littlecore::LittleCoreConfig;
-use meek_workloads::{parsec3, Workload};
+use meek_workloads::{parsec3, spec_int_2006, Workload};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 const INSTS: u64 = 20_000;
 
@@ -16,6 +18,30 @@ fn measure(cfg: MeekConfig, wl: &Workload) -> RunReport {
 
 fn slowdown(cfg: MeekConfig, wl: &Workload, vanilla: u64) -> f64 {
     measure(cfg, wl).app_cycles as f64 / vanilla as f64
+}
+
+#[test]
+fn fig7_shape_detections_land_within_3us() {
+    // The paper: 3 us covers over 99.9 % of detections. Ten faults per
+    // SPEC and PARSEC profile give about 160 detections, so 99.9 %
+    // leaves none beyond 3 us.
+    let (insts, faults) = (40_000, 10);
+    let mut latencies = Vec::new();
+    for (i, p) in spec_int_2006().iter().chain(&parsec3()).enumerate() {
+        let wl = Workload::build(p, 0xF7);
+        let mut rng = SmallRng::seed_from_u64(0xF7 + i as u64);
+        let report = Sim::builder(&wl, insts)
+            .faults(random_fault_specs(faults, insts * 7 / 10, &mut rng))
+            .build()
+            .expect("valid")
+            .run()
+            .report;
+        latencies.extend(report.detections.iter().map(|d| d.latency_ns));
+    }
+    let n = latencies.len();
+    assert!(n >= 100, "too few detections to read a 99.9 % bound: {n}");
+    let late = latencies.iter().filter(|&&ns| ns > 3_000.0).count();
+    assert!(late as f64 <= 0.001 * n as f64, "{late} of {n} detections took over 3 us");
 }
 
 #[test]
